@@ -21,9 +21,9 @@ let run () =
       in
       let open Stellar_node in
       Common.row "%10d | %14.1f | %14.1f | %14.2f | %10.2f@." accounts
-        (Common.ms r.Scenario.nomination.Metrics.mean)
-        (Common.ms r.Scenario.balloting.Metrics.mean)
-        (Common.ms r.Scenario.apply.Metrics.mean)
-        r.Scenario.close_interval.Metrics.mean)
+        (Common.ms r.Scenario.nomination.Stellar_obs.Report.mean)
+        (Common.ms r.Scenario.balloting.Stellar_obs.Report.mean)
+        (Common.ms r.Scenario.apply.Stellar_obs.Report.mean)
+        r.Scenario.close_interval.Stellar_obs.Report.mean)
     points;
   Common.row "shape check: consensus columns flat across 2-3 orders of magnitude@."

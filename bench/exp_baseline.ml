@@ -47,7 +47,9 @@ let run () =
       let r = Common.run_scenario ~spec_n:n ~accounts:100 ~rate:0.0 ~duration:50.0 ~latency () in
       let open Stellar_node in
       let scp_latency =
-        Common.ms (r.Scenario.nomination.Metrics.mean +. r.Scenario.balloting.Metrics.mean)
+        Common.ms
+          (r.Scenario.nomination.Stellar_obs.Report.mean
+          +. r.Scenario.balloting.Stellar_obs.Report.mean)
       in
       let scp_msgs =
         float_of_int
@@ -56,7 +58,7 @@ let run () =
       ignore scp_msgs;
       let scp_msgs_per_decision =
         r.Scenario.msgs_per_second_per_node *. float_of_int n
-        *. r.Scenario.close_interval.Metrics.mean
+        *. r.Scenario.close_interval.Stellar_obs.Report.mean
       in
       let pbft_lat, pbft_msgs, _ = run_pbft ~n ~latency ~decisions:8 in
       Common.row "%4d | %16.1f | %16.1f | %18.0f | %18.0f@." n scp_latency

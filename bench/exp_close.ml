@@ -24,7 +24,7 @@ let run () =
       let r = f () in
       let open Stellar_node in
       Common.row "%-16s | %10.2f | %12d | %10b@." name
-        r.Scenario.close_interval.Metrics.mean
+        r.Scenario.close_interval.Stellar_obs.Report.mean
         (r.Scenario.txs_submitted - r.Scenario.txs_applied)
         r.Scenario.diverged)
     cases;

@@ -20,10 +20,12 @@ let run () =
       let r = Common.run_scenario ~spec_n:4 ~accounts ~rate ~duration:60.0 () in
       let open Stellar_node in
       Common.row "%8.0f | %10.0f | %14.1f | %14.1f | %5d/%-6d | %9.2f@." rate
-        r.Scenario.txs_per_ledger.Metrics.mean
-        (Common.ms (r.Scenario.nomination.Metrics.mean +. r.Scenario.balloting.Metrics.mean))
-        (Common.ms r.Scenario.apply.Metrics.mean)
+        r.Scenario.txs_per_ledger.Stellar_obs.Report.mean
+        (Common.ms
+           (r.Scenario.nomination.Stellar_obs.Report.mean
+           +. r.Scenario.balloting.Stellar_obs.Report.mean))
+        (Common.ms r.Scenario.apply.Stellar_obs.Report.mean)
         r.Scenario.txs_applied r.Scenario.txs_submitted
-        r.Scenario.close_interval.Metrics.mean)
+        r.Scenario.close_interval.Stellar_obs.Report.mean)
     rates;
   Common.row "shape check: tx/ledger ~ 5 x rate; apply grows with load; nothing dropped@."

@@ -19,13 +19,18 @@ let run () =
   Common.row "ledgers closed         : %d over %.0f virtual seconds@." r.Scenario.ledgers_closed duration;
   Common.row "SCP envelopes/ledger   : %.1f   (paper: 6-7)@." r.Scenario.envelopes_per_ledger;
   Common.row "msgs/s emitted (node 0): %.1f   (paper: 1.3 logical + flooding)@."
-    (r.Scenario.envelopes_per_ledger /. r.Scenario.close_interval.Metrics.mean);
+    (r.Scenario.envelopes_per_ledger /. r.Scenario.close_interval.Stellar_obs.Report.mean);
   Common.row "consensus latency      : mean %.0fms p99 %.0fms (paper: 1061 / 2252)@."
-    (Common.ms (r.Scenario.nomination.Metrics.mean +. r.Scenario.balloting.Metrics.mean))
-    (Common.ms (r.Scenario.nomination.Metrics.p99 +. r.Scenario.balloting.Metrics.p99));
+    (Common.ms
+       (r.Scenario.nomination.Stellar_obs.Report.mean
+       +. r.Scenario.balloting.Stellar_obs.Report.mean))
+    (Common.ms
+       (r.Scenario.nomination.Stellar_obs.Report.p99
+       +. r.Scenario.balloting.Stellar_obs.Report.p99));
   Common.row "ledger update          : mean %.1fms p99 %.1fms (paper: 46 / 142 with SQL)@."
-    (Common.ms r.Scenario.apply.Metrics.mean)
-    (Common.ms r.Scenario.apply.Metrics.p99);
-  Common.row "close interval         : %.2fs (target 5s)@." r.Scenario.close_interval.Metrics.mean;
+    (Common.ms r.Scenario.apply.Stellar_obs.Report.mean)
+    (Common.ms r.Scenario.apply.Stellar_obs.Report.p99);
+  Common.row "close interval         : %.2fs (target 5s)@."
+    r.Scenario.close_interval.Stellar_obs.Report.mean;
   Common.row "diverged               : %b@." r.Scenario.diverged;
   Common.row "shape check            : msgs/ledger independent of load; latency << 5s target@."

@@ -34,7 +34,7 @@ let run () =
     (float_of_int heap *. 8.0 /. 1024.0 /. 1024.0)
     n_nodes;
   Common.row "ledger update CPU  : mean %.2fms per ledger@."
-    (Common.ms r.Scenario.apply.Metrics.mean);
+    (Common.ms r.Scenario.apply.Stellar_obs.Report.mean);
   Common.row "shape check        : commodity-hardware scale; network cost dominates@.";
   (* Persist the measured byte accounting so the perf trajectory is
      tracked across PRs.  Sizes are real XDR encoding lengths. *)
@@ -66,7 +66,7 @@ let run () =
       (r.Scenario.bytes_in_per_second *. 8.0 /. 1_000_000.0)
       (r.Scenario.bytes_out_per_second *. 8.0 /. 1_000_000.0)
       (cpu /. duration /. float_of_int n_nodes *. 100.0)
-      (Common.ms r.Scenario.apply.Metrics.mean)
+      (Common.ms r.Scenario.apply.Stellar_obs.Report.mean)
   in
   let oc = open_out "BENCH_resources.json" in
   output_string oc json;

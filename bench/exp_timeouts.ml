@@ -16,9 +16,9 @@ let run () =
   in
   let r = Common.run_scenario ~spec ~accounts:200 ~rate:2.0 ~duration ~latency () in
   let open Stellar_node in
-  let pr name (s : Metrics.summary) paper =
-    Common.row "%-10s : p75=%.0f  p99=%.0f  max=%.0f   (paper: %s)@." name s.Metrics.p75
-      s.Metrics.p99 s.Metrics.max paper
+  let pr name (s : Stellar_obs.Report.quantiles) paper =
+    Common.row "%-10s : p75=%.0f  p99=%.0f  max=%.0f   (paper: %s)@." name
+      s.Stellar_obs.Report.p75 s.Stellar_obs.Report.p99 s.Stellar_obs.Report.max paper
   in
   Common.row "ledgers observed: %d@." r.Scenario.ledgers_closed;
   pr "nomination" r.Scenario.nomination_timeouts_per_ledger "p75=0 p99=1 max=4";

@@ -17,9 +17,9 @@ let run () =
       let r = Common.run_scenario ~spec_n:n ~accounts:2_000 ~rate ~duration:45.0 () in
       let open Stellar_node in
       Common.row "%10d | %14.1f | %14.1f | %14.2f | %10.2f@." n
-        (Common.ms r.Scenario.nomination.Metrics.mean)
-        (Common.ms r.Scenario.balloting.Metrics.mean)
-        (Common.ms r.Scenario.apply.Metrics.mean)
-        r.Scenario.close_interval.Metrics.mean)
+        (Common.ms r.Scenario.nomination.Stellar_obs.Report.mean)
+        (Common.ms r.Scenario.balloting.Stellar_obs.Report.mean)
+        (Common.ms r.Scenario.apply.Stellar_obs.Report.mean)
+        r.Scenario.close_interval.Stellar_obs.Report.mean)
     ns;
   Common.row "shape check: balloting column grows with n, apply column flat@."

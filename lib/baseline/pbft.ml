@@ -49,7 +49,16 @@ let view c =
     0 c.replicas
 
 let primary c = primary_of c (view c)
-let message_count c = Stellar_sim.Network.total_messages c.net
+
+let message_count c =
+  Array.fold_left
+    (fun acc (r : replica) ->
+      acc
+      + Stellar_obs.Registry.counter_value
+          (Stellar_sim.Network.registry c.net r.index)
+          "overlay.msgs.sent")
+    0 c.replicas
+
 let decided c i = List.rev c.replicas.(i).decided
 
 let broadcast c src m =

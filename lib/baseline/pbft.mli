@@ -30,3 +30,4 @@ val decided : cluster -> int -> (int * string) list
 (** Decisions (seq, value) recorded by a replica, oldest first. *)
 
 val message_count : cluster -> int
+(** Messages sent by all replicas (their [overlay.msgs.sent] counters). *)

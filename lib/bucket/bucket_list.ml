@@ -10,7 +10,7 @@ let level_count t = Array.length t.levels
 let level_bucket t i = t.levels.(i).bucket
 
 let add_batch ?(obs = Stellar_obs.Sink.null) t batch =
-  let observed = Stellar_obs.Sink.enabled obs in
+  let tracing = Stellar_obs.Sink.tracing obs in
   let levels = Array.copy t.levels in
   let nlevels = Array.length levels in
   (* Merge the new batch into level 0. *)
@@ -20,11 +20,10 @@ let add_batch ?(obs = Stellar_obs.Sink.null) t batch =
       bucket = Bucket.merge ~newer:b0 ~older:levels.(0).bucket ~keep_tombstones:true;
       fill = levels.(0).fill + 1;
     };
-  if observed then begin
-    Stellar_obs.Sink.incr obs "bucket.merge";
+  Stellar_obs.Sink.incr obs "bucket.merge";
+  if tracing then
     Stellar_obs.Sink.emit obs
-      (Stellar_obs.Event.Bucket_merge { level = 0; entries = Bucket.size levels.(0).bucket })
-  end;
+      (Stellar_obs.Event.Bucket_merge { level = 0; entries = Bucket.size levels.(0).bucket });
   (* Cascade spills: a full level pushes its whole bucket down. *)
   let rec spill i =
     if i < nlevels - 1 && levels.(i).fill >= t.spill_factor then begin
@@ -37,20 +36,18 @@ let add_batch ?(obs = Stellar_obs.Sink.null) t batch =
           fill = levels.(i + 1).fill + 1;
         };
       levels.(i) <- { bucket = Bucket.empty; fill = 0 };
-      if observed then begin
-        Stellar_obs.Sink.incr obs "bucket.spill";
+      Stellar_obs.Sink.incr obs "bucket.spill";
+      if tracing then
         Stellar_obs.Sink.emit obs
           (Stellar_obs.Event.Bucket_merge
-             { level = i + 1; entries = Bucket.size levels.(i + 1).bucket })
-      end;
+             { level = i + 1; entries = Bucket.size levels.(i + 1).bucket });
       spill (i + 1)
     end
   in
   spill 0;
   let t = { t with levels } in
-  if observed then
-    Stellar_obs.Sink.set_gauge obs "bucket.entries"
-      (float_of_int (Array.fold_left (fun acc l -> acc + Bucket.size l.bucket) 0 levels));
+  Stellar_obs.Sink.set_gauge obs "bucket.entries"
+    (float_of_int (Array.fold_left (fun acc l -> acc + Bucket.size l.bucket) 0 levels));
   t
 
 let hash t =

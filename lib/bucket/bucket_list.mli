@@ -16,9 +16,10 @@ val create : ?levels:int -> ?spill_factor:int -> unit -> t
 (** Defaults: 10 levels, spill factor 4 (stellar-core's shape). *)
 
 val add_batch : ?obs:Stellar_obs.Sink.t -> t -> Bucket.item list -> t
-(** Absorb one ledger's changes; performs any due spills.  An enabled [obs]
-    sink emits a [Bucket_merge] event per level touched, counts
-    [bucket.merge]/[bucket.spill] and tracks the [bucket.entries] gauge. *)
+(** Absorb one ledger's changes; performs any due spills.  A live [obs]
+    sink counts [bucket.merge]/[bucket.spill], tracks the [bucket.entries]
+    gauge and, when tracing, emits a [Bucket_merge] event per level
+    touched. *)
 
 val hash : t -> string
 val level_count : t -> int

@@ -32,7 +32,7 @@ type t = {
 let default_nomination_timeout ~round = float_of_int (1 + round)
 let default_ballot_timeout ~counter = float_of_int (1 + counter)
 
-(* Protocol internals already report through [hooks]; with an enabled sink we
+(* Protocol internals already report through [hooks]; with a live sink we
    interpose once here so nomination/ballot code needs no obs plumbing. *)
 let observe_hooks obs hooks =
   let module S = Stellar_obs.Sink in
@@ -43,12 +43,12 @@ let observe_hooks obs hooks =
       on_nomination_round =
         (fun ~slot ~round ->
           S.incr obs "scp.nomination.round";
-          S.emit obs (E.Nomination_round { slot; round });
+          if S.tracing obs then S.emit obs (E.Nomination_round { slot; round });
           hooks.on_nomination_round ~slot ~round);
       on_ballot_bump =
         (fun ~slot ~counter ->
           S.incr obs "scp.ballot.bump";
-          S.emit obs (E.Ballot_bump { slot; counter });
+          if S.tracing obs then S.emit obs (E.Ballot_bump { slot; counter });
           hooks.on_ballot_bump ~slot ~counter);
       on_timeout =
         (fun ~slot ~kind ->
@@ -56,17 +56,17 @@ let observe_hooks obs hooks =
             (match kind with
             | `Nomination -> "scp.timeout.nomination"
             | `Ballot -> "scp.timeout.ballot");
-          S.emit obs (E.Timeout_fired { slot; kind });
+          if S.tracing obs then S.emit obs (E.Timeout_fired { slot; kind });
           hooks.on_timeout ~slot ~kind);
       on_phase_change =
         (fun ~slot ~phase ->
           (match phase with
           | "confirm" ->
               S.incr obs "scp.phase.confirm";
-              S.emit obs (E.Confirm_prepare { slot })
+              if S.tracing obs then S.emit obs (E.Confirm_prepare { slot })
           | "externalize" ->
               S.incr obs "scp.phase.externalize";
-              S.emit obs (E.Externalize { slot })
+              if S.tracing obs then S.emit obs (E.Externalize { slot })
           | _ -> ());
           hooks.on_phase_change ~slot ~phase);
     }

@@ -51,10 +51,10 @@ val make :
   ?obs:Stellar_obs.Sink.t ->
   unit ->
   t
-(** With an enabled [obs] sink, the driver interposes on [hooks] to emit
-    trace events (nomination rounds, ballot bumps, confirm/externalize phase
-    changes, timeouts) and bump the matching [scp.*] counters before calling
-    the caller's hook. *)
+(** With a live [obs] sink, the driver interposes on [hooks] to bump the
+    [scp.*] counters (nomination rounds, ballot bumps, confirm/externalize
+    phase changes, timeouts) and, when tracing, emit the matching events
+    before calling the caller's hook. *)
 
 val default_nomination_timeout : round:int -> float
 (** stellar-core's schedule: [1 + round] seconds. *)

@@ -26,10 +26,9 @@ let sync_nomination t =
 let nominate t ~value ~prev =
   if Ballot.phase t.ballot = Ballot.Prepare_phase then begin
     let obs = t.driver.Driver.obs in
-    if Stellar_obs.Sink.enabled obs then begin
-      Stellar_obs.Sink.incr obs "scp.nominate.start";
-      Stellar_obs.Sink.emit obs (Stellar_obs.Event.Nominate_start { slot = t.index })
-    end;
+    Stellar_obs.Sink.incr obs "scp.nominate.start";
+    if Stellar_obs.Sink.tracing obs then
+      Stellar_obs.Sink.emit obs (Stellar_obs.Event.Nominate_start { slot = t.index });
     Nomination.nominate t.nomination ~value ~prev;
     sync_nomination t
   end

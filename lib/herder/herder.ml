@@ -19,7 +19,6 @@ type callbacks = {
   schedule : delay:float -> (unit -> unit) -> unit -> unit;
   now : unit -> float;
   on_ledger_closed : ledger_stats -> unit;
-  on_timeout : kind:[ `Nomination | `Ballot ] -> unit;
 }
 
 type config = {
@@ -77,7 +76,6 @@ let buckets t = t.buckets
 let headers t = t.headers
 let last_header t = match t.headers with h :: _ -> Some h | [] -> None
 let ledger_seq t = State.ledger_seq t.state
-let queue_size t = Tx_queue.size t.queue
 let tx_set t h = Hashtbl.find_opt t.tx_sets h
 let set_quorum_set t q = Scp.Protocol.set_quorum_set t.scp q
 
@@ -146,7 +144,7 @@ let rec close_ledger t slot (v : Value.t) =
       (* Apply_begin/Apply_end carry tx/op counts at the (single) simulated
          instant of application; CPU time goes to the ledger.apply_ms
          histogram, keeping the trace deterministic. *)
-      if Stellar_obs.Sink.enabled t.obs then begin
+      if Stellar_obs.Sink.tracing t.obs then begin
         (* the network decided this slot: every tx in the winning set is
            externalized at this node's close instant *)
         List.iter
@@ -180,27 +178,25 @@ let rec close_ledger t slot (v : Value.t) =
           ~state:state'
       in
       let apply_s = Sys.time () -. cpu0 in
-      if Stellar_obs.Sink.enabled t.obs then begin
+      if Stellar_obs.Sink.tracing t.obs then
         Stellar_obs.Sink.emit t.obs
           (Stellar_obs.Event.Apply_end
              { slot; txs = Tx_set.tx_count ts; ops = Tx_set.op_count ts });
-        Stellar_obs.Sink.observe t.obs "ledger.apply_ms" (apply_s *. 1000.0);
-        Stellar_obs.Sink.incr t.obs "ledger.closed"
-      end;
+      Stellar_obs.Sink.observe t.obs "ledger.apply_ms" (apply_s *. 1000.0);
+      Stellar_obs.Sink.incr t.obs "ledger.closed";
       t.state <- state';
       t.buckets <- buckets';
       t.headers <- header :: t.headers;
       Tx_queue.remove_applied t.queue txs;
       let purged = Tx_queue.purge_invalid t.queue ~state:t.state in
-      if Stellar_obs.Sink.enabled t.obs then
+      if Stellar_obs.Sink.tracing t.obs then
         List.iter
           (fun signed ->
             Stellar_obs.Sink.emit t.obs
               (Stellar_obs.Event.Tx_dropped { tx = tx_hex signed; reason = `Stale }))
           purged;
-      if Stellar_obs.Sink.enabled t.obs then
-        Stellar_obs.Sink.set_gauge t.obs "herder.queue.size"
-          (float_of_int (Tx_queue.size t.queue));
+      Stellar_obs.Sink.set_gauge t.obs "herder.queue.size"
+        (float_of_int (Tx_queue.size t.queue));
       Scp.Protocol.purge_slots t.scp ~below:(slot - 32);
       (* stats *)
       let tm = timing t slot in
@@ -247,7 +243,7 @@ and trigger_next_ledger t =
       Tx_queue.candidates t.queue ~state:t.state ~max_ops:t.config.max_ops_per_ledger
     in
     let ts = Tx_set.make ~prev_header_hash:(prev_header_hash t) txs in
-    if Stellar_obs.Sink.enabled t.obs then
+    if Stellar_obs.Sink.tracing t.obs then
       List.iter
         (fun signed ->
           Stellar_obs.Sink.emit t.obs
@@ -292,7 +288,7 @@ let create config cb ~genesis ?buckets ?(headers = []) ?(obs = Stellar_obs.Sink.
            ~obs
            ~hooks:
              {
-               Scp.Driver.on_nomination_round = (fun ~slot:_ ~round:_ -> ());
+               Scp.Driver.no_hooks with
                on_ballot_bump =
                  (fun ~slot ~counter ->
                    let h = Lazy.force t in
@@ -301,12 +297,10 @@ let create config cb ~genesis ?buckets ?(headers = []) ?(obs = Stellar_obs.Sink.
                      tm.t_first_ballot <- Some (cb.now ());
                      (* the nomination → balloting boundary of the phase
                         breakdown (Report.slot_phases) *)
-                     if Stellar_obs.Sink.enabled obs then
+                     if Stellar_obs.Sink.tracing obs then
                        Stellar_obs.Sink.emit obs
                          (Stellar_obs.Event.First_vote { slot; counter })
                    end);
-               on_timeout = (fun ~slot:_ ~kind -> cb.on_timeout ~kind);
-               on_phase_change = (fun ~slot:_ ~phase:_ -> ());
              }
            ()
        in
@@ -352,7 +346,7 @@ let stop t =
 let receive_tx t signed =
   if Tx_queue.add t.queue signed then `New
   else begin
-    if Stellar_obs.Sink.enabled t.obs then
+    if Stellar_obs.Sink.tracing t.obs then
       Stellar_obs.Sink.emit t.obs
         (Stellar_obs.Event.Tx_dropped { tx = tx_hex signed; reason = `Duplicate });
     `Duplicate
@@ -361,7 +355,7 @@ let receive_tx t signed =
 let submit_tx t signed =
   match receive_tx t signed with
   | `New ->
-      if Stellar_obs.Sink.enabled t.obs then
+      if Stellar_obs.Sink.tracing t.obs then
         Stellar_obs.Sink.emit t.obs (Stellar_obs.Event.Tx_submit { tx = tx_hex signed });
       t.cb.broadcast_tx signed;
       `Queued

@@ -27,7 +27,6 @@ type callbacks = {
   schedule : delay:float -> (unit -> unit) -> unit -> unit;
   now : unit -> float;
   on_ledger_closed : ledger_stats -> unit;
-  on_timeout : kind:[ `Nomination | `Ballot ] -> unit;
 }
 
 type config = {
@@ -72,7 +71,6 @@ val headers : t -> Stellar_ledger.Header.t list
 
 val last_header : t -> Stellar_ledger.Header.t option
 val ledger_seq : t -> int
-val queue_size : t -> int
 val set_quorum_set : t -> Scp.Quorum_set.t -> unit
 
 val start : t -> unit

@@ -726,8 +726,11 @@ let apply_tx_set ?(obs = Stellar_obs.Sink.null) ctx state ~close_time txs =
     List.fold_left
       (fun (state, acc) signed ->
         let state, outcome = apply_tx ctx state signed in
-        if Stellar_obs.Sink.enabled obs then begin
-          Stellar_obs.Sink.incr obs (outcome_metric outcome);
+        Stellar_obs.Sink.incr obs (outcome_metric outcome);
+        (match outcome with
+        | Tx_success rs -> Stellar_obs.Sink.add obs "ledger.ops.applied" (List.length rs)
+        | _ -> ());
+        if Stellar_obs.Sink.tracing obs then
           Stellar_obs.Sink.emit obs
             (Stellar_obs.Event.Tx_applied
                {
@@ -735,10 +738,6 @@ let apply_tx_set ?(obs = Stellar_obs.Sink.null) ctx state ~close_time txs =
                  slot;
                  ok = tx_succeeded outcome;
                });
-          match outcome with
-          | Tx_success rs -> Stellar_obs.Sink.add obs "ledger.ops.applied" (List.length rs)
-          | _ -> ()
-        end;
         (state, (signed, outcome) :: acc))
       (state, []) sorted
   in

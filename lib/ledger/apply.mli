@@ -65,7 +65,7 @@ val apply_tx_set :
   State.t * (Tx.signed * tx_outcome) list
 (** Close one ledger: set header fields, charge all fees up front, then
     apply in deterministic (hash-shuffled) order, as stellar-core does.
-    An enabled [obs] sink counts per-outcome transactions
+    A live [obs] sink counts per-outcome transactions
     ([ledger.tx.success], [ledger.tx.bad_seq], ...) and applied operations
-    ([ledger.ops.applied]), and emits one [Tx_applied] lifecycle trace
-    event per transaction, keyed by the hex tx hash. *)
+    ([ledger.ops.applied]) and, when tracing, emits one [Tx_applied]
+    lifecycle event per transaction, keyed by the hex tx hash. *)

@@ -12,7 +12,6 @@ type params = {
   max_ops_per_ledger : int;
   warmup_ledgers : int;
   observe : bool;
-  trace_capacity : int option;
   faults : Fault.schedule;
 }
 
@@ -29,22 +28,24 @@ let default ~spec =
     max_ops_per_ledger = 10_000;
     warmup_ledgers = 2;
     observe = false;
-    trace_capacity = None;
     faults = [];
   }
 
+module Report = Stellar_obs.Report
+module Registry = Stellar_obs.Registry
+
 type report = {
   ledgers_closed : int;
-  nomination : Metrics.summary;
-  balloting : Metrics.summary;
-  apply : Metrics.summary;
-  total : Metrics.summary;
-  close_interval : Metrics.summary;
-  txs_per_ledger : Metrics.summary;
+  nomination : Report.quantiles;
+  balloting : Report.quantiles;
+  apply : Report.quantiles;
+  total : Report.quantiles;
+  close_interval : Report.quantiles;
+  txs_per_ledger : Report.quantiles;
   txs_submitted : int;
   txs_applied : int;
-  nomination_timeouts_per_ledger : Metrics.summary;
-  ballot_timeouts_per_ledger : Metrics.summary;
+  nomination_timeouts_per_ledger : Report.quantiles;
+  ballot_timeouts_per_ledger : Report.quantiles;
   envelopes_per_ledger : float;
   msgs_per_second_per_node : float;
   bytes_in_total : int;
@@ -69,35 +70,30 @@ let run p =
   let wall0 = Unix.gettimeofday () in
   let engine = Stellar_sim.Engine.create () in
   let rng = Stellar_sim.Rng.create ~seed:p.seed in
-  let telemetry =
-    if p.observe then begin
-      let c =
-        Stellar_obs.Collector.create ?trace_capacity:p.trace_capacity
-          ~n:p.spec.Topology.n_nodes
-          ~now:(fun () -> Stellar_sim.Engine.now engine)
-          ()
-      in
-      Stellar_sim.Engine.set_obs engine (Stellar_obs.Collector.sim_sink c);
-      Some c
-    end
-    else None
+  (* Metrics are always collected; [observe] only attaches the trace. *)
+  let collector =
+    Stellar_obs.Collector.create ~tracing:p.observe ~n:p.spec.Topology.n_nodes
+      ~now:(fun () -> Stellar_sim.Engine.now engine)
   in
-  let obs_sink i =
-    match telemetry with
-    | Some c -> Stellar_obs.Collector.sink c i
-    | None -> Stellar_obs.Sink.null
-  in
+  let sim_sink = Stellar_obs.Collector.sim_sink collector in
+  Stellar_sim.Engine.set_obs engine sim_sink;
   let network =
     Stellar_sim.Network.create ~engine ~rng ~n:p.spec.Topology.n_nodes ~latency:p.latency
       ~processing:p.processing
-      ?obs:(Option.map (fun c -> Stellar_obs.Collector.sink c) telemetry)
+      ~obs:(Stellar_obs.Collector.sink collector)
       ()
   in
   let genesis, accounts = Genesis.make ~n_accounts:p.n_accounts () in
   let shared_buckets = Stellar_bucket.Bucket_list.of_state genesis in
-  (* per-ledger stats from node 0; timeout counters per node *)
+  (* per-ledger stats from node 0, plus node 0's timeouts during each
+     ledger as deltas of its scp.timeout.* counters *)
+  let reg0 = Stellar_obs.Collector.registry collector 0 in
+  let timeouts () =
+    ( Registry.counter_value reg0 "scp.timeout.nomination",
+      Registry.counter_value reg0 "scp.timeout.ballot" )
+  in
   let ledger_log = ref [] in
-  let nom_timeouts = ref 0 and ballot_timeouts = ref 0 in
+  let last_timeouts = ref (0, 0) in
   let timeouts_per_ledger = ref [] in
   (* Fault runs keep a history archive fed from node 0's closes, so a
      restarted validator has a §5.4 checkpoint to bootstrap from.  A short
@@ -143,32 +139,22 @@ let run p =
           if i = 0 then fun stats ->
             begin
               ledger_log := stats :: !ledger_log;
-              timeouts_per_ledger := (!nom_timeouts, !ballot_timeouts) :: !timeouts_per_ledger;
-              nom_timeouts := 0;
-              ballot_timeouts := 0;
+              let ((nom, ballot) as counts) = timeouts () in
+              let nom0, ballot0 = !last_timeouts in
+              timeouts_per_ledger := (nom - nom0, ballot - ballot0) :: !timeouts_per_ledger;
+              last_timeouts := counts;
               record_in_archive stats
             end
           else fun _ -> ()
         in
-        let on_timeout =
-          if i = 0 then fun ~kind ->
-            match kind with
-            | `Nomination -> incr nom_timeouts
-            | `Ballot -> incr ballot_timeouts
-          else fun ~kind:_ -> ()
-        in
         Validator.create ~network ~index:i ~peers:(p.spec.Topology.peers_of i) ~config
-          ~genesis ~buckets:shared_buckets ~on_ledger_closed ~on_timeout ~obs:(obs_sink i)
+          ~genesis ~buckets:shared_buckets ~on_ledger_closed
+          ~obs:(Stellar_obs.Collector.sink collector i)
           ())
   in
   v0 := Some validators.(0);
   Array.iter Validator.start validators;
   (* ---- fault schedule interpretation ---- *)
-  let sim_sink =
-    match telemetry with
-    | Some c -> Stellar_obs.Collector.sim_sink c
-    | None -> Stellar_obs.Sink.null
-  in
   List.iter
     (fun ev ->
       let at delay f = ignore (Stellar_sim.Engine.schedule engine ~delay f) in
@@ -181,14 +167,13 @@ let run p =
               let arr = Array.make p.spec.Topology.n_nodes 0 in
               List.iter (fun (node, g) -> arr.(node) <- g) groups;
               Stellar_sim.Network.set_partition network (fun i -> arr.(i));
-              if Stellar_obs.Sink.enabled sim_sink then
+              if Stellar_obs.Sink.tracing sim_sink then
                 Stellar_obs.Sink.emit sim_sink
                   (Stellar_obs.Event.Partition_begin { groups = Array.to_list arr }))
       | Fault.Heal { at = t } ->
           at t (fun () ->
               Stellar_sim.Network.set_partition network (fun _ -> 0);
-              if Stellar_obs.Sink.enabled sim_sink then
-                Stellar_obs.Sink.emit sim_sink Stellar_obs.Event.Partition_heal)
+              Stellar_obs.Sink.emit sim_sink Stellar_obs.Event.Partition_heal)
       | Fault.Loss { rate; from_; until_ } ->
           at from_ (fun () -> Stellar_sim.Network.set_loss_rate network rate);
           at until_ (fun () -> Stellar_sim.Network.set_loss_rate network 0.0)
@@ -259,13 +244,18 @@ let run p =
     List.fold_left (fun acc s -> acc + s.Stellar_herder.Herder.tx_count) 0 stats
   in
   let virtual_elapsed = Stellar_sim.Engine.now engine in
-  let node0 = Stellar_sim.Network.stats network 0 in
+  let per_second n = if virtual_elapsed > 0.0 then float_of_int n /. virtual_elapsed else 0.0 in
+  let msgs_sent = Registry.counter_value reg0 "overlay.msgs.sent" in
+  let bytes_sent = Registry.counter_value reg0 "overlay.bytes.sent" in
+  let bytes_received = Registry.counter_value reg0 "overlay.bytes.received" in
   let n_ledgers_all = List.length stats in
   (* logical envelopes per ledger: count envelope floods originated by
      node 0 (its own emissions) per closed ledger *)
   let envelopes_per_ledger =
     if n_ledgers_all = 0 then 0.0
-    else float_of_int (Validator.own_envelopes validators.(0)) /. float_of_int n_ledgers_all
+    else
+      float_of_int (Registry.counter_value reg0 "flood.own_envelopes")
+      /. float_of_int n_ledgers_all
   in
   (* per-validator header chains, oldest first, as hex hashes *)
   let chains =
@@ -306,41 +296,36 @@ let run p =
   in
   {
     ledgers_closed = List.length stats;
-    nomination = Metrics.summarize (fl (fun s -> s.Stellar_herder.Herder.nomination_s));
-    balloting = Metrics.summarize (fl (fun s -> s.Stellar_herder.Herder.balloting_s));
-    apply = Metrics.summarize (fl (fun s -> s.Stellar_herder.Herder.apply_s));
-    total = Metrics.summarize (fl (fun s -> s.Stellar_herder.Herder.total_s));
-    close_interval = Metrics.summarize close_intervals;
+    nomination = Report.quantiles (fl (fun s -> s.Stellar_herder.Herder.nomination_s));
+    balloting = Report.quantiles (fl (fun s -> s.Stellar_herder.Herder.balloting_s));
+    apply = Report.quantiles (fl (fun s -> s.Stellar_herder.Herder.apply_s));
+    total = Report.quantiles (fl (fun s -> s.Stellar_herder.Herder.total_s));
+    close_interval = Report.quantiles close_intervals;
     txs_per_ledger =
-      Metrics.summarize (fl (fun s -> float_of_int s.Stellar_herder.Herder.tx_count));
+      Report.quantiles (fl (fun s -> float_of_int s.Stellar_herder.Herder.tx_count));
     txs_submitted = !submitted;
     txs_applied;
     nomination_timeouts_per_ledger =
-      Metrics.summarize (List.map (fun (n, _) -> float_of_int n) t_per_ledger');
+      Report.quantiles (List.map (fun (n, _) -> float_of_int n) t_per_ledger');
     ballot_timeouts_per_ledger =
-      Metrics.summarize (List.map (fun (_, b) -> float_of_int b) t_per_ledger');
+      Report.quantiles (List.map (fun (_, b) -> float_of_int b) t_per_ledger');
     envelopes_per_ledger;
-    msgs_per_second_per_node =
-      (if virtual_elapsed > 0.0 then
-         float_of_int node0.Stellar_sim.Network.msgs_sent /. virtual_elapsed
-       else 0.0);
-    bytes_in_total = node0.Stellar_sim.Network.bytes_received;
-    bytes_out_total = node0.Stellar_sim.Network.bytes_sent;
-    bytes_in_per_second =
-      (if virtual_elapsed > 0.0 then
-         float_of_int node0.Stellar_sim.Network.bytes_received /. virtual_elapsed
-       else 0.0);
-    bytes_out_per_second =
-      (if virtual_elapsed > 0.0 then
-         float_of_int node0.Stellar_sim.Network.bytes_sent /. virtual_elapsed
-       else 0.0);
+    msgs_per_second_per_node = per_second msgs_sent;
+    bytes_in_total = bytes_received;
+    bytes_out_total = bytes_sent;
+    bytes_in_per_second = per_second bytes_received;
+    bytes_out_per_second = per_second bytes_sent;
     diverged;
     chains;
     converged;
     wall_seconds = Unix.gettimeofday () -. wall0;
     final_ledger_seq = Stellar_herder.Herder.ledger_seq (Validator.herder validators.(0));
-    telemetry;
+    telemetry = (if p.observe then Some collector else None);
   }
+
+let pp_ms fmt (q : Report.quantiles) =
+  Format.fprintf fmt "mean=%.1fms p50=%.1f p99=%.1f max=%.1f (n=%d)" (q.mean *. 1000.0)
+    (q.p50 *. 1000.0) (q.p99 *. 1000.0) (q.max *. 1000.0) q.n
 
 let pp_report fmt r =
   Format.fprintf fmt
@@ -356,8 +341,8 @@ let pp_report fmt r =
      wall time          : %.2fs@]"
     r.ledgers_closed r.final_ledger_seq
     (if r.diverged then "  !! DIVERGED !!" else "")
-    Metrics.pp_ms r.nomination Metrics.pp_ms r.balloting Metrics.pp_ms r.apply
-    Metrics.pp_ms r.total r.close_interval.Metrics.mean r.txs_per_ledger.Metrics.mean
+    pp_ms r.nomination pp_ms r.balloting pp_ms r.apply pp_ms r.total
+    r.close_interval.Report.mean r.txs_per_ledger.Report.mean
     r.txs_applied r.txs_submitted r.envelopes_per_ledger r.msgs_per_second_per_node
     (r.bytes_in_per_second *. 8.0 /. 1_000_000.0)
     (r.bytes_out_per_second *. 8.0 /. 1_000_000.0)

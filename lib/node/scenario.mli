@@ -21,13 +21,10 @@ type params = {
   max_ops_per_ledger : int;
   warmup_ledgers : int;  (** ledgers excluded from the stats *)
   observe : bool;
-      (** collect a structured trace and per-node metric registries
-          ({!report.telemetry}); default off — instrumentation then costs
-          one branch per site *)
-  trace_capacity : int option;
-      (** bound the shared trace to this many events; once full, further
-          events are dropped and counted under [obs.trace.dropped].
-          Default unbounded *)
+      (** record a structured trace and hand it back with the per-node
+          metric registries ({!report.telemetry}); default off.  The
+          registries are kept either way and feed the report; only the
+          trace is optional *)
   faults : Fault.schedule;
       (** fault events to inject during the run (default none).  When
           non-empty, the scenario keeps a history archive fed from node 0's
@@ -40,16 +37,16 @@ val default : spec:Topology.spec -> params
 
 type report = {
   ledgers_closed : int;
-  nomination : Metrics.summary;
-  balloting : Metrics.summary;
-  apply : Metrics.summary;
-  total : Metrics.summary;
-  close_interval : Metrics.summary;  (** time between consecutive closes *)
-  txs_per_ledger : Metrics.summary;
+  nomination : Stellar_obs.Report.quantiles;
+  balloting : Stellar_obs.Report.quantiles;
+  apply : Stellar_obs.Report.quantiles;
+  total : Stellar_obs.Report.quantiles;
+  close_interval : Stellar_obs.Report.quantiles;  (** time between consecutive closes *)
+  txs_per_ledger : Stellar_obs.Report.quantiles;
   txs_submitted : int;
   txs_applied : int;
-  nomination_timeouts_per_ledger : Metrics.summary;
-  ballot_timeouts_per_ledger : Metrics.summary;
+  nomination_timeouts_per_ledger : Stellar_obs.Report.quantiles;
+  ballot_timeouts_per_ledger : Stellar_obs.Report.quantiles;
   envelopes_per_ledger : float;  (** logical SCP envelopes emitted per ledger *)
   msgs_per_second_per_node : float;
   bytes_in_total : int;  (** XDR bytes received by node 0 over the run *)
@@ -66,7 +63,7 @@ type report = {
   wall_seconds : float;  (** real time the simulation took *)
   final_ledger_seq : int;
   telemetry : Stellar_obs.Collector.t option;
-      (** the run's trace + registries when [observe] was set *)
+      (** the run's trace + registries, exactly when [observe] was set *)
 }
 
 val run : params -> report

@@ -8,7 +8,6 @@ type t = {
   genesis : Stellar_ledger.State.t;
   genesis_buckets : Stellar_bucket.Bucket_list.t option;
   user_on_ledger_closed : Stellar_herder.Herder.ledger_stats -> unit;
-  user_on_timeout : kind:[ `Nomination | `Ballot ] -> unit;
   obs : Obs.Sink.t;
   mutable herder : Stellar_herder.Herder.t;
   mutable generation : int;
@@ -19,20 +18,12 @@ type t = {
   mutable crashed : bool;
   seen : (string, int) Hashtbl.t;  (* flood dedup: key -> expiry slot *)
   helped : (int * int, unit) Hashtbl.t;  (* (peer, slot) straggler replies sent *)
-  mutable floods_seen : int;
-  mutable floods_forwarded : int;
-  mutable own_envelopes : int;
 }
 
 let index t = t.index
 let herder t = t.herder
-let node_id t = Stellar_herder.Herder.node_id t.herder
-let floods_seen t = t.floods_seen
-let floods_forwarded t = t.floods_forwarded
-let own_envelopes t = t.own_envelopes
 let helped_size t = Hashtbl.length t.helped
 let seen_size t = Hashtbl.length t.seen
-let is_crashed t = t.crashed
 
 (* The straggler-reply memo only has to suppress duplicate help within the
    life of a slot: once slot [upto] is externalized locally, memos for it and
@@ -43,8 +34,7 @@ let prune_helped t ~upto =
       t.helped []
   in
   List.iter (Hashtbl.remove t.helped) stale;
-  if Obs.Sink.enabled t.obs then
-    Obs.Sink.set_gauge t.obs "validator.helped.size" (float_of_int (Hashtbl.length t.helped))
+  Obs.Sink.set_gauge t.obs "validator.helped.size" (float_of_int (Hashtbl.length t.helped))
 
 (* How long a dedup entry stays useful.  Envelopes are only ever re-flooded
    while their slot is live, so they expire right after it closes (+2 slots
@@ -67,8 +57,7 @@ let prune_seen t ~upto =
     Hashtbl.fold (fun k expiry acc -> if expiry <= upto then k :: acc else acc) t.seen []
   in
   List.iter (Hashtbl.remove t.seen) stale;
-  if Obs.Sink.enabled t.obs then
-    Obs.Sink.set_gauge t.obs "validator.seen.size" (float_of_int (Hashtbl.length t.seen))
+  Obs.Sink.set_gauge t.obs "validator.seen.size" (float_of_int (Hashtbl.length t.seen))
 
 (* [force] lets a node re-broadcast its own identical message (a straggler
    re-announcing its last statement must not be silenced by its own dedup
@@ -88,16 +77,14 @@ let flood_encoded t ?except ?(force = false) ~encoded msg =
       (fun peer ->
         if Some peer <> except && peer <> t.index then begin
           incr fanout;
-          t.floods_forwarded <- t.floods_forwarded + 1;
           Stellar_sim.Network.send t.network ~src:t.index ~dst:peer ~size ~msg_id msg
         end)
       t.peers;
-    if Obs.Sink.enabled t.obs then begin
-      Obs.Sink.add t.obs "flood.forwarded" !fanout;
+    Obs.Sink.add t.obs "flood.forwarded" !fanout;
+    if Obs.Sink.tracing t.obs then
       Obs.Sink.emit t.obs
         (Obs.Event.Flood_send
            { kind = Message.kind_name msg; bytes = size; fanout = !fanout; msg_id })
-    end
   end
 
 let flood t ?except ?force msg =
@@ -109,7 +96,7 @@ let flood t ?except ?force msg =
 let send_direct t ~dst msg =
   let size = Message.size msg in
   let msg_id = Stellar_sim.Network.alloc_msg_id t.network in
-  if Obs.Sink.enabled t.obs then
+  if Obs.Sink.tracing t.obs then
     Obs.Sink.emit t.obs
       (Obs.Event.Flood_send { kind = Message.kind_name msg; bytes = size; fanout = 1; msg_id });
   Stellar_sim.Network.send t.network ~src:t.index ~dst ~size ~msg_id msg
@@ -138,14 +125,13 @@ let maybe_help_straggler t ~src env =
 let handle t ~src ~(info : Stellar_sim.Network.delivery) msg =
   if t.crashed then ()
   else begin
-    t.floods_seen <- t.floods_seen + 1;
     (* Encode exactly once per delivery: the dedup key, the traced byte
        counts and (on forward) the wire size all come from these bytes. *)
     let encoded = Message.encode msg in
     let key = Stellar_crypto.Sha256.digest encoded in
     if not (Hashtbl.mem t.seen key) then begin
-      if Obs.Sink.enabled t.obs then begin
-        Obs.Sink.incr t.obs "flood.unique";
+      Obs.Sink.incr t.obs "flood.unique";
+      if Obs.Sink.tracing t.obs then begin
         Obs.Sink.emit t.obs
           (Obs.Event.Flood_recv
              {
@@ -179,11 +165,12 @@ let handle t ~src ~(info : Stellar_sim.Network.delivery) msg =
       | Message.Tx_msg signed -> ignore (Stellar_herder.Herder.receive_tx t.herder signed));
       flood_encoded t ~except:src ~encoded msg
     end
-    else if Obs.Sink.enabled t.obs then begin
+    else begin
       let bytes = String.length encoded in
       Obs.Sink.incr t.obs "flood.dup_dropped";
       Obs.Sink.add t.obs "flood.dup_bytes" bytes;
-      Obs.Sink.emit t.obs (Obs.Event.Dedup_drop { kind = Message.kind_name msg; src; bytes })
+      if Obs.Sink.tracing t.obs then
+        Obs.Sink.emit t.obs (Obs.Event.Dedup_drop { kind = Message.kind_name msg; src; bytes })
     end
   end
 
@@ -198,7 +185,6 @@ let callbacks_for ~engine ~gen get_t =
         (fun env ->
           let v = get_t () in
           if v.generation = gen then begin
-            v.own_envelopes <- v.own_envelopes + 1;
             Obs.Sink.incr v.obs "flood.own_envelopes";
             flood v ~force:true (Message.Envelope env)
           end);
@@ -210,7 +196,7 @@ let callbacks_for ~engine ~gen get_t =
         (fun signed ->
           let v = get_t () in
           if v.generation = gen then begin
-            if Obs.Sink.enabled v.obs then
+            if Obs.Sink.tracing v.obs then
               Obs.Sink.emit v.obs
                 (Obs.Event.Tx_flooded
                    {
@@ -236,15 +222,10 @@ let callbacks_for ~engine ~gen get_t =
             prune_seen v ~upto:stats.Stellar_herder.Herder.seq;
             v.user_on_ledger_closed stats
           end);
-      on_timeout =
-        (fun ~kind ->
-          let v = get_t () in
-          if v.generation = gen then v.user_on_timeout ~kind);
     }
 
 let create ~network ~index ~peers ~config ~genesis ?buckets ?headers
-    ?(on_ledger_closed = fun _ -> ()) ?(on_timeout = fun ~kind:_ -> ())
-    ?(obs = Obs.Sink.null) () =
+    ?(on_ledger_closed = fun _ -> ()) ?(obs = Obs.Sink.null) () =
   let engine = Stellar_sim.Network.engine network in
   let rec t =
     lazy
@@ -257,16 +238,12 @@ let create ~network ~index ~peers ~config ~genesis ?buckets ?headers
          genesis;
          genesis_buckets = buckets;
          user_on_ledger_closed = on_ledger_closed;
-         user_on_timeout = on_timeout;
          obs;
          herder = Stellar_herder.Herder.create config cb ~genesis ?buckets ?headers ~obs ();
          generation = 0;
          crashed = false;
          seen = Hashtbl.create 1024;
          helped = Hashtbl.create 64;
-         floods_seen = 0;
-         floods_forwarded = 0;
-         own_envelopes = 0;
        })
   in
   let t = Lazy.force t in
@@ -288,10 +265,8 @@ let crash t =
     t.crashed <- true;
     t.generation <- t.generation + 1;
     Stellar_sim.Network.set_down t.network t.index true;
-    if Obs.Sink.enabled t.obs then begin
-      Obs.Sink.incr t.obs "fault.crashes";
-      Obs.Sink.emit t.obs Obs.Event.Node_crash
-    end
+    Obs.Sink.incr t.obs "fault.crashes";
+    Obs.Sink.emit t.obs Obs.Event.Node_crash
   end
 
 let restart ?archive t =
@@ -302,10 +277,8 @@ let restart ?archive t =
     Hashtbl.reset t.seen;
     Hashtbl.reset t.helped;
     Stellar_sim.Network.set_down t.network t.index false;
-    if Obs.Sink.enabled t.obs then begin
-      Obs.Sink.incr t.obs "fault.restarts";
-      Obs.Sink.emit t.obs Obs.Event.Node_restart
-    end;
+    Obs.Sink.incr t.obs "fault.restarts";
+    Obs.Sink.emit t.obs Obs.Event.Node_restart;
     (* §5.4 bootstrap: rebuild state from the archive's latest checkpoint and
        replay forward to its tip; whatever closed after the archive tip is
        recovered live via straggler help once we rejoin consensus. *)
@@ -324,7 +297,7 @@ let restart ?archive t =
           | Error _ -> None)
     in
     let from_seq = match bootstrap with Some (f, _, _, _) -> f | None -> 0 in
-    if Obs.Sink.enabled t.obs then
+    if Obs.Sink.tracing t.obs then
       Obs.Sink.emit t.obs (Obs.Event.Catchup_begin { from_seq });
     let engine = Stellar_sim.Network.engine t.network in
     let cb = callbacks_for ~engine ~gen:t.generation (fun () -> t) in
@@ -342,7 +315,7 @@ let restart ?archive t =
               ?buckets:t.genesis_buckets ~obs:t.obs ();
           (0, 0)
     in
-    if Obs.Sink.enabled t.obs then
+    if Obs.Sink.tracing t.obs then
       Obs.Sink.emit t.obs (Obs.Event.Catchup_done { to_seq; replayed });
     Stellar_herder.Herder.start t.herder
   end

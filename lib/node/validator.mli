@@ -13,29 +13,23 @@ val create :
   ?buckets:Stellar_bucket.Bucket_list.t ->
   ?headers:Stellar_ledger.Header.t list ->
   ?on_ledger_closed:(Stellar_herder.Herder.ledger_stats -> unit) ->
-  ?on_timeout:(kind:[ `Nomination | `Ballot ] -> unit) ->
   ?obs:Stellar_obs.Sink.t ->
   unit ->
   t
-(** [obs] (default disabled) instruments the flood path — [Flood_send],
-    [Flood_recv] and [Dedup_drop] events plus [flood.*] counters — and is
-    passed down to the herder/SCP/ledger stack. *)
+(** [obs] (default disabled) instruments the flood path — [flood.*]
+    counters and, when tracing, [Flood_send], [Flood_recv] and [Dedup_drop]
+    events — and is passed down to the herder/SCP/ledger stack.  Node-level
+    figures live there: [flood.own_envelopes] counts the SCP envelopes this
+    validator itself emitted (the paper's 6-7 logical messages per ledger,
+    §7.2). *)
 
 val index : t -> int
 val herder : t -> Stellar_herder.Herder.t
-val node_id : t -> Scp.Types.node_id
 val start : t -> unit
 val stop : t -> unit
 
 val submit_tx : t -> Stellar_ledger.Tx.signed -> unit
 (** Client-facing submission (what horizon forwards, Fig. 5). *)
-
-val floods_seen : t -> int
-val floods_forwarded : t -> int
-
-val own_envelopes : t -> int
-(** SCP envelopes this validator itself emitted (the paper's 6-7 logical
-    messages per ledger, §7.2). *)
 
 val helped_size : t -> int
 (** Entries in the (peer, slot) straggler-reply memo table.  The table is
@@ -69,8 +63,6 @@ val restart : ?archive:Stellar_archive.Archive.t -> t -> unit
     the checkpoint seq, 0 when restarting from genesis) and [Catchup_done]
     (archive tip and replayed-ledger count), then starts the rebuilt herder.
     No-op if the node is not crashed. *)
-
-val is_crashed : t -> bool
 
 val reflood : t -> copies:int -> unit
 (** Byzantine-style fault: re-broadcast this node's latest envelopes

@@ -6,8 +6,9 @@ type t = {
   sim_sink : Sink.t;
 }
 
-let create ?trace_capacity ~n ~now () =
-  let trace = Trace.create ?capacity:trace_capacity () in
+let create ~tracing ~n ~now =
+  let trace = Trace.create () in
+  let sink_trace = if tracing then Some trace else None in
   let node_registries = Array.init n (fun _ -> Registry.create ()) in
   let sim_registry = Registry.create () in
   {
@@ -15,10 +16,11 @@ let create ?trace_capacity ~n ~now () =
     node_registries;
     sim_registry;
     sinks =
-      Array.init n (fun node -> Sink.make ~trace ~node ~now node_registries.(node));
+      Array.init n (fun node ->
+          Sink.make ?trace:sink_trace ~node ~now node_registries.(node));
     (* the sim sink shares the trace so run-level events (partition begin/
        heal, loss windows) can be recorded with node id -1 *)
-    sim_sink = Sink.make ~trace ~node:(-1) ~now sim_registry;
+    sim_sink = Sink.make ?trace:sink_trace ~node:(-1) ~now sim_registry;
   }
 
 let trace t = t.trace

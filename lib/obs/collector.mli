@@ -1,14 +1,13 @@
-(** One observed run: a shared trace, one registry per node, and a separate
-    registry for the simulation engine itself.  Hand [sink t i] to node [i]'s
-    validator/network slot and {!sim_sink} to the engine. *)
+(** One run's telemetry: one registry per node, a separate registry for the
+    simulation engine itself, and a shared trace.  Hand [sink t i] to node
+    [i]'s validator/network slot and {!sim_sink} to the engine. *)
 
 type t
 
-val create : ?trace_capacity:int -> n:int -> now:(unit -> float) -> unit -> t
+val create : tracing:bool -> n:int -> now:(unit -> float) -> t
 (** [now] is the simulated clock (e.g. [fun () -> Engine.now engine]).
-    [trace_capacity] bounds the shared trace (see {!Trace.create}); events
-    past the bound are dropped and counted per node as
-    [obs.trace.dropped]. *)
+    The sinks always record metrics; with [tracing] they also record events
+    into the shared trace, which otherwise stays empty. *)
 
 val trace : t -> Trace.t
 val n_nodes : t -> int

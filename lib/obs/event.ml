@@ -23,8 +23,6 @@ type t =
   | Apply_begin of { slot : int; txs : int; ops : int }
   | Apply_end of { slot : int; txs : int; ops : int }
   | Bucket_merge of { level : int; entries : int }
-  | Span_begin of { name : string; slot : int }
-  | Span_end of { name : string; slot : int; dur_s : float }
   | Tx_submit of { tx : string }
   | Tx_flooded of { tx : string }
   | Tx_in_txset of { tx : string; slot : int }
@@ -52,8 +50,6 @@ let name = function
   | Apply_begin _ -> "apply.begin"
   | Apply_end _ -> "apply.end"
   | Bucket_merge _ -> "bucket.merge"
-  | Span_begin _ -> "span.begin"
-  | Span_end _ -> "span.end"
   | Tx_submit _ -> "tx.submit"
   | Tx_flooded _ -> "tx.flooded"
   | Tx_in_txset _ -> "tx.txset"
@@ -94,9 +90,6 @@ let fields = function
       Printf.sprintf {|,"slot":%d,"txs":%d,"ops":%d|} slot txs ops
   | Bucket_merge { level; entries } ->
       Printf.sprintf {|,"level":%d,"entries":%d|} level entries
-  | Span_begin { name; slot } -> Printf.sprintf {|,"name":"%s","slot":%d|} name slot
-  | Span_end { name; slot; dur_s } ->
-      Printf.sprintf {|,"name":"%s","slot":%d,"dur_s":%.6f|} name slot dur_s
   | Tx_submit { tx } | Tx_flooded { tx } -> Printf.sprintf {|,"tx":"%s"|} tx
   | Tx_in_txset { tx; slot } | Tx_externalized { tx; slot } ->
       Printf.sprintf {|,"tx":"%s","slot":%d|} tx slot

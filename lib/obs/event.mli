@@ -1,8 +1,7 @@
 (** The trace event taxonomy: everything the experiments of §7 need to
     observe about a running validator, as typed constructors rather than log
     strings.  Events are stamped with simulated time and node id by
-    {!Trace.record} (via {!Sink.emit}); the payload here is only the
-    protocol-level fact.
+    {!Sink.emit}; the payload here is only the protocol-level fact.
 
     Two event families carry causal identity:
 
@@ -53,8 +52,6 @@ type t =
   | Apply_end of { slot : int; txs : int; ops : int }
   | Bucket_merge of { level : int; entries : int }
       (** a bucket-list level absorbed a batch/spill of [entries] entries *)
-  | Span_begin of { name : string; slot : int }
-  | Span_end of { name : string; slot : int; dur_s : float }
   | Tx_submit of { tx : string }  (** client submitted at this node *)
   | Tx_flooded of { tx : string }
       (** this node first saw the transaction and flooded it onward *)

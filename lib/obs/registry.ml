@@ -81,7 +81,7 @@ let observe h v =
   h.sum <- h.sum +. v;
   if v > h.hmax then h.hmax <- v
 
-(* Same rank convention as Stellar_node.Metrics.percentile (nearest-rank on
+(* Same rank convention as Report.percentile (nearest-rank on
    index [q * (n-1)]): when every sample sits exactly on a bucket bound, the
    estimate equals the exact percentile. *)
 let percentile_of h q =
@@ -146,21 +146,3 @@ let merge regs =
   let dst = create () in
   List.iter (fun r -> merge_into ~dst r) regs;
   dst
-
-let metric_json = function
-  | Counter c -> string_of_int c.count
-  | Gauge g -> Printf.sprintf "%.6f" g.value
-  | Histogram h ->
-      let s = summarize h in
-      Printf.sprintf
-        {|{"count":%d,"sum":%.6f,"p50":%.6f,"p75":%.6f,"p99":%.6f,"max":%.6f}|}
-        s.count s.sum s.p50 s.p75 s.p99 s.max
-
-let to_json t =
-  let entries =
-    List.map
-      (fun name ->
-        Printf.sprintf {|"%s":%s|} name (metric_json (Hashtbl.find t name)))
-      (names t)
-  in
-  "{" ^ String.concat "," entries ^ "}"

@@ -33,14 +33,12 @@ val observe : histogram -> float -> unit
 
 val percentile_of : histogram -> float -> float
 (** Nearest-rank estimate from the bucket counts, using the same rank
-    convention as [Stellar_node.Metrics.percentile]; the result is the
+    convention as {!Report.percentile}; the result is the
     upper bound of the bucket holding the rank (clipped to the observed
     max), so samples placed exactly on bucket bounds reproduce the exact
     percentile. *)
 
 type summary = { count : int; sum : float; p50 : float; p75 : float; p99 : float; max : float }
-
-val summarize : histogram -> summary
 
 (* Read-side: value lookups by name (0 / 0.0 / None when absent). *)
 val counter_value : t -> string -> int
@@ -50,8 +48,4 @@ val summary : t -> string -> summary option
 val names : t -> string list
 (** Sorted. *)
 
-val merge_into : dst:t -> t -> unit
 val merge : t list -> t
-
-val to_json : t -> string
-(** Deterministic (sorted keys, fixed float formatting). *)

@@ -11,16 +11,16 @@ type phases = {
    (real CPU time is not).  Calibrated to the measured in-memory apply
    times: ~0.2 ms fixed + ~20 us per operation.  Real CPU time still flows
    into the "ledger.apply_ms" histogram via the herder. *)
-let default_apply_cost ~txs:_ ~ops = 0.0002 +. (2.0e-5 *. float_of_int ops)
+let apply_cost ~ops = 0.0002 +. (2.0e-5 *. float_of_int ops)
 
 type slot_acc = {
   mutable t_nominate : float option;
   mutable t_first_vote : float option;
   mutable t_externalize : float option;
-  mutable apply : (int * int) option;  (* txs, ops *)
+  mutable apply : int option;  (* ops *)
 }
 
-let slot_phases ?(node = 0) ?(apply_cost = default_apply_cost) trace =
+let slot_phases ?(node = 0) trace =
   let acc : (int, slot_acc) Hashtbl.t = Hashtbl.create 64 in
   let get slot =
     match Hashtbl.find_opt acc slot with
@@ -44,17 +44,17 @@ let slot_phases ?(node = 0) ?(apply_cost = default_apply_cost) trace =
         | Event.Externalize { slot } ->
             let a = get slot in
             if a.t_externalize = None then a.t_externalize <- Some s.Trace.time
-        | Event.Apply_begin { slot; txs; ops } ->
+        | Event.Apply_begin { slot; ops; _ } ->
             let a = get slot in
-            if a.apply = None then a.apply <- Some (txs, ops)
+            if a.apply = None then a.apply <- Some ops
         | _ -> ());
   Hashtbl.fold (fun slot a l -> (slot, a) :: l) acc []
   |> List.filter_map (fun (slot, a) ->
          match (a.t_nominate, a.t_externalize) with
          | Some t0, Some t2 ->
              let t1 = Option.value ~default:t2 a.t_first_vote in
-             let txs, ops = Option.value ~default:(0, 0) a.apply in
-             let apply_s = apply_cost ~txs ~ops in
+             let ops = Option.value ~default:0 a.apply in
+             let apply_s = apply_cost ~ops in
              Some
                {
                  slot;
@@ -66,32 +66,35 @@ let slot_phases ?(node = 0) ?(apply_cost = default_apply_cost) trace =
          | _ -> None)
   |> List.sort (fun a b -> Int.compare a.slot b.slot)
 
-(* Exact nearest-rank percentile, same convention as
-   [Stellar_node.Metrics.percentile]. *)
-let percentile values q =
-  match values with
-  | [] -> 0.0
-  | _ ->
-      let arr = Array.of_list values in
-      Array.sort Float.compare arr;
-      let n = Array.length arr in
-      let idx = int_of_float (q *. float_of_int (n - 1)) in
-      arr.(max 0 (min (n - 1) idx))
+(* Nearest-rank on index [q * (n-1)] of a sorted, non-empty array. *)
+let rank sorted q =
+  let n = Array.length sorted in
+  sorted.(max 0 (min (n - 1) (int_of_float (q *. float_of_int (n - 1)))))
 
-type quantiles = { n : int; mean : float; p50 : float; p99 : float; max : float }
+let sorted_array values =
+  let arr = Array.of_list values in
+  Array.sort Float.compare arr;
+  arr
+
+let percentile values q = match values with [] -> 0.0 | _ -> rank (sorted_array values) q
+
+type quantiles = { n : int; mean : float; p50 : float; p75 : float; p99 : float; max : float }
 
 let quantiles values =
   match values with
-  | [] -> { n = 0; mean = 0.0; p50 = 0.0; p99 = 0.0; max = 0.0 }
+  | [] -> { n = 0; mean = 0.0; p50 = 0.0; p75 = 0.0; p99 = 0.0; max = 0.0 }
   | _ ->
-      let n = List.length values in
+      let sorted = sorted_array values in
+      let n = Array.length sorted in
+      (* summed in input order: the BENCH_*.json means depend on it *)
       let sum = List.fold_left ( +. ) 0.0 values in
       {
         n;
         mean = sum /. float_of_int n;
-        p50 = percentile values 0.50;
-        p99 = percentile values 0.99;
-        max = List.fold_left Float.max neg_infinity values;
+        p50 = rank sorted 0.50;
+        p75 = rank sorted 0.75;
+        p99 = rank sorted 0.99;
+        max = sorted.(n - 1);
       }
 
 type breakdown = {
@@ -102,8 +105,8 @@ type breakdown = {
   total : quantiles;
 }
 
-let breakdown ?node ?apply_cost trace =
-  let ph = slot_phases ?node ?apply_cost trace in
+let breakdown ?node trace =
+  let ph = slot_phases ?node trace in
   let f sel = quantiles (List.map sel ph) in
   {
     n_slots = List.length ph;
@@ -378,13 +381,13 @@ type e2e = {
   submit_to_apply : quantiles;
 }
 
-let e2e_latency ?(apply_cost = default_apply_cost) trace =
-  (* first Apply_begin per slot gives the (txs, ops) the apply model needs *)
-  let slot_apply : (int, int * int) Hashtbl.t = Hashtbl.create 64 in
+let e2e_latency trace =
+  (* first Apply_begin per slot gives the op count the apply model needs *)
+  let slot_apply : (int, int) Hashtbl.t = Hashtbl.create 64 in
   Trace.iter trace (fun s ->
       match s.Trace.event with
-      | Event.Apply_begin { slot; txs; ops } ->
-          if not (Hashtbl.mem slot_apply slot) then Hashtbl.add slot_apply slot (txs, ops)
+      | Event.Apply_begin { slot; ops; _ } ->
+          if not (Hashtbl.mem slot_apply slot) then Hashtbl.add slot_apply slot ops
       | _ -> ());
   let lives = tx_lives trace in
   let submitted = List.filter (fun l -> l.submitted <> None) lives in
@@ -400,8 +403,8 @@ let e2e_latency ?(apply_cost = default_apply_cost) trace =
           (match l.applied with
           | Some t_app ->
               incr n_applied;
-              let txs, ops = Option.value ~default:(0, 0) (Hashtbl.find_opt slot_apply slot) in
-              apply_lat := (t_app -. t_sub +. apply_cost ~txs ~ops) :: !apply_lat
+              let ops = Option.value ~default:0 (Hashtbl.find_opt slot_apply slot) in
+              apply_lat := (t_app -. t_sub +. apply_cost ~ops) :: !apply_lat
           | None -> ())
       | _ -> ())
     submitted;
@@ -587,34 +590,6 @@ let heals ?(interval = 5.0) trace =
                        0.0 lagged)
               in
               out := { t_split; t_heal; lagged; heal_recover_s } :: !out)
-      | _ -> ());
-  List.rev !out
-
-(* ---- span pairing (handles nesting via a per-key stack) ---- *)
-
-let spans trace =
-  let stacks : (int * string * int, float list ref) Hashtbl.t = Hashtbl.create 16 in
-  let out = ref [] in
-  Trace.iter trace (fun s ->
-      match s.Trace.event with
-      | Event.Span_begin { name; slot } ->
-          let key = (s.Trace.node, name, slot) in
-          let st =
-            match Hashtbl.find_opt stacks key with
-            | Some st -> st
-            | None ->
-                let st = ref [] in
-                Hashtbl.add stacks key st;
-                st
-          in
-          st := s.Trace.time :: !st
-      | Event.Span_end { name; slot; _ } -> (
-          let key = (s.Trace.node, name, slot) in
-          match Hashtbl.find_opt stacks key with
-          | Some ({ contents = t0 :: rest } as st) ->
-              st := rest;
-              out := (s.Trace.node, name, slot, t0, s.Trace.time) :: !out
-          | _ -> ())
       | _ -> ());
   List.rev !out
 

@@ -9,27 +9,33 @@ type phases = {
   slot : int;
   nomination_s : float;  (** nominate-start → first ballot vote *)
   ballot_s : float;  (** first ballot vote → externalize *)
-  apply_s : float;  (** modeled apply cost (see {!default_apply_cost}) *)
+  apply_s : float;
+      (** modeled apply cost: a deterministic ~0.2 ms + 20 µs/op, used in
+          place of measured CPU time so the breakdown is reproducible; real
+          CPU time is reported through the "ledger.apply_ms" histogram *)
   total_s : float;
 }
 
-val default_apply_cost : txs:int -> ops:int -> float
-(** Deterministic apply-cost model (~0.2 ms + 20 µs/op) used in place of
-    measured CPU time so the breakdown is reproducible; real CPU time is
-    reported separately through the "ledger.apply_ms" histogram. *)
-
-val slot_phases :
-  ?node:int -> ?apply_cost:(txs:int -> ops:int -> float) -> Trace.t -> phases list
+val slot_phases : ?node:int -> Trace.t -> phases list
 (** Phase durations for every slot [node] (default 0) both nominated and
     externalized, sorted by slot. *)
 
 val percentile : float list -> float -> float
-(** Exact nearest-rank percentile (same convention as
-    [Stellar_node.Metrics.percentile]). *)
+(** Exact nearest-rank percentile: the element at index [q * (n-1)] of the
+    sorted values (0 for an empty list). *)
 
-type quantiles = { n : int; mean : float; p50 : float; p99 : float; max : float }
+type quantiles = {
+  n : int;
+  mean : float;
+  p50 : float;
+  p75 : float;
+  p99 : float;
+  max : float;
+}
 
 val quantiles : float list -> quantiles
+(** Exact summary ({!percentile} for each quantile); all zero when empty.
+    The mean sums the values in input order. *)
 
 type breakdown = {
   n_slots : int;
@@ -39,8 +45,7 @@ type breakdown = {
   total : quantiles;
 }
 
-val breakdown :
-  ?node:int -> ?apply_cost:(txs:int -> ops:int -> float) -> Trace.t -> breakdown
+val breakdown : ?node:int -> Trace.t -> breakdown
 
 type flood = {
   sent_copies : int;  (** per-peer copies pushed (sum of flood fanouts) *)
@@ -118,13 +123,9 @@ type e2e = {
           (sim-time application is instantaneous) *)
 }
 
-val e2e_latency : ?apply_cost:(txs:int -> ops:int -> float) -> Trace.t -> e2e
+val e2e_latency : Trace.t -> e2e
 (** End-to-end payment latency quantiles over all submitted transactions —
     the §7.3 "five seconds from submission" figure. *)
-
-val spans : Trace.t -> (int * string * int * float * float) list
-(** Paired [Span_begin]/[Span_end] as (node, name, slot, t0, t1), in
-    completion order; nested same-key spans pair LIFO. *)
 
 (** {2 Fault recovery}
 

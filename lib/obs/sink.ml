@@ -12,45 +12,18 @@ let null =
 let make ?trace ~node ~now metrics = { enabled = true; node; now; metrics; trace }
 
 let enabled t = t.enabled
-let node t = t.node
+let tracing t = Option.is_some t.trace
 let metrics t = t.metrics
-let now t = t.now ()
 
 let emit t ev =
   match t.trace with
-  | Some tr when t.enabled ->
+  | Some tr ->
       if not (Trace.try_record tr ~time:(t.now ()) ~node:t.node ev) then
         (* cold path: only taken once the trace hit its capacity bound *)
         Registry.incr (Registry.counter t.metrics "obs.trace.dropped")
-  | _ -> ()
+  | None -> ()
 
 let incr t name = if t.enabled then Registry.incr (Registry.counter t.metrics name)
 let add t name k = if t.enabled then Registry.add (Registry.counter t.metrics name) k
 let set_gauge t name v = if t.enabled then Registry.set (Registry.gauge t.metrics name) v
 let observe t name v = if t.enabled then Registry.observe (Registry.histogram t.metrics name) v
-
-type span = { sink : t; sname : string; slot : int; t0 : float }
-
-let span_begin t ~name ~slot =
-  if t.enabled then emit t (Event.Span_begin { name; slot });
-  { sink = t; sname = name; slot; t0 = (if t.enabled then t.now () else 0.0) }
-
-let span_end sp =
-  if sp.sink.enabled then begin
-    let dur_s = sp.sink.now () -. sp.t0 in
-    emit sp.sink (Event.Span_end { name = sp.sname; slot = sp.slot; dur_s });
-    observe sp.sink sp.sname dur_s
-  end
-
-let with_span t ~name ~slot f =
-  if not t.enabled then f ()
-  else begin
-    let sp = span_begin t ~name ~slot in
-    match f () with
-    | v ->
-        span_end sp;
-        v
-    | exception e ->
-        span_end sp;
-        raise e
-  end

@@ -1,11 +1,14 @@
 (** The instrumentation hook handed to every subsystem.
 
     A sink binds a node id and a (simulated-)time source to a metric
-    {!Registry.t} and an optional shared {!Trace.t}.  The {!null} sink is
-    disabled: every operation is a single boolean test and no allocation, so
-    instrumented code costs nothing when observability is off.  Call sites
-    that build event payloads should still guard with {!enabled} to avoid
-    constructing the payload at all. *)
+    {!Registry.t} and an optional shared {!Trace.t}.  A live sink always
+    records metrics; the trace is the only optional part.  The {!null} sink
+    is disabled: every operation is a single boolean test and no allocation,
+    for standalone and unit-test use.
+
+    Call sites update counters, gauges and histograms unconditionally, and
+    guard only event emission with {!tracing} so the payload is never built
+    when no trace is attached. *)
 
 type t
 
@@ -13,13 +16,15 @@ val null : t
 (** Disabled sink: all operations are no-ops. *)
 
 val make : ?trace:Trace.t -> node:int -> now:(unit -> float) -> Registry.t -> t
-(** An enabled sink.  Without [trace], metrics are recorded but no events
-    (the mode the network uses for its always-on byte accounting). *)
+(** A live sink.  Without [trace], metrics are recorded but no events. *)
 
 val enabled : t -> bool
-val node : t -> int
+(** [false] only for {!null}. *)
+
+val tracing : t -> bool
+(** A trace is attached: {!emit} records events. *)
+
 val metrics : t -> Registry.t
-val now : t -> float
 
 val emit : t -> Event.t -> unit
 (** Stamp with node and current time, append to the trace (if any).  When
@@ -30,13 +35,3 @@ val incr : t -> string -> unit
 val add : t -> string -> int -> unit
 val set_gauge : t -> string -> float -> unit
 val observe : t -> string -> float -> unit
-
-(** {2 Spans} — phase durations in simulated time.  Spans may nest freely;
-    each emits [Span_begin]/[Span_end] events and feeds a histogram named
-    after the span. *)
-
-type span
-
-val span_begin : t -> name:string -> slot:int -> span
-val span_end : span -> unit
-val with_span : t -> name:string -> slot:int -> (unit -> 'a) -> 'a

@@ -19,25 +19,15 @@ let try_record t ~time ~node event =
       t.n <- t.n + 1;
       true
 
-let record t ~time ~node event = ignore (try_record t ~time ~node event)
-
 let length t = t.n
 let dropped t = t.dropped
 let events t = List.rev t.rev_events
 let iter t f = List.iter f (events t)
 
-let line s =
-  Printf.sprintf {|{"seq":%d,"t":%.6f,"node":%d,"ev":"%s"%s}|} s.seq s.time s.node
-    (Event.name s.event) (Event.fields s.event)
-
 let to_jsonl t =
   let buf = Buffer.create (t.n * 64) in
   iter t (fun s ->
-      Buffer.add_string buf (line s);
+      Printf.bprintf buf {|{"seq":%d,"t":%.6f,"node":%d,"ev":"%s"%s}|} s.seq s.time s.node
+        (Event.name s.event) (Event.fields s.event);
       Buffer.add_char buf '\n');
   Buffer.contents buf
-
-let output_jsonl oc t =
-  iter t (fun s ->
-      output_string oc (line s);
-      output_char oc '\n')

@@ -17,8 +17,6 @@ type t
 val create : ?capacity:int -> unit -> t
 (** Without [capacity] the trace is unbounded (the default). *)
 
-val record : t -> time:float -> node:int -> Event.t -> unit
-
 val try_record : t -> time:float -> node:int -> Event.t -> bool
 (** [false] when the event was discarded because the trace is at capacity. *)
 
@@ -35,5 +33,3 @@ val iter : t -> (stamped -> unit) -> unit
 
 val to_jsonl : t -> string
 (** One JSON object per line: [{"seq":..,"t":..,"node":..,"ev":"...",...}]. *)
-
-val output_jsonl : out_channel -> t -> unit

@@ -25,14 +25,11 @@ let set_obs t obs = t.obs <- obs
 
 let now t = t.clock
 
-let schedule_at t ~time fire =
-  let time = Float.max time t.clock in
+let schedule t ~delay fire =
   let timer = { cancelled = false; fire } in
-  Heap.push t.queue { time; seq = t.next_seq; timer };
+  Heap.push t.queue { time = t.clock +. Float.max 0.0 delay; seq = t.next_seq; timer };
   t.next_seq <- t.next_seq + 1;
   timer
-
-let schedule t ~delay fire = schedule_at t ~time:(t.clock +. Float.max 0.0 delay) fire
 
 let cancel timer = timer.cancelled <- true
 

@@ -14,7 +14,7 @@ val create : unit -> t
 
 val set_obs : t -> Stellar_obs.Sink.t -> unit
 (** Attach an observability sink (set after creation because sinks usually
-    need this engine's clock).  An enabled sink counts [sim.events.fired] /
+    need this engine's clock).  A live sink counts [sim.events.fired] /
     [sim.events.cancelled] and tracks the [sim.queue.pending] gauge. *)
 
 val now : t -> float
@@ -24,17 +24,12 @@ val schedule : t -> delay:float -> (unit -> unit) -> timer
 (** Schedule a callback [delay] seconds from now (clamped to [>= 0]).
     Events at equal times fire in scheduling order. *)
 
-val schedule_at : t -> time:float -> (unit -> unit) -> timer
-
 val cancel : timer -> unit
 (** Cancelling a fired or already-cancelled timer is a no-op. *)
 
 val run : ?until:float -> t -> unit
 (** Process events in timestamp order until the queue drains or virtual time
     would exceed [until]. *)
-
-val step : t -> bool
-(** Process one event; [false] if the queue is empty. *)
 
 val pending : t -> int
 (** Number of scheduled (possibly cancelled) events. *)

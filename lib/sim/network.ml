@@ -1,12 +1,5 @@
 module Obs = Stellar_obs
 
-type stats = {
-  msgs_sent : int;
-  msgs_received : int;
-  bytes_sent : int;
-  bytes_received : int;
-}
-
 type delivery = {
   msg_id : int;
   sent_at : float;
@@ -16,9 +9,9 @@ type delivery = {
 }
 
 (* Per-node accounting lives in a Stellar_obs registry ("overlay.*" names)
-   so network traffic and protocol metrics share one namespace; the [stats]
-   accessor below is a thin snapshot over it.  Counter handles are cached so
-   the send path touches a record field, not a hash table. *)
+   so network traffic and protocol metrics share one namespace.  Counter
+   handles are cached so the send path touches a record field, not a hash
+   table. *)
 type node_obs = {
   sink : Obs.Sink.t;
   c_msgs_sent : Obs.Registry.counter;
@@ -38,7 +31,6 @@ type 'msg t = {
   node_obs : node_obs array;
   mutable partition : int -> int;
   mutable loss_rate : float;
-  mutable total : int;
   mutable next_msg_id : int;
 }
 
@@ -73,7 +65,6 @@ let create ~engine ~rng ~n ~latency ?(processing = fun _ -> 0.0) ?obs () =
     node_obs = Array.init n (fun i -> node_obs_of_sink (sink_of i));
     partition = (fun _ -> 0);
     loss_rate = 0.0;
-    total = 0;
     next_msg_id = 0;
   }
 
@@ -95,23 +86,11 @@ let alloc_msg_id t =
 
 let registry t i = Obs.Sink.metrics t.node_obs.(i).sink
 
-let stats t i =
-  let reg = registry t i in
-  {
-    msgs_sent = Obs.Registry.counter_value reg "overlay.msgs.sent";
-    msgs_received = Obs.Registry.counter_value reg "overlay.msgs.received";
-    bytes_sent = Obs.Registry.counter_value reg "overlay.bytes.sent";
-    bytes_received = Obs.Registry.counter_value reg "overlay.bytes.received";
-  }
-
-let total_messages t = t.total
-
 let send t ~src ~dst ~size:bytes ?(msg_id = -1) msg =
   if not t.down.(src) then begin
     let s = t.node_obs.(src) in
     Obs.Registry.incr s.c_msgs_sent;
     Obs.Registry.add s.c_bytes_sent bytes;
-    t.total <- t.total + 1;
     let dropped =
       t.partition src <> t.partition dst
       || (t.loss_rate > 0.0 && Rng.float t.rng 1.0 < t.loss_rate)

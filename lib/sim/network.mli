@@ -7,14 +7,6 @@
 
 type 'msg t
 
-type stats = {
-  msgs_sent : int;
-  msgs_received : int;
-  bytes_sent : int;
-  bytes_received : int;
-}
-(** Snapshot of one node's traffic counters (see {!stats}). *)
-
 type delivery = {
   msg_id : int;  (** sender's tag from {!send}[ ?msg_id]; -1 when untagged *)
   sent_at : float;  (** simulated time {!send} was called *)
@@ -77,11 +69,6 @@ val set_partition : 'msg t -> (int -> int) -> unit
 val set_loss_rate : 'msg t -> float -> unit
 (** Independent per-message drop probability. *)
 
-val stats : 'msg t -> int -> stats
-(** Thin wrapper over the node's registry counters. *)
-
 val registry : 'msg t -> int -> Stellar_obs.Registry.t
-(** The registry backing node [i]'s traffic counters (the one from [obs]
-    when supplied at {!create}). *)
-
-val total_messages : 'msg t -> int
+(** The registry holding node [i]'s [overlay.*] traffic counters (the one
+    from [obs] when supplied at {!create}). *)

@@ -23,7 +23,7 @@ let integration_tests =
         let r = run_scenario () in
         check bool "at least 5 ledgers" true (r.Scenario.ledgers_closed >= 5);
         check bool "no divergence" false r.Scenario.diverged;
-        let ci = r.Scenario.close_interval.Metrics.mean in
+        let ci = r.Scenario.close_interval.Stellar_obs.Report.mean in
         check bool "close interval ~5s" true (ci >= 4.9 && ci < 5.6));
     test_case "all submitted payments eventually apply" `Quick (fun () ->
         let r = run_scenario ~rate:10.0 ~duration:40.0 () in
@@ -31,7 +31,9 @@ let integration_tests =
     test_case "consensus latency well under the 5s target" `Quick (fun () ->
         let r = run_scenario () in
         check bool "nomination+balloting < 1s on datacenter links" true
-          (r.Scenario.nomination.Metrics.mean +. r.Scenario.balloting.Metrics.mean < 1.0));
+          (r.Scenario.nomination.Stellar_obs.Report.mean
+           +. r.Scenario.balloting.Stellar_obs.Report.mean
+          < 1.0));
     test_case "~7 SCP envelopes per ledger in the fault-free case" `Quick (fun () ->
         let r = run_scenario () in
         check bool "6..10 envelopes" true
@@ -55,12 +57,13 @@ let integration_tests =
         check int "same ledgers" r1.Scenario.ledgers_closed r2.Scenario.ledgers_closed;
         check int "same txs applied" r1.Scenario.txs_applied r2.Scenario.txs_applied;
         check int "same final seq" r1.Scenario.final_ledger_seq r2.Scenario.final_ledger_seq;
-        check (float 1e-12) "same nomination mean" r1.Scenario.nomination.Metrics.mean
-          r2.Scenario.nomination.Metrics.mean);
+        check (float 1e-12) "same nomination mean"
+          r1.Scenario.nomination.Stellar_obs.Report.mean
+          r2.Scenario.nomination.Stellar_obs.Report.mean);
     test_case "wide-area latency still beats the close target" `Quick (fun () ->
         let r = run_scenario ~latency:Stellar_sim.Latency.wide_area () in
         check bool "closes" true (r.Scenario.ledgers_closed >= 4);
-        check bool "total < interval" true (r.Scenario.total.Metrics.mean < 5.0));
+        check bool "total < interval" true (r.Scenario.total.Stellar_obs.Report.mean < 5.0));
   ]
 
 (* crash / partition behaviour uses the pieces directly *)

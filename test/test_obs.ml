@@ -1,6 +1,6 @@
 (* Tests for the observability subsystem (lib/obs): metric registries,
-   structured tracing, spans, report derivation, and the determinism
-   contract BENCH_phases.json depends on. *)
+   structured tracing, report derivation, and the determinism contract
+   BENCH_phases.json depends on. *)
 
 module Obs = Stellar_obs
 
@@ -45,9 +45,9 @@ let test_merge () =
   | None -> Alcotest.fail "merged histogram missing"
 
 (* Histogram percentile estimates agree exactly with the list-based
-   Stellar_node.Metrics.percentile when every sample sits on a bucket
-   bound (the estimate is the bucket's upper bound under the same
-   nearest-rank convention). *)
+   Report.percentile when every sample sits on a bucket bound (the estimate
+   is the bucket's upper bound under the same nearest-rank convention), and
+   Report.quantiles summarizes with that same percentile. *)
 let test_histogram_percentiles () =
   let bounds = Obs.Registry.default_bounds in
   let r = Obs.Registry.create () in
@@ -62,51 +62,29 @@ let test_histogram_percentiles () =
         samples := b :: !samples
       done)
     bounds;
-  let sorted = Array.of_list (List.sort Float.compare !samples) in
   List.iter
     (fun q ->
-      let exact = Stellar_node.Metrics.percentile sorted q in
+      let exact = Obs.Report.percentile !samples q in
       let est = Obs.Registry.percentile_of h q in
       Alcotest.(check (float 1e-12))
         (Printf.sprintf "p%.0f" (q *. 100.0))
         exact est)
-    [ 0.0; 0.5; 0.75; 0.9; 0.99; 1.0 ]
-
-(* ---- spans ---- *)
-
-let test_span_nesting () =
-  let clock = ref 0.0 in
-  let trace = Obs.Trace.create () in
-  let reg = Obs.Registry.create () in
-  let sink = Obs.Sink.make ~trace ~node:3 ~now:(fun () -> !clock) reg in
-  let outer = Obs.Sink.span_begin sink ~name:"close" ~slot:7 in
-  clock := 1.0;
-  let inner = Obs.Sink.span_begin sink ~name:"close" ~slot:7 in
-  clock := 2.0;
-  Obs.Sink.span_end inner;
-  clock := 5.0;
-  Obs.Sink.span_end outer;
-  (match Obs.Report.spans trace with
-  | [ (n1, "close", 7, t0_in, t1_in); (n2, "close", 7, t0_out, t1_out) ] ->
-      Alcotest.(check int) "node" 3 n1;
-      Alcotest.(check int) "node" 3 n2;
-      (* same-key spans pair LIFO: inner completes first *)
-      Alcotest.(check (float 1e-9)) "inner t0" 1.0 t0_in;
-      Alcotest.(check (float 1e-9)) "inner t1" 2.0 t1_in;
-      Alcotest.(check (float 1e-9)) "outer t0" 0.0 t0_out;
-      Alcotest.(check (float 1e-9)) "outer t1" 5.0 t1_out
-  | l -> Alcotest.failf "expected 2 paired spans, got %d" (List.length l));
-  (* durations feed the histogram named after the span *)
-  match Obs.Registry.summary reg "close" with
-  | Some s -> Alcotest.(check int) "span histogram count" 2 s.Obs.Registry.count
-  | None -> Alcotest.fail "span histogram missing"
-
-let test_with_span_exception_safe () =
-  let trace = Obs.Trace.create () in
-  let sink = Obs.Sink.make ~trace ~node:0 ~now:(fun () -> 0.0) (Obs.Registry.create ()) in
-  (try Obs.Sink.with_span sink ~name:"s" ~slot:1 (fun () -> failwith "boom")
-   with Failure _ -> ());
-  Alcotest.(check int) "span closed on exception" 1 (List.length (Obs.Report.spans trace))
+    [ 0.0; 0.5; 0.75; 0.9; 0.99; 1.0 ];
+  let q = Obs.Report.quantiles !samples in
+  let p = Obs.Report.percentile !samples in
+  Alcotest.(check int) "quantiles n" (List.length !samples) q.Obs.Report.n;
+  Alcotest.(check (float 1e-12)) "quantiles p50" (p 0.50) q.Obs.Report.p50;
+  Alcotest.(check (float 1e-12)) "quantiles p75" (p 0.75) q.Obs.Report.p75;
+  Alcotest.(check (float 1e-12)) "quantiles p99" (p 0.99) q.Obs.Report.p99;
+  Alcotest.(check (float 1e-12)) "quantiles max" (p 1.0) q.Obs.Report.max;
+  Alcotest.(check (float 1e-12)) "quantiles mean"
+    (List.fold_left ( +. ) 0.0 !samples /. float_of_int (List.length !samples))
+    q.Obs.Report.mean;
+  match Obs.Registry.summary r "lat" with
+  | Some s ->
+      Alcotest.(check (float 1e-12)) "histogram p75 = exact p75" q.Obs.Report.p75
+        s.Obs.Registry.p75
+  | None -> Alcotest.fail "histogram missing"
 
 (* ---- null sink is inert ---- *)
 
@@ -116,13 +94,12 @@ let test_null_sink () =
   Obs.Sink.set_gauge Obs.Sink.null "g" 1.0;
   Obs.Sink.observe Obs.Sink.null "h" 1.0;
   Obs.Sink.emit Obs.Sink.null (Obs.Event.Externalize { slot = 1 });
-  Obs.Sink.with_span Obs.Sink.null ~name:"s" ~slot:1 (fun () -> ());
   Alcotest.(check int) "no metrics recorded" 0
     (List.length (Obs.Registry.names (Obs.Sink.metrics Obs.Sink.null)))
 
-(* ---- network stats migration (satellite 2) ---- *)
+(* ---- network traffic accounting ---- *)
 
-let test_network_stats_wrapper () =
+let test_network_overlay_counters () =
   let engine = Stellar_sim.Engine.create () in
   let rng = Stellar_sim.Rng.create ~seed:42 in
   let net =
@@ -132,28 +109,63 @@ let test_network_stats_wrapper () =
   Stellar_sim.Network.send net ~src:0 ~dst:1 ~size:100 "hello";
   Stellar_sim.Network.send net ~src:0 ~dst:1 ~size:50 "again";
   Stellar_sim.Engine.run engine;
-  let s0 = Stellar_sim.Network.stats net 0 and s1 = Stellar_sim.Network.stats net 1 in
-  Alcotest.(check int) "sent msgs" 2 s0.Stellar_sim.Network.msgs_sent;
-  Alcotest.(check int) "sent bytes" 150 s0.Stellar_sim.Network.bytes_sent;
-  Alcotest.(check int) "recv msgs" 2 s1.Stellar_sim.Network.msgs_received;
-  Alcotest.(check int) "recv bytes" 150 s1.Stellar_sim.Network.bytes_received;
-  (* the wrapper reads straight from the registry *)
-  let reg0 = Stellar_sim.Network.registry net 0 in
-  Alcotest.(check int) "registry backs stats" s0.Stellar_sim.Network.bytes_sent
-    (Obs.Registry.counter_value reg0 "overlay.bytes.sent")
+  let counter i name =
+    Obs.Registry.counter_value (Stellar_sim.Network.registry net i) name
+  in
+  Alcotest.(check int) "sent msgs" 2 (counter 0 "overlay.msgs.sent");
+  Alcotest.(check int) "sent bytes" 150 (counter 0 "overlay.bytes.sent");
+  Alcotest.(check int) "recv msgs" 2 (counter 1 "overlay.msgs.received");
+  Alcotest.(check int) "recv bytes" 150 (counter 1 "overlay.bytes.received");
+  Alcotest.(check int) "receiver sent nothing" 0 (counter 1 "overlay.msgs.sent")
 
 (* ---- end-to-end determinism (the BENCH_phases.json contract) ---- *)
 
-let observed_run seed =
+let run ?(latency = Stellar_sim.Latency.datacenter) ~observe seed =
   let spec = Stellar_node.Topology.all_to_all ~n:4 in
   Stellar_node.Scenario.run
     {
       (Stellar_node.Scenario.default ~spec) with
       Stellar_node.Scenario.tx_rate = 10.0;
       duration = 30.0;
+      latency;
       seed;
-      observe = true;
+      observe;
     }
+
+let observed_run = run ~observe:true
+
+(* The report comes from the always-on registries, so attaching the trace
+   must not change a single figure of it (a metric left behind a
+   Sink.tracing guard would). *)
+let test_tracing_keeps_report () =
+  let module S = Stellar_node.Scenario in
+  (* slow, jittery links: rounds outlast the 1 s timeouts, so both kinds
+     fire *)
+  let latency =
+    Stellar_sim.Latency.Jittered { base = 0.2; jitter = 0.8; spike_prob = 0.0; spike = 0.0 }
+  in
+  let off = run ~latency ~observe:false 5 and on = run ~latency ~observe:true 5 in
+  Alcotest.(check bool) "telemetry only when observing" true
+    (Option.is_none off.S.telemetry && Option.is_some on.S.telemetry);
+  Alcotest.(check bool) "some ledgers closed" true (off.S.ledgers_closed > 0);
+  Alcotest.(check int) "ledgers closed" off.S.ledgers_closed on.S.ledgers_closed;
+  Alcotest.(check int) "txs applied" off.S.txs_applied on.S.txs_applied;
+  Alcotest.(check bool) "chains" true (off.S.chains = on.S.chains);
+  Alcotest.(check int) "bytes in" off.S.bytes_in_total on.S.bytes_in_total;
+  Alcotest.(check int) "bytes out" off.S.bytes_out_total on.S.bytes_out_total;
+  Alcotest.(check bool) "bytes counted" true (off.S.bytes_out_total > 0);
+  Alcotest.(check (float 0.0)) "msgs/s per node" off.S.msgs_per_second_per_node
+    on.S.msgs_per_second_per_node;
+  Alcotest.(check (float 0.0)) "envelopes per ledger" off.S.envelopes_per_ledger
+    on.S.envelopes_per_ledger;
+  Alcotest.(check bool) "envelopes counted" true (off.S.envelopes_per_ledger > 0.0);
+  Alcotest.(check bool) "timeouts fired" true
+    (off.S.nomination_timeouts_per_ledger.Obs.Report.max > 0.0
+    && off.S.ballot_timeouts_per_ledger.Obs.Report.max > 0.0);
+  Alcotest.(check bool) "nomination timeouts per ledger" true
+    (off.S.nomination_timeouts_per_ledger = on.S.nomination_timeouts_per_ledger);
+  Alcotest.(check bool) "ballot timeouts per ledger" true
+    (off.S.ballot_timeouts_per_ledger = on.S.ballot_timeouts_per_ledger)
 
 let test_trace_deterministic () =
   let r1 = observed_run 5 and r2 = observed_run 5 in
@@ -379,15 +391,14 @@ let () =
         ] );
       ( "sink",
         [
-          Alcotest.test_case "span nesting" `Quick test_span_nesting;
-          Alcotest.test_case "with_span exception-safe" `Quick test_with_span_exception_safe;
           Alcotest.test_case "null sink" `Quick test_null_sink;
         ] );
       ( "network",
-        [ Alcotest.test_case "stats wrapper" `Quick test_network_stats_wrapper ] );
+        [ Alcotest.test_case "overlay counters" `Quick test_network_overlay_counters ] );
       ( "determinism",
         [
           Alcotest.test_case "trace byte-identical" `Quick test_trace_deterministic;
+          Alcotest.test_case "tracing keeps the report" `Quick test_tracing_keeps_report;
           Alcotest.test_case "phase breakdown sane" `Quick test_trace_phases_sane;
           Alcotest.test_case "flood amplification" `Quick test_flood_amplification;
         ] );

@@ -201,8 +201,11 @@ let network_tests =
         Network.set_handler net 1 (fun ~src:_ ~info:_ _ -> ());
         Network.send net ~src:0 ~dst:1 ~size:123 "m";
         Engine.run engine;
-        check int "sent" 123 (Network.stats net 0).Network.bytes_sent;
-        check int "received" 123 (Network.stats net 1).Network.bytes_received);
+        let counter i name =
+          Stellar_obs.Registry.counter_value (Network.registry net i) name
+        in
+        check int "sent" 123 (counter 0 "overlay.bytes.sent");
+        check int "received" 123 (counter 1 "overlay.bytes.received"));
     test_case "loss rate drops roughly the right fraction" `Quick (fun () ->
         let engine, net = setup 2 in
         let got = ref 0 in
