@@ -136,9 +136,7 @@ let envelope_xdr =
     Xdr.(pair statement_xdr (str ()))
 
 let statement_bytes st = Xdr.encode statement_xdr st
-let decode_statement s = Xdr.decode statement_xdr s
 let encode_envelope env = Xdr.encode envelope_xdr env
-let decode_envelope s = Xdr.decode envelope_xdr s
 
 let envelope_size env = Xdr.encoded_length envelope_xdr env
 

@@ -74,9 +74,7 @@ val statement_bytes : statement -> string
 (** Canonical XDR serialization, signed to form envelopes and used for
     message-size accounting in the simulator. *)
 
-val decode_statement : string -> (statement, string) result
 val encode_envelope : envelope -> string
-val decode_envelope : string -> (envelope, string) result
 
 val envelope_size : envelope -> int
 (** Exact wire size: [Bytes.length] of the {!envelope_xdr} encoding. *)

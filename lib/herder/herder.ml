@@ -43,17 +43,12 @@ let default_config ~seed ~qset =
   }
 
 (* Per-slot timing for the latency metrics of §7.3. *)
-type slot_timing = {
-  mutable t_trigger : float;
-  mutable t_first_ballot : float option;
-  mutable externalized : bool;
-}
+type slot_timing = { mutable t_trigger : float; mutable t_first_ballot : float option }
 
 type t = {
   config : config;
   cb : callbacks;
   obs : Stellar_obs.Sink.t;
-  secret : Stellar_crypto.Sim_sig.secret;
   id : Scp.Types.node_id;
   scp : Scp.Protocol.t;
   queue : Tx_queue.t;
@@ -83,7 +78,7 @@ let timing t slot =
   match Hashtbl.find_opt t.timings slot with
   | Some x -> x
   | None ->
-      let x = { t_trigger = t.cb.now (); t_first_ballot = None; externalized = false } in
+      let x = { t_trigger = t.cb.now (); t_first_ballot = None } in
       Hashtbl.add t.timings slot x;
       x
 
@@ -200,7 +195,6 @@ let rec close_ledger t slot (v : Value.t) =
       Scp.Protocol.purge_slots t.scp ~below:(slot - 32);
       (* stats *)
       let tm = timing t slot in
-      tm.externalized <- true;
       let now = t.cb.now () in
       let first_ballot = Option.value ~default:now tm.t_first_ballot in
       t.cb.on_ledger_closed
@@ -308,7 +302,6 @@ let create config cb ~genesis ?buckets ?(headers = []) ?(obs = Stellar_obs.Sink.
          config;
          cb;
          obs;
-         secret;
          id;
          scp = Scp.Protocol.create ~driver ~local_id:id ~qset:config.qset;
          queue = Tx_queue.create ();

@@ -261,7 +261,6 @@ let signed_xdr =
 
 let encode tx = Xdr.encode xdr tx
 let decode s = Xdr.decode xdr s
-let decode_signed s = Xdr.decode signed_xdr s
 
 let network_id = Stellar_crypto.Sha256.digest "stellar-repro network ; 2026"
 

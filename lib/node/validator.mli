@@ -5,7 +5,7 @@
 type t
 
 val create :
-  network:Message.t Stellar_sim.Network.t ->
+  network:Message.wire Stellar_sim.Network.t ->
   index:int ->
   peers:int list ->
   config:Stellar_herder.Herder.config ->

@@ -112,9 +112,6 @@ val encoded_length : 'a codec -> 'a -> int
 val decode : 'a codec -> string -> ('a, string) result
 (** Strict: the whole input must be consumed. *)
 
-val decode_exn : 'a codec -> string -> 'a
-(** @raise Error on malformed input or trailing bytes. *)
-
 val round_trips : 'a codec -> 'a -> bool
 (** [round_trips c v]: encoding, decoding and re-encoding [v] reproduces
     the same bytes.  The property every domain codec must satisfy. *)

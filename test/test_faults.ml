@@ -196,19 +196,20 @@ let regression_tests =
         match !waits with
         | [ w ] -> check bool "no phantom backlog" true (w < 1e-9)
         | l -> fail (Printf.sprintf "expected 1 delivery, got %d" (List.length l)));
-    test_case "flood path encodes each message exactly once per node" `Quick (fun () ->
+    test_case "flood forwards the origin's wire record" `Quick (fun () ->
         let engine = Stellar_sim.Engine.create () in
         let rng = Stellar_sim.Rng.create ~seed:6 in
         let network =
-          Stellar_sim.Network.create ~engine ~rng ~n:2
+          Stellar_sim.Network.create ~engine ~rng ~n:3
             ~latency:(Stellar_sim.Latency.Constant 0.001) ()
         in
         let genesis, accounts = Genesis.make ~n_accounts:4 () in
-        let spec = Topology.all_to_all ~n:2 in
+        let spec = Topology.all_to_all ~n:3 in
         let qset = Scp.Quorum_set.majority (Array.to_list (Topology.node_ids spec)) in
-        let mk i =
-          Validator.create ~network ~index:i
-            ~peers:[ 1 - i ]
+        (* a line 0 - 1 - 2 of which only 0 and 1 are validators: node 2 is a
+           spy recording what node 1 forwards *)
+        let mk i ~peers =
+          Validator.create ~network ~index:i ~peers
             ~config:
               {
                 (Stellar_herder.Herder.default_config
@@ -218,17 +219,23 @@ let regression_tests =
               }
             ~genesis ()
         in
-        let v0 = mk 0 and v1 = mk 1 in
-        ignore v1;
+        let v0 = mk 0 ~peers:[ 1 ] in
+        ignore (mk 1 ~peers:[ 0; 2 ]);
+        let received = ref [] in
+        Stellar_sim.Network.set_handler network 2 (fun ~src ~info:_ w ->
+            received := (src, w) :: !received);
         let seqs = Array.make 4 0 in
         let signed = payment ~accounts ~seqs 0 in
-        let before = Message.encode_count () in
         Validator.submit_tx v0 signed;
         Stellar_sim.Engine.run ~until:1.0 engine;
-        (* one encode at the origin's flood, one at the receiver's handle;
-           the receiver's forward reuses the handle's bytes and fans out to
-           nobody (its only peer is the source) *)
-        check int "two encodes total" 2 (Message.encode_count () - before));
+        let expected = Message.wire (Message.Tx_msg signed) in
+        match !received with
+        | [ (src, w) ] ->
+            check int "forwarded by node 1" 1 src;
+            check bool "same message" true (w.Message.msg = Message.Tx_msg signed);
+            check string "same id" expected.Message.id w.Message.id;
+            check int "same size" expected.Message.size w.Message.size
+        | l -> fail (Printf.sprintf "expected 1 delivery at node 2, got %d" (List.length l)));
     test_case "flood dedup table stays bounded (entries expire with slots)" `Quick
       (fun () ->
         let spec = Topology.all_to_all ~n:4 in

@@ -435,9 +435,9 @@ let accounting_tests =
             (hex (sha256 (Stellar_herder.Tx_set.encode ts)))
             (hex (Stellar_herder.Tx_set.hash ts));
           let m = gen_message () in
-          check string "message dedup key"
+          check string "message wire id"
             (hex (sha256 (Stellar_node.Message.encode m)))
-            (hex (Stellar_node.Message.dedup_key m))
+            (hex (Stellar_node.Message.wire m).Stellar_node.Message.id)
         done);
     test_case "sizes = Bytes.length of the actual encoding" `Quick (fun () ->
         for _ = 1 to 25 do
@@ -452,9 +452,9 @@ let accounting_tests =
             (String.length (Stellar_herder.Tx_set.encode ts))
             (Stellar_herder.Tx_set.size_bytes ts);
           let m = gen_message () in
-          check int "message size"
+          check int "message wire size"
             (String.length (Stellar_node.Message.encode m))
-            (Stellar_node.Message.size m)
+            (Stellar_node.Message.wire m).Stellar_node.Message.size
         done);
   ]
 
