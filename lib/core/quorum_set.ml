@@ -41,21 +41,30 @@ let is_sane t =
   List.length (List.sort_uniq String.compare vals) = List.length vals
   && is_sane_depth 0 t
 
-let rec is_quorum_slice t in_set =
-  let hits =
-    List.length (List.filter in_set t.validators)
-    + List.length (List.filter (fun q -> is_quorum_slice q in_set) t.inner)
-  in
-  hits >= t.threshold
+(* Both checks count qualifying entries (validators, then inner sets) down
+   from the threshold and stop once [need] reaches 0.  They sit under every
+   federated vote, so they walk the lists without allocating. *)
+let rec is_quorum_slice t in_set = slice_hits in_set t.threshold t.validators t.inner
+
+and slice_hits in_set need vs qs =
+  need <= 0
+  ||
+  match (vs, qs) with
+  | v :: vs, _ -> slice_hits in_set (if in_set v then need - 1 else need) vs qs
+  | [], q :: qs -> slice_hits in_set (if is_quorum_slice q in_set then need - 1 else need) [] qs
+  | [], [] -> false
 
 (* A set blocks [t] iff fewer than [threshold] entries remain unblocked:
    then no slice can avoid the set. *)
-let rec is_v_blocking t in_set =
-  let unblocked =
-    List.length (List.filter (fun v -> not (in_set v)) t.validators)
-    + List.length (List.filter (fun q -> not (is_v_blocking q in_set)) t.inner)
-  in
-  unblocked < t.threshold
+let rec is_v_blocking t in_set = not (unblocked_hits in_set t.threshold t.validators t.inner)
+
+and unblocked_hits in_set need vs qs =
+  need <= 0
+  ||
+  match (vs, qs) with
+  | v :: vs, _ -> unblocked_hits in_set (if in_set v then need else need - 1) vs qs
+  | [], q :: qs -> unblocked_hits in_set (if is_v_blocking q in_set then need else need - 1) [] qs
+  | [], [] -> false
 
 let rec weight t node =
   let n = member_count_shallow t in
@@ -101,15 +110,3 @@ let encode t = Xdr.encode xdr t
 let decode s = Xdr.decode xdr s
 
 let hash t = Stellar_crypto.Sha256.digest (encode t)
-
-let rec pp ~names fmt t =
-  Format.fprintf fmt "@[<hov 2>%d-of-{%a%s%a}@]" t.threshold
-    (Format.pp_print_list
-       ~pp_sep:(fun f () -> Format.pp_print_string f ", ")
-       (fun f v -> Format.pp_print_string f (names v)))
-    t.validators
-    (if t.validators <> [] && t.inner <> [] then ", " else "")
-    (Format.pp_print_list
-       ~pp_sep:(fun f () -> Format.pp_print_string f ", ")
-       (pp ~names))
-    t.inner

@@ -57,5 +57,3 @@ val decode : string -> (t, string) result
 
 val hash : t -> string
 (** SHA-256 of {!encode}. *)
-
-val pp : names:(node_id -> string) -> Format.formatter -> t -> unit

@@ -14,14 +14,6 @@ module Ballot = struct
   let compatible a b = String.equal a.value b.value
   let less_and_compatible a b = compare a b <= 0 && compatible a b
   let less_and_incompatible a b = compare a b <= 0 && not (compatible a b)
-
-  let pp fmt b =
-    let v =
-      if String.length b.value >= 4 then Stellar_crypto.Hex.encode (String.sub b.value 0 4)
-      else Stellar_crypto.Hex.encode b.value
-    in
-    if b.counter = max_counter then Format.fprintf fmt "<inf,%s>" v
-    else Format.fprintf fmt "<%d,%s>" b.counter v
 end
 
 type nomination = { votes : value list; accepted : value list }
@@ -152,25 +144,3 @@ let statement_ballot_counter st =
   | Prepare p -> Some p.ballot.counter
   | Confirm c -> Some c.ballot.counter
   | Externalize _ -> Some Ballot.max_counter
-
-let pp_statement fmt st =
-  let short id =
-    Stellar_crypto.Hex.encode (String.sub id 0 (min 4 (String.length id)))
-  in
-  match st.pledge with
-  | Nominate n ->
-      Format.fprintf fmt "[%s slot=%d NOMINATE votes=%d accepted=%d]" (short st.node_id)
-        st.slot (List.length n.votes) (List.length n.accepted)
-  | Prepare p ->
-      Format.fprintf fmt "[%s slot=%d PREPARE b=%a p=%a p'=%a c=%d h=%d]" (short st.node_id)
-        st.slot Ballot.pp p.ballot
-        (Format.pp_print_option Ballot.pp)
-        p.prepared
-        (Format.pp_print_option Ballot.pp)
-        p.prepared_prime p.n_c p.n_h
-  | Confirm c ->
-      Format.fprintf fmt "[%s slot=%d CONFIRM b=%a p=%d c=%d h=%d]" (short st.node_id)
-        st.slot Ballot.pp c.ballot c.n_prepared c.n_commit c.n_h
-  | Externalize e ->
-      Format.fprintf fmt "[%s slot=%d EXTERNALIZE c=%a h=%d]" (short st.node_id) st.slot
-        Ballot.pp e.commit e.n_h

@@ -21,7 +21,6 @@ module Ballot : sig
   (** [less_and_compatible a b]: [a <= b] and same value. *)
 
   val less_and_incompatible : ballot -> ballot -> bool
-  val pp : Format.formatter -> ballot -> unit
 
   val max_counter : int
   (** Stand-in for the draft's infinite counter. *)
@@ -80,7 +79,6 @@ val envelope_size : envelope -> int
 (** Exact wire size: [Bytes.length] of the {!envelope_xdr} encoding. *)
 
 val pledge_kind : pledge -> string
-val pp_statement : Format.formatter -> statement -> unit
 
 (** Working-ballot counter of a ballot-protocol statement: its [b.counter],
     or [Ballot.max_counter] for EXTERNALIZE. *)

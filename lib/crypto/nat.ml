@@ -330,5 +330,3 @@ let to_string n =
     let s = Buffer.contents buf in
     String.init (String.length s) (fun i -> s.[String.length s - 1 - i])
   end
-
-let pp fmt n = Format.pp_print_string fmt (to_string n)

@@ -66,5 +66,3 @@ val to_hex : t -> string
 
 val to_string : t -> string
 (** Decimal rendering. *)
-
-val pp : Format.formatter -> t -> unit

@@ -112,8 +112,3 @@ let apply_upgrades state upgrades =
       | Upgrade_protocol_version v ->
           Stellar_ledger.State.with_params ~protocol_version:v state)
     state upgrades
-
-let pp fmt v =
-  Format.fprintf fmt "value{txset=%s close=%d upgrades=%d}"
-    (String.sub (Stellar_crypto.Hex.encode v.tx_set_hash) 0 8)
-    v.close_time (List.length v.upgrades)

@@ -35,5 +35,3 @@ val apply_upgrades : Stellar_ledger.State.t -> upgrade list -> Stellar_ledger.St
 
 val valid_upgrade : upgrade -> bool
 (** Sanity bounds a validator is willing to go along with. *)
-
-val pp : Format.formatter -> t -> unit

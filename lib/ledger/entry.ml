@@ -239,11 +239,3 @@ let entry_xdr =
       | _ -> raise (Xdr.Error "Entry.entry: bad discriminant"))
 
 let encode_entry e = Xdr.encode entry_xdr e
-
-let pp_key fmt k =
-  let short s = Stellar_crypto.Hex.encode (String.sub s 0 (min 4 (String.length s))) in
-  match k with
-  | Account_key id -> Format.fprintf fmt "account:%s" (short id)
-  | Trustline_key (id, asset) -> Format.fprintf fmt "trust:%s:%a" (short id) Asset.pp asset
-  | Offer_key id -> Format.fprintf fmt "offer:%d" id
-  | Data_key (id, name) -> Format.fprintf fmt "data:%s:%s" (short id) name

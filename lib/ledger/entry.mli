@@ -76,5 +76,3 @@ val entry_xdr : entry Stellar_xdr.Xdr.codec
 val encode_entry : entry -> string
 (** Canonical XDR bytes of {!entry_xdr}; hashed into buckets and the ledger
     snapshot hash. *)
-
-val pp_key : Format.formatter -> key -> unit

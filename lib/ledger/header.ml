@@ -105,8 +105,3 @@ let verify_chain headers =
     | _ -> true
   in
   go headers
-
-let pp fmt h =
-  Format.fprintf fmt "ledger #%d close=%d txset=%s state=%s" h.ledger_seq h.close_time
-    (String.sub (Stellar_crypto.Hex.encode h.tx_set_hash) 0 8)
-    (String.sub (Stellar_crypto.Hex.encode h.snapshot_hash) 0 8)

@@ -43,5 +43,3 @@ val make :
 
 val verify_chain : t list -> bool
 (** Checks [prev_hash] links across a list of headers ordered by sequence. *)
-
-val pp : Format.formatter -> t -> unit

@@ -1,5 +1,21 @@
 module Obs = Stellar_obs
 
+(* Payloads keyed by physical identity: a retained envelope or tx set is the
+   very value that passed through [flood], so [==] finds its record without
+   encoding or hashing it again. *)
+module Wired = Hashtbl.Make (struct
+  type t = Message.t
+
+  let equal a b =
+    match (a, b) with
+    | Message.Envelope x, Message.Envelope y -> x == y
+    | Message.Tx_set_msg x, Message.Tx_set_msg y -> x == y
+    | Message.Tx_msg x, Message.Tx_msg y -> x == y
+    | _ -> false
+
+  let hash = Hashtbl.hash
+end)
+
 type t = {
   network : Message.wire Stellar_sim.Network.t;
   index : int;
@@ -17,6 +33,7 @@ type t = {
          re-broadcast from beyond the grave *)
   mutable crashed : bool;
   seen : (string, int) Hashtbl.t;  (* flood dedup: key -> expiry slot *)
+  wired : (int * Message.wire) Wired.t;  (* flooded payload -> expiry slot, record *)
   helped : (int * int, unit) Hashtbl.t;  (* (peer, slot) straggler replies sent *)
 }
 
@@ -24,6 +41,7 @@ let index t = t.index
 let herder t = t.herder
 let helped_size t = Hashtbl.length t.helped
 let seen_size t = Hashtbl.length t.seen
+let wired_size t = Wired.length t.wired
 
 (* The straggler-reply memo only has to suppress duplicate help within the
    life of a slot: once slot [upto] is externalized locally, memos for it and
@@ -51,21 +69,27 @@ let expiry_of t = function
 
 (* Dedup entries whose expiry slot is now closed can go: any further copy of
    those messages is late-externalize noise that [expiry_of]'s margin already
-   covered.  Without this the table grows with every message ever flooded. *)
+   covered.  Without this the table grows with every message ever flooded.
+   The record memo shares the entries' expiries, so it is pruned alongside. *)
 let prune_seen t ~upto =
-  let stale =
-    Hashtbl.fold (fun k expiry acc -> if expiry <= upto then k :: acc else acc) t.seen []
-  in
-  List.iter (Hashtbl.remove t.seen) stale;
+  Hashtbl.filter_map_inplace
+    (fun _ expiry -> if expiry <= upto then None else Some expiry)
+    t.seen;
+  Wired.filter_map_inplace
+    (fun _ ((expiry, _) as e) -> if expiry <= upto then None else Some e)
+    t.wired;
   Obs.Sink.set_gauge t.obs "validator.seen.size" (float_of_int (Hashtbl.length t.seen))
 
 (* [force] lets a node re-broadcast its own identical message (a straggler
    re-announcing its last statement must not be silenced by its own dedup
    table).  The record [w] was built once at the message's origin: dedup
-   key and wire size are its fields, and forwarding passes it on as is. *)
+   key and wire size are its fields, and forwarding passes it on as is.
+   [wired] keeps it for later direct sends of the same payload. *)
 let flood t ?except ?(force = false) (w : Message.wire) =
   if force || not (Hashtbl.mem t.seen w.id) then begin
-    Hashtbl.replace t.seen w.id (expiry_of t w.msg);
+    let expiry = expiry_of t w.msg in
+    Hashtbl.replace t.seen w.id expiry;
+    Wired.replace t.wired w.msg (expiry, w);
     (* One monotone id per flood decision: every fanout copy carries it, so
        each Flood_recv downstream names this exact Flood_send (the causal
        edge the critical-path report walks). *)
@@ -85,11 +109,17 @@ let flood t ?except ?(force = false) (w : Message.wire) =
            { kind = Message.kind_name w.msg; bytes = w.size; fanout = !fanout; msg_id })
   end
 
+(* The record [flood] kept for this payload.  Past the memo's horizon (help
+   for a slot older than its expiry) it is rebuilt: [id] and [size] are pure
+   functions of the value, so the fresh record is the same. *)
+let wire_of t msg =
+  match Wired.find_opt t.wired msg with Some (_, w) -> w | None -> Message.wire msg
+
 (* Point-to-point (non-flooded) send, used for straggler help: still tagged
    and traced as a fanout-1 Flood_send so every delivery in the trace
    resolves to exactly one send. *)
 let send_direct t ~dst msg =
-  let w = Message.wire msg in
+  let w = wire_of t msg in
   let msg_id = Stellar_sim.Network.alloc_msg_id t.network in
   if Obs.Sink.tracing t.obs then
     Obs.Sink.emit t.obs
@@ -235,6 +265,7 @@ let create ~network ~index ~peers ~config ~genesis ?buckets ?headers
          generation = 0;
          crashed = false;
          seen = Hashtbl.create 1024;
+         wired = Wired.create 1024;
          helped = Hashtbl.create 64;
        })
   in
@@ -267,6 +298,7 @@ let restart ?archive t =
     t.generation <- t.generation + 1;
     (* the process died: its dedup/memo tables did not survive *)
     Hashtbl.reset t.seen;
+    Wired.reset t.wired;
     Hashtbl.reset t.helped;
     Stellar_sim.Network.set_down t.network t.index false;
     Obs.Sink.incr t.obs "fault.restarts";
@@ -320,7 +352,7 @@ let reflood t ~copies =
     Obs.Sink.incr t.obs "fault.refloods";
     let wires =
       List.map
-        (fun e -> Message.wire (Message.Envelope e))
+        (fun e -> wire_of t (Message.Envelope e))
         (Stellar_herder.Herder.recent_envelopes t.herder)
     in
     for _ = 1 to copies do

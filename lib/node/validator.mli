@@ -44,14 +44,20 @@ val seen_size : t -> int
     slot closes, so the table stays bounded over long simulations; its size
     is exported as the [validator.seen.size] gauge. *)
 
+val wired_size : t -> int
+(** Entries in the memo of flooded wire records that straggler help and
+    {!reflood} re-send instead of re-encoding and re-hashing.  Each entry
+    shares its {!seen_size} entry's expiry and is pruned with it. *)
+
 (** {2 Fault injection}
 
     A crash/restart models losing the whole process: the herder (and all its
-    SCP timers) is abandoned, the dedup and straggler-memo tables are lost,
-    and the network marks the node down.  Restart rebuilds a fresh herder —
-    from the archive's latest checkpoint plus replay when an [archive] is
-    supplied (§5.4), from genesis otherwise — and rejoins consensus, closing
-    any remaining gap live through the §6 straggler-help protocol.  An
+    SCP timers) is abandoned, the dedup, wire-record and straggler-memo
+    tables are lost, and the network marks the node down.  Restart rebuilds
+    a fresh herder — from the archive's latest checkpoint plus replay when
+    an [archive] is supplied (§5.4), from genesis otherwise — and rejoins
+    consensus, closing any remaining gap live through the §6 straggler-help
+    protocol.  An
     internal generation counter keeps timers and broadcasts created before
     the fault from acting on the new incarnation. *)
 

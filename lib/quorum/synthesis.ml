@@ -51,7 +51,3 @@ let network_config orgs =
   let q = quorum_set orgs in
   Network_config.of_assoc
     (List.concat_map (fun o -> List.map (fun v -> (v, q)) o.validators) orgs)
-
-let pp_quality fmt q =
-  Format.pp_print_string fmt
-    (match q with Critical -> "critical" | High -> "high" | Medium -> "medium" | Low -> "low")

@@ -31,5 +31,3 @@ val network_config : org list -> Network_config.t
 
 val org_threshold : int -> int
 (** 51% of n, stellar-core rounding. *)
-
-val pp_quality : Format.formatter -> quality -> unit

@@ -236,6 +236,77 @@ let regression_tests =
             check string "same id" expected.Message.id w.Message.id;
             check int "same size" expected.Message.size w.Message.size
         | l -> fail (Printf.sprintf "expected 1 delivery at node 2, got %d" (List.length l)));
+    test_case "straggler help re-sends the records the helper flooded" `Quick (fun () ->
+        let engine = Stellar_sim.Engine.create () in
+        let rng = Stellar_sim.Rng.create ~seed:8 in
+        let network =
+          Stellar_sim.Network.create ~engine ~rng ~n:5 ~latency:Stellar_sim.Latency.datacenter ()
+        in
+        let genesis, accounts = Genesis.make ~n_accounts:8 () in
+        let spec = Topology.all_to_all ~n:4 in
+        (* four validators; node 4 is a spy peered only with node 0, so it
+           receives every record node 0 floods *)
+        let mk i =
+          Validator.create ~network ~index:i
+            ~peers:(spec.Topology.peers_of i @ if i = 0 then [ 4 ] else [])
+            ~config:
+              (Stellar_herder.Herder.default_config ~seed:(spec.Topology.validator_seed i)
+                 ~qset:(spec.Topology.qset_of i))
+            ~genesis ()
+        in
+        let vs = Array.init 4 mk in
+        let received = ref [] in
+        Stellar_sim.Network.set_handler network 4 (fun ~src:_ ~info:_ w ->
+            received := w :: !received);
+        Array.iter Validator.start vs;
+        let seqs = Array.make 8 0 in
+        for i = 0 to 7 do
+          Validator.submit_tx vs.(i mod 4) (payment ~accounts ~seqs i)
+        done;
+        Stellar_sim.Engine.run ~until:20.0 engine;
+        (* stop closing ledgers and let every flood land before asking *)
+        Array.iter Validator.stop vs;
+        Stellar_sim.Engine.run ~until:30.0 engine;
+        let slot = Stellar_herder.Herder.ledger_seq (Validator.herder vs.(0)) in
+        check bool "node 0 closed a few ledgers" true (slot >= 3);
+        let flooded = !received in
+        received := [];
+        (* a slot-[slot] vote node 0 never saw: a flooded one, re-signed *)
+        let vote =
+          List.find_map
+            (fun (w : Message.wire) ->
+              match w.msg with
+              | Message.Envelope e
+                when e.Scp.Types.statement.Scp.Types.slot = slot
+                     &&
+                     match e.Scp.Types.statement.Scp.Types.pledge with
+                     | Scp.Types.Externalize _ -> false
+                     | _ -> true ->
+                  Some { e with Scp.Types.signature = String.make 64 'x' }
+              | _ -> None)
+            flooded
+          |> Option.get
+        in
+        let w = Message.wire (Message.Envelope vote) in
+        Stellar_sim.Network.send network ~src:4 ~dst:0 ~size:w.size w;
+        Stellar_sim.Engine.run ~until:40.0 engine;
+        let help = !received in
+        check bool "help sent envelopes and tx sets" true
+          (List.exists
+             (fun (r : Message.wire) ->
+               match r.msg with Message.Tx_set_msg _ -> true | _ -> false)
+             help
+          && List.exists
+               (fun (r : Message.wire) ->
+                 match r.msg with Message.Envelope _ -> true | _ -> false)
+               help);
+        List.iter
+          (fun (r : Message.wire) ->
+            check bool "a record node 0 flooded" true (List.exists (( == ) r) flooded);
+            let fresh = Message.wire r.msg in
+            check string "same id" fresh.id r.id;
+            check int "same size" fresh.size r.size)
+          help);
     test_case "flood dedup table stays bounded (entries expire with slots)" `Quick
       (fun () ->
         let spec = Topology.all_to_all ~n:4 in
@@ -277,7 +348,10 @@ let regression_tests =
           (fun v ->
             let sz = Validator.seen_size v in
             check bool (Printf.sprintf "node %d seen table bounded (%d)" (Validator.index v) sz)
-              true (sz < 200))
+              true (sz < 200);
+            let wz = Validator.wired_size v in
+            check bool (Printf.sprintf "node %d wire memo bounded (%d)" (Validator.index v) wz)
+              true (wz < 200))
           vs;
         check bool "helped memo bounded" true (Validator.helped_size vs.(0) < 50));
   ]
