@@ -71,6 +71,33 @@ let make_tests () =
   in
   let members = Scp.Quorum_set.all_validators qset in
   let in_set v = List.mem v (List.filteri (fun i _ -> i < 10) members) in
+  (* the two largest parts of one SCP envelope receive on the tiered
+     topology (27 validators and 5 watchers, every statement carrying the
+     one shared tiered quorum set): the quorum check and the signature check *)
+  let tiered = fst (Stellar_node.Topology.tiered ~leaves:5 ()) in
+  let tiered_qset = tiered.Stellar_node.Topology.qset_of 0 in
+  let tiered_ids = Stellar_node.Topology.node_ids tiered in
+  let tiered_statement i =
+    Scp.Types.
+      {
+        node_id = tiered_ids.(i);
+        slot = 2;
+        quorum_set = tiered_qset;
+        pledge = Nominate { votes = [ Sha256.digest "value" ]; accepted = [] };
+      }
+  in
+  let tiered_statements =
+    Array.to_seqi tiered_ids
+    |> Seq.map (fun (i, v) -> (v, tiered_statement i))
+    |> Scp.Federation.Node_map.of_seq
+  in
+  let voted st =
+    match st.Scp.Types.pledge with Scp.Types.Nominate n -> n.Scp.Types.votes <> [] | _ -> false
+  in
+  let statement = tiered_statement 0 in
+  let statement_sig =
+    Sim_sig.sign (tiered.Stellar_node.Topology.validator_seed 0) (Scp.Types.signing_bytes statement)
+  in
   [
     Test.make ~name:"sha256/64B" (Staged.stage (fun () -> ignore (Sha256.digest data64)));
     Test.make ~name:"sha256/8KiB" (Staged.stage (fun () -> ignore (Sha256.digest data8k)));
@@ -103,6 +130,14 @@ let make_tests () =
       (Staged.stage (fun () -> ignore (Scp.Quorum_set.is_quorum_slice qset in_set)));
     Test.make ~name:"scp/v-blocking-19"
       (Staged.stage (fun () -> ignore (Scp.Quorum_set.is_v_blocking qset in_set)));
+    Test.make ~name:"scp/is_quorum"
+      (Staged.stage (fun () ->
+           ignore (Scp.Federation.is_quorum ~local_qset:tiered_qset tiered_statements voted)));
+    Test.make ~name:"sim-sig/verify-statement"
+      (Staged.stage (fun () ->
+           ignore
+             (Sim_sig.verify ~public:statement.Scp.Types.node_id
+                ~msg:(Scp.Types.signing_bytes statement) ~signature:statement_sig)));
   ]
 
 let run () =
@@ -119,8 +154,8 @@ let run () =
   let results = Analyze.all ols instance raw in
   let rows = Hashtbl.fold (fun name ols acc -> (name, ols) :: acc) results [] in
   let rows = List.sort (fun (a, _) (b, _) -> String.compare a b) rows in
-  Common.row "%-28s | %14s@." "operation" "time/op";
-  Common.row "-----------------------------+----------------@.";
+  Common.row "%-32s | %14s@." "operation" "time/op";
+  Common.row "---------------------------------+----------------@.";
   List.iter
     (fun (name, ols) ->
       let ns =
@@ -131,7 +166,7 @@ let run () =
         else if ns >= 1_000.0 then Printf.sprintf "%.2f us" (ns /. 1_000.0)
         else Printf.sprintf "%.0f ns" ns
       in
-      Common.row "%-28s | %14s@." name pretty)
+      Common.row "%-32s | %14s@." name pretty)
     rows;
   Common.row "note: sim-sig trades ~3 orders of magnitude vs ed25519, motivating@.";
   Common.row "the registry-based scheme for large in-process simulations.@."

@@ -195,7 +195,7 @@ let sign_and_emit t =
     if t.last_emitted <> Some st then begin
       t.last_emitted <- Some st;
       t.latest <- NM.add t.local_id st t.latest;
-      let signature = t.driver.Driver.sign (statement_bytes st) in
+      let signature = t.driver.Driver.sign (signing_bytes st) in
       let env = { statement = st; signature } in
       t.latest_envs <- NM.add t.local_id env t.latest_envs;
       t.driver.Driver.emit_envelope env

@@ -2,35 +2,37 @@ module Node_map = Map.Make (String)
 
 type statements = Types.statement Node_map.t
 
-(* Greatest fixpoint: start from all nodes satisfying [pred] and repeatedly
-   remove nodes whose quorum set has no slice within the current set.  The
-   result is the largest candidate quorum inside the predicate set. *)
-let quorum_fixpoint statements pred =
-  let module S = Set.Make (String) in
-  let initial =
-    Node_map.fold
-      (fun node st acc -> if pred st then S.add node acc else acc)
-      statements S.empty
-  in
-  let rec shrink set =
-    let keep node =
-      let st = Node_map.find node statements in
-      Quorum_set.is_quorum_slice st.Types.quorum_set (fun v -> S.mem v set)
-    in
-    let set' = S.filter keep set in
-    if S.cardinal set' = S.cardinal set then set else shrink set'
-  in
-  shrink initial
-
-let find_quorum ~local_qset statements pred =
-  let module S = Set.Make (String) in
-  let set = quorum_fixpoint statements pred in
-  if Quorum_set.is_quorum_slice local_qset (fun v -> S.mem v set) then
-    Some (S.elements set)
-  else None
-
+(* Greatest fixpoint: start from all nodes whose statement satisfies [pred]
+   and drop nodes whose quorum set has no slice within the remaining set
+   until a whole pass drops nothing.  A node's verdict depends only on its
+   quorum set, so each pass checks every physically distinct set once and
+   drops all nodes carrying a failed set together; the greatest fixpoint
+   does not depend on removal order, so the result is exact.  Membership is
+   read straight from [statements] and [pred]: a node is in the set iff its
+   statement satisfies [pred] and its quorum set has not failed. *)
 let is_quorum ~local_qset statements pred =
-  Option.is_some (find_quorum ~local_qset statements pred)
+  let failed = ref [] in
+  let in_set v =
+    match Node_map.find_opt v statements with
+    | Some st -> pred st && not (List.memq st.Types.quorum_set !failed)
+    | None -> false
+  in
+  let rec shrink () =
+    let passed = ref [] and dropped = ref false in
+    Node_map.iter
+      (fun _ st ->
+        let q = st.Types.quorum_set in
+        if pred st && not (List.memq q !passed || List.memq q !failed) then
+          if Quorum_set.is_quorum_slice q in_set then passed := q :: !passed
+          else begin
+            failed := q :: !failed;
+            dropped := true
+          end)
+      statements;
+    if !dropped then shrink ()
+  in
+  shrink ();
+  Quorum_set.is_quorum_slice local_qset in_set
 
 let is_v_blocking_set ~local_qset statements pred =
   let in_set v =

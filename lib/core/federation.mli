@@ -16,14 +16,8 @@ val is_quorum :
 (** [is_quorum ~local_qset sts pred] — is there a quorum, including the
     local node, of nodes whose latest statement satisfies [pred]?  Computed
     as a greatest fixpoint: repeatedly discard nodes whose own quorum set is
-    not satisfied by the remaining set, then test the local quorum set. *)
-
-val find_quorum :
-  local_qset:Quorum_set.t ->
-  statements ->
-  (Types.statement -> bool) ->
-  string list option
-(** Like {!is_quorum} but returns the node set found. *)
+    not satisfied by the remaining set, then test the local quorum set.
+    Each pass checks each physically distinct quorum set once. *)
 
 val is_v_blocking_set :
   local_qset:Quorum_set.t -> statements -> (Types.statement -> bool) -> bool

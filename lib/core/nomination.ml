@@ -120,7 +120,7 @@ let emit_if_changed ?(force = false) t =
   in
   if changed && t.started && not t.stopped then begin
     t.last_emitted <- Some st;
-    let signature = t.driver.Driver.sign (Types.statement_bytes st) in
+    let signature = t.driver.Driver.sign (Types.signing_bytes st) in
     let env = { Types.statement = st; signature } in
     t.latest_envs <- NM.add t.local_id env t.latest_envs;
     t.driver.Driver.emit_envelope env

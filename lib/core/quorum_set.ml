@@ -109,4 +109,23 @@ let xdr = { Xdr.write = (fun w t -> write_xdr w 0 t); read = (fun r -> read_xdr 
 let encode t = Xdr.encode xdr t
 let decode s = Xdr.decode xdr s
 
-let hash t = Stellar_crypto.Sha256.digest (encode t)
+(* Every statement a node signs or verifies carries its sender's quorum
+   set, and a simulation shares one set value among many nodes.  Sets are
+   immutable, so a set's hash never changes: remember the last few hashed
+   sets by physical identity ([==]) in a fixed ring, replaced oldest first. *)
+let memo_slots = 32
+let memo = Array.make memo_slots None
+let memo_next = ref 0
+
+let hash t =
+  let rec find i =
+    if i = memo_slots then None
+    else match memo.(i) with Some (q, h) when q == t -> Some h | _ -> find (i + 1)
+  in
+  match find 0 with
+  | Some h -> h
+  | None ->
+      let h = Stellar_crypto.Sha256.digest (encode t) in
+      memo.(!memo_next) <- Some (t, h);
+      memo_next := (!memo_next + 1) mod memo_slots;
+      h

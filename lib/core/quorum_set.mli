@@ -56,4 +56,5 @@ val encode : t -> string
 val decode : string -> (t, string) result
 
 val hash : t -> string
-(** SHA-256 of {!encode}. *)
+(** SHA-256 of {!encode}.  The last few sets hashed are remembered by
+    physical identity, so re-hashing a shared set costs no encoding. *)

@@ -47,7 +47,7 @@ let process_envelope t env =
   else if not (Quorum_set.is_sane st.Types.quorum_set) then `Invalid
   else if
     not
-      (t.driver.Driver.verify st.Types.node_id ~msg:(Types.statement_bytes st)
+      (t.driver.Driver.verify st.Types.node_id ~msg:(Types.signing_bytes st)
          ~signature:env.Types.signature)
   then `Invalid
   else begin

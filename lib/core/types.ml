@@ -127,7 +127,16 @@ let envelope_xdr =
     (fun (statement, signature) -> { statement; signature })
     Xdr.(pair statement_xdr (str ()))
 
-let statement_bytes st = Xdr.encode statement_xdr st
+(* stellar-core's signed preimage: the statement with its quorum set
+   replaced by the set's hash, which still binds every member. *)
+let signing_bytes st =
+  let w = Xdr.Writer.create () in
+  Xdr.Writer.opaque_var w st.node_id;
+  Xdr.Writer.hyper w st.slot;
+  Xdr.Writer.opaque_fixed w (Quorum_set.hash st.quorum_set);
+  pledge_xdr.write w st.pledge;
+  Xdr.Writer.contents w
+
 let encode_envelope env = Xdr.encode envelope_xdr env
 
 let envelope_size env = Xdr.encoded_length envelope_xdr env

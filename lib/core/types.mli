@@ -69,9 +69,9 @@ type envelope = { statement : statement; signature : string }
 val statement_xdr : statement Stellar_xdr.Xdr.codec
 val envelope_xdr : envelope Stellar_xdr.Xdr.codec
 
-val statement_bytes : statement -> string
-(** Canonical XDR serialization, signed to form envelopes and used for
-    message-size accounting in the simulator. *)
+val signing_bytes : statement -> string
+(** The bytes a node signs to form an envelope, as in stellar-core: XDR of
+    node id, slot, {!Quorum_set.hash} of the quorum set, and pledge. *)
 
 val encode_envelope : envelope -> string
 

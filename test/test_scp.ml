@@ -174,6 +174,183 @@ let federation_tests =
           (Federation.federated_ratify ~local_qset:q sts3 accepted_x));
   ]
 
+(* ---------- Random nested quorum sets for the properties below ---------- *)
+
+(* nested sets of depth <= 3 over [pool], thresholds anywhere in [1, n] *)
+let rec qset_gen pool depth =
+  let open QCheck.Gen in
+  let* validators = list_size (int_range 1 4) (oneofl pool) in
+  let* inner =
+    if depth >= 3 then return [] else list_size (int_range 0 2) (qset_gen pool (depth + 1))
+  in
+  let+ threshold = int_range 1 (List.length validators + List.length inner) in
+  Quorum_set.make ~threshold ~inner validators
+
+(* validators by their first letter, e.g. 2-of-{a, b, 1-of-{c}} *)
+let rec show_qset (t : Quorum_set.t) =
+  Printf.sprintf "%d-of-{%s}" t.threshold
+    (String.concat ", "
+       (List.map (fun v -> String.make 1 v.[0]) t.validators @ List.map show_qset t.inner))
+
+(* ---------- The fixpoint against its Set-based definition ---------- *)
+
+(* The specification: start from every node whose statement satisfies
+   [pred], drop (all at once) the nodes whose quorum set has no slice in the
+   current set until nothing changes, then test the local set. *)
+let ref_is_quorum ~local_qset statements pred =
+  let module S = Set.Make (String) in
+  let initial =
+    Federation.Node_map.fold
+      (fun node st acc -> if pred st then S.add node acc else acc)
+      statements S.empty
+  in
+  let rec shrink set =
+    let keep node =
+      let st = Federation.Node_map.find node statements in
+      Quorum_set.is_quorum_slice st.Types.quorum_set (fun v -> S.mem v set)
+    in
+    let set' = S.filter keep set in
+    if S.cardinal set' = S.cardinal set then set else shrink set'
+  in
+  let set = shrink initial in
+  Quorum_set.is_quorum_slice local_qset (fun v -> S.mem v set)
+
+let fixpoint_prop_tests =
+  let open QCheck in
+  (* a structurally equal set that shares no record with [q] *)
+  let rec copy (q : Quorum_set.t) =
+    Quorum_set.make ~threshold:q.threshold ~inner:(List.map copy q.inner) q.validators
+  in
+  (* What a node's statement carries: one of the shared sets itself, a copy
+     of one, a set of its own; or the node sent no statement. *)
+  let carried_gen pool n_shared =
+    Gen.frequency
+      [
+        (3, Gen.map (fun i -> `Shared i) (Gen.int_bound (n_shared - 1)));
+        (2, Gen.map (fun i -> `Copy i) (Gen.int_bound (n_shared - 1)));
+        (2, Gen.map (fun q -> `Own q) (qset_gen pool 1));
+        (1, Gen.return `Silent);
+      ]
+  in
+  let scenario_gen =
+    let open Gen in
+    let* n = int_range 3 12 in
+    let pool = List.init n (fun i -> id (Char.chr (Char.code 'a' + i))) in
+    let* shared = list_size (int_range 1 3) (qset_gen pool 1) in
+    let* carried = list_repeat n (carried_gen pool (List.length shared)) in
+    let* mask = list_repeat n bool in
+    let+ local = qset_gen pool 1 in
+    (pool, Array.of_list shared, carried, mask, local)
+  in
+  let print (pool, shared, carried, mask, local) =
+    let node v c bit =
+      Printf.sprintf "%c%s:%s" v.[0]
+        (if bit then "+" else "-")
+        (match c with
+        | `Shared i -> Printf.sprintf "shared%d" i
+        | `Copy i -> Printf.sprintf "copy%d" i
+        | `Own q -> show_qset q
+        | `Silent -> "silent")
+    in
+    Printf.sprintf "shared=[%s] nodes=[%s] local=%s"
+      (String.concat "; " (Array.to_list (Array.map show_qset shared)))
+      (String.concat "; "
+         (List.map2 (fun (v, c) bit -> node v c bit) (List.combine pool carried) mask))
+      (show_qset local)
+  in
+  let statements (pool, shared, carried, _, _) =
+    List.fold_left2
+      (fun acc v c ->
+        let qset =
+          match c with
+          | `Shared i -> Some shared.(i)
+          | `Copy i -> Some (copy shared.(i))
+          | `Own q -> Some q
+          | `Silent -> None
+        in
+        match qset with
+        | Some q -> Federation.Node_map.add v (mk_statement v q "x") acc
+        | None -> acc)
+      Federation.Node_map.empty pool carried
+  in
+  [
+    QCheck_alcotest.to_alcotest
+      (Test.make ~name:"is_quorum matches the Set-based fixpoint" ~count:2000
+         (make ~print scenario_gen)
+         (fun ((pool, _, _, mask, local_qset) as sc) ->
+           let sts = statements sc in
+           let pred st = List.assoc st.Types.node_id (List.combine pool mask) in
+           Federation.is_quorum ~local_qset sts pred
+           = ref_is_quorum ~local_qset sts pred));
+  ]
+
+(* ---------- Statement signatures ---------- *)
+
+let signing_tests =
+  let open Alcotest in
+  (* a fresh slot on node [self] whose driver verifies real sim-sig
+     signatures, and a peer that signs with its own key *)
+  let setup () =
+    Stellar_crypto.Sim_sig.reset ();
+    let key name = Stellar_crypto.Sim_sig.keypair ~seed:(Stellar_crypto.Sha256.digest name) in
+    let _, self = key "signing-self" and peer_secret, peer = key "signing-peer" in
+    let slot () =
+      let driver =
+        Driver.make
+          ~emit_envelope:(fun _ -> ())
+          ~sign:(fun _ -> "unused")
+          ~verify:(fun node_id ~msg ~signature ->
+            Stellar_crypto.Sim_sig.verify ~public:node_id ~msg ~signature)
+          ~validate_value:(fun ~slot:_ _ -> Driver.Valid)
+          ~combine_candidates:(fun ~slot:_ _ -> None)
+          ~value_externalized:(fun ~slot:_ _ -> ())
+          ~schedule:(fun ~delay:_ _ () -> ())
+          ()
+      in
+      Slot.create ~index:1 ~local_id:self
+        ~get_qset:(fun () -> Quorum_set.majority [ self; peer; a; b ])
+        ~driver
+    in
+    let signed qset =
+      let st = mk_statement peer qset "x" in
+      let signature = Stellar_crypto.Sim_sig.sign peer_secret (Types.signing_bytes st) in
+      { Types.statement = st; signature }
+    in
+    (self, peer, slot, signed)
+  in
+  let with_qset env qset =
+    { env with Types.statement = { env.Types.statement with Types.quorum_set = qset } }
+  in
+  [
+    test_case "a quorum set changed after signing is rejected" `Quick (fun () ->
+        let self, peer, slot, signed = setup () in
+        let q = Quorum_set.make ~threshold:2 [ self; peer; a ] in
+        let env = signed q in
+        check bool "as signed" true (Slot.process_envelope (slot ()) env = `Processed);
+        let swapped = Quorum_set.make ~threshold:2 [ self; peer; b ] in
+        check bool "validator swapped" true
+          (Slot.process_envelope (slot ()) (with_qset env swapped) = `Invalid);
+        let raised = Quorum_set.make ~threshold:3 [ self; peer; a ] in
+        check bool "threshold changed" true
+          (Slot.process_envelope (slot ()) (with_qset env raised) = `Invalid));
+    test_case "an equal copy of the signed quorum set verifies" `Quick (fun () ->
+        let self, peer, slot, signed = setup () in
+        let q = Quorum_set.make ~threshold:2 [ self; peer; a ] in
+        let env = signed q in
+        let copy = Quorum_set.make ~threshold:2 [ self; peer; a ] in
+        check bool "distinct values" false (copy == q);
+        check bool "copy verifies" true
+          (Slot.process_envelope (slot ()) (with_qset env copy) = `Processed));
+    test_case "signing bytes do not grow with the quorum set" `Quick (fun () ->
+        let tiered = (fst (Stellar_node.Topology.tiered ())).Stellar_node.Topology.qset_of 0 in
+        check int "tiered set size" 27 (List.length (Quorum_set.all_validators tiered));
+        let bytes q = Types.signing_bytes (mk_statement a q "x") in
+        check int "1 vs 27 validators" (String.length (bytes (Quorum_set.singleton a)))
+          (String.length (bytes tiered));
+        check bool "yet they differ" false
+          (String.equal (bytes (Quorum_set.singleton a)) (bytes tiered)));
+  ]
+
 (* ---------- End-to-end consensus over the simulator ---------- *)
 
 let all_majority ids _ = Quorum_set.majority (Array.to_list ids)
@@ -373,7 +550,7 @@ let ballot_prop_tests =
                      };
                }
            in
-           String.length (Types.statement_bytes st) > 0));
+           String.length (Types.signing_bytes st) > 0));
   ]
 
 (* ---------- Quorum set checks against their list-filter definitions ---------- *)
@@ -391,28 +568,13 @@ let qset_prop_tests =
     + List.length (List.filter (fun q -> not (ref_blocking q in_set)) t.inner)
     < t.threshold
   in
-  (* nested sets of depth <= 3 over [pool], thresholds anywhere in [1, n] *)
-  let rec qset_gen depth =
-    let open Gen in
-    let* validators = list_size (int_range 1 4) (oneofl pool) in
-    let* inner =
-      if depth >= 3 then return [] else list_size (int_range 0 2) (qset_gen (depth + 1))
-    in
-    let+ threshold = int_range 1 (List.length validators + List.length inner) in
-    Quorum_set.make ~threshold ~inner validators
-  in
-  let rec print (t : Quorum_set.t) =
-    Printf.sprintf "%d-of-{%s}" t.threshold
-      (String.concat ", "
-         (List.map (fun v -> String.make 1 v.[0]) t.validators @ List.map print t.inner))
-  in
   let members_gen = Gen.list_repeat (List.length pool) Gen.bool in
   let arb =
     make
       ~print:(fun (q, mask) ->
-        print q ^ " / "
+        show_qset q ^ " / "
         ^ String.concat "" (List.map (fun b -> if b then "1" else "0") mask))
-      (Gen.pair (qset_gen 1) members_gen)
+      (Gen.pair (qset_gen pool 1) members_gen)
   in
   let in_set mask v = List.assoc v (List.combine pool mask) in
   [
@@ -429,7 +591,8 @@ let () =
     [
       ("quorum-set", qset_tests);
       ("qset-props", qset_prop_tests);
-      ("federation", federation_tests);
+      ("federation", federation_tests @ fixpoint_prop_tests);
+      ("signing", signing_tests);
       ("leader", leader_tests);
       ("ballot-props", ballot_prop_tests);
       ("end-to-end", e2e_tests);

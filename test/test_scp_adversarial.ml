@@ -176,7 +176,7 @@ let byzantine_tests =
               }
           in
           let signature =
-            Stellar_crypto.Sim_sig.sign byz.Scp_harness.secret (Types.statement_bytes st)
+            Stellar_crypto.Sim_sig.sign byz.Scp_harness.secret (Types.signing_bytes st)
           in
           { Types.statement = st; signature }
         in
@@ -207,7 +207,7 @@ let byzantine_tests =
             }
         in
         let signature =
-          Stellar_crypto.Sim_sig.sign attacker.Scp_harness.secret (Types.statement_bytes st)
+          Stellar_crypto.Sim_sig.sign attacker.Scp_harness.secret (Types.signing_bytes st)
         in
         let env = { Types.statement = st; signature } in
         let result =
@@ -242,7 +242,7 @@ let byzantine_tests =
               }
           in
           let signature =
-            Stellar_crypto.Sim_sig.sign byz.Scp_harness.secret (Types.statement_bytes st)
+            Stellar_crypto.Sim_sig.sign byz.Scp_harness.secret (Types.signing_bytes st)
           in
           { Types.statement = st; signature }
         in
