@@ -65,6 +65,14 @@ let make_tests () =
           entry = Some (Entry.Account_entry acct) })
   in
   let bucket_a = Stellar_bucket.Bucket.of_items (bucket_items 10_000 "a") in
+  (* a 1,000-entry batch onto a 4-level list whose level 0 already holds
+     two batches, so the timed add merges without spilling *)
+  let batch_1k = bucket_items 1_000 "batch" in
+  let list_4 =
+    List.fold_left Stellar_bucket.Bucket_list.add_batch
+      (Stellar_bucket.Bucket_list.create ~levels:4 ())
+      (List.init 6 (fun i -> bucket_items 1_000 (Printf.sprintf "level-%d" i)))
+  in
   let bucket_b = Stellar_bucket.Bucket.of_items (bucket_items 10_000 "b") in
   let qset =
     Scp.Quorum_set.majority (List.init 19 (fun i -> Sha256.digest (Printf.sprintf "v%d" i)))
@@ -104,6 +112,10 @@ let make_tests () =
     Test.make ~name:"sha512/8KiB" (Staged.stage (fun () -> ignore (Sha512.digest data8k)));
     Test.make ~name:"hmac-sha256/64B"
       (Staged.stage (fun () -> ignore (Hmac.sha256 ~key:"k" data64)));
+    (let key = Hmac.prepare "k" in
+     Test.make ~name:"hmac-sha256/prepared-64B"
+       (Staged.stage (fun () -> ignore (Hmac.mac key data64))));
+    Test.make ~name:"tx/hash" (Staged.stage (fun () -> ignore (Tx.hash payment.Tx.tx)));
     Test.make ~name:"ed25519/sign" (Staged.stage (fun () -> ignore (Ed25519.sign ed_sk data64)));
     Test.make ~name:"ed25519/verify"
       (Staged.stage (fun () ->
@@ -126,6 +138,8 @@ let make_tests () =
            ignore
              (Stellar_bucket.Bucket.merge ~newer:bucket_a ~older:bucket_b
                 ~keep_tombstones:true)));
+    Test.make ~name:"bucket/add-batch-1k"
+      (Staged.stage (fun () -> ignore (Stellar_bucket.Bucket_list.add_batch list_4 batch_1k)));
     Test.make ~name:"scp/quorum-slice-19"
       (Staged.stage (fun () -> ignore (Scp.Quorum_set.is_quorum_slice qset in_set)));
     Test.make ~name:"scp/v-blocking-19"

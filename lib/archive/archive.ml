@@ -37,7 +37,7 @@ let record_ledger t ~header ~tx_set ~buckets =
   Hashtbl.replace t.headers seq header;
   Hashtbl.replace t.tx_sets seq tx_set;
   List.iter
-    (fun signed -> Hashtbl.replace t.tx_index (Tx.hash signed.Tx.tx) seq)
+    (fun signed -> Hashtbl.replace t.tx_index signed.Tx.tx_hash seq)
     (Stellar_herder.Tx_set.txs tx_set);
   t.archived_bytes <-
     t.archived_bytes
@@ -62,7 +62,7 @@ let find_tx t hash =
       | None -> None
       | Some ts ->
           Stellar_herder.Tx_set.txs ts
-          |> List.find_opt (fun s -> String.equal (Tx.hash s.Tx.tx) hash)
+          |> List.find_opt (fun s -> String.equal s.Tx.tx_hash hash)
           |> Option.map (fun s -> (seq, s)))
 
 let latest_checkpoint t = match t.checkpoints with c :: _ -> Some c | [] -> None
@@ -176,7 +176,7 @@ let of_blob s =
             Hashtbl.replace t.headers seq header;
             Hashtbl.replace t.tx_sets seq tx_set;
             List.iter
-              (fun signed -> Hashtbl.replace t.tx_index (Tx.hash signed.Tx.tx) seq)
+              (fun signed -> Hashtbl.replace t.tx_index signed.Tx.tx_hash seq)
               (Stellar_herder.Tx_set.txs tx_set);
             t.archived_bytes <-
               t.archived_bytes

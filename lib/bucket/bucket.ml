@@ -26,13 +26,23 @@ let empty = { items = [||]; hash = compute_hash [||] }
 let is_empty t = Array.length t.items = 0
 let size t = Array.length t.items
 
+(* Sorted by key; of equal keys only the one latest in [list] is kept. *)
+let sort_dedup list =
+  let arr = Array.of_list list in
+  Array.stable_sort (fun a b -> Entry.compare_key a.key b.key) arr;
+  let n = Array.length arr in
+  (* Compact in place: [arr.(i)] survives if the next item has another key. *)
+  let k = ref 0 in
+  for i = 0 to n - 1 do
+    if i = n - 1 || Entry.compare_key arr.(i).key arr.(i + 1).key <> 0 then begin
+      arr.(!k) <- arr.(i);
+      incr k
+    end
+  done;
+  if !k = n then arr else Array.sub arr 0 !k
+
 let of_items list =
-  (* Sort by key; on duplicates the later element of [list] wins. *)
-  let tbl = Hashtbl.create (List.length list) in
-  List.iteri (fun i it -> Hashtbl.replace tbl (Entry.encode_key it.key) (i, it)) list;
-  let deduped = Hashtbl.fold (fun _ (_, it) acc -> it :: acc) tbl [] in
-  let arr = Array.of_list deduped in
-  Array.sort (fun a b -> Entry.compare_key a.key b.key) arr;
+  let arr = sort_dedup list in
   { items = arr; hash = compute_hash arr }
 
 let items t = Array.to_list t.items
@@ -50,40 +60,52 @@ let find t key =
   done;
   !found
 
-let merge ~newer ~older ~keep_tombstones =
-  let n = Array.length newer.items and m = Array.length older.items in
-  let out = ref [] in
-  let push it = if it.entry <> None || keep_tombstones then out := it :: !out in
-  let i = ref 0 and j = ref 0 in
-  while !i < n || !j < m do
-    if !i >= n then begin
-      push older.items.(!j);
-      incr j
-    end
-    else if !j >= m then begin
-      push newer.items.(!i);
-      incr i
-    end
-    else begin
-      let c = Entry.compare_key newer.items.(!i).key older.items.(!j).key in
-      if c < 0 then begin
-        push newer.items.(!i);
+(* Merge-join of two sorted runs; on equal keys [newer] shadows [older]. *)
+let merge_runs newer older ~keep_tombstones =
+  let n = Array.length newer and m = Array.length older in
+  if n + m = 0 then empty
+  else begin
+    let out = Array.make (n + m) (if n > 0 then newer.(0) else older.(0)) in
+    let k = ref 0 in
+    let push it =
+      if it.entry <> None || keep_tombstones then begin
+        out.(!k) <- it;
+        incr k
+      end
+    in
+    let i = ref 0 and j = ref 0 in
+    while !i < n || !j < m do
+      if !i >= n then begin
+        push older.(!j);
+        incr j
+      end
+      else if !j >= m then begin
+        push newer.(!i);
         incr i
       end
-      else if c > 0 then begin
-        push older.items.(!j);
-        incr j
-      end
       else begin
-        (* same key: newer shadows older *)
-        push newer.items.(!i);
-        incr i;
-        incr j
+        let c = Entry.compare_key newer.(!i).key older.(!j).key in
+        if c < 0 then begin
+          push newer.(!i);
+          incr i
+        end
+        else if c > 0 then begin
+          push older.(!j);
+          incr j
+        end
+        else begin
+          push newer.(!i);
+          incr i;
+          incr j
+        end
       end
-    end
-  done;
-  let arr = Array.of_list (List.rev !out) in
-  { items = arr; hash = compute_hash arr }
+    done;
+    let arr = if !k = n + m then out else Array.sub out 0 !k in
+    { items = arr; hash = compute_hash arr }
+  end
+
+let merge ~newer ~older ~keep_tombstones = merge_runs newer.items older.items ~keep_tombstones
+let merge_batch list ~older = merge_runs (sort_dedup list) older.items ~keep_tombstones:true
 
 let live_entries t =
   Array.to_list t.items |> List.filter_map (fun it -> it.entry)

@@ -35,4 +35,9 @@ val merge : newer:t -> older:t -> keep_tombstones:bool -> t
     bottom level tombstones are dropped ([keep_tombstones = false]),
     reclaiming space for entries that died long ago. *)
 
+val merge_batch : item list -> older:t -> t
+(** [merge_batch items ~older] is
+    [merge ~newer:(of_items items) ~older ~keep_tombstones:true] without
+    building or hashing the intermediate bucket. *)
+
 val live_entries : t -> Stellar_ledger.Entry.entry list

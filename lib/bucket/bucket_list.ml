@@ -14,12 +14,8 @@ let add_batch ?(obs = Stellar_obs.Sink.null) t batch =
   let levels = Array.copy t.levels in
   let nlevels = Array.length levels in
   (* Merge the new batch into level 0. *)
-  let b0 = Bucket.of_items batch in
   levels.(0) <-
-    {
-      bucket = Bucket.merge ~newer:b0 ~older:levels.(0).bucket ~keep_tombstones:true;
-      fill = levels.(0).fill + 1;
-    };
+    { bucket = Bucket.merge_batch batch ~older:levels.(0).bucket; fill = levels.(0).fill + 1 };
   Stellar_obs.Sink.incr obs "bucket.merge";
   if tracing then
     Stellar_obs.Sink.emit obs

@@ -1,9 +1,12 @@
 (* Word arithmetic is done in native ints masked to 32 bits, which is both
-   simpler and faster than boxed [Int32] on a 64-bit host. *)
+   simpler and faster than boxed [Int32] on a 64-bit host.  A rotation
+   works on [x lor (x lsl 32)], the word held twice over: shifting that
+   right by n < 32 leaves x rotated right by n in the low 32 bits, so
+   several rotations of one word share the doubling. *)
 
 let digest_size = 32
 let mask32 = 0xFFFFFFFF
-let rotr x n = ((x lsr n) lor (x lsl (32 - n))) land mask32
+let double x = x lor (x lsl 32)
 
 type ctx = {
   h : int array; (* 8 words of chaining state *)
@@ -13,60 +16,51 @@ type ctx = {
   w : int array; (* message schedule scratch *)
 }
 
-let init () =
-  {
-    h = Array.copy Sha2_constants.sha256_h;
-    buf = Bytes.create 64;
-    buf_len = 0;
-    total = 0;
-    w = Array.make 64 0;
-  }
+let make h total = { h; buf = Bytes.create 64; buf_len = 0; total; w = Array.make 64 0 }
+let init () = make (Array.copy Sha2_constants.sha256_h) 0
 
 let k = Sha2_constants.sha256_k
 
-(* Compress one 64-byte block starting at [off] in [block]. *)
+(* The 64 rounds, with the eight working variables carried as arguments so
+   they stay in registers.  [t] only ranges over 0..63, the bounds of both
+   [k] and [w]. *)
+let rec rounds ctx t a b c d e f g h =
+  if t < 64 then begin
+    let ee = double e and aa = double a in
+    let s1 = ((ee lsr 6) lxor (ee lsr 11) lxor (ee lsr 25)) land mask32 in
+    let ch = (e land f) lxor (lnot e land g) in
+    let t1 = h + s1 + ch + Array.unsafe_get k t + Array.unsafe_get ctx.w t in
+    let s0 = ((aa lsr 2) lxor (aa lsr 13) lxor (aa lsr 22)) land mask32 in
+    let maj = (a land b) lxor (a land c) lxor (b land c) in
+    rounds ctx (t + 1) ((t1 + s0 + maj) land mask32) a b c ((d + t1) land mask32) e f g
+  end
+  else begin
+    let hs = ctx.h in
+    hs.(0) <- (hs.(0) + a) land mask32;
+    hs.(1) <- (hs.(1) + b) land mask32;
+    hs.(2) <- (hs.(2) + c) land mask32;
+    hs.(3) <- (hs.(3) + d) land mask32;
+    hs.(4) <- (hs.(4) + e) land mask32;
+    hs.(5) <- (hs.(5) + f) land mask32;
+    hs.(6) <- (hs.(6) + g) land mask32;
+    hs.(7) <- (hs.(7) + h) land mask32
+  end
+
+(* Compress the 64-byte block starting at [off] in [block]. *)
 let compress ctx block off =
   let w = ctx.w in
   for t = 0 to 15 do
-    let i = off + (4 * t) in
-    w.(t) <-
-      (Char.code (Bytes.get block i) lsl 24)
-      lor (Char.code (Bytes.get block (i + 1)) lsl 16)
-      lor (Char.code (Bytes.get block (i + 2)) lsl 8)
-      lor Char.code (Bytes.get block (i + 3))
+    w.(t) <- Int32.to_int (Bytes.get_int32_be block (off + (4 * t))) land mask32
   done;
   for t = 16 to 63 do
-    let s0 = rotr w.(t - 15) 7 lxor rotr w.(t - 15) 18 lxor (w.(t - 15) lsr 3) in
-    let s1 = rotr w.(t - 2) 17 lxor rotr w.(t - 2) 19 lxor (w.(t - 2) lsr 10) in
+    let x = w.(t - 15) and y = w.(t - 2) in
+    let xx = double x and yy = double y in
+    let s0 = (((xx lsr 7) lxor (xx lsr 18)) land mask32) lxor (x lsr 3) in
+    let s1 = (((yy lsr 17) lxor (yy lsr 19)) land mask32) lxor (y lsr 10) in
     w.(t) <- (w.(t - 16) + s0 + w.(t - 7) + s1) land mask32
   done;
   let h = ctx.h in
-  let a = ref h.(0) and b = ref h.(1) and c = ref h.(2) and d = ref h.(3) in
-  let e = ref h.(4) and f = ref h.(5) and g = ref h.(6) and hh = ref h.(7) in
-  for t = 0 to 63 do
-    let s1 = rotr !e 6 lxor rotr !e 11 lxor rotr !e 25 in
-    let ch = (!e land !f) lxor (lnot !e land !g) in
-    let t1 = (!hh + s1 + ch + k.(t) + w.(t)) land mask32 in
-    let s0 = rotr !a 2 lxor rotr !a 13 lxor rotr !a 22 in
-    let maj = (!a land !b) lxor (!a land !c) lxor (!b land !c) in
-    let t2 = (s0 + maj) land mask32 in
-    hh := !g;
-    g := !f;
-    f := !e;
-    e := (!d + t1) land mask32;
-    d := !c;
-    c := !b;
-    b := !a;
-    a := (t1 + t2) land mask32
-  done;
-  h.(0) <- (h.(0) + !a) land mask32;
-  h.(1) <- (h.(1) + !b) land mask32;
-  h.(2) <- (h.(2) + !c) land mask32;
-  h.(3) <- (h.(3) + !d) land mask32;
-  h.(4) <- (h.(4) + !e) land mask32;
-  h.(5) <- (h.(5) + !f) land mask32;
-  h.(6) <- (h.(6) + !g) land mask32;
-  h.(7) <- (h.(7) + !hh) land mask32
+  rounds ctx 0 h.(0) h.(1) h.(2) h.(3) h.(4) h.(5) h.(6) h.(7)
 
 let update ctx s =
   let len = String.length s in
@@ -74,8 +68,7 @@ let update ctx s =
   let pos = ref 0 in
   (* Top up a partially filled buffer first. *)
   if ctx.buf_len > 0 then begin
-    let need = 64 - ctx.buf_len in
-    let take = min need len in
+    let take = min (64 - ctx.buf_len) len in
     Bytes.blit_string s 0 ctx.buf ctx.buf_len take;
     ctx.buf_len <- ctx.buf_len + take;
     pos := take;
@@ -84,10 +77,10 @@ let update ctx s =
       ctx.buf_len <- 0
     end
   end;
-  let block = Bytes.create 64 in
+  (* Whole blocks are read in place; [compress] never writes its input. *)
+  let src = Bytes.unsafe_of_string s in
   while len - !pos >= 64 do
-    Bytes.blit_string s !pos block 0 64;
-    compress ctx block 0;
+    compress ctx src !pos;
     pos := !pos + 64
   done;
   if !pos < len then begin
@@ -96,26 +89,29 @@ let update ctx s =
   end
 
 let final ctx =
-  let bits = ctx.total * 8 in
-  update ctx "\x80";
-  (* Pad with zeros until 8 bytes remain in the block. *)
-  let zeros = (64 + 56 - ctx.buf_len) mod 64 in
-  update ctx (String.make zeros '\000');
-  let len_bytes = Bytes.create 8 in
-  for i = 0 to 7 do
-    Bytes.set len_bytes i (Char.chr ((bits lsr (8 * (7 - i))) land 0xFF))
-  done;
-  update ctx (Bytes.to_string len_bytes);
-  assert (ctx.buf_len = 0);
+  let buf = ctx.buf and n = ctx.buf_len in
+  Bytes.set buf n '\x80';
+  (* The 8-byte length must end a block: spill into a second one if the
+     marker left no room for it. *)
+  if n + 1 > 56 then begin
+    Bytes.fill buf (n + 1) (63 - n) '\000';
+    compress ctx buf 0;
+    Bytes.fill buf 0 56 '\000'
+  end
+  else Bytes.fill buf (n + 1) (55 - n) '\000';
+  Bytes.set_int64_be buf 56 (Int64.of_int (ctx.total * 8));
+  compress ctx buf 0;
   let out = Bytes.create 32 in
-  for i = 0 to 7 do
-    let v = ctx.h.(i) in
-    Bytes.set out (4 * i) (Char.chr ((v lsr 24) land 0xFF));
-    Bytes.set out ((4 * i) + 1) (Char.chr ((v lsr 16) land 0xFF));
-    Bytes.set out ((4 * i) + 2) (Char.chr ((v lsr 8) land 0xFF));
-    Bytes.set out ((4 * i) + 3) (Char.chr (v land 0xFF))
-  done;
-  Bytes.to_string out
+  Array.iteri (fun i v -> Bytes.set_int32_be out (4 * i) (Int32.of_int v)) ctx.h;
+  Bytes.unsafe_to_string out
+
+type midstate = { words : int array; length : int }
+
+let midstate ctx =
+  if ctx.buf_len <> 0 then invalid_arg "Sha256.midstate: not on a block boundary";
+  { words = Array.copy ctx.h; length = ctx.total }
+
+let resume m = make (Array.copy m.words) m.length
 
 let digest s =
   let ctx = init () in

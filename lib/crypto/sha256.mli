@@ -10,6 +10,17 @@ val final : ctx -> string
 (** [final ctx] returns the 32-byte digest.  The context must not be used
     afterwards. *)
 
+type midstate
+(** The chaining words and byte count of a context that has absorbed whole
+    blocks only: a prefix hashed once and resumed many times. *)
+
+val midstate : ctx -> midstate
+(** Raises [Invalid_argument] unless the bytes absorbed so far fill whole
+    64-byte blocks. *)
+
+val resume : midstate -> ctx
+(** A fresh context in the state the midstate was taken in. *)
+
 val digest : string -> string
 (** One-shot hash. *)
 

@@ -87,7 +87,7 @@ let prev_header_hash t =
 
 (* Transaction-lifecycle trace events are keyed by the lowercase-hex tx
    hash, the same key Horizon-style APIs expose. *)
-let tx_hex signed = Stellar_crypto.Hex.encode (Tx.hash signed.Tx.tx)
+let tx_hex signed = Stellar_crypto.Hex.encode signed.Tx.tx_hash
 
 (* ---- value validation & combination (§5.3) ---- *)
 
@@ -123,7 +123,7 @@ let results_hash results =
   let ctx = Stellar_crypto.Sha256.init () in
   List.iter
     (fun (signed, outcome) ->
-      Stellar_crypto.Sha256.update ctx (Tx.hash signed.Tx.tx);
+      Stellar_crypto.Sha256.update ctx signed.Tx.tx_hash;
       Stellar_crypto.Sha256.update ctx (Format.asprintf "%a" Apply.pp_tx_outcome outcome))
     results;
   Stellar_crypto.Sha256.final ctx

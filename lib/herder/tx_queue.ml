@@ -8,7 +8,7 @@ type t = {
 let create () = { by_hash = Hashtbl.create 256; by_account = Hashtbl.create 64 }
 
 let add t signed =
-  let h = Tx.hash signed.Tx.tx in
+  let h = signed.Tx.tx_hash in
   if Hashtbl.mem t.by_hash h then false
   else begin
     Hashtbl.replace t.by_hash h signed;
@@ -21,10 +21,14 @@ let add t signed =
           Hashtbl.replace t.by_account src q;
           q
     in
-    q :=
-      List.sort
-        (fun a b -> Int.compare a.Tx.tx.Tx.seq_num b.Tx.tx.Tx.seq_num)
-        (signed :: !q);
+    (* Before the first queued tx with an equal or higher sequence number:
+       where a stable sort of [signed :: !q] would put it. *)
+    let seq = signed.Tx.tx.Tx.seq_num in
+    let rec insert = function
+      | s :: rest when s.Tx.tx.Tx.seq_num < seq -> s :: insert rest
+      | l -> signed :: l
+    in
+    q := insert !q;
     true
   end
 
@@ -71,14 +75,14 @@ let candidates t ~state ~max_ops =
   !picked
 
 let remove_one t signed =
-  let h = Tx.hash signed.Tx.tx in
+  let h = signed.Tx.tx_hash in
   if Hashtbl.mem t.by_hash h then begin
     Hashtbl.remove t.by_hash h;
     let src = signed.Tx.tx.Tx.source in
     match Hashtbl.find_opt t.by_account src with
     | None -> ()
     | Some q ->
-        q := List.filter (fun s -> not (String.equal (Tx.hash s.Tx.tx) h)) !q;
+        q := List.filter (fun s -> not (String.equal s.Tx.tx_hash h)) !q;
         if !q = [] then Hashtbl.remove t.by_account src
   end
 

@@ -16,11 +16,7 @@ let write_components w ~prev_header_hash txs =
 
 let make ~prev_header_hash txs =
   (* Canonical order: by hash, so identical sets have identical bytes. *)
-  let txs =
-    List.map (fun s -> (Tx.hash s.Tx.tx, s)) txs
-    |> List.sort (fun (h1, _) (h2, _) -> String.compare h1 h2)
-    |> List.map snd
-  in
+  let txs = List.sort (fun a b -> String.compare a.Tx.tx_hash b.Tx.tx_hash) txs in
   let w = Xdr.Writer.create ~initial_size:1024 () in
   write_components w ~prev_header_hash txs;
   let encoded = Xdr.Writer.contents w in

@@ -539,7 +539,7 @@ let signature_weight ctx state account_id (signed : Tx.signed) =
   match State.account state account_id with
   | None -> 0
   | Some a ->
-      let msg = Tx.hash signed.Tx.tx in
+      let msg = signed.Tx.tx_hash in
       let key_weight key =
         if String.equal key account_id then a.Entry.thresholds.Entry.master_weight
         else
@@ -692,10 +692,7 @@ let apply_tx_set ?(obs = Stellar_obs.Sink.null) ctx state ~close_time txs =
   let queues =
     Hashtbl.fold
       (fun _ q acc ->
-        ref
-          (List.map (fun s -> (Tx.hash s.Tx.tx, s)) q
-          |> List.sort (fun (_, a) (_, b) -> Int.compare a.Tx.tx.Tx.seq_num b.Tx.tx.Tx.seq_num))
-        :: acc)
+        ref (List.sort (fun a b -> Int.compare a.Tx.tx.Tx.seq_num b.Tx.tx.Tx.seq_num) q) :: acc)
       by_account []
   in
   let sorted =
@@ -705,15 +702,15 @@ let apply_tx_set ?(obs = Stellar_obs.Sink.null) ctx state ~close_time txs =
       (* Heads of all non-empty queues, ordered by hash this round. *)
       let heads =
         List.filter_map
-          (fun q -> match !q with [] -> None | (h, _) :: _ -> Some (h, q))
+          (fun q -> match !q with [] -> None | s :: _ -> Some (s.Tx.tx_hash, q))
           queues
         |> List.sort (fun (h1, _) (h2, _) -> String.compare h1 h2)
       in
       List.iter
         (fun (_, q) ->
           match !q with
-          | (_, h) :: rest ->
-              out := h :: !out;
+          | s :: rest ->
+              out := s :: !out;
               q := rest;
               decr remaining
           | [] -> ())
@@ -734,7 +731,7 @@ let apply_tx_set ?(obs = Stellar_obs.Sink.null) ctx state ~close_time txs =
           Stellar_obs.Sink.emit obs
             (Stellar_obs.Event.Tx_applied
                {
-                 tx = Stellar_crypto.Hex.encode (Tx.hash signed.Tx.tx);
+                 tx = Stellar_crypto.Hex.encode signed.Tx.tx_hash;
                  slot;
                  ok = tx_succeeded outcome;
                });

@@ -57,7 +57,7 @@ type t = {
   operations : operation list;
 }
 
-type signed = { tx : t; signatures : (account_id * string) list }
+type signed = { tx : t; signatures : (account_id * string) list; tx_hash : string }
 
 let make ~source ~seq_num ?fee ?time_bounds ?(memo = Memo_none) operations =
   let fee = match fee with Some f -> f | None -> 100 * List.length operations in
@@ -253,12 +253,6 @@ let xdr =
         { source; fee; seq_num; time_bounds; memo; operations });
   }
 
-let signed_xdr =
-  Xdr.conv
-    (fun s -> (s.tx, s.signatures))
-    (fun (tx, signatures) -> { tx; signatures })
-    Xdr.(pair xdr (list ~max:20 (pair (str ()) (str ()))))
-
 let encode tx = Xdr.encode xdr tx
 let decode s = Xdr.decode xdr s
 
@@ -266,13 +260,22 @@ let network_id = Stellar_crypto.Sha256.digest "stellar-repro network ; 2026"
 
 let hash tx = Stellar_crypto.Sha256.digest_list [ network_id; encode tx ]
 
+let make_signed tx signatures = { tx; signatures; tx_hash = hash tx }
+
+let signed_xdr =
+  Xdr.conv
+    (fun s -> (s.tx, s.signatures))
+    (fun (tx, signatures) -> make_signed tx signatures)
+    Xdr.(pair xdr (list ~max:20 (pair (str ()) (str ()))))
+
 let sign tx ~secret ~public ~scheme =
   let module S = (val scheme : Stellar_crypto.Sig_intf.SCHEME with type secret = string) in
-  { tx; signatures = [ (public, S.sign secret (hash tx)) ] }
+  let tx_hash = hash tx in
+  { tx; signatures = [ (public, S.sign secret tx_hash) ]; tx_hash }
 
 let co_sign signed ~secret ~public ~scheme =
   let module S = (val scheme : Stellar_crypto.Sig_intf.SCHEME with type secret = string) in
-  { signed with signatures = (public, S.sign secret (hash signed.tx)) :: signed.signatures }
+  { signed with signatures = (public, S.sign secret signed.tx_hash) :: signed.signatures }
 
 let operation_count tx = List.length tx.operations
 

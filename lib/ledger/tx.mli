@@ -70,7 +70,9 @@ type t = {
   operations : operation list;
 }
 
-type signed = { tx : t; signatures : (account_id * string) list }
+type signed = private { tx : t; signatures : (account_id * string) list; tx_hash : string }
+(** [tx_hash] is [hash tx], computed once when the value is built or
+    decoded. *)
 
 val make :
   source:account_id ->
@@ -93,6 +95,9 @@ val decode : string -> (t, string) result
 val hash : t -> string
 (** SHA-256 over the network-prefixed canonical XDR encoding; this is what
     gets signed. *)
+
+val make_signed : t -> (account_id * string) list -> signed
+(** The one constructor of {!signed}: hashes [tx] once. *)
 
 val sign : t -> secret:string -> public:account_id -> scheme:(module Stellar_crypto.Sig_intf.SCHEME with type secret = string) -> signed
 val co_sign : signed -> secret:string -> public:account_id -> scheme:(module Stellar_crypto.Sig_intf.SCHEME with type secret = string) -> signed

@@ -172,10 +172,7 @@ let handle t ~src ~(info : Stellar_sim.Network.delivery) (w : Message.wire) =
         | Message.Tx_msg signed ->
             Obs.Sink.emit t.obs
               (Obs.Event.Tx_flooded
-                 {
-                   tx =
-                     Stellar_crypto.Hex.encode (Stellar_ledger.Tx.hash signed.Stellar_ledger.Tx.tx);
-                 })
+                 { tx = Stellar_crypto.Hex.encode signed.Stellar_ledger.Tx.tx_hash })
         | _ -> ()
       end;
       (* process locally, then forward to our peers (flood with dedup) *)
@@ -221,11 +218,7 @@ let callbacks_for ~engine ~gen get_t =
             if Obs.Sink.tracing v.obs then
               Obs.Sink.emit v.obs
                 (Obs.Event.Tx_flooded
-                   {
-                     tx =
-                       Stellar_crypto.Hex.encode
-                         (Stellar_ledger.Tx.hash signed.Stellar_ledger.Tx.tx);
-                   });
+                   { tx = Stellar_crypto.Hex.encode signed.Stellar_ledger.Tx.tx_hash });
             flood v (Message.wire (Message.Tx_msg signed))
           end);
       schedule =

@@ -50,7 +50,74 @@ let sha_tests =
         check string "equal"
           (Hex.encode (Sha256.digest "foobarbaz"))
           (Hex.encode (Sha256.digest_list [ "foo"; "bar"; "baz" ])));
+    test_case "sha256 lengths around block edges" `Quick (fun () ->
+        (* Expected digests from Python's hashlib, an independent
+           implementation, over bytes 0, 1, 2, ... (mod 256). *)
+        List.iter
+          (fun (n, expected) ->
+            check string (Printf.sprintf "%d bytes" n) expected
+              (Sha256.hex (String.init n (fun i -> Char.chr (i land 255)))))
+          [
+            (0, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855");
+            (1, "6e340b9cffb37a989ca544e6bb780a2c78901d3fb33738768511a30617afa01d");
+            (55, "463eb28e72f82e0a96c0a4cc53690c571281131f672aa229e0d45ae59b598b59");
+            (56, "da2ae4d6b36748f2a318f23e7ab1dfdf45acdc9d049bd80e59de82a60895f562");
+            (63, "29af2686fd53374a36b0846694cc342177e428d1647515f078784d69cdb9e488");
+            (64, "fdeab9acf3710362bd2658cdc9a29e8f9c757fcf9811603a8c447cd1d9151108");
+            (65, "4bfd2c8b6f1eec7a2afeb48b934ee4b2694182027e6d0fc075074f2fabb31781");
+            (119, "da18797ed7c3a777f0847f429724a2d8cd5138e6ed2895c3fa1a6d39d18f7ec6");
+            (120, "f52b23db1fbb6ded89ef42a23ce0c8922c45f25c50b568a93bf1c075420bbb7c");
+            (128, "471fb943aa23c511f6f72f8d1652d9c880cfa392ad80503120547703e56a2be5");
+            (1000, "a8af099bf2e878609558dbf69d8f88f4a31040a8cf84b549a0cfa912f12ffc3f");
+          ]);
+    test_case "hmac-sha256 RFC 4231 case 3" `Quick (fun () ->
+        check string "mac"
+          "773ea91e36800e46854db8ebd09181a72959098b3ef8c122d9635514ced565fe"
+          (Hmac.hex ~key:(String.make 20 '\xaa') (String.make 50 '\xdd')));
+    test_case "hmac-sha256 RFC 4231 case 4" `Quick (fun () ->
+        check string "mac"
+          "82558a389a443c0ea4cc819899f2083a85f0faa3e578f8077a2e3ff46729665b"
+          (Hmac.hex ~key:(String.init 25 (fun i -> Char.chr (i + 1))) (String.make 50 '\xcd')));
+    test_case "hmac-sha256 RFC 4231 case 6" `Quick (fun () ->
+        check string "mac"
+          "60e431591ee0b67f0d8a26aacbf5b77f8e0bc6213728c5140546040f0ee37f54"
+          (Hmac.hex ~key:(String.make 131 '\xaa')
+             "Test Using Larger Than Block-Size Key - Hash Key First"));
+    test_case "hmac-sha256 RFC 4231 case 7" `Quick (fun () ->
+        check string "mac"
+          "9b09ffa71b942fcb27635fbcd5b0e944bfdc63644f0713938a7f51535c3a35e2"
+          (Hmac.hex ~key:(String.make 131 '\xaa')
+             "This is a test using a larger than block-size key and a larger than block-size \
+              data. The key needs to be hashed before being used by the HMAC algorithm."));
+    test_case "midstate needs a block boundary" `Quick (fun () ->
+        let ctx = Sha256.init () in
+        Sha256.update ctx "abc";
+        check_raises "partial block"
+          (Invalid_argument "Sha256.midstate: not on a block boundary") (fun () ->
+            ignore (Sha256.midstate ctx)));
   ]
+
+(* RFC 2104 written out over one-shot digests: the spec the prepared-key
+   path (midstates after the padded key blocks) must agree with. *)
+let hmac_spec ~key msg =
+  let key = if String.length key > 64 then Sha256.digest key else key in
+  let pad c =
+    String.init 64 (fun i ->
+        Char.chr ((if i < String.length key then Char.code key.[i] else 0) lxor c))
+  in
+  Sha256.digest_list [ pad 0x5c; Sha256.digest_list [ pad 0x36; msg ] ]
+
+let hmac_prop =
+  QCheck.Test.make ~name:"prepared key MAC = HMAC for keys of 0-150 bytes" ~count:20
+    QCheck.(pair char (string_of_size (Gen.int_range 0 200)))
+    (fun (c, msg) ->
+      List.for_all
+        (fun key_len ->
+          let key = String.init key_len (fun i -> Char.chr ((Char.code c + (i * 7)) land 255)) in
+          let expected = hmac_spec ~key msg in
+          String.equal (Hmac.mac (Hmac.prepare key) msg) expected
+          && String.equal (Hmac.sha256 ~key msg) expected)
+        (List.init 151 Fun.id))
 
 (* ---------- Nat bignum properties ---------- *)
 
@@ -243,7 +310,7 @@ let hex_tests =
 let () =
   Alcotest.run "crypto"
     [
-      ("sha2", sha_tests);
+      ("sha2", sha_tests @ [ QCheck_alcotest.to_alcotest hmac_prop ]);
       ("hex", hex_tests);
       ("nat-unit", nat_unit_tests);
       ("nat-props", nat_prop_tests);

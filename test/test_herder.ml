@@ -200,6 +200,36 @@ let queue_tests =
         check int "empty" 0 (Tx_queue.size q));
   ]
 
+(* The spec is the queue's former [add]: a stable sort by sequence number
+   of the new tx consed onto the account's chain. *)
+let queue_order_prop =
+  QCheck.Test.make ~name:"add keeps the order a stable sort gives" ~count:300
+    QCheck.(small_list (pair (int_bound 8) (int_bound 3)))
+    (fun inserts ->
+      let state = State.genesis ~master:(snd (kp "alice")) ~total_xlm:(Asset.of_units 100) () in
+      let mk (seq, fee) =
+        Tx.make_signed (Tx.make ~source:"no-account" ~seq_num:seq ~fee:(100 + fee) []) []
+      in
+      let q = Tx_queue.create () in
+      let spec =
+        List.fold_left
+          (fun chain insert ->
+            let signed = mk insert in
+            if Tx_queue.add q signed then
+              List.sort (fun a b -> Int.compare a.Tx.tx.Tx.seq_num b.Tx.tx.Tx.seq_num)
+                (signed :: chain)
+            else chain)
+          [] inserts
+      in
+      (* The source has no account, so purge drops its whole chain and
+         returns it last tx first. *)
+      let hashes = List.map (fun s -> s.Tx.tx_hash) in
+      hashes (List.rev (Tx_queue.purge_invalid q ~state)) = hashes spec)
+
 let () =
   Alcotest.run "herder"
-    [ ("value", value_tests); ("tx-set", tx_set_tests); ("tx-queue", queue_tests) ]
+    [
+      ("value", value_tests);
+      ("tx-set", tx_set_tests);
+      ("tx-queue", queue_tests @ [ QCheck_alcotest.to_alcotest queue_order_prop ]);
+    ]

@@ -1239,7 +1239,7 @@ let htlc_tests =
         in
         let signed = Tx.sign tx ~secret:(sec "alice") ~public:(pub "alice") ~scheme in
         (* anyone can attach the preimage in place of a signature *)
-        let signed = { signed with Tx.signatures = ("", preimage) :: signed.Tx.signatures } in
+        let signed = Tx.make_signed signed.Tx.tx (("", preimage) :: signed.Tx.signatures) in
         let before = balance state "bob" in
         let state', outcome = Apply.apply_tx ctx state signed in
         check bool "accepted" true (Apply.tx_succeeded outcome);
@@ -1251,7 +1251,7 @@ let htlc_tests =
             [ Tx.op (Tx.Payment { destination = pub "bob"; asset = Asset.native; amount = 1 }) ]
         in
         let signed = Tx.sign tx ~secret:(sec "alice") ~public:(pub "alice") ~scheme in
-        let signed = { signed with Tx.signatures = ("", "not-the-secret") :: signed.Tx.signatures } in
+        let signed = Tx.make_signed signed.Tx.tx (("", "not-the-secret") :: signed.Tx.signatures) in
         let _, outcome = Apply.apply_tx ctx state signed in
         check bool "rejected" true (outcome = Apply.Tx_bad_auth));
     test_case "preimage after the deadline is too late (HTLC expiry)" `Quick (fun () ->
@@ -1263,7 +1263,7 @@ let htlc_tests =
             [ Tx.op (Tx.Payment { destination = pub "bob"; asset = Asset.native; amount = 7 }) ]
         in
         let signed = Tx.sign tx ~secret:(sec "alice") ~public:(pub "alice") ~scheme in
-        let signed = { signed with Tx.signatures = ("", preimage) :: signed.Tx.signatures } in
+        let signed = Tx.make_signed signed.Tx.tx (("", preimage) :: signed.Tx.signatures) in
         let _, outcome = Apply.apply_tx ctx state signed in
         check bool "expired" true (outcome = Apply.Tx_too_late));
   ]

@@ -162,10 +162,8 @@ let gen_tx () =
   }
 
 let gen_signed () =
-  {
-    Tx.tx = gen_tx ();
-    signatures = List.init (Rng.int rng 3) (fun _ -> (gen_acct (), Rng.bytes rng 16));
-  }
+  let signatures = List.init (Rng.int rng 3) (fun _ -> (gen_acct (), Rng.bytes rng 16)) in
+  Tx.make_signed (gen_tx ()) signatures
 
 let gen_header () =
   {
@@ -482,7 +480,7 @@ let golden_tx =
       ];
   }
 
-let golden_signed = { Tx.tx = golden_tx; signatures = [ ("alice", "sig-bytes") ] }
+let golden_signed = Tx.make_signed golden_tx [ ("alice", "sig-bytes") ]
 
 let golden_header =
   {
@@ -581,12 +579,26 @@ let () =
     exit 0
   end
 
+(* Recorded before the transaction hash moved into [Tx.signed]; a change
+   here means every signature and tx-set hash changed with it. *)
+let golden_tx_hash = "ef58bb8674b90b0f5a5089accbf9804e02005eb67eb1f894c0bf9611fb937929"
+
 let golden_tests =
   [
     Alcotest.test_case "domain golden vectors" `Quick (fun () ->
         List.iter
           (fun (name, actual, expected) -> Alcotest.(check string) name expected actual)
           (Lazy.force goldens));
+    Alcotest.test_case "tx hash golden vector" `Quick (fun () ->
+        Alcotest.(check string) "Tx.hash" golden_tx_hash (hex (Tx.hash golden_tx));
+        Alcotest.(check string) "make_signed" golden_tx_hash (hex golden_signed.Tx.tx_hash));
+    Alcotest.test_case "decoded signed tx carries its hash" `Quick (fun () ->
+        match Xdr.decode Tx.signed_xdr (Xdr.encode Tx.signed_xdr golden_signed) with
+        | Error e -> Alcotest.fail e
+        | Ok s ->
+            Alcotest.(check string) "tx_hash = Tx.hash tx" (hex (Tx.hash s.Tx.tx))
+              (hex s.Tx.tx_hash);
+            Alcotest.(check string) "golden" golden_tx_hash (hex s.Tx.tx_hash));
   ]
 
 (* ---------- archive blob round trip ---------- *)
@@ -628,7 +640,7 @@ let archive_tests =
             (match !known_tx with
             | None -> fail "no tx recorded"
             | Some s ->
-                let h = Tx.hash s.Tx.tx in
+                let h = s.Tx.tx_hash in
                 check bool "tx index rebuilt" true
                   (Stellar_archive.Archive.find_tx b h <> None)));
     test_case "of_blob rejects garbage" `Quick (fun () ->
