@@ -1,6 +1,6 @@
 (* abl-crypto: Bechamel micro-benchmarks of the substrate design choices —
    real Ed25519 vs the simulated scheme, hashing, order-book crossing,
-   transaction application and bucket merging. *)
+   transaction application, bucket merging and the tracing paths. *)
 
 open Bechamel
 
@@ -106,7 +106,29 @@ let make_tests () =
   let statement_sig =
     Sim_sig.sign (tiered.Stellar_node.Topology.validator_seed 0) (Scp.Types.signing_bytes statement)
   in
+  (* tracing: the trace's append and walk, and a hot-path counter update
+     through a resolved handle against one looked up by name *)
+  let module Obs = Stellar_obs in
+  let hash32 = Sha256.digest "hex-input" in
+  let trace_100k () =
+    let trace = Obs.Trace.create () in
+    let sink = Obs.Sink.make ~trace ~node:0 ~now:(fun () -> 1.0) (Obs.Registry.create ()) in
+    for i = 1 to 100_000 do
+      Obs.Sink.emit sink (Obs.Event.Dedup_drop { kind = "scp"; src = i; bytes = 200 })
+    done;
+    let n = ref 0 in
+    Obs.Trace.iter trace (fun _ -> incr n);
+    !n
+  in
+  let counter_sink = Obs.Sink.make ~node:0 ~now:(fun () -> 0.0) (Obs.Registry.create ()) in
+  let counter_handle = Obs.Sink.counter counter_sink "flood.dup_dropped" in
   [
+    Test.make ~name:"hex/encode-32B" (Staged.stage (fun () -> ignore (Hex.encode hash32)));
+    Test.make ~name:"obs/trace-record-100k" (Staged.stage (fun () -> ignore (trace_100k ())));
+    Test.make ~name:"obs/counter-handle"
+      (Staged.stage (fun () -> Obs.Registry.incr counter_handle));
+    Test.make ~name:"obs/counter-by-name"
+      (Staged.stage (fun () -> Obs.Sink.incr counter_sink "flood.dup_dropped"));
     Test.make ~name:"sha256/64B" (Staged.stage (fun () -> ignore (Sha256.digest data64)));
     Test.make ~name:"sha256/8KiB" (Staged.stage (fun () -> ignore (Sha256.digest data8k)));
     Test.make ~name:"sha512/8KiB" (Staged.stage (fun () -> ignore (Sha512.digest data8k)));

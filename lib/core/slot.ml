@@ -1,9 +1,19 @@
+(* Received-statement counters by pledge type, resolved when the slot is
+   made rather than looked up per envelope *)
+type recv_metrics = {
+  c_nominate : Stellar_obs.Registry.counter;
+  c_prepare : Stellar_obs.Registry.counter;
+  c_confirm : Stellar_obs.Registry.counter;
+  c_externalize : Stellar_obs.Registry.counter;
+}
+
 type t = {
   index : int;
   local_id : Types.node_id;
   driver : Driver.t;
   nomination : Nomination.t;
   ballot : Ballot.t;
+  recv_metrics : recv_metrics;
 }
 
 let create ~index ~local_id ~get_qset ~driver =
@@ -14,7 +24,16 @@ let create ~index ~local_id ~get_qset ~driver =
         Ballot.on_nomination_composite ballot composite;
         ignore (Ballot.bump ballot ~value:composite ~force:false))
   in
-  { index; local_id; driver; nomination; ballot }
+  let obs = driver.Driver.obs in
+  let recv_metrics =
+    {
+      c_nominate = Stellar_obs.Sink.counter obs "scp.nominate.recv";
+      c_prepare = Stellar_obs.Sink.counter obs "scp.ballot.prepare";
+      c_confirm = Stellar_obs.Sink.counter obs "scp.ballot.confirm";
+      c_externalize = Stellar_obs.Sink.counter obs "scp.ballot.externalize";
+    }
+  in
+  { index; local_id; driver; nomination; ballot; recv_metrics }
 
 let index t = t.index
 
@@ -33,12 +52,11 @@ let nominate t ~value ~prev =
     sync_nomination t
   end
 
-(* Dotted metric name for a received statement's pledge type. *)
-let envelope_metric = function
-  | Types.Nominate _ -> "scp.nominate.recv"
-  | Types.Prepare _ -> "scp.ballot.prepare"
-  | Types.Confirm _ -> "scp.ballot.confirm"
-  | Types.Externalize _ -> "scp.ballot.externalize"
+let recv_counter m = function
+  | Types.Nominate _ -> m.c_nominate
+  | Types.Prepare _ -> m.c_prepare
+  | Types.Confirm _ -> m.c_confirm
+  | Types.Externalize _ -> m.c_externalize
 
 let process_envelope t env =
   let st = env.Types.statement in
@@ -51,7 +69,7 @@ let process_envelope t env =
          ~signature:env.Types.signature)
   then `Invalid
   else begin
-    Stellar_obs.Sink.incr t.driver.Driver.obs (envelope_metric st.Types.pledge);
+    Stellar_obs.Registry.incr (recv_counter t.recv_metrics st.Types.pledge);
     let result =
       match st.Types.pledge with
       | Types.Nominate _ -> Nomination.process_envelope t.nomination env

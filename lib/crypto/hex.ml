@@ -1,7 +1,14 @@
+let digits = "0123456789abcdef"
+
 let encode s =
-  let buf = Buffer.create (2 * String.length s) in
-  String.iter (fun c -> Buffer.add_string buf (Printf.sprintf "%02x" (Char.code c))) s;
-  Buffer.contents buf
+  let n = String.length s in
+  let b = Bytes.create (2 * n) in
+  for i = 0 to n - 1 do
+    let c = Char.code (String.unsafe_get s i) in
+    Bytes.unsafe_set b (2 * i) (String.unsafe_get digits (c lsr 4));
+    Bytes.unsafe_set b ((2 * i) + 1) (String.unsafe_get digits (c land 15))
+  done;
+  Bytes.unsafe_to_string b
 
 let decode s =
   if String.length s mod 2 <> 0 then invalid_arg "Hex.decode: odd length";

@@ -85,10 +85,6 @@ let timing t slot =
 let prev_header_hash t =
   match t.headers with h :: _ -> Header.hash h | [] -> Header.genesis_hash
 
-(* Transaction-lifecycle trace events are keyed by the lowercase-hex tx
-   hash, the same key Horizon-style APIs expose. *)
-let tx_hex signed = Stellar_crypto.Hex.encode signed.Tx.tx_hash
-
 (* ---- value validation & combination (§5.3) ---- *)
 
 let validate_value t ~slot raw =
@@ -145,7 +141,7 @@ let rec close_ledger t slot (v : Value.t) =
         List.iter
           (fun signed ->
             Stellar_obs.Sink.emit t.obs
-              (Stellar_obs.Event.Tx_externalized { tx = tx_hex signed; slot }))
+              (Stellar_obs.Event.Tx_externalized { tx = signed.Tx.tx_hash; slot }))
           txs;
         Stellar_obs.Sink.emit t.obs
           (Stellar_obs.Event.Apply_begin
@@ -188,7 +184,7 @@ let rec close_ledger t slot (v : Value.t) =
         List.iter
           (fun signed ->
             Stellar_obs.Sink.emit t.obs
-              (Stellar_obs.Event.Tx_dropped { tx = tx_hex signed; reason = `Stale }))
+              (Stellar_obs.Event.Tx_dropped { tx = signed.Tx.tx_hash; reason = `Stale }))
           purged;
       Stellar_obs.Sink.set_gauge t.obs "herder.queue.size"
         (float_of_int (Tx_queue.size t.queue));
@@ -241,7 +237,7 @@ and trigger_next_ledger t =
       List.iter
         (fun signed ->
           Stellar_obs.Sink.emit t.obs
-            (Stellar_obs.Event.Tx_in_txset { tx = tx_hex signed; slot }))
+            (Stellar_obs.Event.Tx_in_txset { tx = signed.Tx.tx_hash; slot }))
         txs;
     Hashtbl.replace t.tx_sets (Tx_set.hash ts) ts;
     t.cb.broadcast_tx_set ts;
@@ -341,7 +337,7 @@ let receive_tx t signed =
   else begin
     if Stellar_obs.Sink.tracing t.obs then
       Stellar_obs.Sink.emit t.obs
-        (Stellar_obs.Event.Tx_dropped { tx = tx_hex signed; reason = `Duplicate });
+        (Stellar_obs.Event.Tx_dropped { tx = signed.Tx.tx_hash; reason = `Duplicate });
     `Duplicate
   end
 
@@ -349,7 +345,7 @@ let submit_tx t signed =
   match receive_tx t signed with
   | `New ->
       if Stellar_obs.Sink.tracing t.obs then
-        Stellar_obs.Sink.emit t.obs (Stellar_obs.Event.Tx_submit { tx = tx_hex signed });
+        Stellar_obs.Sink.emit t.obs (Stellar_obs.Event.Tx_submit { tx = signed.Tx.tx_hash });
       t.cb.broadcast_tx signed;
       `Queued
   | `Duplicate -> `Duplicate

@@ -730,11 +730,7 @@ let apply_tx_set ?(obs = Stellar_obs.Sink.null) ctx state ~close_time txs =
         if Stellar_obs.Sink.tracing obs then
           Stellar_obs.Sink.emit obs
             (Stellar_obs.Event.Tx_applied
-               {
-                 tx = Stellar_crypto.Hex.encode signed.Tx.tx_hash;
-                 slot;
-                 ok = tx_succeeded outcome;
-               });
+               { tx = signed.Tx.tx_hash; slot; ok = tx_succeeded outcome });
         (state, (signed, outcome) :: acc))
       (state, []) sorted
   in

@@ -68,4 +68,4 @@ val apply_tx_set :
     A live [obs] sink counts per-outcome transactions
     ([ledger.tx.success], [ledger.tx.bad_seq], ...) and applied operations
     ([ledger.ops.applied]) and, when tracing, emits one [Tx_applied]
-    lifecycle event per transaction, keyed by the hex tx hash. *)
+    lifecycle event per transaction, keyed by its [tx_hash]. *)

@@ -16,6 +16,14 @@ module Wired = Hashtbl.Make (struct
   let hash = Hashtbl.hash
 end)
 
+(* The per-delivery flood counters, resolved once at [create] *)
+type flood_metrics = {
+  c_unique : Obs.Registry.counter;
+  c_dup_dropped : Obs.Registry.counter;
+  c_dup_bytes : Obs.Registry.counter;
+  c_forwarded : Obs.Registry.counter;
+}
+
 type t = {
   network : Message.wire Stellar_sim.Network.t;
   index : int;
@@ -25,6 +33,7 @@ type t = {
   genesis_buckets : Stellar_bucket.Bucket_list.t option;
   user_on_ledger_closed : Stellar_herder.Herder.ledger_stats -> unit;
   obs : Obs.Sink.t;
+  flood_metrics : flood_metrics;
   mutable herder : Stellar_herder.Herder.t;
   mutable generation : int;
       (* bumped on every crash and restart: callbacks and timers close over
@@ -102,7 +111,7 @@ let flood t ?except ?(force = false) (w : Message.wire) =
           Stellar_sim.Network.send t.network ~src:t.index ~dst:peer ~size:w.size ~msg_id w
         end)
       t.peers;
-    Obs.Sink.add t.obs "flood.forwarded" !fanout;
+    Obs.Registry.add t.flood_metrics.c_forwarded !fanout;
     if Obs.Sink.tracing t.obs then
       Obs.Sink.emit t.obs
         (Obs.Event.Flood_send
@@ -152,7 +161,7 @@ let handle t ~src ~(info : Stellar_sim.Network.delivery) (w : Message.wire) =
   else begin
     let msg = w.msg in
     if not (Hashtbl.mem t.seen w.id) then begin
-      Obs.Sink.incr t.obs "flood.unique";
+      Obs.Registry.incr t.flood_metrics.c_unique;
       if Obs.Sink.tracing t.obs then begin
         Obs.Sink.emit t.obs
           (Obs.Event.Flood_recv
@@ -171,8 +180,7 @@ let handle t ~src ~(info : Stellar_sim.Network.delivery) (w : Message.wire) =
         match msg with
         | Message.Tx_msg signed ->
             Obs.Sink.emit t.obs
-              (Obs.Event.Tx_flooded
-                 { tx = Stellar_crypto.Hex.encode signed.Stellar_ledger.Tx.tx_hash })
+              (Obs.Event.Tx_flooded { tx = signed.Stellar_ledger.Tx.tx_hash })
         | _ -> ()
       end;
       (* process locally, then forward to our peers (flood with dedup) *)
@@ -185,8 +193,8 @@ let handle t ~src ~(info : Stellar_sim.Network.delivery) (w : Message.wire) =
       flood t ~except:src w
     end
     else begin
-      Obs.Sink.incr t.obs "flood.dup_dropped";
-      Obs.Sink.add t.obs "flood.dup_bytes" w.size;
+      Obs.Registry.incr t.flood_metrics.c_dup_dropped;
+      Obs.Registry.add t.flood_metrics.c_dup_bytes w.size;
       if Obs.Sink.tracing t.obs then
         Obs.Sink.emit t.obs
           (Obs.Event.Dedup_drop { kind = Message.kind_name msg; src; bytes = w.size })
@@ -217,8 +225,7 @@ let callbacks_for ~engine ~gen get_t =
           if v.generation = gen then begin
             if Obs.Sink.tracing v.obs then
               Obs.Sink.emit v.obs
-                (Obs.Event.Tx_flooded
-                   { tx = Stellar_crypto.Hex.encode signed.Stellar_ledger.Tx.tx_hash });
+                (Obs.Event.Tx_flooded { tx = signed.Stellar_ledger.Tx.tx_hash });
             flood v (Message.wire (Message.Tx_msg signed))
           end);
       schedule =
@@ -254,6 +261,13 @@ let create ~network ~index ~peers ~config ~genesis ?buckets ?headers
          genesis_buckets = buckets;
          user_on_ledger_closed = on_ledger_closed;
          obs;
+         flood_metrics =
+           {
+             c_unique = Obs.Sink.counter obs "flood.unique";
+             c_dup_dropped = Obs.Sink.counter obs "flood.dup_dropped";
+             c_dup_bytes = Obs.Sink.counter obs "flood.dup_bytes";
+             c_forwarded = Obs.Sink.counter obs "flood.forwarded";
+           };
          herder = Stellar_herder.Herder.create config cb ~genesis ?buckets ?headers ~obs ();
          generation = 0;
          crashed = false;

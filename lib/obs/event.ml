@@ -63,6 +63,20 @@ let name = function
   | Catchup_begin _ -> "catchup.begin"
   | Catchup_done _ -> "catchup.done"
 
+(* Lowercase hex, for tx ids at output time only.  This library depends on
+   nothing, so it carries its own copy of the crypto library's encoder. *)
+let hex_digits = "0123456789abcdef"
+
+let hex s =
+  let n = String.length s in
+  let b = Bytes.create (2 * n) in
+  for i = 0 to n - 1 do
+    let c = Char.code (String.unsafe_get s i) in
+    Bytes.unsafe_set b (2 * i) (String.unsafe_get hex_digits (c lsr 4));
+    Bytes.unsafe_set b ((2 * i) + 1) (String.unsafe_get hex_digits (c land 15))
+  done;
+  Bytes.unsafe_to_string b
+
 let timeout_kind_name = function `Nomination -> "nomination" | `Ballot -> "ballot"
 let drop_reason_name = function `Duplicate -> "duplicate" | `Stale -> "stale"
 
@@ -90,13 +104,13 @@ let fields = function
       Printf.sprintf {|,"slot":%d,"txs":%d,"ops":%d|} slot txs ops
   | Bucket_merge { level; entries } ->
       Printf.sprintf {|,"level":%d,"entries":%d|} level entries
-  | Tx_submit { tx } | Tx_flooded { tx } -> Printf.sprintf {|,"tx":"%s"|} tx
+  | Tx_submit { tx } | Tx_flooded { tx } -> Printf.sprintf {|,"tx":"%s"|} (hex tx)
   | Tx_in_txset { tx; slot } | Tx_externalized { tx; slot } ->
-      Printf.sprintf {|,"tx":"%s","slot":%d|} tx slot
+      Printf.sprintf {|,"tx":"%s","slot":%d|} (hex tx) slot
   | Tx_applied { tx; slot; ok } ->
-      Printf.sprintf {|,"tx":"%s","slot":%d,"ok":%b|} tx slot ok
+      Printf.sprintf {|,"tx":"%s","slot":%d,"ok":%b|} (hex tx) slot ok
   | Tx_dropped { tx; reason } ->
-      Printf.sprintf {|,"tx":"%s","reason":"%s"|} tx (drop_reason_name reason)
+      Printf.sprintf {|,"tx":"%s","reason":"%s"|} (hex tx) (drop_reason_name reason)
   | Node_crash | Node_restart | Partition_heal -> ""
   | Partition_begin { groups } ->
       Printf.sprintf {|,"groups":[%s]|}

@@ -13,9 +13,11 @@
       {!Report.critical_paths} walks.
     - Transaction lifecycle events ([Tx_submit] → [Tx_flooded] →
       [Tx_in_txset] → [Tx_externalized] → [Tx_applied], or [Tx_dropped]),
-      keyed by the lowercase-hex transaction hash, from which
-      {!Report.tx_lives} and {!Report.e2e_latency} derive per-payment
-      submit→apply latency (§7.3's end-to-end figure). *)
+      keyed by the transaction hash, from which {!Report.tx_lives} and
+      {!Report.e2e_latency} derive per-payment submit→apply latency (§7.3's
+      end-to-end figure).  [tx] is the raw 32-byte [Tx.signed.tx_hash],
+      shared with the transaction rather than copied; it is hex-encoded
+      only on output ({!fields}, {!Report.tx_lives}). *)
 
 type timeout_kind = [ `Nomination | `Ballot ]
 
@@ -77,8 +79,12 @@ type t =
 val name : t -> string
 (** Stable dotted event name ("flood.send", "tx.applied", ...). *)
 
+val hex : string -> string
+(** Lowercase hex of every byte: how tx ids are printed. *)
+
 val timeout_kind_name : timeout_kind -> string
 val drop_reason_name : drop_reason -> string
 
 val fields : t -> string
-(** Payload as a comma-prefixed JSON fragment; deterministic formatting. *)
+(** Payload as a comma-prefixed JSON fragment; deterministic formatting.
+    Tx ids appear as lowercase hex. *)

@@ -51,6 +51,9 @@ let gauge t name =
       Hashtbl.add t name (Gauge g);
       g
 
+let detached_counter () = { count = 0 }
+let detached_gauge () = { value = 0.0 }
+
 let histogram ?(bounds = default_bounds) t name =
   match Hashtbl.find_opt t name with
   | Some (Histogram h) -> h

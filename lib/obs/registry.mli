@@ -19,6 +19,10 @@ val create : unit -> t
 val counter : t -> string -> counter
 val gauge : t -> string -> gauge
 
+val detached_counter : unit -> counter
+val detached_gauge : unit -> gauge
+(** Handles in no registry: updates to them are never read. *)
+
 val histogram : ?bounds:float array -> t -> string -> histogram
 (** [bounds] are sorted bucket upper bounds; an overflow bucket is implicit.
     Default: {!default_bounds}. *)

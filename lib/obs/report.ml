@@ -323,6 +323,8 @@ type tx_life = {
   dropped : bool;
 }
 
+(* Keyed by the events' raw tx hash; each tx is hex-encoded once, when its
+   record is made. *)
 let tx_lives trace =
   let acc : (string, int * tx_life ref) Hashtbl.t = Hashtbl.create 1024 in
   let get tx seq =
@@ -332,7 +334,7 @@ let tx_lives trace =
         let l =
           ref
             {
-              tx;
+              tx = Event.hex tx;
               submitted = None;
               first_flood = None;
               txset_slot = None;

@@ -23,6 +23,11 @@ let emit t ev =
         Registry.incr (Registry.counter t.metrics "obs.trace.dropped")
   | None -> ()
 
+let counter t name =
+  if t.enabled then Registry.counter t.metrics name else Registry.detached_counter ()
+
+let gauge t name = if t.enabled then Registry.gauge t.metrics name else Registry.detached_gauge ()
+
 let incr t name = if t.enabled then Registry.incr (Registry.counter t.metrics name)
 let add t name k = if t.enabled then Registry.add (Registry.counter t.metrics name) k
 let set_gauge t name v = if t.enabled then Registry.set (Registry.gauge t.metrics name) v

@@ -8,7 +8,9 @@
 
     Call sites update counters, gauges and histograms unconditionally, and
     guard only event emission with {!tracing} so the payload is never built
-    when no trace is attached. *)
+    when no trace is attached.  Hot paths resolve their metrics once with
+    {!counter} / {!gauge} and update the handles; the by-name updates cost a
+    table lookup each and are for cold paths. *)
 
 type t
 
@@ -30,6 +32,11 @@ val emit : t -> Event.t -> unit
 (** Stamp with node and current time, append to the trace (if any).  When
     the trace is at capacity the event is discarded and the node's
     [obs.trace.dropped] counter incremented instead. *)
+
+val counter : t -> string -> Registry.counter
+val gauge : t -> string -> Registry.gauge
+(** The named metric's handle in this sink's registry, registering it now.
+    On {!null}, a handle in no registry. *)
 
 val incr : t -> string -> unit
 val add : t -> string -> int -> unit

@@ -1,13 +1,45 @@
 type stamped = { seq : int; time : float; node : int; event : Event.t }
 
+(* Events live in fixed-size chunks of parallel columns; event [i] is slot
+   [i land chunk_mask] of chunk [i lsr chunk_bits], and [i] is its sequence
+   number.  Per event that is an unboxed float, an int and a pointer, with no
+   cons cell or stamped record behind it. *)
+let chunk_bits = 12
+let chunk_size = 1 lsl chunk_bits
+let chunk_mask = chunk_size - 1
+
+type chunk = { times : float array; nodes : int array; events : Event.t array }
+
 type t = {
-  mutable rev_events : stamped list;
+  mutable chunks : chunk array;  (* the first [n / chunk_size], rounded up, are in use *)
   mutable n : int;
   capacity : int option;
   mutable dropped : int;
 }
 
-let create ?capacity () = { rev_events = []; n = 0; capacity; dropped = 0 }
+let create ?capacity () = { chunks = [||]; n = 0; capacity; dropped = 0 }
+
+(* The chunk event [t.n] goes into, made when it is the first of one *)
+let chunk_for_append t =
+  let ci = t.n lsr chunk_bits in
+  if t.n land chunk_mask <> 0 then t.chunks.(ci)
+  else begin
+    let c =
+      {
+        times = Array.make chunk_size 0.0;
+        nodes = Array.make chunk_size 0;
+        events = Array.make chunk_size Event.Node_crash;
+      }
+    in
+    if ci = Array.length t.chunks then begin
+      (* slots past [ci] are placeholders until their turn comes *)
+      let grown = Array.make (max 4 (2 * ci)) c in
+      Array.blit t.chunks 0 grown 0 ci;
+      t.chunks <- grown
+    end;
+    t.chunks.(ci) <- c;
+    c
+  end
 
 let try_record t ~time ~node event =
   match t.capacity with
@@ -15,14 +47,27 @@ let try_record t ~time ~node event =
       t.dropped <- t.dropped + 1;
       false
   | _ ->
-      t.rev_events <- { seq = t.n; time; node; event } :: t.rev_events;
+      let c = chunk_for_append t in
+      let j = t.n land chunk_mask in
+      c.times.(j) <- time;
+      c.nodes.(j) <- node;
+      c.events.(j) <- event;
       t.n <- t.n + 1;
       true
 
 let length t = t.n
 let dropped t = t.dropped
-let events t = List.rev t.rev_events
-let iter t f = List.iter f (events t)
+
+let iter t f =
+  for i = 0 to t.n - 1 do
+    let c = t.chunks.(i lsr chunk_bits) and j = i land chunk_mask in
+    f { seq = i; time = c.times.(j); node = c.nodes.(j); event = c.events.(j) }
+  done
+
+let events t =
+  let acc = ref [] in
+  iter t (fun s -> acc := s :: !acc);
+  List.rev !acc
 
 let to_jsonl t =
   let buf = Buffer.create (t.n * 64) in

@@ -8,9 +8,16 @@
     A trace may be created with a [capacity]: once full, further events are
     counted in {!dropped} instead of retained, so a long simulator run
     cannot grow the trace without bound.  {!Sink.emit} surfaces drops as
-    the [obs.trace.dropped] counter in the emitting node's registry. *)
+    the [obs.trace.dropped] counter in the emitting node's registry.
+
+    Storage is columnar: fixed-size chunks of parallel arrays (times, node
+    ids, events), with the sequence number implicit in the position.  A
+    {!stamped} record is only a view, built on the fly by {!iter}. *)
 
 type stamped = { seq : int; time : float; node : int; event : Event.t }
+
+val chunk_size : int
+(** Events per storage chunk. *)
 
 type t
 
@@ -26,10 +33,12 @@ val length : t -> int
 val dropped : t -> int
 (** Events discarded because the trace was at capacity. *)
 
-val events : t -> stamped list
-(** In record order (chronological: the engine fires events in time order). *)
-
 val iter : t -> (stamped -> unit) -> unit
+(** In record order (chronological: the engine fires events in time order),
+    with [seq] = 0, 1, ...  Walks the columns in place; nothing is copied. *)
+
+val events : t -> stamped list
+(** {!iter}'s stream as a list. *)
 
 val to_jsonl : t -> string
 (** One JSON object per line: [{"seq":..,"t":..,"node":..,"ev":"...",...}]. *)

@@ -2,26 +2,41 @@ type timer = { mutable cancelled : bool; fire : unit -> unit }
 
 type event = { time : float; seq : int; timer : timer }
 
+(* The sink's per-event metrics, resolved once in [set_obs] *)
+type metrics = {
+  c_fired : Stellar_obs.Registry.counter;
+  c_cancelled : Stellar_obs.Registry.counter;
+  g_pending : Stellar_obs.Registry.gauge;
+}
+
 type t = {
   mutable clock : float;
   mutable next_seq : int;
   queue : event Heap.t;
-  mutable obs : Stellar_obs.Sink.t;
+  mutable metrics : metrics;
 }
 
 let compare_event a b =
   let c = Float.compare a.time b.time in
   if c <> 0 then c else Int.compare a.seq b.seq
 
+let metrics_of obs =
+  let module S = Stellar_obs.Sink in
+  {
+    c_fired = S.counter obs "sim.events.fired";
+    c_cancelled = S.counter obs "sim.events.cancelled";
+    g_pending = S.gauge obs "sim.queue.pending";
+  }
+
 let create () =
   {
     clock = 0.0;
     next_seq = 0;
     queue = Heap.create ~cmp:compare_event;
-    obs = Stellar_obs.Sink.null;
+    metrics = metrics_of Stellar_obs.Sink.null;
   }
 
-let set_obs t obs = t.obs <- obs
+let set_obs t obs = t.metrics <- metrics_of obs
 
 let now t = t.clock
 
@@ -38,14 +53,13 @@ let step t =
   | None -> false
   | Some ev ->
       t.clock <- Float.max t.clock ev.time;
-      (if ev.timer.cancelled then Stellar_obs.Sink.incr t.obs "sim.events.cancelled"
+      let m = t.metrics in
+      (if ev.timer.cancelled then Stellar_obs.Registry.incr m.c_cancelled
        else begin
-         Stellar_obs.Sink.incr t.obs "sim.events.fired";
+         Stellar_obs.Registry.incr m.c_fired;
          ev.timer.fire ()
        end);
-      if Stellar_obs.Sink.enabled t.obs then
-        Stellar_obs.Sink.set_gauge t.obs "sim.queue.pending"
-          (float_of_int (Heap.size t.queue));
+      Stellar_obs.Registry.set m.g_pending (float_of_int (Heap.size t.queue));
       true
 
 let run ?until t =

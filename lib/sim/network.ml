@@ -35,13 +35,12 @@ type 'msg t = {
 }
 
 let node_obs_of_sink sink =
-  let reg = Obs.Sink.metrics sink in
   {
     sink;
-    c_msgs_sent = Obs.Registry.counter reg "overlay.msgs.sent";
-    c_msgs_received = Obs.Registry.counter reg "overlay.msgs.received";
-    c_bytes_sent = Obs.Registry.counter reg "overlay.bytes.sent";
-    c_bytes_received = Obs.Registry.counter reg "overlay.bytes.received";
+    c_msgs_sent = Obs.Sink.counter sink "overlay.msgs.sent";
+    c_msgs_received = Obs.Sink.counter sink "overlay.msgs.received";
+    c_bytes_sent = Obs.Sink.counter sink "overlay.bytes.sent";
+    c_bytes_received = Obs.Sink.counter sink "overlay.bytes.received";
   }
 
 let create ~engine ~rng ~n ~latency ?(processing = fun _ -> 0.0) ?obs () =

@@ -307,11 +307,28 @@ let hex_tests =
             ignore (Hex.decode "zz")));
   ]
 
+(* The encoder's first definition, kept as its specification *)
+let hex_spec s =
+  let buf = Buffer.create (2 * String.length s) in
+  String.iter (fun c -> Buffer.add_string buf (Printf.sprintf "%02x" (Char.code c))) s;
+  Buffer.contents buf
+
+let hex_props =
+  let open QCheck in
+  let bytes = string_of_size (Gen.int_range 0 100) in
+  [
+    Test.make ~name:"encode = per-byte %02x" ~count:200 bytes (fun s ->
+        Hex.encode s = hex_spec s);
+    Test.make ~name:"decode (encode s) = s" ~count:200 bytes (fun s ->
+        Hex.decode (Hex.encode s) = s);
+  ]
+  |> List.map QCheck_alcotest.to_alcotest
+
 let () =
   Alcotest.run "crypto"
     [
       ("sha2", sha_tests @ [ QCheck_alcotest.to_alcotest hmac_prop ]);
-      ("hex", hex_tests);
+      ("hex", hex_tests @ hex_props);
       ("nat-unit", nat_unit_tests);
       ("nat-props", nat_prop_tests);
       ("ed25519", ed25519_tests);

@@ -97,6 +97,65 @@ let test_null_sink () =
   Alcotest.(check int) "no metrics recorded" 0
     (List.length (Obs.Registry.names (Obs.Sink.metrics Obs.Sink.null)))
 
+(* ---- metric handles ---- *)
+
+let test_counter_handle () =
+  let reg = Obs.Registry.create () in
+  let sink = Obs.Sink.make ~node:0 ~now:(fun () -> 0.0) reg in
+  let c = Obs.Sink.counter sink "flood.unique" in
+  Obs.Registry.incr c;
+  Obs.Registry.add c 4;
+  Alcotest.(check int) "handle updates read back by name" 5
+    (Obs.Registry.counter_value reg "flood.unique");
+  Obs.Sink.incr sink "flood.unique";
+  Alcotest.(check int) "by-name update reaches the same counter" 6
+    (Obs.Registry.counter_value reg "flood.unique");
+  Obs.Registry.set (Obs.Sink.gauge sink "sim.queue.pending") 2.5;
+  Alcotest.(check (float 0.0)) "gauge handle" 2.5
+    (Obs.Registry.gauge_value reg "sim.queue.pending")
+
+let test_null_sink_handles () =
+  let c = Obs.Sink.counter Obs.Sink.null "c" and g = Obs.Sink.gauge Obs.Sink.null "g" in
+  Obs.Registry.incr c;
+  Obs.Registry.set g 1.0;
+  Alcotest.(check (list string)) "no registry touched" []
+    (Obs.Registry.names (Obs.Sink.metrics Obs.Sink.null))
+
+(* ---- trace storage ---- *)
+
+(* Enough events to fill three chunks and start a fourth, from three
+   nodes; each event's payload names its position. *)
+let test_trace_chunks () =
+  let clock = ref 0.0 in
+  let trace = Obs.Trace.create () in
+  let sinks =
+    Array.init 3 (fun node ->
+        Obs.Sink.make ~trace ~node ~now:(fun () -> !clock) (Obs.Registry.create ()))
+  in
+  let n = (3 * Obs.Trace.chunk_size) + 17 in
+  for i = 0 to n - 1 do
+    clock := float_of_int i *. 0.25;
+    Obs.Sink.emit sinks.(i mod 3) (Obs.Event.Dedup_drop { kind = "tx"; src = i; bytes = 2 * i })
+  done;
+  Alcotest.(check int) "length" n (Obs.Trace.length trace);
+  let stream () =
+    let acc = ref [] in
+    Obs.Trace.iter trace (fun s -> acc := s :: !acc);
+    List.rev !acc
+  in
+  let first = stream () in
+  Alcotest.(check int) "iter yields every event" n (List.length first);
+  List.iteri
+    (fun i s ->
+      if
+        s.Obs.Trace.seq <> i
+        || s.Obs.Trace.time <> float_of_int i *. 0.25
+        || s.Obs.Trace.node <> i mod 3
+        || s.Obs.Trace.event <> Obs.Event.Dedup_drop { kind = "tx"; src = i; bytes = 2 * i }
+      then Alcotest.failf "event %d out of place (seq %d)" i s.Obs.Trace.seq)
+    first;
+  Alcotest.(check bool) "a second iter yields the same stream" true (stream () = first)
+
 (* ---- network traffic accounting ---- *)
 
 let test_network_overlay_counters () =
@@ -166,6 +225,79 @@ let test_tracing_keeps_report () =
     (off.S.nomination_timeouts_per_ledger = on.S.nomination_timeouts_per_ledger);
   Alcotest.(check bool) "ballot timeouts per ledger" true
     (off.S.ballot_timeouts_per_ledger = on.S.ballot_timeouts_per_ledger)
+
+(* SHA-256 of the seed-5 run's JSONL, recorded while events still carried
+   hex tx ids: printing raw tx hashes as hex on output gives the same bytes. *)
+let jsonl_sha256 = "6bc6e0b2e0cdeedbcbcde182f243dfad4dba4d6c2f831c099ce0a9497ecf5bdf"
+
+let test_jsonl_pinned () =
+  let r = observed_run 5 in
+  let trace = Obs.Collector.trace (Option.get r.Stellar_node.Scenario.telemetry) in
+  let jsonl = Obs.Trace.to_jsonl trace in
+  Alcotest.(check bool) "tx events present" true
+    (Obs.Report.tx_lives trace <> []);
+  Alcotest.(check string) "JSONL digest" jsonl_sha256 (Stellar_crypto.Sha256.hex jsonl)
+
+(* Names and counter values of the merged registries of a small tiered run,
+   recorded while every hot-path counter was still updated by name. *)
+let tiered_registry_dump =
+  [
+    ("bucket.entries", 0);
+    ("bucket.merge", 66);
+    ("bucket.spill", 11);
+    ("flood.dup_bytes", 17763840);
+    ("flood.dup_dropped", 23940);
+    ("flood.forwarded", 22437);
+    ("flood.own_envelopes", 541);
+    ("flood.straggler_helped", 289);
+    ("flood.unique", 5921);
+    ("herder.queue.size", 0);
+    ("ledger.apply_ms", 0);
+    ("ledger.closed", 66);
+    ("ledger.ops.applied", 572);
+    ("ledger.tx.success", 572);
+    ("overlay.bytes.received", 21659948);
+    ("overlay.bytes.sent", 21667156);
+    ("overlay.msgs.received", 29861);
+    ("overlay.msgs.sent", 29915);
+    ("scp.ballot.bump", 77);
+    ("scp.ballot.confirm", 1430);
+    ("scp.ballot.externalize", 660);
+    ("scp.ballot.prepare", 1980);
+    ("scp.nominate.recv", 1320);
+    ("scp.nominate.start", 77);
+    ("scp.nomination.round", 77);
+    ("scp.phase.confirm", 66);
+    ("scp.phase.externalize", 66);
+    ("sim.events.cancelled", 132);
+    ("sim.events.fired", 59852);
+    ("sim.queue.pending", 0);
+    ("validator.helped.size", 0);
+    ("validator.seen.size", 0);
+  ]
+
+let test_registry_dump () =
+  let spec, _ =
+    Stellar_node.Topology.tiered
+      ~orgs:Quorum_analysis.Synthesis.[ (Critical, 3); (Critical, 3); (Critical, 3); (High, 2) ]
+      ~leaves:2 ()
+  in
+  let module S = Stellar_node.Scenario in
+  let r =
+    S.run
+      {
+        (S.default ~spec) with
+        S.tx_rate = 5.0;
+        duration = 10.0;
+        latency = Stellar_sim.Latency.wide_area;
+        seed = 3;
+        observe = true;
+      }
+  in
+  let agg = Obs.Collector.aggregate (Option.get r.S.telemetry) in
+  Alcotest.(check (list (pair string int)))
+    "names and counter values" tiered_registry_dump
+    (List.map (fun n -> (n, Obs.Registry.counter_value agg n)) (Obs.Registry.names agg))
 
 let test_trace_deterministic () =
   let r1 = observed_run 5 and r2 = observed_run 5 in
@@ -379,6 +511,12 @@ let test_dedup_bytes () =
     (Obs.Registry.counter_value agg "flood.dup_bytes")
     total_dup_bytes
 
+(* The obs library's own hex encoder matches the crypto library's. *)
+let hex_agrees =
+  QCheck.Test.make ~name:"Event.hex = Hex.encode" ~count:200
+    QCheck.(string_of_size (Gen.int_range 0 100))
+    (fun s -> Obs.Event.hex s = Stellar_crypto.Hex.encode s)
+
 let () =
   Alcotest.run "obs"
     [
@@ -392,12 +530,18 @@ let () =
       ( "sink",
         [
           Alcotest.test_case "null sink" `Quick test_null_sink;
+          Alcotest.test_case "counter handle" `Quick test_counter_handle;
+          Alcotest.test_case "null sink handles" `Quick test_null_sink_handles;
+          QCheck_alcotest.to_alcotest hex_agrees;
         ] );
+      ("trace", [ Alcotest.test_case "chunked storage" `Quick test_trace_chunks ]);
       ( "network",
         [ Alcotest.test_case "overlay counters" `Quick test_network_overlay_counters ] );
       ( "determinism",
         [
           Alcotest.test_case "trace byte-identical" `Quick test_trace_deterministic;
+          Alcotest.test_case "JSONL digest pinned" `Quick test_jsonl_pinned;
+          Alcotest.test_case "tiered registry dump" `Quick test_registry_dump;
           Alcotest.test_case "tracing keeps the report" `Quick test_tracing_keeps_report;
           Alcotest.test_case "phase breakdown sane" `Quick test_trace_phases_sane;
           Alcotest.test_case "flood amplification" `Quick test_flood_amplification;
