@@ -4,11 +4,6 @@ module NM = Federation.Node_map
 
 type phase = Prepare_phase | Confirm_phase | Externalize_phase
 
-let phase_name = function
-  | Prepare_phase -> "prepare"
-  | Confirm_phase -> "confirm"
-  | Externalize_phase -> "externalize"
-
 type t = {
   slot : int;
   local_id : node_id;
@@ -24,7 +19,6 @@ type t = {
   mutable latest_envs : envelope NM.t;
   mutable value_override : value option;
   mutable nomination_composite : value option;
-  mutable heard_from_quorum : bool;
   mutable timer_cancel : (unit -> unit) option;
   mutable timer_counter : int;  (* counter the running timer was armed for *)
   mutable last_emitted : statement option;
@@ -48,7 +42,6 @@ let create ~slot ~local_id ~get_qset ~driver =
     latest_envs = NM.empty;
     value_override = None;
     nomination_composite = None;
-    heard_from_quorum = false;
     timer_cancel = None;
     timer_counter = -1;
     last_emitted = None;
@@ -59,11 +52,7 @@ let create ~slot ~local_id ~get_qset ~driver =
 let phase t = t.phase
 let current_ballot t = t.b
 let prepared t = t.p
-let high_ballot t = t.h
-let commit_ballot t = t.c
-let heard_from_quorum t = t.heard_from_quorum
 let externalized_value t = t.externalized
-let latest_statements t = NM.fold (fun _ st acc -> st :: acc) t.latest []
 let latest_envelopes t = NM.fold (fun _ env acc -> env :: acc) t.latest_envs []
 let on_nomination_composite t v = t.nomination_composite <- Some v
 
@@ -209,46 +198,25 @@ let stop_timer t =
   t.timer_cancel <- None;
   t.timer_counter <- -1
 
-(* Forward declaration for the timeout callback. *)
-let abandon_hook : (t -> int -> unit) ref = ref (fun _ _ -> ())
-
-let check_heard_from_quorum t =
-  match t.b with
-  | None -> ()
-  | Some b ->
-      let at_or_above st =
-        match statement_ballot_counter st with
-        | Some n -> n >= b.counter
-        | None -> false
-      in
-      if Federation.is_quorum ~local_qset:(t.get_qset ()) t.latest at_or_above then begin
-        t.heard_from_quorum <- true;
-        if t.phase <> Externalize_phase && t.timer_counter <> b.counter then begin
-          stop_timer t;
-          t.timer_counter <- b.counter;
-          let delay = t.driver.Driver.ballot_timeout ~counter:b.counter in
-          t.timer_cancel <-
-            Some
-              (t.driver.Driver.schedule ~delay (fun () ->
-                   t.driver.Driver.hooks.Driver.on_timeout ~slot:t.slot ~kind:`Ballot;
-                   !abandon_hook t 0))
-        end
-      end
-      else begin
-        t.heard_from_quorum <- false;
-        stop_timer t
-      end
-
 (* ---- state transitions ---- *)
 
 let bump_to_ballot t bal =
   assert (t.phase <> Externalize_phase);
+  let first = t.b = None in
   let got_bumped = match t.b with None -> true | Some b -> b.counter <> bal.counter in
   t.b <- Some bal;
   if got_bumped then begin
-    t.heard_from_quorum <- false;
     stop_timer t;
-    t.driver.Driver.hooks.Driver.on_ballot_bump ~slot:t.slot ~counter:bal.counter
+    let obs = t.driver.Driver.obs in
+    Stellar_obs.Registry.incr t.driver.Driver.metrics.Driver.ballot_bump;
+    if Stellar_obs.Sink.tracing obs then begin
+      Stellar_obs.Sink.emit obs
+        (Stellar_obs.Event.Ballot_bump { slot = t.slot; counter = bal.counter });
+      if first then
+        Stellar_obs.Sink.emit obs
+          (Stellar_obs.Event.First_vote { slot = t.slot; counter = bal.counter })
+    end;
+    if first then t.driver.Driver.started_ballot ~slot:t.slot
   end
 
 let update_current_if_needed t h =
@@ -442,7 +410,10 @@ let attempt_accept_commit t =
           t.value_override <- Some value;
           if t.phase = Prepare_phase then begin
             t.phase <- Confirm_phase;
-            t.driver.Driver.hooks.Driver.on_phase_change ~slot:t.slot ~phase:"confirm";
+            let obs = t.driver.Driver.obs in
+            Stellar_obs.Registry.incr t.driver.Driver.metrics.Driver.phase_confirm;
+            if Stellar_obs.Sink.tracing obs then
+              Stellar_obs.Sink.emit obs (Stellar_obs.Event.Confirm_prepare { slot = t.slot });
             t.p_prime <- None
           end;
           let _ = set_prepared t h in
@@ -471,7 +442,10 @@ let attempt_confirm_commit t =
             t.c <- Some { counter = lo; value };
             t.h <- Some { counter = hi; value };
             t.phase <- Externalize_phase;
-            t.driver.Driver.hooks.Driver.on_phase_change ~slot:t.slot ~phase:"externalize";
+            let obs = t.driver.Driver.obs in
+            Stellar_obs.Registry.incr t.driver.Driver.metrics.Driver.phase_externalize;
+            if Stellar_obs.Sink.tracing obs then
+              Stellar_obs.Sink.emit obs (Stellar_obs.Event.Externalize { slot = t.slot });
             stop_timer t;
             sign_and_emit t;
             t.externalized <- Some value;
@@ -479,8 +453,38 @@ let attempt_confirm_commit t =
             true)
     | _ -> false
 
+(* ---- driving ---- *)
+
+(* The ballot timer runs only while a quorum is at or above our counter
+   (§3.2.4); when it fires we abandon the ballot for the next counter. *)
+let rec check_heard_from_quorum t =
+  match t.b with
+  | None -> ()
+  | Some b ->
+      let at_or_above st =
+        match statement_ballot_counter st with
+        | Some n -> n >= b.counter
+        | None -> false
+      in
+      if Federation.is_quorum ~local_qset:(t.get_qset ()) t.latest at_or_above then begin
+        if t.phase <> Externalize_phase && t.timer_counter <> b.counter then begin
+          stop_timer t;
+          t.timer_counter <- b.counter;
+          t.timer_cancel <-
+            Some
+              (t.driver.Driver.schedule ~delay:(Driver.timeout b.counter) (fun () ->
+                   let obs = t.driver.Driver.obs in
+                   Stellar_obs.Sink.incr obs "scp.timeout.ballot";
+                   if Stellar_obs.Sink.tracing obs then
+                     Stellar_obs.Sink.emit obs
+                       (Stellar_obs.Event.Timeout_fired { slot = t.slot; kind = `Ballot });
+                   abandon t 0))
+        end
+      end
+      else stop_timer t
+
 (* Jump forward when a v-blocking set is strictly ahead (§3.2.4). *)
-let attempt_bump t =
+and attempt_bump t =
   if t.phase = Externalize_phase then false
   else
     match t.b with
@@ -510,14 +514,12 @@ let attempt_bump t =
                 not (Federation.is_v_blocking_set ~local_qset:(t.get_qset ()) t.latest (ahead_of n)))
               counters
           in
-          !abandon_hook t target;
+          abandon t target;
           true
         end
         else false
 
-(* ---- driving ---- *)
-
-let rec advance_slot t =
+and advance_slot t =
   t.message_level <- t.message_level + 1;
   if t.message_level < 50 then begin
     let did = ref false in
@@ -561,8 +563,6 @@ and abandon t n =
             match t.nomination_composite with Some v -> v | None -> b.value)
       in
       bump_state t ~value ~counter
-
-let () = abandon_hook := abandon
 
 let bump t ~value ~force =
   if t.phase <> Prepare_phase && t.phase <> Confirm_phase then false

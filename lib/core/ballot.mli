@@ -12,8 +12,6 @@
 
 type phase = Prepare_phase | Confirm_phase | Externalize_phase
 
-val phase_name : phase -> string
-
 type t
 
 val create :
@@ -26,11 +24,7 @@ val create :
 val phase : t -> phase
 val current_ballot : t -> Types.ballot option
 val prepared : t -> Types.ballot option
-val high_ballot : t -> Types.ballot option
-val commit_ballot : t -> Types.ballot option
-val heard_from_quorum : t -> bool
 val externalized_value : t -> Types.value option
-val latest_statements : t -> Types.statement list
 val latest_envelopes : t -> Types.envelope list
 
 val bump : t -> value:Types.value -> force:bool -> bool

@@ -7,14 +7,20 @@
 
 type validation = Invalid | Valid
 
-type hooks = {
-  on_nomination_round : slot:int -> round:int -> unit;
-  on_ballot_bump : slot:int -> counter:int -> unit;
-  on_timeout : slot:int -> kind:[ `Nomination | `Ballot ] -> unit;
-  on_phase_change : slot:int -> phase:string -> unit;
+type metrics = {
+  nominate_start : Stellar_obs.Registry.counter;
+  nomination_round : Stellar_obs.Registry.counter;
+  ballot_bump : Stellar_obs.Registry.counter;
+  phase_confirm : Stellar_obs.Registry.counter;
+  phase_externalize : Stellar_obs.Registry.counter;
+  recv_nominate : Stellar_obs.Registry.counter;
+  recv_prepare : Stellar_obs.Registry.counter;
+  recv_confirm : Stellar_obs.Registry.counter;
+  recv_externalize : Stellar_obs.Registry.counter;
 }
-
-val no_hooks : hooks
+(** The [scp.*] counters SCP bumps where its transitions happen, resolved
+    once per driver.  The timeout counters ([scp.timeout.*]) are a cold
+    path and stay by-name. *)
 
 type t = {
   emit_envelope : Types.envelope -> unit;
@@ -26,15 +32,16 @@ type t = {
       (** Deterministically combine confirmed-nominated values into a single
           composite (§5.3). *)
   value_externalized : slot:int -> Types.value -> unit;
-  nomination_timeout : round:int -> float;
-  ballot_timeout : counter:int -> float;
   schedule : delay:float -> (unit -> unit) -> unit -> unit;
       (** [schedule ~delay f] starts a timer and returns its cancel
           function. *)
-  hooks : hooks;
+  started_ballot : slot:int -> unit;
+      (** Called once per slot, when its first ballot starts
+          (stellar-core's [startedBallotProtocol]). *)
   obs : Stellar_obs.Sink.t;
       (** Observability sink; {!Stellar_obs.Sink.null} disables all
           instrumentation at the cost of one branch per site. *)
+  metrics : metrics;
 }
 
 val make :
@@ -45,19 +52,13 @@ val make :
   combine_candidates:(slot:int -> Types.value list -> Types.value option) ->
   value_externalized:(slot:int -> Types.value -> unit) ->
   schedule:(delay:float -> (unit -> unit) -> unit -> unit) ->
-  ?nomination_timeout:(round:int -> float) ->
-  ?ballot_timeout:(counter:int -> float) ->
-  ?hooks:hooks ->
+  ?started_ballot:(slot:int -> unit) ->
   ?obs:Stellar_obs.Sink.t ->
   unit ->
   t
-(** With a live [obs] sink, the driver interposes on [hooks] to bump the
-    [scp.*] counters (nomination rounds, ballot bumps, confirm/externalize
-    phase changes, timeouts) and, when tracing, emit the matching events
-    before calling the caller's hook. *)
+(** [started_ballot] defaults to doing nothing and [obs] to
+    {!Stellar_obs.Sink.null}. *)
 
-val default_nomination_timeout : round:int -> float
-(** stellar-core's schedule: [1 + round] seconds. *)
-
-val default_ballot_timeout : counter:int -> float
-(** stellar-core's schedule: [1 + counter] seconds. *)
+val timeout : int -> float
+(** stellar-core's timer schedule: [1 + n] seconds for nomination round [n]
+    and for ballot counter [n]. *)

@@ -12,15 +12,6 @@ val hash_fraction :
   slot:int -> prev:Types.value -> tag:int -> round:int -> Types.node_id -> float
 (** [H_tag(round, v) / 2^256] in [\[0,1)], from SHA-256 as in stellar-core. *)
 
-val is_neighbor :
-  qset:Quorum_set.t ->
-  self:Types.node_id ->
-  slot:int ->
-  prev:Types.value ->
-  round:int ->
-  Types.node_id ->
-  bool
-
 val priority : slot:int -> prev:Types.value -> round:int -> Types.node_id -> float
 
 val round_leader :

@@ -21,7 +21,6 @@ type t = {
   mutable nomination_value : Types.value;
   mutable timer_cancel : (unit -> unit) option;
   mutable last_emitted : Types.statement option;
-  mutable latest_composite : Types.value option;
 }
 
 let create ~slot ~local_id ~get_qset ~driver ~on_candidates =
@@ -44,14 +43,10 @@ let create ~slot ~local_id ~get_qset ~driver ~on_candidates =
     nomination_value = "";
     timer_cancel = None;
     last_emitted = None;
-    latest_composite = None;
   }
 
-let started t = t.started
-let round t = t.round
 let leaders t = SS.elements t.leaders
 let candidates t = VS.elements t.candidates
-let latest_composite t = t.latest_composite
 let latest_statements t = NM.fold (fun _ st acc -> st :: acc) t.latest []
 let latest_envelopes t = NM.fold (fun _ env acc -> env :: acc) t.latest_envs []
 
@@ -174,9 +169,7 @@ let advance t =
     emit_if_changed t;
     if !new_candidates then begin
       match t.driver.Driver.combine_candidates ~slot:t.slot (VS.elements t.candidates) with
-      | Some composite ->
-          t.latest_composite <- Some composite;
-          t.on_candidates composite
+      | Some composite -> t.on_candidates composite
       | None -> ()
     end
   end
@@ -187,8 +180,17 @@ let rec trigger_round t ~timedout =
   if (not t.stopped) && ((not timedout) || t.started) then begin
     t.started <- true;
     t.round <- t.round + 1;
-    t.driver.Driver.hooks.Driver.on_nomination_round ~slot:t.slot ~round:t.round;
-    if timedout then t.driver.Driver.hooks.Driver.on_timeout ~slot:t.slot ~kind:`Nomination;
+    let obs = t.driver.Driver.obs in
+    Stellar_obs.Registry.incr t.driver.Driver.metrics.Driver.nomination_round;
+    if Stellar_obs.Sink.tracing obs then
+      Stellar_obs.Sink.emit obs
+        (Stellar_obs.Event.Nomination_round { slot = t.slot; round = t.round });
+    if timedout then begin
+      Stellar_obs.Sink.incr obs "scp.timeout.nomination";
+      if Stellar_obs.Sink.tracing obs then
+        Stellar_obs.Sink.emit obs
+          (Stellar_obs.Event.Timeout_fired { slot = t.slot; kind = `Nomination })
+    end;
     let leader =
       Leader.round_leader ~qset:(t.get_qset ()) ~self:t.local_id ~slot:t.slot
         ~prev:t.previous_value ~round:t.round
@@ -219,7 +221,7 @@ let rec trigger_round t ~timedout =
     emit_if_changed ~force:timedout t;
     (* Re-arm the round timer with the growing timeout. *)
     Option.iter (fun cancel -> cancel ()) t.timer_cancel;
-    let delay = t.driver.Driver.nomination_timeout ~round:t.round in
+    let delay = Driver.timeout t.round in
     t.timer_cancel <-
       Some (t.driver.Driver.schedule ~delay (fun () -> trigger_round t ~timedout:true))
   end

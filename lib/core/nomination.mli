@@ -29,11 +29,8 @@ val stop : t -> unit
 (** Stop the round timer and refuse further votes (called once balloting
     reaches the commit phase). *)
 
-val started : t -> bool
-val round : t -> int
 val leaders : t -> Types.node_id list
 val candidates : t -> Types.value list
-val latest_composite : t -> Types.value option
 val latest_statements : t -> Types.statement list
 
 val latest_envelopes : t -> Types.envelope list

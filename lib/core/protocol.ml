@@ -9,9 +9,6 @@ let create ~driver ~local_id ~qset =
   if not (Quorum_set.is_sane qset) then invalid_arg "Protocol.create: insane quorum set";
   { driver; local_id; qset; slots = Hashtbl.create 16 }
 
-let local_id t = t.local_id
-let quorum_set t = t.qset
-
 let set_quorum_set t qset =
   if not (Quorum_set.is_sane qset) then
     invalid_arg "Protocol.set_quorum_set: insane quorum set";
@@ -33,30 +30,9 @@ let nominate t ~slot:index ~value ~prev = Slot.nominate (slot t index) ~value ~p
 let receive_envelope t env =
   Slot.process_envelope (slot t env.Types.statement.Types.slot) env
 
-let with_slot t index f =
-  match Hashtbl.find_opt t.slots index with Some s -> Some (f s) | None -> None
-
-let phase t ~slot:index = with_slot t index Slot.phase
-let externalized_value t ~slot:index = Option.join (with_slot t index Slot.externalized_value)
-
-let ballot_counter t ~slot:index =
-  Option.value ~default:0 (with_slot t index Slot.ballot_counter)
-
-let nomination_round t ~slot:index =
-  Option.value ~default:0 (with_slot t index Slot.nomination_round)
-
-let heard_from_quorum t ~slot:index =
-  Option.value ~default:false (with_slot t index Slot.heard_from_quorum)
-
-let latest_statements t ~slot:index =
-  Option.value ~default:[] (with_slot t index Slot.latest_statements)
-
 let latest_envelopes t ~slot:index =
-  Option.value ~default:[] (with_slot t index Slot.latest_envelopes)
+  match Hashtbl.find_opt t.slots index with Some s -> Slot.latest_envelopes s | None -> []
 
 let purge_slots t ~below =
   let old = Hashtbl.fold (fun k _ acc -> if k < below then k :: acc else acc) t.slots [] in
   List.iter (Hashtbl.remove t.slots) old
-
-let active_slots t =
-  Hashtbl.fold (fun k _ acc -> k :: acc) t.slots [] |> List.sort Int.compare

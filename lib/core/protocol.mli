@@ -9,9 +9,6 @@ type t
 
 val create : driver:Driver.t -> local_id:Types.node_id -> qset:Quorum_set.t -> t
 
-val local_id : t -> Types.node_id
-val quorum_set : t -> Quorum_set.t
-
 val set_quorum_set : t -> Quorum_set.t -> unit
 (** Unilateral reconfiguration (§3.1.1): takes effect immediately — every
     active slot re-evaluates federated voting under the new slices, and
@@ -21,18 +18,7 @@ val nominate : t -> slot:int -> value:Types.value -> prev:Types.value -> unit
 
 val receive_envelope : t -> Types.envelope -> [ `Processed | `Stale | `Invalid ]
 
-val phase : t -> slot:int -> Ballot.phase option
-(** [None] when the slot has never been touched. *)
-
-val externalized_value : t -> slot:int -> Types.value option
-val ballot_counter : t -> slot:int -> int
-val nomination_round : t -> slot:int -> int
-val heard_from_quorum : t -> slot:int -> bool
-
-val latest_statements : t -> slot:int -> Types.statement list
 val latest_envelopes : t -> slot:int -> Types.envelope list
 
 val purge_slots : t -> below:int -> unit
 (** Drop state of old, decided slots to bound memory. *)
-
-val active_slots : t -> int list

@@ -18,11 +18,6 @@ let majority validators =
 (* stellar-core computes percentage thresholds as 1 + (n*pct - 1)/100. *)
 let percent_threshold pct n = 1 + (((n * pct) - 1) / 100)
 
-let super_majority validators =
-  make ~threshold:(percent_threshold 67 (List.length validators)) validators
-
-let member_count t = member_count_shallow t
-
 let rec all_validators_acc t acc =
   let acc = List.fold_left (fun acc v -> v :: acc) acc t.validators in
   List.fold_left (fun acc q -> all_validators_acc q acc) acc t.inner

@@ -20,9 +20,6 @@ val majority : node_id list -> t
 (** Simple-majority quorum set: threshold [⌊n/2⌋ + 1], as used by the
     paper's controlled experiments (§7.3). *)
 
-val super_majority : node_id list -> t
-(** Threshold [⌈2n/3⌉] rounded up per stellar-core's 67% rule. *)
-
 val percent_threshold : int -> int -> int
 (** [percent_threshold pct n] is stellar-core's rounding:
     [1 + (((n * pct) - 1) / 100)]. *)
@@ -31,7 +28,6 @@ val is_sane : t -> bool
 (** Thresholds within range at every level, no duplicate validators, and no
     empty quorum sets. *)
 
-val member_count : t -> int
 val all_validators : t -> node_id list
 (** All validators mentioned anywhere in the tree, deduplicated. *)
 

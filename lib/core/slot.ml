@@ -1,19 +1,9 @@
-(* Received-statement counters by pledge type, resolved when the slot is
-   made rather than looked up per envelope *)
-type recv_metrics = {
-  c_nominate : Stellar_obs.Registry.counter;
-  c_prepare : Stellar_obs.Registry.counter;
-  c_confirm : Stellar_obs.Registry.counter;
-  c_externalize : Stellar_obs.Registry.counter;
-}
-
 type t = {
   index : int;
   local_id : Types.node_id;
   driver : Driver.t;
   nomination : Nomination.t;
   ballot : Ballot.t;
-  recv_metrics : recv_metrics;
 }
 
 let create ~index ~local_id ~get_qset ~driver =
@@ -24,18 +14,7 @@ let create ~index ~local_id ~get_qset ~driver =
         Ballot.on_nomination_composite ballot composite;
         ignore (Ballot.bump ballot ~value:composite ~force:false))
   in
-  let obs = driver.Driver.obs in
-  let recv_metrics =
-    {
-      c_nominate = Stellar_obs.Sink.counter obs "scp.nominate.recv";
-      c_prepare = Stellar_obs.Sink.counter obs "scp.ballot.prepare";
-      c_confirm = Stellar_obs.Sink.counter obs "scp.ballot.confirm";
-      c_externalize = Stellar_obs.Sink.counter obs "scp.ballot.externalize";
-    }
-  in
-  { index; local_id; driver; nomination; ballot; recv_metrics }
-
-let index t = t.index
+  { index; local_id; driver; nomination; ballot }
 
 (* Nomination stops once balloting reaches the commit phase (the composite
    can no longer influence this slot). *)
@@ -44,19 +23,19 @@ let sync_nomination t =
 
 let nominate t ~value ~prev =
   if Ballot.phase t.ballot = Ballot.Prepare_phase then begin
-    let obs = t.driver.Driver.obs in
-    Stellar_obs.Sink.incr obs "scp.nominate.start";
-    if Stellar_obs.Sink.tracing obs then
-      Stellar_obs.Sink.emit obs (Stellar_obs.Event.Nominate_start { slot = t.index });
+    let d = t.driver in
+    Stellar_obs.Registry.incr d.Driver.metrics.Driver.nominate_start;
+    if Stellar_obs.Sink.tracing d.Driver.obs then
+      Stellar_obs.Sink.emit d.Driver.obs (Stellar_obs.Event.Nominate_start { slot = t.index });
     Nomination.nominate t.nomination ~value ~prev;
     sync_nomination t
   end
 
-let recv_counter m = function
-  | Types.Nominate _ -> m.c_nominate
-  | Types.Prepare _ -> m.c_prepare
-  | Types.Confirm _ -> m.c_confirm
-  | Types.Externalize _ -> m.c_externalize
+let recv_counter (m : Driver.metrics) = function
+  | Types.Nominate _ -> m.recv_nominate
+  | Types.Prepare _ -> m.recv_prepare
+  | Types.Confirm _ -> m.recv_confirm
+  | Types.Externalize _ -> m.recv_externalize
 
 let process_envelope t env =
   let st = env.Types.statement in
@@ -69,7 +48,7 @@ let process_envelope t env =
          ~signature:env.Types.signature)
   then `Invalid
   else begin
-    Stellar_obs.Registry.incr (recv_counter t.recv_metrics st.Types.pledge);
+    Stellar_obs.Registry.incr (recv_counter t.driver.Driver.metrics st.Types.pledge);
     let result =
       match st.Types.pledge with
       | Types.Nominate _ -> Nomination.process_envelope t.nomination env
@@ -78,18 +57,6 @@ let process_envelope t env =
     sync_nomination t;
     result
   end
-
-let phase t = Ballot.phase t.ballot
-let externalized_value t = Ballot.externalized_value t.ballot
-
-let ballot_counter t =
-  match Ballot.current_ballot t.ballot with Some b -> b.Types.counter | None -> 0
-
-let nomination_round t = Nomination.round t.nomination
-let heard_from_quorum t = Ballot.heard_from_quorum t.ballot
-
-let latest_statements t =
-  Nomination.latest_statements t.nomination @ Ballot.latest_statements t.ballot
 
 let latest_envelopes t =
   (* ballot envelopes first: an EXTERNALIZE is what completes a straggler *)

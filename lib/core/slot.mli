@@ -10,23 +10,11 @@ val create :
   driver:Driver.t ->
   t
 
-val index : t -> int
-
 val nominate : t -> value:Types.value -> prev:Types.value -> unit
 
 val process_envelope : t -> Types.envelope -> [ `Processed | `Stale | `Invalid ]
 (** Verifies the signature, checks statement sanity, and runs the relevant
     sub-protocol. *)
-
-val phase : t -> Ballot.phase
-val externalized_value : t -> Types.value option
-val ballot_counter : t -> int
-val nomination_round : t -> int
-val heard_from_quorum : t -> bool
-
-val latest_statements : t -> Types.statement list
-(** Latest statements from all peers (nomination and ballot), e.g. for
-    re-flooding to stragglers. *)
 
 val reevaluate : t -> unit
 (** Re-run both sub-protocols against the current quorum set. *)

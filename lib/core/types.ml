@@ -141,12 +141,6 @@ let encode_envelope env = Xdr.encode envelope_xdr env
 
 let envelope_size env = Xdr.encoded_length envelope_xdr env
 
-let pledge_kind = function
-  | Nominate _ -> "nominate"
-  | Prepare _ -> "prepare"
-  | Confirm _ -> "confirm"
-  | Externalize _ -> "externalize"
-
 let statement_ballot_counter st =
   match st.pledge with
   | Nominate _ -> None

@@ -78,8 +78,6 @@ val encode_envelope : envelope -> string
 val envelope_size : envelope -> int
 (** Exact wire size: [Bytes.length] of the {!envelope_xdr} encoding. *)
 
-val pledge_kind : pledge -> string
-
 (** Working-ballot counter of a ballot-protocol statement: its [b.counter],
     or [Ballot.max_counter] for EXTERNALIZE. *)
 val statement_ballot_counter : statement -> int option

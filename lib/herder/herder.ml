@@ -275,23 +275,11 @@ let create config cb ~genesis ?buckets ?(headers = []) ?(obs = Stellar_obs.Sink.
                    h.pending_apply <- (slot, v) :: h.pending_apply
              | None -> ())
            ~schedule:(fun ~delay f -> cb.schedule ~delay f)
+           ~started_ballot:(fun ~slot ->
+             (* the nomination → balloting boundary of the phase breakdown *)
+             let h = Lazy.force t in
+             (timing h slot).t_first_ballot <- Some (cb.now ()))
            ~obs
-           ~hooks:
-             {
-               Scp.Driver.no_hooks with
-               on_ballot_bump =
-                 (fun ~slot ~counter ->
-                   let h = Lazy.force t in
-                   let tm = timing h slot in
-                   if tm.t_first_ballot = None then begin
-                     tm.t_first_ballot <- Some (cb.now ());
-                     (* the nomination → balloting boundary of the phase
-                        breakdown (Report.slot_phases) *)
-                     if Stellar_obs.Sink.tracing obs then
-                       Stellar_obs.Sink.emit obs
-                         (Stellar_obs.Event.First_vote { slot; counter })
-                   end);
-             }
            ()
        in
        {

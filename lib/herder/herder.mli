@@ -57,8 +57,9 @@ val create :
     [headers] (most recent first) seeds the header chain when bootstrapping
     from an archive checkpoint rather than from ledger 1 (§5.4).
     [obs] (default disabled) instruments the whole close path: it is handed
-    to the SCP driver, ledger apply and bucket merges, and the herder itself
-    emits [First_vote]/[Apply_begin]/[Apply_end] events, the per-transaction
+    to the SCP driver (which emits the slot events, [First_vote] included),
+    ledger apply and bucket merges, and the herder itself emits
+    [Apply_begin]/[Apply_end] events, the per-transaction
     lifecycle events ([Tx_submit], [Tx_in_txset], [Tx_externalized],
     [Tx_dropped]; [Tx_applied] comes from ledger apply), plus the
     [ledger.apply_ms] CPU histogram and [herder.queue.size] gauge. *)

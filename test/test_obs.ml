@@ -193,17 +193,18 @@ let run ?(latency = Stellar_sim.Latency.datacenter) ~observe seed =
 
 let observed_run = run ~observe:true
 
+(* slow, jittery links: rounds outlast the 1 s timeouts, so both kinds
+   fire *)
+let jittery =
+  Stellar_sim.Latency.Jittered { base = 0.2; jitter = 0.8; spike_prob = 0.0; spike = 0.0 }
+
 (* The report comes from the always-on registries, so attaching the trace
    must not change a single figure of it (a metric left behind a
    Sink.tracing guard would). *)
 let test_tracing_keeps_report () =
   let module S = Stellar_node.Scenario in
-  (* slow, jittery links: rounds outlast the 1 s timeouts, so both kinds
-     fire *)
-  let latency =
-    Stellar_sim.Latency.Jittered { base = 0.2; jitter = 0.8; spike_prob = 0.0; spike = 0.0 }
-  in
-  let off = run ~latency ~observe:false 5 and on = run ~latency ~observe:true 5 in
+  let off = run ~latency:jittery ~observe:false 5
+  and on = run ~latency:jittery ~observe:true 5 in
   Alcotest.(check bool) "telemetry only when observing" true
     (Option.is_none off.S.telemetry && Option.is_some on.S.telemetry);
   Alcotest.(check bool) "some ledgers closed" true (off.S.ledgers_closed > 0);
@@ -225,6 +226,62 @@ let test_tracing_keeps_report () =
     (off.S.nomination_timeouts_per_ledger = on.S.nomination_timeouts_per_ledger);
   Alcotest.(check bool) "ballot timeouts per ledger" true
     (off.S.ballot_timeouts_per_ledger = on.S.ballot_timeouts_per_ledger)
+
+(* The herder's stopwatch (fed by Driver.started_ballot) and the trace
+   (Nominate_start / First_vote / Externalize) time the same two phases:
+   over node 0's post-warmup closed slots, Scenario.report's nomination
+   and balloting quantiles equal those of Report.slot_phases. *)
+let test_phase_paths_agree () =
+  let module S = Stellar_node.Scenario in
+  List.iter
+    (fun (name, latency, seed) ->
+      let r = run ~latency ~observe:true seed in
+      let warmup = (S.default ~spec:(Stellar_node.Topology.all_to_all ~n:4)).S.warmup_ledgers in
+      let first = r.S.final_ledger_seq - r.S.ledgers_closed + 1 + warmup in
+      let ph =
+        Obs.Report.slot_phases (Obs.Collector.trace (Option.get r.S.telemetry))
+        |> List.filter (fun p ->
+               p.Obs.Report.slot >= first && p.Obs.Report.slot <= r.S.final_ledger_seq)
+      in
+      Alcotest.(check bool) (name ^ ": slots after warmup") true (ph <> []);
+      Alcotest.(check int) (name ^ ": every closed slot traced")
+        (r.S.final_ledger_seq - first + 1) (List.length ph);
+      Alcotest.(check bool) (name ^ ": nomination") true
+        (r.S.nomination = Obs.Report.quantiles (List.map (fun p -> p.Obs.Report.nomination_s) ph));
+      Alcotest.(check bool) (name ^ ": balloting") true
+        (r.S.balloting = Obs.Report.quantiles (List.map (fun p -> p.Obs.Report.ballot_s) ph)))
+    [
+      ("datacenter seed 5", Stellar_sim.Latency.datacenter, 5);
+      ("datacenter seed 7", Stellar_sim.Latency.datacenter, 7);
+      ("jittery seed 5", jittery, 5);
+      ("wide-area seed 3", Stellar_sim.Latency.wide_area, 3);
+    ]
+
+(* SCP emits First_vote once per (node, slot), right after the Ballot_bump
+   that starts the slot's first ballot, and a Ballot_bump event for every
+   scp.ballot.bump count.  The jittery links make ballot timers fire, so
+   some slots see more than one bump. *)
+let test_first_vote_once () =
+  let r = run ~latency:jittery ~observe:true 5 in
+  let trace = Obs.Collector.trace (Option.get r.Stellar_node.Scenario.telemetry) in
+  let first_votes = Hashtbl.create 64 and last = Hashtbl.create 8 and bumps = ref 0 in
+  Obs.Trace.iter trace (fun s ->
+      let node = s.Obs.Trace.node in
+      (match s.Obs.Trace.event with
+      | Obs.Event.First_vote { slot; counter } ->
+          if Hashtbl.mem first_votes (node, slot) then
+            Alcotest.failf "node %d slot %d: second First_vote" node slot;
+          Hashtbl.add first_votes (node, slot) ();
+          Alcotest.(check bool) "follows its Ballot_bump" true
+            (Hashtbl.find_opt last node = Some (Obs.Event.Ballot_bump { slot; counter }))
+      | Obs.Event.Ballot_bump _ -> incr bumps
+      | _ -> ());
+      Hashtbl.replace last node s.Obs.Trace.event);
+  Alcotest.(check bool) "re-bumps traced" true (!bumps > Hashtbl.length first_votes);
+  let agg = Obs.Collector.aggregate (Option.get r.Stellar_node.Scenario.telemetry) in
+  Alcotest.(check int) "Ballot_bump events = scp.ballot.bump"
+    (Obs.Registry.counter_value agg "scp.ballot.bump")
+    !bumps
 
 (* SHA-256 of the seed-5 run's JSONL, recorded while events still carried
    hex tx ids: printing raw tx hashes as hex on output gives the same bytes. *)
@@ -544,6 +601,8 @@ let () =
           Alcotest.test_case "tiered registry dump" `Quick test_registry_dump;
           Alcotest.test_case "tracing keeps the report" `Quick test_tracing_keeps_report;
           Alcotest.test_case "phase breakdown sane" `Quick test_trace_phases_sane;
+          Alcotest.test_case "phase timing paths agree" `Quick test_phase_paths_agree;
+          Alcotest.test_case "first vote once per slot" `Quick test_first_vote_once;
           Alcotest.test_case "flood amplification" `Quick test_flood_amplification;
         ] );
       ( "causal",

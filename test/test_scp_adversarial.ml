@@ -10,12 +10,16 @@ open Scp
 type probe = {
   emitted : Types.envelope list ref;
   externalized : (int * Types.value) list ref;
+  started : int list ref;  (* slots passed to started_ballot, latest first *)
+  timers : (float * (unit -> unit)) list ref;  (* armed timers, latest first *)
   driver : Driver.t;
 }
 
 let make_probe () =
   let emitted = ref [] in
   let externalized = ref [] in
+  let started = ref [] in
+  let timers = ref [] in
   let driver =
     Driver.make
       ~emit_envelope:(fun env -> emitted := env :: !emitted)
@@ -27,10 +31,19 @@ let make_probe () =
         | v :: _ -> Some v
         | [] -> None)
       ~value_externalized:(fun ~slot value -> externalized := (slot, value) :: !externalized)
-      ~schedule:(fun ~delay:_ _ -> fun () -> ())
+      ~schedule:(fun ~delay f ->
+        timers := (delay, f) :: !timers;
+        fun () -> ())
+      ~started_ballot:(fun ~slot -> started := slot :: !started)
       ()
   in
-  { emitted; externalized; driver }
+  { emitted; externalized; started; timers; driver }
+
+(* Fire the most recently armed timer. *)
+let fire_latest p =
+  match !(p.timers) with (_, f) :: _ -> f () | [] -> Alcotest.fail "no timer armed"
+
+let delays p = List.rev_map fst !(p.timers)
 
 let id c = String.make 32 c
 let v_self = id 's'
@@ -140,6 +153,32 @@ let ballot_tests =
           (Option.get (Ballot.current_ballot b)).Types.counter;
         ignore (Ballot.process_envelope b (wrap (prepare_st (List.nth peers 1) ~counter:5 ~value:"X" ())));
         check int "jumped to 5" 5 (Option.get (Ballot.current_ballot b)).Types.counter);
+    test_case "started_ballot fires once, at the first ballot" `Quick (fun () ->
+        let p = make_probe () in
+        let b = Ballot.create ~slot:7 ~local_id:v_self ~get_qset:(fun () -> qset) ~driver:p.driver in
+        check (list int) "not before a ballot" [] !(p.started);
+        check bool "first bump" true (Ballot.bump b ~value:"X" ~force:false);
+        check (list int) "at the first ballot" [ 7 ] !(p.started);
+        check bool "forced re-bump" true (Ballot.bump b ~value:"Y" ~force:true);
+        check (list int) "not again" [ 7 ] !(p.started));
+    test_case "ballot timer for counter n arms 1 + n seconds" `Quick (fun () ->
+        let p = make_probe () in
+        let b = Ballot.create ~slot:1 ~local_id:v_self ~get_qset:(fun () -> qset) ~driver:p.driver in
+        ignore (Ballot.bump b ~value:"X" ~force:false);
+        check (list (float 0.0)) "no timer without a quorum at counter 1" [] (delays p);
+        let at counter =
+          List.iter
+            (fun peer -> ignore (Ballot.process_envelope b (wrap (prepare_st peer ~counter ~value:"X" ()))))
+            [ List.nth peers 0; List.nth peers 1 ]
+        in
+        at 1;
+        check (list (float 0.0)) "counter 1: 2 s" [ 2.0 ] (delays p);
+        fire_latest p;
+        check int "timeout moved to counter 2" 2 (Option.get (Ballot.current_ballot b)).Types.counter;
+        check (list (float 0.0)) "no timer until a quorum reaches counter 2" [ 2.0 ] (delays p);
+        at 2;
+        check (list (float 0.0)) "counter 2: 3 s" [ 2.0; 3.0 ] (delays p);
+        check (list int) "started_ballot still once" [ 1 ] !(p.started));
     test_case "no commit without confirmed prepare" `Quick (fun () ->
         let p = make_probe () in
         let b = Ballot.create ~slot:1 ~local_id:v_self ~get_qset:(fun () -> qset) ~driver:p.driver in
@@ -367,6 +406,16 @@ let nomination_tests =
           (List.length (own_votes ()) <= List.length before + 0
           || not (List.mem "Z" (own_votes ())));
         check bool "Z not voted" true (not (List.mem "Z" (own_votes ()))));
+    test_case "nomination round r arms 1 + r seconds" `Quick (fun () ->
+        let p = make_probe () in
+        let n =
+          Nomination.create ~slot:1 ~local_id:v_self ~get_qset:(fun () -> qset)
+            ~driver:p.driver ~on_candidates:(fun _ -> ())
+        in
+        Nomination.nominate n ~value:"X" ~prev:"prev";
+        check (list (float 0.0)) "round 1: 2 s" [ 2.0 ] (delays p);
+        fire_latest p;
+        check (list (float 0.0)) "round 2 after the timeout: 3 s" [ 2.0; 3.0 ] (delays p));
     test_case "malformed nominations rejected" `Quick (fun () ->
         let p = make_probe () in
         let n =
