@@ -94,13 +94,69 @@ let make_tests () =
         pledge = Nominate { votes = [ Sha256.digest "value" ]; accepted = [] };
       }
   in
+  let tiered_index = Scp.Federation.create_index () in
   let tiered_statements =
     Array.to_seqi tiered_ids
-    |> Seq.map (fun (i, v) -> (v, tiered_statement i))
+    |> Seq.map (fun (i, v) -> (v, Scp.Federation.voter tiered_index (tiered_statement i)))
     |> Scp.Federation.Node_map.of_seq
   in
   let voted st =
     match st.Scp.Types.pledge with Scp.Types.Nominate n -> n.Scp.Types.votes <> [] | _ -> false
+  in
+  (* about a third of the nodes (by key byte) are ahead: enough to block
+     some inner sets, not all *)
+  let ahead st = Char.code st.Scp.Types.node_id.[0] mod 3 = 0 in
+  (* one slot on node 0 holding PREPARE <1, v> from nodes 1-26; node 1
+     re-sends its PREPARE under two sets in turn, so every delivery is new
+     (a reconfiguration) and runs the ballot protocol's attempt steps *)
+  let slot_envelope =
+    let driver =
+      Scp.Driver.make
+        ~emit_envelope:(fun _ -> ())
+        ~sign:(fun _ -> "")
+        ~verify:(fun node_id ~msg ~signature -> Sim_sig.verify ~public:node_id ~msg ~signature)
+        ~validate_value:(fun ~slot:_ _ -> Scp.Driver.Valid)
+        ~combine_candidates:(fun ~slot:_ _ -> None)
+        ~value_externalized:(fun ~slot:_ _ -> ())
+        ~schedule:(fun ~delay:_ _ () -> ())
+        ()
+    in
+    let slot =
+      Scp.Slot.create ~index:2 ~local_id:tiered_ids.(0) ~get_qset:(fun () -> tiered_qset) ~driver
+    in
+    let prepare i qset =
+      let st =
+        Scp.Types.
+          {
+            node_id = tiered_ids.(i);
+            slot = 2;
+            quorum_set = qset;
+            pledge =
+              Prepare
+                {
+                  ballot = { counter = 1; value = Sha256.digest "value" };
+                  prepared = None;
+                  prepared_prime = None;
+                  n_c = 0;
+                  n_h = 0;
+                };
+          }
+      in
+      let signature =
+        Sim_sig.sign (tiered.Stellar_node.Topology.validator_seed i) (Scp.Types.signing_bytes st)
+      in
+      { Scp.Types.statement = st; signature }
+    in
+    for i = 1 to 26 do
+      ignore (Scp.Slot.process_envelope slot (prepare i tiered_qset))
+    done;
+    let envs =
+      [| prepare 1 tiered_qset; prepare 1 { tiered_qset with threshold = tiered_qset.threshold - 1 } |]
+    in
+    let turn = ref 0 in
+    fun () ->
+      turn := 1 - !turn;
+      Scp.Slot.process_envelope slot envs.(!turn)
   in
   let statement = tiered_statement 0 in
   let statement_sig =
@@ -168,7 +224,19 @@ let make_tests () =
       (Staged.stage (fun () -> ignore (Scp.Quorum_set.is_v_blocking qset in_set)));
     Test.make ~name:"scp/is_quorum"
       (Staged.stage (fun () ->
-           ignore (Scp.Federation.is_quorum ~local_qset:tiered_qset tiered_statements voted)));
+           ignore
+             (Scp.Federation.is_quorum tiered_index ~local_qset:tiered_qset tiered_statements
+                voted)));
+    Test.make ~name:"scp/is_v_blocking"
+      (Staged.stage (fun () ->
+           ignore
+             (Scp.Federation.is_v_blocking_set tiered_index ~local_qset:tiered_qset
+                tiered_statements ahead)));
+    Test.make ~name:"scp/slot-envelope"
+      (Staged.stage (fun () ->
+           match slot_envelope () with
+           | `Processed -> ()
+           | `Stale | `Invalid -> failwith "scp/slot-envelope: envelope not processed"));
     Test.make ~name:"sim-sig/verify-statement"
       (Staged.stage (fun () ->
            ignore

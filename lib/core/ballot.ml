@@ -9,6 +9,7 @@ type t = {
   local_id : node_id;
   get_qset : unit -> Quorum_set.t;
   driver : Driver.t;
+  index : Federation.index;
   mutable phase : phase;
   mutable b : ballot option;
   mutable p : ballot option;
@@ -26,12 +27,13 @@ type t = {
   mutable message_level : int;
 }
 
-let create ~slot ~local_id ~get_qset ~driver =
+let create ~slot ~local_id ~get_qset ~driver ~index =
   {
     slot;
     local_id;
     get_qset;
     driver;
+    index;
     phase = Prepare_phase;
     b = None;
     p = None;
@@ -112,7 +114,7 @@ let prepare_candidates t =
     | Externalize e -> add acc { counter = Ballot.max_counter; value = e.commit.value }
     | Nominate _ -> acc
   in
-  let cands = NM.fold (fun _ st acc -> of_stmt acc st) t.latest [] in
+  let cands = NM.fold (fun _ v acc -> of_stmt acc v.Federation.statement) t.latest [] in
   List.sort (fun a b -> Ballot.compare b a) cands (* descending *)
 
 let commit_boundaries t value =
@@ -128,7 +130,7 @@ let commit_boundaries t value =
         if String.equal e.commit.value value then add acc e.commit.counter else acc
     | Nominate _ -> acc
   in
-  let bs = NM.fold (fun _ st acc -> of_stmt acc st) t.latest [] in
+  let bs = NM.fold (fun _ v acc -> of_stmt acc v.Federation.statement) t.latest [] in
   List.sort (fun a b -> Int.compare b a) bs (* descending *)
 
 (* Largest interval [lo, hi], anchored at successive boundaries from above,
@@ -181,9 +183,12 @@ let current_statement t =
 let sign_and_emit t =
   if t.b <> None then begin
     let st = current_statement t in
-    if t.last_emitted <> Some st then begin
+    let changed =
+      match t.last_emitted with Some prev -> not (same_statement prev st) | None -> true
+    in
+    if changed then begin
       t.last_emitted <- Some st;
-      t.latest <- NM.add t.local_id st t.latest;
+      t.latest <- NM.add t.local_id (Federation.voter t.index st) t.latest;
       let signature = t.driver.Driver.sign (signing_bytes st) in
       let env = { statement = st; signature } in
       t.latest_envs <- NM.add t.local_id env t.latest_envs;
@@ -274,7 +279,7 @@ let attempt_accept_prepared t =
         | _ -> true
       in
       if improves && relevant then
-        Federation.federated_accept ~local_qset:(t.get_qset ()) t.latest
+        Federation.federated_accept t.index ~local_qset:(t.get_qset ()) t.latest
           ~voted:(votes_prepared bal) ~accepted:(accepts_prepared bal)
       else false
     in
@@ -309,7 +314,7 @@ let attempt_confirm_prepared t =
   else begin
     let cands = prepare_candidates t in
     let ratified bal =
-      Federation.federated_ratify ~local_qset:(t.get_qset ()) t.latest (accepts_prepared bal)
+      Federation.federated_ratify t.index ~local_qset:(t.get_qset ()) t.latest (accepts_prepared bal)
     in
     let new_h =
       List.find_opt
@@ -359,9 +364,9 @@ let attempt_accept_commit t =
     (* Try every value present in commit-able statements. *)
     let values =
       NM.fold
-        (fun _ st acc ->
+        (fun _ (vt : Federation.voter) acc ->
           let v =
-            match st.pledge with
+            match vt.statement.pledge with
             | Prepare p when p.n_c <> 0 -> Some p.ballot.value
             | Confirm c -> Some c.ballot.value
             | Externalize e -> Some e.commit.value
@@ -384,7 +389,7 @@ let attempt_accept_commit t =
       else begin
         let boundaries = commit_boundaries t value in
         let pred ~lo ~hi =
-          Federation.federated_accept ~local_qset:(t.get_qset ()) t.latest
+          Federation.federated_accept t.index ~local_qset:(t.get_qset ()) t.latest
             ~voted:(votes_commit ~value ~lo ~hi)
             ~accepted:(accepts_commit ~value ~lo ~hi)
         in
@@ -433,7 +438,7 @@ let attempt_confirm_commit t =
         let value = c0.value in
         let boundaries = commit_boundaries t value in
         let pred ~lo ~hi =
-          Federation.federated_ratify ~local_qset:(t.get_qset ()) t.latest
+          Federation.federated_ratify t.index ~local_qset:(t.get_qset ()) t.latest
             (accepts_commit ~value ~lo ~hi)
         in
         (match find_extended_interval boundaries pred with
@@ -466,7 +471,7 @@ let rec check_heard_from_quorum t =
         | Some n -> n >= b.counter
         | None -> false
       in
-      if Federation.is_quorum ~local_qset:(t.get_qset ()) t.latest at_or_above then begin
+      if Federation.is_quorum t.index ~local_qset:(t.get_qset ()) t.latest at_or_above then begin
         if t.phase <> Externalize_phase && t.timer_counter <> b.counter then begin
           stop_timer t;
           t.timer_counter <- b.counter;
@@ -492,8 +497,8 @@ and attempt_bump t =
     | Some b ->
         let counters =
           NM.fold
-            (fun _ st acc ->
-              match statement_ballot_counter st with
+            (fun _ v acc ->
+              match statement_ballot_counter v.Federation.statement with
               | Some n when n > b.counter && not (List.mem n acc) -> n :: acc
               | _ -> acc)
             t.latest []
@@ -504,14 +509,14 @@ and attempt_bump t =
         in
         if
           counters <> []
-          && Federation.is_v_blocking_set ~local_qset:(t.get_qset ()) t.latest (ahead_of b.counter)
+          && Federation.is_v_blocking_set t.index ~local_qset:(t.get_qset ()) t.latest (ahead_of b.counter)
         then begin
           (* Lowest counter such that the set strictly ahead of it is no
              longer v-blocking. *)
           let target =
             List.find
               (fun n ->
-                not (Federation.is_v_blocking_set ~local_qset:(t.get_qset ()) t.latest (ahead_of n)))
+                not (Federation.is_v_blocking_set t.index ~local_qset:(t.get_qset ()) t.latest (ahead_of n)))
               counters
           in
           abandon t target;
@@ -639,17 +644,19 @@ let process_envelope t (env : envelope) =
   let st = env.statement in
   if not (statement_sane st) then `Invalid
   else begin
+    let v = Federation.voter t.index st in
     let fresh =
       match NM.find_opt st.node_id t.latest with
       | None -> true
       | Some old ->
-          newer_statement old st
-          (* same pledge but reconfigured slices: record the new quorum set *)
-          || (old.pledge = st.pledge && old.quorum_set <> st.quorum_set)
+          newer_statement old.statement st
+          (* same pledge but reconfigured slices: record the new quorum set
+             (compiled sets are equal values exactly when their hashes are) *)
+          || (old.statement.pledge = st.pledge && old.qset != v.qset)
     in
     if not fresh then `Stale
     else begin
-      t.latest <- NM.add st.node_id st t.latest;
+      t.latest <- NM.add st.node_id v t.latest;
       t.latest_envs <- NM.add st.node_id env t.latest_envs;
       if t.externalized = None then advance_slot t
       else begin

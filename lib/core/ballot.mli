@@ -19,7 +19,9 @@ val create :
   local_id:Types.node_id ->
   get_qset:(unit -> Quorum_set.t) ->
   driver:Driver.t ->
+  index:Federation.index ->
   t
+(** [index] is the slot's node index, shared with its nomination. *)
 
 val phase : t -> phase
 val current_ballot : t -> Types.ballot option

@@ -7,6 +7,7 @@ type t = {
   local_id : Types.node_id;
   get_qset : unit -> Quorum_set.t;
   driver : Driver.t;
+  index : Federation.index;
   on_candidates : Types.value -> unit;
   mutable round : int;
   mutable votes : VS.t;
@@ -23,12 +24,13 @@ type t = {
   mutable last_emitted : Types.statement option;
 }
 
-let create ~slot ~local_id ~get_qset ~driver ~on_candidates =
+let create ~slot ~local_id ~get_qset ~driver ~index ~on_candidates =
   {
     slot;
     local_id;
     get_qset;
     driver;
+    index;
     on_candidates;
     round = 0;
     votes = VS.empty;
@@ -47,7 +49,7 @@ let create ~slot ~local_id ~get_qset ~driver ~on_candidates =
 
 let leaders t = SS.elements t.leaders
 let candidates t = VS.elements t.candidates
-let latest_statements t = NM.fold (fun _ st acc -> st :: acc) t.latest []
+let latest_statements t = NM.fold (fun _ v acc -> v.Federation.statement :: acc) t.latest []
 let latest_envelopes t = NM.fold (fun _ env acc -> env :: acc) t.latest_envs []
 
 let stop t =
@@ -104,14 +106,14 @@ let current_statement t =
 
 let record_self t =
   let st = current_statement t in
-  t.latest <- NM.add t.local_id st t.latest
+  t.latest <- NM.add t.local_id (Federation.voter t.index st) t.latest
 
 let emit_if_changed ?(force = false) t =
   let st = current_statement t in
   let changed =
     match t.last_emitted with
     | None -> not (VS.is_empty t.votes) || not (VS.is_empty t.accepted)
-    | Some prev -> force || prev <> st
+    | Some prev -> force || not (Types.same_statement prev st)
   in
   if changed && t.started && not t.stopped then begin
     t.last_emitted <- Some st;
@@ -125,8 +127,8 @@ let emit_if_changed ?(force = false) t =
 
 let all_seen_values t =
   NM.fold
-    (fun _ st acc ->
-      match nom_of st with
+    (fun _ v acc ->
+      match nom_of v.Federation.statement with
       | None -> acc
       | Some n ->
           let acc = List.fold_left (fun a v -> VS.add v a) acc n.votes in
@@ -145,7 +147,7 @@ let advance t =
         (fun v ->
           if not (VS.mem v t.accepted) then
             if
-              Federation.federated_accept ~local_qset:(t.get_qset ()) t.latest
+              Federation.federated_accept t.index ~local_qset:(t.get_qset ()) t.latest
                 ~voted:(votes_value v) ~accepted:(accepts_value v)
               && t.driver.Driver.validate_value ~slot:t.slot v = Driver.Valid
             then begin
@@ -158,7 +160,7 @@ let advance t =
       VS.iter
         (fun v ->
           if not (VS.mem v t.candidates) then
-            if Federation.federated_ratify ~local_qset:(t.get_qset ()) t.latest (accepts_value v)
+            if Federation.federated_ratify t.index ~local_qset:(t.get_qset ()) t.latest (accepts_value v)
             then begin
               t.candidates <- VS.add v t.candidates;
               new_candidates := true;
@@ -210,8 +212,8 @@ let rec trigger_round t ~timedout =
           end
           else
             match NM.find_opt l t.latest with
-            | Some st -> (
-                match new_value_from_leader t st with
+            | Some leader -> (
+                match new_value_from_leader t leader.Federation.statement with
                 | Some v -> t.votes <- VS.add v t.votes
                 | None -> ())
             | None -> ())
@@ -242,7 +244,7 @@ let sorted_unique l =
   in
   uniq s && s = l
 
-let is_newer ~old_st ~old_n ~new_st ~new_n =
+let is_newer ~(old : Federation.voter) ~old_n ~(recv : Federation.voter) ~new_n =
   let subset a b = List.for_all (fun v -> List.exists (String.equal v) b) a in
   let open Types in
   subset old_n.votes new_n.votes
@@ -251,7 +253,7 @@ let is_newer ~old_st ~old_n ~new_st ~new_n =
      || List.length new_n.accepted > List.length old_n.accepted
      (* a reconfigured quorum set alone also counts: peers must learn the
         sender's new slices for quorum discovery (§3.1.1) *)
-     || old_st.quorum_set <> new_st.quorum_set)
+     || old.qset != recv.qset)
 
 let process_envelope t (env : Types.envelope) =
   let st = env.Types.statement in
@@ -261,17 +263,18 @@ let process_envelope t (env : Types.envelope) =
       if not (sorted_unique n.votes && sorted_unique n.accepted) then `Invalid
       else if n.votes = [] && n.accepted = [] then `Invalid
       else begin
+        let recv = Federation.voter t.index st in
         let fresh =
           match NM.find_opt st.Types.node_id t.latest with
           | None -> true
           | Some old -> (
-              match nom_of old with
-              | Some old_n -> is_newer ~old_st:old ~old_n ~new_st:st ~new_n:n
+              match nom_of old.statement with
+              | Some old_n -> is_newer ~old ~old_n ~recv ~new_n:n
               | None -> true)
         in
         if not fresh then `Stale
         else begin
-          t.latest <- NM.add st.Types.node_id st t.latest;
+          t.latest <- NM.add st.Types.node_id recv t.latest;
           t.latest_envs <- NM.add st.Types.node_id env t.latest_envs;
           if t.started && not t.stopped then begin
             (* Echo a leader's proposal as soon as it arrives. *)

@@ -13,10 +13,12 @@ val create :
   local_id:Types.node_id ->
   get_qset:(unit -> Quorum_set.t) ->
   driver:Driver.t ->
+  index:Federation.index ->
   on_candidates:(Types.value -> unit) ->
   t
 (** [get_qset] is read at every use, so a node can adjust its slices at any
-    time (§3.1.1).  [on_candidates composite] fires whenever the combined
+    time (§3.1.1).  [index] is the slot's node index, shared with its
+    ballot protocol.  [on_candidates composite] fires whenever the combined
     candidate value changes; the slot uses it to (re)start balloting. *)
 
 val nominate : t -> value:Types.value -> prev:Types.value -> unit

@@ -2,19 +2,21 @@ type t = {
   index : int;
   local_id : Types.node_id;
   driver : Driver.t;
+  nodes : Federation.index;
   nomination : Nomination.t;
   ballot : Ballot.t;
 }
 
 let create ~index ~local_id ~get_qset ~driver =
-  let ballot = Ballot.create ~slot:index ~local_id ~get_qset ~driver in
+  let nodes = Federation.create_index () in
+  let ballot = Ballot.create ~slot:index ~local_id ~get_qset ~driver ~index:nodes in
   let nomination =
-    Nomination.create ~slot:index ~local_id ~get_qset ~driver
+    Nomination.create ~slot:index ~local_id ~get_qset ~driver ~index:nodes
       ~on_candidates:(fun composite ->
         Ballot.on_nomination_composite ballot composite;
         ignore (Ballot.bump ballot ~value:composite ~force:false))
   in
-  { index; local_id; driver; nomination; ballot }
+  { index; local_id; driver; nodes; nomination; ballot }
 
 (* Nomination stops once balloting reaches the commit phase (the composite
    can no longer influence this slot). *)
@@ -37,16 +39,18 @@ let recv_counter (m : Driver.metrics) = function
   | Types.Confirm _ -> m.recv_confirm
   | Types.Externalize _ -> m.recv_externalize
 
+(* Only a signed statement's set enters the slot's index, which checks each
+   distinct set's sanity once. *)
 let process_envelope t env =
   let st = env.Types.statement in
   if st.Types.slot <> t.index then `Invalid
   else if String.equal st.Types.node_id t.local_id then `Stale
-  else if not (Quorum_set.is_sane st.Types.quorum_set) then `Invalid
   else if
     not
       (t.driver.Driver.verify st.Types.node_id ~msg:(Types.signing_bytes st)
          ~signature:env.Types.signature)
   then `Invalid
+  else if not (Federation.sane (Federation.compile t.nodes st.Types.quorum_set)) then `Invalid
   else begin
     Stellar_obs.Registry.incr (recv_counter t.driver.Driver.metrics st.Types.pledge);
     let result =
@@ -57,6 +61,8 @@ let process_envelope t env =
     sync_nomination t;
     result
   end
+
+let known_nodes t = Federation.size t.nodes
 
 let latest_envelopes t =
   (* ballot envelopes first: an EXTERNALIZE is what completes a straggler *)

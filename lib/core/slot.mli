@@ -1,5 +1,7 @@
 (** One consensus slot: a nomination protocol instance feeding a ballot
-    protocol instance (§3.2).  In Stellar each slot decides one ledger. *)
+    protocol instance (§3.2).  In Stellar each slot decides one ledger.
+    The slot owns the {!Federation.index} both instances run their quorum
+    checks on; it is dropped with the slot. *)
 
 type t
 
@@ -13,8 +15,15 @@ val create :
 val nominate : t -> value:Types.value -> prev:Types.value -> unit
 
 val process_envelope : t -> Types.envelope -> [ `Processed | `Stale | `Invalid ]
-(** Verifies the signature, checks statement sanity, and runs the relevant
-    sub-protocol. *)
+(** Verifies the signature, then checks the quorum set's sanity (once per
+    distinct set in the slot; an insane set stays [`Invalid] on every
+    delivery), and runs the relevant sub-protocol.  An envelope with a bad
+    signature leaves the slot unchanged. *)
+
+val known_nodes : t -> int
+(** The number of nodes the slot's index has numbered: the senders of
+    accepted statements, the members of their quorum sets and of the local
+    set. *)
 
 val reevaluate : t -> unit
 (** Re-run both sub-protocols against the current quorum set. *)

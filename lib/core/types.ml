@@ -137,6 +137,14 @@ let signing_bytes st =
   pledge_xdr.write w st.pledge;
   Xdr.Writer.contents w
 
+(* The pledge is a few words and the quorum set up to a few kilobytes, so
+   the set is compared by hash, last. *)
+let same_statement a b =
+  String.equal a.node_id b.node_id
+  && a.slot = b.slot
+  && a.pledge = b.pledge
+  && String.equal (Quorum_set.hash a.quorum_set) (Quorum_set.hash b.quorum_set)
+
 let encode_envelope env = Xdr.encode envelope_xdr env
 
 let envelope_size env = Xdr.encoded_length envelope_xdr env

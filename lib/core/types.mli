@@ -73,6 +73,10 @@ val signing_bytes : statement -> string
 (** The bytes a node signs to form an envelope, as in stellar-core: XDR of
     node id, slot, {!Quorum_set.hash} of the quorum set, and pledge. *)
 
+val same_statement : statement -> statement -> bool
+(** Structural equality, with the quorum sets compared by
+    {!Quorum_set.hash}. *)
+
 val encode_envelope : envelope -> string
 
 val envelope_size : envelope -> int

@@ -42,6 +42,10 @@ let default_config ~seed ~qset =
     max_ops_per_ledger = 10_000;
   }
 
+(* A known transaction set and the latest slot known to use it: the slot it
+   was built or received in, raised by every envelope that references it. *)
+type held_tx_set = { set : Tx_set.t; mutable last_slot : int }
+
 (* Per-slot timing for the latency metrics of §7.3. *)
 type slot_timing = { mutable t_trigger : float; mutable t_first_ballot : float option }
 
@@ -52,9 +56,10 @@ type t = {
   id : Scp.Types.node_id;
   scp : Scp.Protocol.t;
   queue : Tx_queue.t;
-  tx_sets : (string, Tx_set.t) Hashtbl.t;
+  tx_sets : (string, held_tx_set) Hashtbl.t;
   pending_envs : (string, Scp.Types.envelope list ref) Hashtbl.t;
-      (* envelopes waiting for a tx set, keyed by tx-set hash *)
+      (* envelopes waiting for a tx set, keyed by tx-set hash; both tables
+         drop what is older than SCP's purge horizon at each close *)
   timings : (int, slot_timing) Hashtbl.t;
   mutable state : State.t;
   mutable buckets : Stellar_bucket.Bucket_list.t;
@@ -71,7 +76,19 @@ let buckets t = t.buckets
 let headers t = t.headers
 let last_header t = match t.headers with h :: _ -> Some h | [] -> None
 let ledger_seq t = State.ledger_seq t.state
-let tx_set t h = Hashtbl.find_opt t.tx_sets h
+let tx_set t h = Option.map (fun held -> held.set) (Hashtbl.find_opt t.tx_sets h)
+
+(* [slot] uses the tx set: it expires once [slot] leaves the horizon. *)
+let use held ~slot = if slot > held.last_slot then held.last_slot <- slot
+
+let add_tx_set t h ts ~slot =
+  match Hashtbl.find_opt t.tx_sets h with
+  | Some held -> use held ~slot
+  | None -> Hashtbl.replace t.tx_sets h { set = ts; last_slot = slot }
+
+let table_sizes t =
+  (Hashtbl.length t.tx_sets, Hashtbl.fold (fun _ q n -> n + List.length !q) t.pending_envs 0)
+
 let set_quorum_set t q = Scp.Protocol.set_quorum_set t.scp q
 
 let timing t slot =
@@ -98,7 +115,7 @@ let validate_value t ~slot raw =
           v.Value.close_time > State.close_time t.state
           && float_of_int v.Value.close_time <= t.cb.now () +. 60.0
         in
-        match Hashtbl.find_opt t.tx_sets v.Value.tx_set_hash with
+        match tx_set t v.Value.tx_set_hash with
         | Some ts when close_ok ->
             if String.equal (Tx_set.prev_header_hash ts) (prev_header_hash t) then
               Scp.Driver.Valid
@@ -109,7 +126,7 @@ let validate_value t ~slot raw =
 
 let combine_candidates t ~slot:_ raws =
   let values = List.filter_map Value.decode raws in
-  match Value.combine_with ~lookup:(fun h -> Hashtbl.find_opt t.tx_sets h) values with
+  match Value.combine_with ~lookup:(tx_set t) values with
   | Some v -> Some (Value.encode v)
   | None -> None
 
@@ -124,8 +141,21 @@ let results_hash results =
     results;
   Stellar_crypto.Sha256.final ctx
 
+(* SCP keeps the last 32 slots for stragglers; the tx sets those slots use
+   and the envelopes still waiting for a tx set go with them. *)
+let purge t ~below =
+  Scp.Protocol.purge_slots t.scp ~below;
+  Hashtbl.filter_map_inplace
+    (fun _ held -> if held.last_slot < below then None else Some held)
+    t.tx_sets;
+  Hashtbl.filter_map_inplace
+    (fun _ q ->
+      q := List.filter (fun env -> env.Scp.Types.statement.Scp.Types.slot >= below) !q;
+      if !q = [] then None else Some q)
+    t.pending_envs
+
 let rec close_ledger t slot (v : Value.t) =
-  match Hashtbl.find_opt t.tx_sets v.Value.tx_set_hash with
+  match tx_set t v.Value.tx_set_hash with
   | None ->
       (* confirmed by the network but we lack the data: wait for the set *)
       t.pending_apply <- (slot, v) :: t.pending_apply
@@ -188,7 +218,7 @@ let rec close_ledger t slot (v : Value.t) =
           purged;
       Stellar_obs.Sink.set_gauge t.obs "herder.queue.size"
         (float_of_int (Tx_queue.size t.queue));
-      Scp.Protocol.purge_slots t.scp ~below:(slot - 32);
+      purge t ~below:(slot - 32);
       (* stats *)
       let tm = timing t slot in
       let now = t.cb.now () in
@@ -239,7 +269,7 @@ and trigger_next_ledger t =
           Stellar_obs.Sink.emit t.obs
             (Stellar_obs.Event.Tx_in_txset { tx = signed.Tx.tx_hash; slot }))
         txs;
-    Hashtbl.replace t.tx_sets (Tx_set.hash ts) ts;
+    add_tx_set t (Tx_set.hash ts) ts ~slot;
     t.cb.broadcast_tx_set ts;
     let close_time = max (int_of_float (t.cb.now ())) (State.close_time t.state + 1) in
     let upgrades = if t.config.is_governing then t.config.desired_upgrades else [] in
@@ -352,9 +382,15 @@ let referenced_tx_sets st =
     values
 
 let rec receive_envelope t env =
+  let slot = env.Scp.Types.statement.Scp.Types.slot in
   let missing =
     List.filter
-      (fun h -> not (Hashtbl.mem t.tx_sets h))
+      (fun h ->
+        match Hashtbl.find_opt t.tx_sets h with
+        | Some held ->
+            use held ~slot;
+            false
+        | None -> true)
       (referenced_tx_sets env.Scp.Types.statement)
   in
   match missing with
@@ -373,7 +409,7 @@ let rec receive_envelope t env =
 and receive_tx_set t ts =
   let h = Tx_set.hash ts in
   if not (Hashtbl.mem t.tx_sets h) then begin
-    Hashtbl.replace t.tx_sets h ts;
+    add_tx_set t h ts ~slot:(State.ledger_seq t.state + 1);
     (* wake buffered envelopes *)
     (match Hashtbl.find_opt t.pending_envs h with
     | Some q ->
@@ -402,7 +438,7 @@ let help_straggler t ~slot =
           match env.Scp.Types.statement.Scp.Types.pledge with
           | Scp.Types.Externalize e -> (
               match Value.decode e.Scp.Types.commit.Scp.Types.value with
-              | Some v -> Hashtbl.find_opt t.tx_sets v.Value.tx_set_hash
+              | Some v -> tx_set t v.Value.tx_set_hash
               | None -> None)
           | _ -> None)
         envs

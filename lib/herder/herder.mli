@@ -86,9 +86,15 @@ val receive_tx : t -> Stellar_ledger.Tx.signed -> [ `New | `Duplicate ]
 val receive_tx_set : t -> Tx_set.t -> unit
 val receive_envelope : t -> Scp.Types.envelope -> unit
 (** Envelopes whose transaction sets have not arrived yet are buffered and
-    replayed when the set shows up. *)
+    replayed when the set shows up, or dropped once their slot is older
+    than SCP's purge horizon. *)
 
 val tx_set : t -> string -> Tx_set.t option
+
+val table_sizes : t -> int * int
+(** The transaction sets held, and the envelopes waiting for a transaction
+    set.  Each ledger close drops the ones older than SCP's purge horizon
+    (32 slots), so both stay bounded. *)
 
 val recent_envelopes : t -> Scp.Types.envelope list
 (** This node's latest envelopes for the in-flight slot and the one just

@@ -354,6 +354,116 @@ let regression_tests =
               true (wz < 200))
           vs;
         check bool "helped memo bounded" true (Validator.helped_size vs.(0) < 50));
+    test_case "herder tx sets and waiting envelopes expire with slots" `Quick (fun () ->
+        let spec = Topology.all_to_all ~n:4 in
+        let engine = Stellar_sim.Engine.create () in
+        let rng = Stellar_sim.Rng.create ~seed:9 in
+        let network =
+          Stellar_sim.Network.create ~engine ~rng ~n:4
+            ~latency:Stellar_sim.Latency.datacenter ()
+        in
+        let genesis, _ = Genesis.make ~n_accounts:10 () in
+        let mk i =
+          Validator.create ~network ~index:i
+            ~peers:(spec.Topology.peers_of i)
+            ~config:
+              (Stellar_herder.Herder.default_config ~seed:(spec.Topology.validator_seed i)
+                 ~qset:(spec.Topology.qset_of i))
+            ~genesis ()
+        in
+        let vs = Array.init 4 mk in
+        let h0 = Validator.herder vs.(0) in
+        (* a nomination for [slot] whose tx set is never flooded: the herder
+           holds it until the set arrives *)
+        let orphan slot =
+          let value =
+            Stellar_herder.Value.encode
+              {
+                Stellar_herder.Value.tx_set_hash =
+                  Stellar_crypto.Sha256.digest (Printf.sprintf "never flooded %d" slot);
+                close_time = 1;
+                upgrades = [];
+              }
+          in
+          {
+            Scp.Types.statement =
+              {
+                node_id = (Topology.node_ids spec).(1);
+                slot;
+                quorum_set = spec.Topology.qset_of 1;
+                pledge = Nominate { votes = [ value ]; accepted = [] };
+              };
+            signature = "";
+          }
+        in
+        Array.iter Validator.start vs;
+        Stellar_herder.Herder.receive_envelope h0 (orphan 2);
+        check int "one envelope waiting" 1 (snd (Stellar_herder.Herder.table_sizes h0));
+        (* past the 32-slot horizon, then twice as far *)
+        Stellar_sim.Engine.run ~until:180.0 engine;
+        let at_35, _ = Stellar_herder.Herder.table_sizes h0 in
+        Stellar_sim.Engine.run ~until:340.0 engine;
+        let seq = Stellar_herder.Herder.ledger_seq h0 in
+        check bool (Printf.sprintf "closed 60+ ledgers (%d)" seq) true (seq >= 60);
+        Stellar_herder.Herder.receive_envelope h0 (orphan (seq + 1));
+        let tx_sets, waiting = Stellar_herder.Herder.table_sizes h0 in
+        (* the sets of the 33 slots SCP keeps (here one set a slot: the
+           idle validators build the same empty set), not one a ledger *)
+        check bool
+          (Printf.sprintf "tx sets flat: %d after ~35 ledgers, %d after %d" at_35 tx_sets seq)
+          true
+          (tx_sets <= at_35 + 2 && tx_sets <= 4 * 34);
+        check int "the old envelope expired, the current one waits" 1 waiting);
+    test_case "a tx set an envelope references outlives the horizon" `Quick (fun () ->
+        (* one self-trusting validator closes ledgers on its own; it learns
+           two tx sets at ledger 1, and an envelope for slot 50 names one *)
+        let spec = Topology.all_to_all ~n:1 in
+        let engine = Stellar_sim.Engine.create () in
+        let rng = Stellar_sim.Rng.create ~seed:9 in
+        let network =
+          Stellar_sim.Network.create ~engine ~rng ~n:1 ~latency:Stellar_sim.Latency.datacenter ()
+        in
+        let genesis, _ = Genesis.make ~n_accounts:10 () in
+        let v =
+          Validator.create ~network ~index:0 ~peers:[]
+            ~config:
+              (Stellar_herder.Herder.default_config ~seed:(spec.Topology.validator_seed 0)
+                 ~qset:(spec.Topology.qset_of 0))
+            ~genesis ()
+        in
+        let h = Validator.herder v in
+        let set tag =
+          Stellar_herder.Tx_set.make ~prev_header_hash:(Stellar_crypto.Sha256.digest tag) []
+        in
+        let used = set "used at slot 50" and unused = set "never referenced" in
+        Stellar_herder.Herder.receive_tx_set h used;
+        Stellar_herder.Herder.receive_tx_set h unused;
+        let value =
+          Stellar_herder.Value.encode
+            {
+              Stellar_herder.Value.tx_set_hash = Stellar_herder.Tx_set.hash used;
+              close_time = 1;
+              upgrades = [];
+            }
+        in
+        Stellar_herder.Herder.receive_envelope h
+          {
+            Scp.Types.statement =
+              {
+                node_id = (Topology.node_ids spec).(0);
+                slot = 50;
+                quorum_set = spec.Topology.qset_of 0;
+                pledge = Nominate { votes = [ value ]; accepted = [] };
+              };
+            signature = "";
+          };
+        Validator.start v;
+        Stellar_sim.Engine.run ~until:220.0 engine;
+        let seq = Stellar_herder.Herder.ledger_seq h in
+        check bool (Printf.sprintf "closed 40+ ledgers (%d)" seq) true (seq >= 40);
+        let held ts = Stellar_herder.Herder.tx_set h (Stellar_herder.Tx_set.hash ts) <> None in
+        check bool "the unreferenced set expired" false (held unused);
+        check bool "the set slot 50 uses is kept" true (held used));
   ]
 
 let () =

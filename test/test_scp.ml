@@ -87,9 +87,14 @@ let mk_statement node qset vote =
       pledge = Nominate { votes = [ vote ]; accepted = [] };
     }
 
+(* the latest-statement map the federation checks take, over [idx] *)
+let voters idx sts =
+  List.fold_left
+    (fun acc st -> Federation.Node_map.add st.Types.node_id (Federation.voter idx st) acc)
+    Federation.Node_map.empty sts
+
 let federation_tests =
   let open Alcotest in
-  let module NM = Federation.Node_map in
   [
     test_case "quorum requires every member's slice" `Quick (fun () ->
         (* a trusts {a,b}, b trusts {b,c}: {a,b} is not a quorum (b's slice
@@ -97,17 +102,17 @@ let federation_tests =
         let qa = Quorum_set.make ~threshold:2 [ a; b ] in
         let qb = Quorum_set.make ~threshold:2 [ b; c ] in
         let qc = Quorum_set.singleton c in
+        let idx = Federation.create_index () in
         let sts v =
-          NM.of_seq
-            (List.to_seq
-               (List.map
-                  (fun (n, q) -> (n, mk_statement n q "x"))
-                  (List.filteri (fun i _ -> i < v) [ (a, qa); (b, qb); (c, qc) ])))
+          voters idx
+            (List.map
+               (fun (n, q) -> mk_statement n q "x")
+               (List.filteri (fun i _ -> i < v) [ (a, qa); (b, qb); (c, qc) ]))
         in
         check bool "a+b not quorum" false
-          (Federation.is_quorum ~local_qset:qa (sts 2) (fun _ -> true));
+          (Federation.is_quorum idx ~local_qset:qa (sts 2) (fun _ -> true));
         check bool "a+b+c quorum" true
-          (Federation.is_quorum ~local_qset:qa (sts 3) (fun _ -> true)));
+          (Federation.is_quorum idx ~local_qset:qa (sts 3) (fun _ -> true)));
     test_case "fig2 cascade: v-blocking accept overrules votes" `Quick (fun () ->
         (* Nodes 1-4 in a clique (3-of-4); 5 depends on 1; 6,7 depend on 5.
            When the clique accepts X, node 5 must accept X via its
@@ -136,13 +141,11 @@ let federation_tests =
               pledge = Nominate { votes = [ "X" ]; accepted = [ "X" ] };
             }
         in
-        let sts =
-          NM.of_seq
-            (List.to_seq (List.map (fun n -> (n, accept_st n q_clique)) clique))
-        in
+        let idx = Federation.create_index () in
+        let sts = voters idx (List.map (fun n -> accept_st n q_clique) clique) in
         (* Node 5 voted Y but sees {a} accept X: a is 5-blocking. *)
         check bool "5-blocking accepts X" true
-          (Federation.federated_accept ~local_qset:q5 sts ~voted:votes_x
+          (Federation.federated_accept idx ~local_qset:q5 sts ~voted:votes_x
              ~accepted:accepted_x));
     test_case "ratify needs full quorum of accepts" `Quick (fun () ->
         let q = Quorum_set.make ~threshold:3 [ a; b; c; d ] in
@@ -160,18 +163,15 @@ let federation_tests =
           | Types.Nominate n -> List.mem "X" n.Types.accepted
           | _ -> false
         in
-        let sts2 =
-          NM.of_seq
-            (List.to_seq
-               [ (a, accept_st a [ "X" ] [ "X" ]); (b, accept_st b [ "X" ] [ "X" ]) ])
-        in
+        let idx = Federation.create_index () in
+        let sts2 = voters idx [ accept_st a [ "X" ] [ "X" ]; accept_st b [ "X" ] [ "X" ] ] in
         check bool "2 accepts of 3-of-4: no ratify" false
-          (Federation.federated_ratify ~local_qset:q sts2 accepted_x);
+          (Federation.federated_ratify idx ~local_qset:q sts2 accepted_x);
         let sts3 =
-          NM.add c (accept_st c [ "X" ] [ "X" ]) sts2
+          Federation.Node_map.add c (Federation.voter idx (accept_st c [ "X" ] [ "X" ])) sts2
         in
         check bool "3 accepts ratify" true
-          (Federation.federated_ratify ~local_qset:q sts3 accepted_x));
+          (Federation.federated_ratify idx ~local_qset:q sts3 accepted_x));
   ]
 
 (* ---------- Random nested quorum sets for the properties below ---------- *)
@@ -215,6 +215,16 @@ let ref_is_quorum ~local_qset statements pred =
   let set = shrink initial in
   Quorum_set.is_quorum_slice local_qset (fun v -> S.mem v set)
 
+(* The other checks as they ran on string-keyed maps before the node index:
+   membership looked up per validator, [pred] evaluated per lookup. *)
+let ref_is_v_blocking_set ~local_qset statements pred =
+  Quorum_set.is_v_blocking local_qset (fun v ->
+      match Federation.Node_map.find_opt v statements with Some st -> pred st | None -> false)
+
+let ref_federated_accept ~local_qset statements ~voted ~accepted =
+  ref_is_v_blocking_set ~local_qset statements accepted
+  || ref_is_quorum ~local_qset statements (fun st -> voted st || accepted st)
+
 let fixpoint_prop_tests =
   let open QCheck in
   (* a structurally equal set that shares no record with [q] *)
@@ -239,13 +249,15 @@ let fixpoint_prop_tests =
     let* shared = list_size (int_range 1 3) (qset_gen pool 1) in
     let* carried = list_repeat n (carried_gen pool (List.length shared)) in
     let* mask = list_repeat n bool in
-    let+ local = qset_gen pool 1 in
-    (pool, Array.of_list shared, carried, mask, local)
+    let* local = qset_gen pool 1 in
+    let+ mask2 = list_repeat n bool in
+    (pool, Array.of_list shared, carried, (mask, mask2), local)
   in
-  let print (pool, shared, carried, mask, local) =
-    let node v c bit =
-      Printf.sprintf "%c%s:%s" v.[0]
+  let print (pool, shared, carried, (mask, mask2), local) =
+    let node v c (bit, bit2) =
+      Printf.sprintf "%c%s%s:%s" v.[0]
         (if bit then "+" else "-")
+        (if bit2 then "+" else "-")
         (match c with
         | `Shared i -> Printf.sprintf "shared%d" i
         | `Copy i -> Printf.sprintf "copy%d" i
@@ -255,7 +267,8 @@ let fixpoint_prop_tests =
     Printf.sprintf "shared=[%s] nodes=[%s] local=%s"
       (String.concat "; " (Array.to_list (Array.map show_qset shared)))
       (String.concat "; "
-         (List.map2 (fun (v, c) bit -> node v c bit) (List.combine pool carried) mask))
+         (List.map2 (fun (v, c) bits -> node v c bits) (List.combine pool carried)
+            (List.combine mask mask2)))
       (show_qset local)
   in
   let statements (pool, shared, carried, _, _) =
@@ -273,15 +286,50 @@ let fixpoint_prop_tests =
         | None -> acc)
       Federation.Node_map.empty pool carried
   in
+  (* the spec's statement map, the same statements over a fresh index, and
+     the two masks as statement predicates *)
+  let setup ((pool, _, _, (mask, mask2), _) as sc) =
+    let sts = statements sc in
+    let idx = Federation.create_index () in
+    let pred mask st = List.assoc st.Types.node_id (List.combine pool mask) in
+    (sts, idx, Federation.Node_map.map (Federation.voter idx) sts, pred mask, pred mask2)
+  in
+  let prop name ?(count = 2000) f =
+    QCheck_alcotest.to_alcotest (Test.make ~name ~count (make ~print scenario_gen) f)
+  in
   [
-    QCheck_alcotest.to_alcotest
-      (Test.make ~name:"is_quorum matches the Set-based fixpoint" ~count:2000
-         (make ~print scenario_gen)
-         (fun ((pool, _, _, mask, local_qset) as sc) ->
-           let sts = statements sc in
-           let pred st = List.assoc st.Types.node_id (List.combine pool mask) in
-           Federation.is_quorum ~local_qset sts pred
-           = ref_is_quorum ~local_qset sts pred));
+    prop "is_quorum matches the Set-based fixpoint" (fun ((_, _, _, _, local_qset) as sc) ->
+        let sts, idx, vs, pred, _ = setup sc in
+        Federation.is_quorum idx ~local_qset vs pred = ref_is_quorum ~local_qset sts pred);
+    prop "federated_ratify matches the Set-based fixpoint"
+      (fun ((_, _, _, _, local_qset) as sc) ->
+        let sts, idx, vs, pred, _ = setup sc in
+        Federation.federated_ratify idx ~local_qset vs pred = ref_is_quorum ~local_qset sts pred);
+    prop "is_v_blocking_set matches its Node_map definition"
+      (fun ((_, _, _, _, local_qset) as sc) ->
+        let sts, idx, vs, pred, _ = setup sc in
+        Federation.is_v_blocking_set idx ~local_qset vs pred
+        = ref_is_v_blocking_set ~local_qset sts pred);
+    prop "federated_accept matches its Node_map definition"
+      (fun ((_, _, _, _, local_qset) as sc) ->
+        let sts, idx, vs, voted, accepted = setup sc in
+        Federation.federated_accept idx ~local_qset vs ~voted ~accepted
+        = ref_federated_accept ~local_qset sts ~voted ~accepted);
+    prop "equal quorum sets share one compiled entry" ~count:500
+      (fun ((_, _, _, _, local_qset) as sc) ->
+        let _, idx, vs, _, _ = setup sc in
+        let local = Federation.compile idx local_qset in
+        let entries =
+          (local_qset, local)
+          :: List.map
+               (fun (_, (v : Federation.voter)) -> (v.statement.Types.quorum_set, v.qset))
+               (Federation.Node_map.bindings vs)
+        in
+        List.for_all
+          (fun (q1, c1) ->
+            List.for_all (fun (q2, c2) -> (q1 = q2) = (c1 == c2)) entries
+            && Federation.sane c1 = Quorum_set.is_sane q1)
+          entries);
   ]
 
 (* ---------- Statement signatures ---------- *)
@@ -341,6 +389,37 @@ let signing_tests =
         check bool "distinct values" false (copy == q);
         check bool "copy verifies" true
           (Slot.process_envelope (slot ()) (with_qset env copy) = `Processed));
+    test_case "an insane quorum set is invalid on every delivery" `Quick (fun () ->
+        let self, peer, slot, signed = setup () in
+        let s = slot () in
+        let insane () = { Quorum_set.threshold = 1; validators = [ peer; peer ]; inner = [] } in
+        let env = signed (insane ()) in
+        for i = 1 to 3 do
+          check bool (Printf.sprintf "delivery %d" i) true (Slot.process_envelope s env = `Invalid)
+        done;
+        check bool "an equal copy" true
+          (Slot.process_envelope s (with_qset env (insane ())) = `Invalid);
+        check bool "a sane set from the same sender" true
+          (Slot.process_envelope s (signed (Quorum_set.make ~threshold:2 [ self; peer; a ]))
+          = `Processed);
+        check bool "the insane set once more" true (Slot.process_envelope s env = `Invalid));
+    test_case "a badly signed envelope leaves the slot's index unchanged" `Quick (fun () ->
+        let self, peer, slot, signed = setup () in
+        let s = slot () in
+        let env = signed (Quorum_set.make ~threshold:2 [ self; peer; a ]) in
+        check bool "signed" true (Slot.process_envelope s env = `Processed);
+        let known = Slot.known_nodes s in
+        let strangers = List.init 40 (Printf.sprintf "stranger-%d") in
+        let forged = with_qset env (Quorum_set.make ~threshold:20 (peer :: strangers)) in
+        check bool "new set, old signature" true (Slot.process_envelope s forged = `Invalid);
+        let insane = { Quorum_set.threshold = 1; validators = strangers @ strangers; inner = [] } in
+        check bool "insane set, old signature" true
+          (Slot.process_envelope s (with_qset env insane) = `Invalid);
+        check int "no stranger numbered" known (Slot.known_nodes s);
+        check bool "the new set, signed" true
+          (Slot.process_envelope s (signed (Quorum_set.make ~threshold:20 (peer :: strangers)))
+          = `Processed);
+        check int "strangers numbered once signed" (known + 40) (Slot.known_nodes s));
     test_case "signing bytes do not grow with the quorum set" `Quick (fun () ->
         let tiered = (fst (Stellar_node.Topology.tiered ())).Stellar_node.Topology.qset_of 0 in
         check int "tiered set size" 27 (List.length (Quorum_set.all_validators tiered));

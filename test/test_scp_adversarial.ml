@@ -50,6 +50,11 @@ let v_self = id 's'
 let peers = [ id 'a'; id 'b'; id 'c' ]
 let qset = Quorum_set.majority (v_self :: peers) (* 3 of 4 *)
 
+(* a ballot protocol for [v_self] with its own node index *)
+let new_ballot ?(slot = 1) p =
+  Ballot.create ~slot ~local_id:v_self ~get_qset:(fun () -> qset) ~driver:p.driver
+    ~index:(Federation.create_index ())
+
 let wrap st = { Types.statement = st; signature = "stub-signature" }
 
 let prepare_st node ~counter ~value ?prepared ?(n_c = 0) ?(n_h = 0) () =
@@ -83,7 +88,7 @@ let ballot_tests =
   [
     test_case "votes from a quorum accept-prepare the ballot" `Quick (fun () ->
         let p = make_probe () in
-        let b = Ballot.create ~slot:1 ~local_id:v_self ~get_qset:(fun () -> qset) ~driver:p.driver in
+        let b = new_ballot p in
         ignore (Ballot.bump b ~value:"X" ~force:false);
         check bool "no prepared yet" true (Ballot.prepared b = None);
         (* two peers + self vote prepare <1,X>: quorum of 3 *)
@@ -101,7 +106,7 @@ let ballot_tests =
         check bool "emitted updated statements" true (List.length !(p.emitted) >= 2));
     test_case "full path to externalize from crafted statements" `Quick (fun () ->
         let p = make_probe () in
-        let b = Ballot.create ~slot:1 ~local_id:v_self ~get_qset:(fun () -> qset) ~driver:p.driver in
+        let b = new_ballot p in
         ignore (Ballot.bump b ~value:"X" ~force:false);
         (* peers accept-prepared <1,X> and vote commit: PREPARE with
            prepared set and c/h counters *)
@@ -125,7 +130,7 @@ let ballot_tests =
         check bool "reported to driver" true (List.mem_assoc 1 !(p.externalized)));
     test_case "insane statements rejected" `Quick (fun () ->
         let p = make_probe () in
-        let b = Ballot.create ~slot:1 ~local_id:v_self ~get_qset:(fun () -> qset) ~driver:p.driver in
+        let b = new_ballot p in
         ignore (Ballot.bump b ~value:"X" ~force:false);
         (* n_c > n_h is nonsense *)
         let bad = prepare_st (List.hd peers) ~counter:2 ~value:"X"
@@ -136,7 +141,7 @@ let ballot_tests =
         check bool "invalid counter" true (Ballot.process_envelope b (wrap bad2) = `Invalid));
     test_case "stale (older) statements ignored" `Quick (fun () ->
         let p = make_probe () in
-        let b = Ballot.create ~slot:1 ~local_id:v_self ~get_qset:(fun () -> qset) ~driver:p.driver in
+        let b = new_ballot p in
         ignore (Ballot.bump b ~value:"X" ~force:false);
         let peer = List.hd peers in
         ignore (Ballot.process_envelope b (wrap (prepare_st peer ~counter:3 ~value:"X" ())));
@@ -144,7 +149,7 @@ let ballot_tests =
           (Ballot.process_envelope b (wrap (prepare_st peer ~counter:2 ~value:"X" ())) = `Stale));
     test_case "v-blocking set ahead forces a counter jump (§3.2.4)" `Quick (fun () ->
         let p = make_probe () in
-        let b = Ballot.create ~slot:1 ~local_id:v_self ~get_qset:(fun () -> qset) ~driver:p.driver in
+        let b = new_ballot p in
         ignore (Ballot.bump b ~value:"X" ~force:false);
         check int "at counter 1" 1 (Option.get (Ballot.current_ballot b)).Types.counter;
         (* two peers (v-blocking for a 3-of-4 qset) jump to counter 5 *)
@@ -155,7 +160,7 @@ let ballot_tests =
         check int "jumped to 5" 5 (Option.get (Ballot.current_ballot b)).Types.counter);
     test_case "started_ballot fires once, at the first ballot" `Quick (fun () ->
         let p = make_probe () in
-        let b = Ballot.create ~slot:7 ~local_id:v_self ~get_qset:(fun () -> qset) ~driver:p.driver in
+        let b = new_ballot ~slot:7 p in
         check (list int) "not before a ballot" [] !(p.started);
         check bool "first bump" true (Ballot.bump b ~value:"X" ~force:false);
         check (list int) "at the first ballot" [ 7 ] !(p.started);
@@ -163,7 +168,7 @@ let ballot_tests =
         check (list int) "not again" [ 7 ] !(p.started));
     test_case "ballot timer for counter n arms 1 + n seconds" `Quick (fun () ->
         let p = make_probe () in
-        let b = Ballot.create ~slot:1 ~local_id:v_self ~get_qset:(fun () -> qset) ~driver:p.driver in
+        let b = new_ballot p in
         ignore (Ballot.bump b ~value:"X" ~force:false);
         check (list (float 0.0)) "no timer without a quorum at counter 1" [] (delays p);
         let at counter =
@@ -181,7 +186,7 @@ let ballot_tests =
         check (list int) "started_ballot still once" [ 1 ] !(p.started));
     test_case "no commit without confirmed prepare" `Quick (fun () ->
         let p = make_probe () in
-        let b = Ballot.create ~slot:1 ~local_id:v_self ~get_qset:(fun () -> qset) ~driver:p.driver in
+        let b = new_ballot p in
         ignore (Ballot.bump b ~value:"X" ~force:false);
         (* a single peer claiming commit must not move us past prepare *)
         ignore
@@ -340,7 +345,7 @@ let nomination_tests =
         let candidates = ref [] in
         let n =
           Nomination.create ~slot:1 ~local_id:v_self ~get_qset:(fun () -> qset)
-            ~driver:p.driver ~on_candidates:(fun v -> candidates := v :: !candidates)
+            ~driver:p.driver ~index:(Federation.create_index ()) ~on_candidates:(fun v -> candidates := v :: !candidates)
         in
         Nomination.nominate n ~value:"mine" ~prev:"prev";
         let leaders = Nomination.leaders n in
@@ -364,7 +369,7 @@ let nomination_tests =
         let candidates = ref [] in
         let n =
           Nomination.create ~slot:1 ~local_id:v_self ~get_qset:(fun () -> qset)
-            ~driver:p.driver ~on_candidates:(fun v -> candidates := v :: !candidates)
+            ~driver:p.driver ~index:(Federation.create_index ()) ~on_candidates:(fun v -> candidates := v :: !candidates)
         in
         Nomination.nominate n ~value:"X" ~prev:"prev";
         (* all three peers vote and accept X: quorum for both stages *)
@@ -378,7 +383,7 @@ let nomination_tests =
         let p = make_probe () in
         let n =
           Nomination.create ~slot:1 ~local_id:v_self ~get_qset:(fun () -> qset)
-            ~driver:p.driver ~on_candidates:(fun _ -> ())
+            ~driver:p.driver ~index:(Federation.create_index ()) ~on_candidates:(fun _ -> ())
         in
         Nomination.nominate n ~value:"X" ~prev:"prev";
         List.iter
@@ -410,7 +415,7 @@ let nomination_tests =
         let p = make_probe () in
         let n =
           Nomination.create ~slot:1 ~local_id:v_self ~get_qset:(fun () -> qset)
-            ~driver:p.driver ~on_candidates:(fun _ -> ())
+            ~driver:p.driver ~index:(Federation.create_index ()) ~on_candidates:(fun _ -> ())
         in
         Nomination.nominate n ~value:"X" ~prev:"prev";
         check (list (float 0.0)) "round 1: 2 s" [ 2.0 ] (delays p);
@@ -420,7 +425,7 @@ let nomination_tests =
         let p = make_probe () in
         let n =
           Nomination.create ~slot:1 ~local_id:v_self ~get_qset:(fun () -> qset)
-            ~driver:p.driver ~on_candidates:(fun _ -> ())
+            ~driver:p.driver ~index:(Federation.create_index ()) ~on_candidates:(fun _ -> ())
         in
         Nomination.nominate n ~value:"X" ~prev:"prev";
         (* unsorted votes *)
@@ -466,6 +471,59 @@ let fairness_tests =
           (frac > 0.5 && frac < 0.85));
   ]
 
+(* ---------- unilateral reconfiguration (§3.1.1) ---------- *)
+
+let reconfiguration_tests =
+  let open Alcotest in
+  [
+    test_case "a re-announced quorum set unblocks peers' ballots" `Quick (fun () ->
+        (* Node 0 first trusts all four nodes, nodes 1 and 2 trust 3-of-{0,1,2},
+           and node 3's ballot statements never arrive: every quorum of 0, 1
+           and 2 contains node 0, whose slice needs node 3, so balloting
+           blocks.  Node 0 then drops node 3 from its slices. *)
+        let old_qset ids = Quorum_set.make ~threshold:4 (Array.to_list ids) in
+        let new_qset ids = Quorum_set.make ~threshold:3 [ ids.(0); ids.(1); ids.(2) ] in
+        let h =
+          Scp_harness.make ~n:4
+            ~qset_of:(fun ids i ->
+              if i = 0 then old_qset ids
+              else if i = 3 then Quorum_set.majority (Array.to_list ids)
+              else new_qset ids)
+            ()
+        in
+        let ids = h.Scp_harness.ids in
+        let is_ballot env =
+          match env.Types.statement.Types.pledge with Types.Nominate _ -> false | _ -> true
+        in
+        (* what node 1 made of node 0's ballot statements: (set, pledge, result) *)
+        let from_0 = ref [] in
+        for i = 0 to 2 do
+          let node = h.Scp_harness.nodes.(i) in
+          Stellar_sim.Network.set_handler h.Scp_harness.network i (fun ~src ~info:_ env ->
+              if not (src = 3 && is_ballot env) then begin
+                let r = Protocol.receive_envelope node.Scp_harness.protocol env in
+                let st = env.Types.statement in
+                if i = 1 && src = 0 && is_ballot env then
+                  from_0 := (st.Types.quorum_set, st.Types.pledge, r) :: !from_0
+              end)
+        done;
+        Scp_harness.nominate_all h (fun i -> Printf.sprintf "value-%d" i);
+        Scp_harness.run ~until:5.0 h;
+        check bool "node 1 holds a ballot statement from node 0" true (!from_0 <> []);
+        Array.iteri
+          (fun i dec -> if i < 3 then check bool (Printf.sprintf "node %d blocked" i) true (dec = None))
+          (Scp_harness.decisions h);
+        let _, blocked_pledge, _ = List.hd !from_0 in
+        Protocol.set_quorum_set h.Scp_harness.nodes.(0).Scp_harness.protocol (new_qset ids);
+        Scp_harness.run ~until:60.0 h;
+        (match List.rev !from_0 |> List.find_opt (fun (q, _, _) -> q = new_qset ids) with
+        | Some (_, pledge, r) ->
+            check bool "re-announced with the same pledge" true (pledge = blocked_pledge);
+            check bool "recorded by node 1" true (r = `Processed)
+        | None -> fail "node 0 did not re-announce its ballot under the new set");
+        check bool "nodes 0-2 decide" true (Scp_harness.unanimous ~except:[ 3 ] h));
+  ]
+
 let () =
   Alcotest.run "scp-adversarial"
     [
@@ -473,5 +531,6 @@ let () =
       ("nomination-machine", nomination_tests);
       ("leader-fairness", fairness_tests);
       ("byzantine", byzantine_tests);
+      ("reconfiguration", reconfiguration_tests);
       ("random", [ QCheck_alcotest.to_alcotest random_convergence ]);
     ]
