@@ -1,6 +1,7 @@
 (* abl-crypto: Bechamel micro-benchmarks of the substrate design choices —
    real Ed25519 vs the simulated scheme, hashing, order-book crossing,
-   transaction application, bucket merging and the tracing paths. *)
+   transaction application, bucket merging, the event core and the tracing
+   paths. *)
 
 open Bechamel
 
@@ -178,6 +179,17 @@ let make_tests () =
   in
   let counter_sink = Obs.Sink.make ~node:0 ~now:(fun () -> 0.0) (Obs.Registry.create ()) in
   let counter_handle = Obs.Sink.counter counter_sink "flood.dup_dropped" in
+  (* the event core at tiered's peak queue depth (7,669 pending events):
+     each call schedules one event due now and runs it, a full push and pop
+     through a heap that deep, while the far-future events stay queued *)
+  let engine = Stellar_sim.Engine.create () in
+  for i = 1 to 7_669 do
+    ignore (Stellar_sim.Engine.schedule engine ~delay:(1e6 +. float_of_int i) ignore)
+  done;
+  let engine_event () =
+    ignore (Stellar_sim.Engine.schedule engine ~delay:0.0 ignore);
+    Stellar_sim.Engine.run ~until:(Stellar_sim.Engine.now engine) engine
+  in
   [
     Test.make ~name:"hex/encode-32B" (Staged.stage (fun () -> ignore (Hex.encode hash32)));
     Test.make ~name:"obs/trace-record-100k" (Staged.stage (fun () -> ignore (trace_100k ())));
@@ -185,6 +197,7 @@ let make_tests () =
       (Staged.stage (fun () -> Obs.Registry.incr counter_handle));
     Test.make ~name:"obs/counter-by-name"
       (Staged.stage (fun () -> Obs.Sink.incr counter_sink "flood.dup_dropped"));
+    Test.make ~name:"sim/engine" (Staged.stage engine_event);
     Test.make ~name:"sha256/64B" (Staged.stage (fun () -> ignore (Sha256.digest data64)));
     Test.make ~name:"sha256/8KiB" (Staged.stage (fun () -> ignore (Sha256.digest data8k)));
     Test.make ~name:"sha512/8KiB" (Staged.stage (fun () -> ignore (Sha512.digest data8k)));

@@ -381,30 +381,38 @@ let referenced_tx_sets st =
     (fun raw -> Option.map (fun v -> v.Value.tx_set_hash) (Value.decode raw))
     values
 
+(* stellar-core's LEDGER_VALIDITY_BRACKET: an envelope for a slot further
+   ahead of the last closed ledger is dropped unread, before it can keep a
+   tx set alive, wait for one, or open an SCP slot; nothing about it has
+   been verified yet. *)
+let ledger_validity_bracket = 100
+
 let rec receive_envelope t env =
   let slot = env.Scp.Types.statement.Scp.Types.slot in
-  let missing =
-    List.filter
-      (fun h ->
-        match Hashtbl.find_opt t.tx_sets h with
-        | Some held ->
-            use held ~slot;
-            false
-        | None -> true)
-      (referenced_tx_sets env.Scp.Types.statement)
-  in
-  match missing with
-  | [] -> ignore (Scp.Protocol.receive_envelope t.scp env)
-  | h :: _ ->
-      let q =
-        match Hashtbl.find_opt t.pending_envs h with
-        | Some q -> q
-        | None ->
-            let q = ref [] in
-            Hashtbl.replace t.pending_envs h q;
-            q
-      in
-      q := env :: !q
+  if slot <= State.ledger_seq t.state + ledger_validity_bracket then begin
+    let missing =
+      List.filter
+        (fun h ->
+          match Hashtbl.find_opt t.tx_sets h with
+          | Some held ->
+              use held ~slot;
+              false
+          | None -> true)
+        (referenced_tx_sets env.Scp.Types.statement)
+    in
+    match missing with
+    | [] -> ignore (Scp.Protocol.receive_envelope t.scp env)
+    | h :: _ ->
+        let q =
+          match Hashtbl.find_opt t.pending_envs h with
+          | Some q -> q
+          | None ->
+              let q = ref [] in
+              Hashtbl.replace t.pending_envs h q;
+              q
+        in
+        q := env :: !q
+  end
 
 and receive_tx_set t ts =
   let h = Tx_set.hash ts in

@@ -87,7 +87,8 @@ val receive_tx_set : t -> Tx_set.t -> unit
 val receive_envelope : t -> Scp.Types.envelope -> unit
 (** Envelopes whose transaction sets have not arrived yet are buffered and
     replayed when the set shows up, or dropped once their slot is older
-    than SCP's purge horizon. *)
+    than SCP's purge horizon.  Envelopes for slots more than 100 ahead of
+    the last closed ledger are dropped on receipt. *)
 
 val tx_set : t -> string -> Tx_set.t option
 

@@ -85,6 +85,41 @@ let alloc_msg_id t =
 
 let registry t i = Obs.Sink.metrics t.node_obs.(i).sink
 
+(* A message's two engine events, each one closure: [arrive] when the link
+   transit ends, then [deliver] once the receiver's CPU has processed it.
+   Down-ness and handlers are re-checked at delivery time: a node may crash
+   while messages are in flight. *)
+let deliver t ~src ~dst ~bytes info msg =
+  if not t.down.(dst) then
+    match t.handlers.(dst) with
+    | None -> ()
+    | Some h ->
+        let r = t.node_obs.(dst) in
+        Obs.Registry.incr r.c_msgs_received;
+        Obs.Registry.add r.c_bytes_received bytes;
+        h ~src ~info msg
+
+(* The receiver's CPU queue is FIFO in ARRIVAL order: the busy-time
+   accounting runs when the message arrives (engine events fire in time
+   order), so an in-flight straggler never blocks messages that land before
+   it.  A down node has no CPU to queue on: arrivals while down are dropped
+   without advancing [busy_until], so a restarted node does not resume with
+   phantom backlog. *)
+let arrive t ~src ~dst ~bytes ~msg_id ~sent_at ~link msg =
+  if not t.down.(dst) then begin
+    let now = Engine.now t.engine in
+    let start = Float.max now t.busy_until.(dst) in
+    let proc = t.processing bytes in
+    let finish = start +. proc in
+    t.busy_until.(dst) <- finish;
+    let info = { msg_id; sent_at; link_s = link; wait_s = start -. now; proc_s = proc } in
+    if finish > now then
+      ignore
+        (Engine.schedule t.engine ~delay:(finish -. now) (fun () ->
+             deliver t ~src ~dst ~bytes info msg))
+    else deliver t ~src ~dst ~bytes info msg
+  end
+
 let send t ~src ~dst ~size:bytes ?(msg_id = -1) msg =
   if not t.down.(src) then begin
     let s = t.node_obs.(src) in
@@ -97,40 +132,8 @@ let send t ~src ~dst ~size:bytes ?(msg_id = -1) msg =
     if not dropped then begin
       let sent_at = Engine.now t.engine in
       let link = if src = dst then 0.0 else Latency.sample t.latency t.rng in
-      let deliver info () =
-        (* Down-ness and handlers are re-checked at delivery time: a node may
-           crash while messages are in flight. *)
-        if not t.down.(dst) then
-          match t.handlers.(dst) with
-          | None -> ()
-          | Some h ->
-              let r = t.node_obs.(dst) in
-              Obs.Registry.incr r.c_msgs_received;
-              Obs.Registry.add r.c_bytes_received bytes;
-              h ~src ~info msg
-      in
-      (* The receiver's CPU queue is FIFO in ARRIVAL order: the busy-time
-         accounting runs when the message arrives (engine events fire in
-         time order), so an in-flight straggler never blocks messages that
-         land before it. *)
-      let on_arrival () =
-        (* A down node has no CPU to queue on: arrivals while down are
-           dropped without advancing [busy_until], so a restarted node does
-           not resume with phantom backlog. *)
-        if not t.down.(dst) then begin
-          let now = Engine.now t.engine in
-          let start = Float.max now t.busy_until.(dst) in
-          let proc = t.processing bytes in
-          let finish = start +. proc in
-          t.busy_until.(dst) <- finish;
-          let info =
-            { msg_id; sent_at; link_s = link; wait_s = start -. now; proc_s = proc }
-          in
-          if finish > now then
-            ignore (Engine.schedule t.engine ~delay:(finish -. now) (deliver info))
-          else deliver info ()
-        end
-      in
-      ignore (Engine.schedule t.engine ~delay:link on_arrival)
+      ignore
+        (Engine.schedule t.engine ~delay:link (fun () ->
+             arrive t ~src ~dst ~bytes ~msg_id ~sent_at ~link msg))
     end
   end

@@ -464,6 +464,61 @@ let regression_tests =
         let held ts = Stellar_herder.Herder.tx_set h (Stellar_herder.Tx_set.hash ts) <> None in
         check bool "the unreferenced set expired" false (held unused);
         check bool "the set slot 50 uses is kept" true (held used));
+    test_case "a far-future envelope holds no tx set and waits for none" `Quick (fun () ->
+        (* a forged envelope for slot ledger_seq + 10^9 names a known set and
+           an unknown one: the herder drops it before any bookkeeping *)
+        let spec = Topology.all_to_all ~n:1 in
+        let engine = Stellar_sim.Engine.create () in
+        let rng = Stellar_sim.Rng.create ~seed:9 in
+        let network =
+          Stellar_sim.Network.create ~engine ~rng ~n:1 ~latency:Stellar_sim.Latency.datacenter ()
+        in
+        let genesis, _ = Genesis.make ~n_accounts:10 () in
+        let v =
+          Validator.create ~network ~index:0 ~peers:[]
+            ~config:
+              (Stellar_herder.Herder.default_config ~seed:(spec.Topology.validator_seed 0)
+                 ~qset:(spec.Topology.qset_of 0))
+            ~genesis ()
+        in
+        let h = Validator.herder v in
+        let known =
+          Stellar_herder.Tx_set.make ~prev_header_hash:(Stellar_crypto.Sha256.digest "known") []
+        in
+        Stellar_herder.Herder.receive_tx_set h known;
+        let envelope ~slot hashes =
+          let value tx_set_hash =
+            Stellar_herder.Value.encode
+              { Stellar_herder.Value.tx_set_hash; close_time = 1; upgrades = [] }
+          in
+          {
+            Scp.Types.statement =
+              {
+                node_id = (Topology.node_ids spec).(0);
+                slot;
+                quorum_set = spec.Topology.qset_of 0;
+                pledge = Nominate { votes = List.map value hashes; accepted = [] };
+              };
+            signature = "";
+          }
+        in
+        let unknown = Stellar_crypto.Sha256.digest "never flooded" in
+        let seq = Stellar_herder.Herder.ledger_seq h in
+        let before = Stellar_herder.Herder.table_sizes h in
+        Stellar_herder.Herder.receive_envelope h
+          (envelope ~slot:(seq + 1_000_000_000) [ Stellar_herder.Tx_set.hash known; unknown ]);
+        check (pair int int) "tables unchanged" before (Stellar_herder.Herder.table_sizes h);
+        (* the bracket's edge is still in range: this one waits for its set *)
+        Stellar_herder.Herder.receive_envelope h (envelope ~slot:(seq + 100) [ unknown ]);
+        check int "an envelope 100 slots ahead waits" (snd before + 1)
+          (snd (Stellar_herder.Herder.table_sizes h));
+        (* the known set's expiry was not raised: it leaves with its slot *)
+        Validator.start v;
+        Stellar_sim.Engine.run ~until:220.0 engine;
+        let closed = Stellar_herder.Herder.ledger_seq h in
+        check bool (Printf.sprintf "closed 40+ ledgers (%d)" closed) true (closed >= 40);
+        check bool "the known set expired" true
+          (Stellar_herder.Herder.tx_set h (Stellar_herder.Tx_set.hash known) = None));
   ]
 
 let () =

@@ -56,8 +56,6 @@ let engine_tests =
         check (float 1e-9) "clock" 10.0 (Engine.now e));
   ]
 
-(* ---------- Heap ---------- *)
-
 let clock_monotonic_prop =
   QCheck.Test.make ~name:"clock is monotonic across random schedules" ~count:100
     QCheck.(small_list (pair (float_bound_inclusive 10.0) (float_bound_inclusive 5.0)))
@@ -80,16 +78,117 @@ let clock_monotonic_prop =
       Engine.run e;
       !ok)
 
-let heap_prop =
-  QCheck.Test.make ~name:"heap pops in sorted order" ~count:200
-    QCheck.(list int)
-    (fun xs ->
-      let h = Heap.create ~cmp:Int.compare in
-      List.iter (Heap.push h) xs;
-      let rec drain acc =
-        match Heap.pop h with None -> List.rev acc | Some x -> drain (x :: acc)
-      in
-      drain [] = List.sort Int.compare xs)
+(* ---------- Engine against a reference model ---------- *)
+
+module type SCHEDULER = sig
+  type t
+  type timer
+
+  val create : unit -> t
+  val now : t -> float
+  val schedule : t -> delay:float -> (unit -> unit) -> timer
+  val cancel : timer -> unit
+  val run : ?until:float -> t -> unit
+  val pending : t -> int
+end
+
+(* The engine's contract as a sorted list keyed by (time, seq). *)
+module Model : SCHEDULER = struct
+  type timer = { mutable cancelled : bool; fire : unit -> unit }
+  type t = { mutable clock : float; mutable seq : int; mutable queue : (float * int * timer) list }
+
+  let create () = { clock = 0.0; seq = 0; queue = [] }
+  let now t = t.clock
+
+  let schedule t ~delay fire =
+    let timer = { cancelled = false; fire } in
+    let ev = (t.clock +. Float.max 0.0 delay, t.seq, timer) in
+    t.seq <- t.seq + 1;
+    t.queue <- List.merge (fun (a, i, _) (b, j, _) -> compare (a, i) (b, j)) [ ev ] t.queue;
+    timer
+
+  let cancel timer = timer.cancelled <- true
+
+  let rec run ?until t =
+    match (t.queue, until) with
+    | [], _ -> ()
+    | (time, _, _) :: _, Some limit when time > limit -> t.clock <- limit
+    | (time, _, timer) :: rest, _ ->
+        t.queue <- rest;
+        t.clock <- Float.max t.clock time;
+        if not timer.cancelled then timer.fire ();
+        run ?until t
+
+  let pending t = List.length t.queue
+end
+
+(* A random schedule.  Delays are multiples of 0.5 s (some negative, which
+   the schedulers clamp to 0), so many events share a time.  Event [id]
+   (numbered in scheduling order) schedules the delays in
+   [spawn.(id mod _)] while fewer than [cap] events exist, and cancels
+   event [id - k] for [k = kill.(id mod _)] when [k > 0].  The run
+   proceeds in chunks up to each of [chunks] (cumulative), then drains. *)
+type schedule = {
+  initial : float list;
+  spawn : float list array;
+  kill : int array;
+  chunks : float list;
+  cap : int;
+}
+
+module Play (S : SCHEDULER) = struct
+  (* (id, fire time, 0) per fired event, then (-1, clock, pending) after
+     each chunk and after the drain *)
+  let play s =
+    let e = S.create () in
+    let log = ref [] in
+    let timers = Hashtbl.create 64 in
+    let rec add delay =
+      let id = Hashtbl.length timers in
+      Hashtbl.replace timers id (S.schedule e ~delay (fun () -> fire id))
+    and fire id =
+      log := (id, S.now e, 0) :: !log;
+      if Hashtbl.length timers < s.cap then List.iter add s.spawn.(id mod Array.length s.spawn);
+      let k = s.kill.(id mod Array.length s.kill) in
+      if k > 0 then Option.iter S.cancel (Hashtbl.find_opt timers (id - k))
+    in
+    List.iter add s.initial;
+    let limit = ref 0.0 in
+    List.iter
+      (fun step ->
+        limit := !limit +. step;
+        S.run ~until:!limit e;
+        log := (-1, S.now e, S.pending e) :: !log)
+      s.chunks;
+    S.run e;
+    List.rev ((-1, S.now e, S.pending e) :: !log)
+end
+
+module Play_engine = Play (Engine)
+module Play_model = Play (Model)
+
+let engine_model_prop =
+  let open QCheck.Gen in
+  let delay = map (fun k -> 0.5 *. float_of_int (k - 1)) (int_bound 7) in
+  let gen =
+    map
+      (fun ((initial, spawn), (kill, chunks), cap) -> { initial; spawn; kill; chunks; cap })
+      (triple
+         (pair
+            (list_size (int_bound 300) delay)
+            (array_size (int_range 1 8) (list_size (int_bound 3) delay)))
+         (pair (array_size (int_range 1 8) (int_bound 12)) (list_size (int_bound 6) delay))
+         (int_range 0 600))
+  in
+  let print s =
+    Printf.sprintf "%d initial, spawn %s, kill %s, chunks %s, cap %d" (List.length s.initial)
+      (String.concat ";" (Array.to_list (Array.map (fun l -> string_of_int (List.length l)) s.spawn)))
+      (String.concat ";" (Array.to_list (Array.map string_of_int s.kill)))
+      (String.concat ";" (List.map string_of_float s.chunks))
+      s.cap
+  in
+  QCheck.Test.make ~name:"fires in (time, seq) order" ~count:200
+    (QCheck.make ~print gen) (fun s -> Play_engine.play s = Play_model.play s)
 
 (* ---------- Rng ---------- *)
 
@@ -142,10 +241,10 @@ let rng_tests =
 
 let network_tests =
   let open Alcotest in
-  let setup ?(latency = Latency.Constant 0.01) n =
+  let setup ?(latency = Latency.Constant 0.01) ?processing ?(seed = 5) n =
     let engine = Engine.create () in
-    let rng = Rng.create ~seed:5 in
-    let net = Network.create ~engine ~rng ~n ~latency () in
+    let rng = Rng.create ~seed in
+    let net = Network.create ~engine ~rng ~n ~latency ?processing () in
     (engine, net)
   in
   [
@@ -206,6 +305,35 @@ let network_tests =
         in
         check int "sent" 123 (counter 0 "overlay.bytes.sent");
         check int "received" 123 (counter 1 "overlay.bytes.received"));
+    test_case "busy receiver serves in arrival order" `Quick (fun () ->
+        (* "first" is sent first but lands after "second", while the
+           receiver is still processing "second": it waits out the rest of
+           that processing, not the other way round (seed 1 samples the
+           slower link for the first send) *)
+        let engine, net =
+          setup ~latency:(Latency.Uniform { lo = 0.1; hi = 0.2 }) ~processing:(fun _ -> 0.5) ~seed:1 2
+        in
+        let got = ref [] in
+        Network.set_handler net 1 (fun ~src:_ ~info msg -> got := (msg, info, Engine.now engine) :: !got);
+        Network.send net ~src:0 ~dst:1 ~size:1 "first";
+        Network.send net ~src:0 ~dst:1 ~size:1 "second";
+        Engine.run engine;
+        match List.rev !got with
+        | [ ("second", b, b_at); ("first", a, a_at) ] ->
+            let open Network in
+            check bool "first's link is the slower" true (a.link_s > b.link_s);
+            check (float 1e-12) "second did not wait" 0.0 b.wait_s;
+            check (float 1e-12) "first waits out second's remaining processing"
+              (b.sent_at +. b.link_s +. b.proc_s -. (a.sent_at +. a.link_s))
+              a.wait_s;
+            List.iter
+              (fun (info, at) ->
+                check (float 1e-12) "proc" 0.5 info.proc_s;
+                check (float 1e-12) "handler time = sent_at + link + wait + proc"
+                  (info.sent_at +. info.link_s +. info.wait_s +. info.proc_s)
+                  at)
+              [ (b, b_at); (a, a_at) ]
+        | _ -> fail "expected second, then first");
     test_case "loss rate drops roughly the right fraction" `Quick (fun () ->
         let engine, net = setup 2 in
         let got = ref 0 in
@@ -245,8 +373,7 @@ let latency_tests =
 let () =
   Alcotest.run "sim"
     [
-      ("engine", engine_tests);
-      ("heap", [ QCheck_alcotest.to_alcotest heap_prop ]);
+      ("engine", engine_tests @ [ QCheck_alcotest.to_alcotest engine_model_prop ]);
       ("clock", [ QCheck_alcotest.to_alcotest clock_monotonic_prop ]);
       ("rng", rng_tests);
       ("network", network_tests);
