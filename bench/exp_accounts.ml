@@ -9,15 +9,17 @@ let run () =
     "Fig. 9: consensus flat; ledger update grows slowly (bucket merges)";
   let points =
     if !Common.full then [ 1_000; 10_000; 100_000; 1_000_000 ]
+    else if !Common.smoke then [ 1_000; 10_000 ]
     else [ 1_000; 10_000; 100_000 ]
   in
+  let duration = if !Common.smoke then 20.0 else 60.0 in
   Common.row "%10s | %14s | %14s | %14s | %10s@." "accounts" "nomination(ms)"
     "balloting(ms)" "apply(ms)" "close(s)";
   Common.row "-----------+----------------+----------------+----------------+-----------@.";
   List.iter
     (fun accounts ->
       let r =
-        Common.run_scenario ~spec_n:4 ~accounts ~rate:20.0 ~duration:60.0 ()
+        Common.run_scenario ~spec_n:4 ~accounts ~rate:20.0 ~duration ()
       in
       let open Stellar_node in
       Common.row "%10d | %14.1f | %14.1f | %14.2f | %10.2f@." accounts

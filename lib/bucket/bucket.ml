@@ -26,20 +26,31 @@ let empty = { items = [||]; hash = compute_hash [||] }
 let is_empty t = Array.length t.items = 0
 let size t = Array.length t.items
 
-(* Sorted by key; of equal keys only the one latest in [list] is kept. *)
+let strictly_sorted arr =
+  let rec from i =
+    i >= Array.length arr || (Entry.compare_key arr.(i - 1).key arr.(i).key < 0 && from (i + 1))
+  in
+  from 1
+
+(* Sorted by key; of equal keys only the one latest in [list] is kept.  A
+   list already in strict key order (a state snapshot, a ledger's dirty
+   keys) is taken as it is. *)
 let sort_dedup list =
   let arr = Array.of_list list in
-  Array.stable_sort (fun a b -> Entry.compare_key a.key b.key) arr;
-  let n = Array.length arr in
-  (* Compact in place: [arr.(i)] survives if the next item has another key. *)
-  let k = ref 0 in
-  for i = 0 to n - 1 do
-    if i = n - 1 || Entry.compare_key arr.(i).key arr.(i + 1).key <> 0 then begin
-      arr.(!k) <- arr.(i);
-      incr k
-    end
-  done;
-  if !k = n then arr else Array.sub arr 0 !k
+  if strictly_sorted arr then arr
+  else begin
+    Array.stable_sort (fun a b -> Entry.compare_key a.key b.key) arr;
+    let n = Array.length arr in
+    (* Compact in place: [arr.(i)] survives if the next item has another key. *)
+    let k = ref 0 in
+    for i = 0 to n - 1 do
+      if i = n - 1 || Entry.compare_key arr.(i).key arr.(i + 1).key <> 0 then begin
+        arr.(!k) <- arr.(i);
+        incr k
+      end
+    done;
+    if !k = n then arr else Array.sub arr 0 !k
+  end
 
 let of_items list =
   let arr = sort_dedup list in
@@ -104,7 +115,12 @@ let merge_runs newer older ~keep_tombstones =
     { items = arr; hash = compute_hash arr }
   end
 
-let merge ~newer ~older ~keep_tombstones = merge_runs newer.items older.items ~keep_tombstones
+(* While tombstones are kept, merging with an empty run changes nothing. *)
+let merge ~newer ~older ~keep_tombstones =
+  if keep_tombstones && is_empty older then newer
+  else if keep_tombstones && is_empty newer then older
+  else merge_runs newer.items older.items ~keep_tombstones
+
 let merge_batch list ~older = merge_runs (sort_dedup list) older.items ~keep_tombstones:true
 
 let live_entries t =

@@ -1,21 +1,76 @@
 type level = { bucket : Bucket.t; fill : int  (* batches absorbed since last spill *) }
 
-type t = { levels : level array; spill_factor : int }
+(* A finished merge, keyed by its exact inputs: level 0's older bucket and
+   the batch merged into it, or a spill's two buckets and whether it keeps
+   tombstones.  [cpu_s] is what computing it took. *)
+type merge_key =
+  | Batch of string * Bucket.item list  (* hash of the older bucket, batch *)
+  | Spill of string * string * bool  (* hash newer, hash older, keep_tombstones *)
+
+type finished = { key : merge_key; result : Bucket.t; cpu_s : float }
+
+(* The last [memo_capacity] merges, overwritten oldest first.  One memo
+   serves every list grown from the same [create], [of_state] or decoded
+   list, so validators that close the same ledger in one process merge and
+   hash it once. *)
+type memo = { ring : finished option array; mutable next : int }
+
+let memo_capacity = 64
+
+type t = {
+  levels : level array;
+  spill_factor : int;
+  memo : memo;
+  merge_s : float;  (* merge seconds charged to the add_batch that made this list *)
+}
+
+let fresh levels spill_factor =
+  { levels; spill_factor; memo = { ring = Array.make memo_capacity None; next = 0 }; merge_s = 0.0 }
 
 let create ?(levels = 10) ?(spill_factor = 4) () =
   if levels < 1 || spill_factor < 2 then invalid_arg "Bucket_list.create";
-  { levels = Array.make levels { bucket = Bucket.empty; fill = 0 }; spill_factor }
+  fresh (Array.make levels { bucket = Bucket.empty; fill = 0 }) spill_factor
 
-let level_count t = Array.length t.levels
 let level_bucket t i = t.levels.(i).bucket
+let merge_s t = t.merge_s
+
+let same_key a b =
+  match (a, b) with
+  | Batch (h1, b1), Batch (h2, b2) -> String.equal h1 h2 && b1 = b2
+  | Spill (n1, o1, k1), Spill (n2, o2, k2) -> String.equal n1 n2 && String.equal o1 o2 && k1 = k2
+  | _ -> false
+
+(* The merge [key] names, from the memo or computed by [f] and recorded;
+   either way [charge] receives its seconds. *)
+let memoized memo key ~charge f =
+  match Array.find_opt (function Some m -> same_key m.key key | None -> false) memo.ring with
+  | Some (Some m) ->
+      charge m.cpu_s;
+      m.result
+  | _ ->
+      let cpu0 = Sys.time () in
+      let result = f () in
+      let cpu_s = Sys.time () -. cpu0 in
+      memo.ring.(memo.next) <- Some { key; result; cpu_s };
+      memo.next <- (memo.next + 1) mod memo_capacity;
+      charge cpu_s;
+      result
 
 let add_batch ?(obs = Stellar_obs.Sink.null) t batch =
   let tracing = Stellar_obs.Sink.tracing obs in
   let levels = Array.copy t.levels in
   let nlevels = Array.length levels in
+  let merge_s = ref 0.0 in
+  let charge s = merge_s := !merge_s +. s in
   (* Merge the new batch into level 0. *)
+  let older = levels.(0).bucket in
   levels.(0) <-
-    { bucket = Bucket.merge_batch batch ~older:levels.(0).bucket; fill = levels.(0).fill + 1 };
+    {
+      bucket =
+        memoized t.memo (Batch (Bucket.hash older, batch)) ~charge (fun () ->
+            Bucket.merge_batch batch ~older);
+      fill = levels.(0).fill + 1;
+    };
   Stellar_obs.Sink.incr obs "bucket.merge";
   if tracing then
     Stellar_obs.Sink.emit obs
@@ -23,12 +78,15 @@ let add_batch ?(obs = Stellar_obs.Sink.null) t batch =
   (* Cascade spills: a full level pushes its whole bucket down. *)
   let rec spill i =
     if i < nlevels - 1 && levels.(i).fill >= t.spill_factor then begin
-      let bottom = i + 1 = nlevels - 1 in
+      let keep_tombstones = i + 1 < nlevels - 1 in
+      let newer = levels.(i).bucket and older = levels.(i + 1).bucket in
       levels.(i + 1) <-
         {
           bucket =
-            Bucket.merge ~newer:levels.(i).bucket ~older:levels.(i + 1).bucket
-              ~keep_tombstones:(not bottom);
+            memoized t.memo
+              (Spill (Bucket.hash newer, Bucket.hash older, keep_tombstones))
+              ~charge
+              (fun () -> Bucket.merge ~newer ~older ~keep_tombstones);
           fill = levels.(i + 1).fill + 1;
         };
       levels.(i) <- { bucket = Bucket.empty; fill = 0 };
@@ -41,10 +99,9 @@ let add_batch ?(obs = Stellar_obs.Sink.null) t batch =
     end
   in
   spill 0;
-  let t = { t with levels } in
   Stellar_obs.Sink.set_gauge obs "bucket.entries"
     (float_of_int (Array.fold_left (fun acc l -> acc + Bucket.size l.bucket) 0 levels));
-  t
+  { t with levels; merge_s = !merge_s }
 
 let hash t =
   let ctx = Stellar_crypto.Sha256.init () in
@@ -52,7 +109,6 @@ let hash t =
   Stellar_crypto.Sha256.final ctx
 
 let level_sizes t = Array.to_list (Array.map (fun l -> Bucket.size l.bucket) t.levels)
-let total_entries t = Array.fold_left (fun acc l -> acc + Bucket.size l.bucket) 0 t.levels
 
 let find t key =
   let rec go i =
@@ -74,13 +130,13 @@ let live_entries t =
   Bucket.live_entries merged
 
 let diff_levels a b =
-  let n = max (level_count a) (level_count b) in
+  let count t = Array.length t.levels in
   let bucket_hash t i =
-    if i < level_count t then Bucket.hash (level_bucket t i) else Bucket.hash Bucket.empty
+    if i < count t then Bucket.hash (level_bucket t i) else Bucket.hash Bucket.empty
   in
   List.filter
     (fun i -> not (String.equal (bucket_hash a i) (bucket_hash b i)))
-    (List.init n Fun.id)
+    (List.init (max (count a) (count b)) Fun.id)
 
 module Xdr = Stellar_xdr.Xdr
 
@@ -95,7 +151,7 @@ let xdr =
     (fun t -> (t.spill_factor, Array.to_list t.levels))
     (fun (spill_factor, levels) ->
       if spill_factor < 2 || levels = [] then raise (Xdr.Error "Bucket_list: bad shape");
-      { levels = Array.of_list levels; spill_factor })
+      fresh (Array.of_list levels) spill_factor)
     Xdr.(pair uint32 (list ~max:64 level_xdr))
 
 let of_state state =

@@ -189,7 +189,9 @@ let rec close_ledger t slot (v : Value.t) =
           (fun key -> { Stellar_bucket.Bucket.key; entry = State.lookup state' key })
           dirty
       in
+      let cpu_apply = Sys.time () -. cpu0 in
       let buckets' = Stellar_bucket.Bucket_list.add_batch ~obs:t.obs t.buckets batch in
+      let cpu1 = Sys.time () in
       let header =
         Header.make
           ~prev:(last_header t)
@@ -198,7 +200,11 @@ let rec close_ledger t slot (v : Value.t) =
           ~snapshot_hash:(Stellar_bucket.Bucket_list.hash buckets')
           ~state:state'
       in
-      let apply_s = Sys.time () -. cpu0 in
+      (* the merges are charged at what they cost when computed, also when
+         another node of this process computed them first *)
+      let apply_s =
+        cpu_apply +. Stellar_bucket.Bucket_list.merge_s buckets' +. (Sys.time () -. cpu1)
+      in
       if Stellar_obs.Sink.tracing t.obs then
         Stellar_obs.Sink.emit t.obs
           (Stellar_obs.Event.Apply_end
@@ -390,18 +396,16 @@ let ledger_validity_bracket = 100
 let rec receive_envelope t env =
   let slot = env.Scp.Types.statement.Scp.Types.slot in
   if slot <= State.ledger_seq t.state + ledger_validity_bracket then begin
-    let missing =
-      List.filter
-        (fun h ->
-          match Hashtbl.find_opt t.tx_sets h with
-          | Some held ->
-              use held ~slot;
-              false
-          | None -> true)
-        (referenced_tx_sets env.Scp.Types.statement)
-    in
-    match missing with
-    | [] -> ignore (Scp.Protocol.receive_envelope t.scp env)
+    let referenced = referenced_tx_sets env.Scp.Types.statement in
+    match List.filter (fun h -> not (Hashtbl.mem t.tx_sets h)) referenced with
+    | [] -> (
+        (* only an envelope SCP verified and took in keeps its sets alive *)
+        match Scp.Protocol.receive_envelope t.scp env with
+        | `Processed ->
+            List.iter
+              (fun h -> Option.iter (use ~slot) (Hashtbl.find_opt t.tx_sets h))
+              referenced
+        | `Stale | `Invalid -> ())
     | h :: _ ->
         let q =
           match Hashtbl.find_opt t.pending_envs h with

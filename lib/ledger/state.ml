@@ -195,12 +195,16 @@ let remove_data t id name =
 
 (* ---- whole-ledger views ---- *)
 
+(* Each map is ordered as [Entry.compare_key] orders its kind of key, and
+   the kinds rank accounts < trustlines < offers < data: consing from the
+   greatest key down yields the sorted list. *)
 let all_entries t =
-  let acc = Account_map.fold (fun _ a l -> Entry.Account_entry a :: l) t.accounts [] in
-  let acc = Trust_map.fold (fun _ tl l -> Entry.Trustline_entry tl :: l) t.trustlines acc in
-  let acc = Offer_map.fold (fun _ o l -> Entry.Offer_entry o :: l) t.offers acc in
-  let acc = Data_map.fold (fun _ d l -> Entry.Data_entry d :: l) t.data_entries acc in
-  List.sort (fun a b -> Entry.compare_key (Entry.key_of_entry a) (Entry.key_of_entry b)) acc
+  let cons_down to_rev_seq f m acc = Seq.fold_left (fun l (_, v) -> f v :: l) acc (to_rev_seq m) in
+  []
+  |> cons_down Data_map.to_rev_seq (fun d -> Entry.Data_entry d) t.data_entries
+  |> cons_down Offer_map.to_rev_seq (fun o -> Entry.Offer_entry o) t.offers
+  |> cons_down Trust_map.to_rev_seq (fun tl -> Entry.Trustline_entry tl) t.trustlines
+  |> cons_down Account_map.to_rev_seq (fun a -> Entry.Account_entry a) t.accounts
 
 let snapshot_hash t =
   let ctx = Stellar_crypto.Sha256.init () in

@@ -5,9 +5,6 @@
 
 type account = { name : int; secret : string; public : string }
 
-val account_keys : int -> account
-(** Deterministic key pair for test account [i]. *)
-
 val make :
   ?base_reserve:int ->
   ?balance:int ->
@@ -15,6 +12,5 @@ val make :
   unit ->
   Stellar_ledger.State.t * account array
 (** A genesis state holding [n_accounts] funded accounts plus a master
-    account with the remaining supply. *)
-
-val master_seed : string
+    account with the remaining supply.  Account [i]'s key pair derives
+    from the seed [SHA-256 ("genesis-account-" ^ i)]. *)

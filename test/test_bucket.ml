@@ -202,12 +202,198 @@ let list_tests =
         check bool "same entries" true (from_bl = from_state));
   ]
 
+(* ---- setup paths against their sort-based definitions ---- *)
+
+(* [of_items] before it took strictly ordered input as it is: a stable sort
+   by key, then the last item of every run of equal keys. *)
+let of_items_sort_spec list =
+  let arr = Array.of_list list in
+  Array.stable_sort (fun a b -> Entry.compare_key a.Bucket.key b.Bucket.key) arr;
+  let n = Array.length arr in
+  List.filteri
+    (fun i it -> i = n - 1 || Entry.compare_key it.Bucket.key arr.(i + 1).Bucket.key <> 0)
+    (Array.to_list arr)
+
+(* Raw, sorted with duplicates, or strictly sorted: the last two take the
+   ordered-input path or must be refused by it. *)
+let shaped_items_arb =
+  QCheck.(
+    map
+      (fun (shape, items) ->
+        let by_key a b = Entry.compare_key a.Bucket.key b.Bucket.key in
+        match shape with
+        | 0 -> items
+        | 1 -> List.stable_sort by_key items
+        | _ -> List.sort_uniq by_key items)
+      (pair (int_bound 2) items_arb))
+
+(* A state built by random puts and removes of every entry kind, and a
+   model of what it holds keyed by the XDR key encoding. *)
+let state_arb =
+  let owner i = (acct i 0).Entry.id in
+  let asset i = Asset.credit ~code:(Printf.sprintf "C%d" (i mod 3)) ~issuer:(owner (i mod 2)) in
+  QCheck.(
+    map
+      (fun ops ->
+        let model = Hashtbl.create 16 in
+        let put entry = Hashtbl.replace model (Entry.encode_key (Entry.key_of_entry entry)) entry in
+        let drop key = Hashtbl.remove model (Entry.encode_key key) in
+        let master = Stellar_crypto.Sha256.digest "m" in
+        let state = State.genesis ~master ~total_xlm:1_000_000 () in
+        Option.iter (fun a -> put (Entry.Account_entry a)) (State.account state master);
+        let state =
+          List.fold_left
+            (fun state (kind, i, v) ->
+              match kind with
+              | 0 ->
+                  let a = acct i v in
+                  put (Entry.Account_entry a);
+                  State.put_account state a
+              | 1 ->
+                  let tl =
+                    {
+                      Entry.account = owner i;
+                      asset = asset v;
+                      tl_balance = v;
+                      limit = 1000;
+                      authorized = true;
+                    }
+                  in
+                  put (Entry.Trustline_entry tl);
+                  State.put_trustline state tl
+              | 2 ->
+                  let o =
+                    {
+                      Entry.offer_id = i;
+                      seller = owner v;
+                      selling = asset i;
+                      buying = Asset.native;
+                      amount = 1 + v;
+                      price = Price.make ~n:(1 + v) ~d:3;
+                      passive = false;
+                    }
+                  in
+                  put (Entry.Offer_entry o);
+                  State.put_offer state o
+              | 3 ->
+                  let d = { Entry.owner = owner i; name = Printf.sprintf "n%d" v; value = "x" } in
+                  put (Entry.Data_entry d);
+                  State.put_data state d
+              | 4 ->
+                  drop (Entry.Account_key (owner i));
+                  State.remove_account state (owner i)
+              | _ ->
+                  drop (Entry.Offer_key i);
+                  State.remove_offer state i)
+            state ops
+        in
+        (state, Hashtbl.fold (fun _ e acc -> e :: acc) model []))
+      (list_of_size (Gen.int_range 0 60) (triple (int_bound 5) (int_bound 7) (int_bound 4))))
+
+let setup_props =
+  [
+    QCheck.Test.make ~name:"of_items equals the sort-based definition" ~count:300
+      shaped_items_arb (fun items -> Bucket.items (Bucket.of_items items) = of_items_sort_spec items);
+    (* the definition [all_entries] had: every entry, sorted by key *)
+    QCheck.Test.make ~name:"all_entries equals the sort-based definition" ~count:300 state_arb
+      (fun (state, model) ->
+        State.all_entries state
+        = List.sort
+            (fun a b -> Entry.compare_key (Entry.key_of_entry a) (Entry.key_of_entry b))
+            model);
+  ]
+
+(* ---- the merge memo ---- *)
+
+let same_levels a b =
+  List.for_all
+    (fun i -> Bucket_list.level_bucket a i == Bucket_list.level_bucket b i)
+    (List.init (List.length (Bucket_list.level_sizes a)) Fun.id)
+
+let roundtrip bl =
+  match Stellar_xdr.Xdr.(decode Bucket_list.xdr (encode Bucket_list.xdr bl)) with
+  | Ok bl -> bl
+  | Error e -> failwith e
+
+let memo_props =
+  [
+    (* spill factor 2 over 4 levels: 8+ batches reach the bottom level,
+       where tombstones are dropped *)
+    QCheck.Test.make ~name:"shared, independent and decoded lists agree" ~count:100
+      QCheck.(list_of_size (Gen.int_range 8 30) items_arb)
+      (fun batches ->
+        let make () = Bucket_list.create ~levels:4 ~spill_factor:2 () in
+        let base = make () in
+        let rec go a b indep decoded = function
+          | [] -> true
+          | batch :: rest ->
+              let a = Bucket_list.add_batch a batch in
+              let b = Bucket_list.add_batch b batch in
+              let indep = Bucket_list.add_batch indep batch in
+              let decoded = Bucket_list.add_batch (roundtrip decoded) batch in
+              let h = Bucket_list.hash a in
+              List.for_all (fun l -> String.equal h (Bucket_list.hash l)) [ b; indep; decoded ]
+              && same_levels a b && go a b indep decoded rest
+        in
+        go base base (make ()) (make ()) batches);
+  ]
+
+let memo_tests =
+  let open Alcotest in
+  let batch i = [ item_of i i; item_of (i + 1) i; dead_of (i + 2) ] in
+  [
+    test_case "lists of one lineage hold the same buckets" `Quick (fun () ->
+        let master = Stellar_crypto.Sha256.digest "m" in
+        let genesis = Bucket_list.of_state (State.genesis ~master ~total_xlm:1000 ()) in
+        let a = ref genesis and b = ref genesis in
+        let indep = ref (Bucket_list.of_state (State.genesis ~master ~total_xlm:1000 ())) in
+        for i = 1 to 41 do
+          a := Bucket_list.add_batch !a (batch i);
+          b := Bucket_list.add_batch !b (batch i);
+          indep := Bucket_list.add_batch !indep (batch i);
+          check bool (Printf.sprintf "shared after batch %d" i) true (same_levels !a !b)
+        done;
+        check bool "spilled to level 2" true (List.nth (Bucket_list.level_sizes !a) 2 > 0);
+        check string "same hash" (Bucket_list.hash !a) (Bucket_list.hash !indep);
+        check bool "another lineage merges for itself" false
+          (Bucket_list.level_bucket !a 0 == Bucket_list.level_bucket !indep 0));
+    test_case "the memo holds the last 64 merges" `Quick (fun () ->
+        (* no spills: every batch is exactly one merge *)
+        let base = Bucket_list.create ~levels:2 ~spill_factor:1000 () in
+        let lists = Array.make 66 base in
+        for i = 1 to 65 do
+          lists.(i) <- Bucket_list.add_batch lists.(i - 1) (batch i)
+        done;
+        let level0 l = Bucket_list.level_bucket l 0 in
+        let redo i = level0 (Bucket_list.add_batch lists.(i - 1) (batch i)) in
+        check bool "the newest merge is reused" true (redo 65 == level0 lists.(65));
+        check bool "the 64th newest is reused" true (redo 2 == level0 lists.(2));
+        let again = redo 1 in
+        check bool "the 65th newest was evicted" false (again == level0 lists.(1));
+        check string "and recomputes the same bucket" (Bucket.hash (level0 lists.(1)))
+          (Bucket.hash again));
+    test_case "a reused merge is charged its first cost" `Quick (fun () ->
+        check (float 0.0) "nothing merged yet" 0.0
+          (Bucket_list.merge_s (Bucket_list.create ()));
+        let base = Bucket_list.create ~levels:4 ~spill_factor:2 () in
+        let a = ref base and b = ref base in
+        for i = 1 to 20 do
+          let big = List.init 300 (fun k -> item_of ((i * 1000) + k) i) in
+          a := Bucket_list.add_batch !a big;
+          b := Bucket_list.add_batch !b big;
+          check bool "reused" true (same_levels !a !b);
+          check (float 0.0) (Printf.sprintf "batch %d charged alike" i)
+            (Bucket_list.merge_s !a) (Bucket_list.merge_s !b)
+        done);
+  ]
+
 let () =
   Alcotest.run "bucket"
     [
       ( "bucket",
         bucket_tests
         @ List.map QCheck_alcotest.to_alcotest (bucket_prop :: bucket_props)
-        @ golden_tests );
-      ("bucket-list", list_tests);
+        @ golden_tests
+        @ List.map QCheck_alcotest.to_alcotest setup_props );
+      ("bucket-list", list_tests @ memo_tests @ List.map QCheck_alcotest.to_alcotest memo_props);
     ]

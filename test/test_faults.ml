@@ -446,16 +446,23 @@ let regression_tests =
               upgrades = [];
             }
         in
+        (* a peer's signed envelope: only one SCP takes in keeps a set alive
+           (SCP skips the node's own envelopes as stale) *)
+        let secret, peer =
+          Stellar_crypto.Sim_sig.keypair ~seed:(Stellar_crypto.Sha256.digest "peer")
+        in
+        let statement =
+          {
+            Scp.Types.node_id = peer;
+            slot = 50;
+            quorum_set = spec.Topology.qset_of 0;
+            pledge = Nominate { votes = [ value ]; accepted = [] };
+          }
+        in
         Stellar_herder.Herder.receive_envelope h
           {
-            Scp.Types.statement =
-              {
-                node_id = (Topology.node_ids spec).(0);
-                slot = 50;
-                quorum_set = spec.Topology.qset_of 0;
-                pledge = Nominate { votes = [ value ]; accepted = [] };
-              };
-            signature = "";
+            Scp.Types.statement;
+            signature = Stellar_crypto.Sim_sig.sign secret (Scp.Types.signing_bytes statement);
           };
         Validator.start v;
         Stellar_sim.Engine.run ~until:220.0 engine;
@@ -519,6 +526,59 @@ let regression_tests =
         check bool (Printf.sprintf "closed 40+ ledgers (%d)" closed) true (closed >= 40);
         check bool "the known set expired" true
           (Stellar_herder.Herder.tx_set h (Stellar_herder.Tx_set.hash known) = None));
+    test_case "a badly signed envelope keeps no tx set alive" `Quick (fun () ->
+        (* as above, but the slot-50 envelope naming the set carries a
+           signature that does not verify: SCP rejects it, and the set
+           leaves with the slot it was learnt in *)
+        let spec = Topology.all_to_all ~n:1 in
+        let engine = Stellar_sim.Engine.create () in
+        let rng = Stellar_sim.Rng.create ~seed:9 in
+        let network =
+          Stellar_sim.Network.create ~engine ~rng ~n:1 ~latency:Stellar_sim.Latency.datacenter ()
+        in
+        let genesis, _ = Genesis.make ~n_accounts:10 () in
+        let v =
+          Validator.create ~network ~index:0 ~peers:[]
+            ~config:
+              (Stellar_herder.Herder.default_config ~seed:(spec.Topology.validator_seed 0)
+                 ~qset:(spec.Topology.qset_of 0))
+            ~genesis ()
+        in
+        let h = Validator.herder v in
+        let named =
+          Stellar_herder.Tx_set.make ~prev_header_hash:(Stellar_crypto.Sha256.digest "named") []
+        in
+        Stellar_herder.Herder.receive_tx_set h named;
+        let value =
+          Stellar_herder.Value.encode
+            {
+              Stellar_herder.Value.tx_set_hash = Stellar_herder.Tx_set.hash named;
+              close_time = 1;
+              upgrades = [];
+            }
+        in
+        let secret, peer =
+          Stellar_crypto.Sim_sig.keypair ~seed:(Stellar_crypto.Sha256.digest "peer")
+        in
+        let statement =
+          {
+            Scp.Types.node_id = peer;
+            slot = 50;
+            quorum_set = spec.Topology.qset_of 0;
+            pledge = Nominate { votes = [ value ]; accepted = [] };
+          }
+        in
+        Stellar_herder.Herder.receive_envelope h
+          {
+            Scp.Types.statement;
+            signature = Stellar_crypto.Sim_sig.sign secret "some other message";
+          };
+        Validator.start v;
+        Stellar_sim.Engine.run ~until:220.0 engine;
+        let seq = Stellar_herder.Herder.ledger_seq h in
+        check bool (Printf.sprintf "closed 40+ ledgers (%d)" seq) true (seq >= 40);
+        check bool "the forged envelope's set expired" true
+          (Stellar_herder.Herder.tx_set h (Stellar_herder.Tx_set.hash named) = None));
   ]
 
 let () =
