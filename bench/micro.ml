@@ -1,7 +1,7 @@
 (* abl-crypto: Bechamel micro-benchmarks of the substrate design choices —
    real Ed25519 vs the simulated scheme, hashing, order-book crossing,
-   transaction application, bucket merging and its memo, the event core
-   and the tracing paths. *)
+   transaction application, bucket merging and its memo, streamed tx-set
+   and bucket hashing, the event core and the tracing paths. *)
 
 open Bechamel
 
@@ -22,19 +22,15 @@ let make_tests () =
   let scheme = (module Sim_sig : Sig_intf.SCHEME with type secret = string) in
   let genesis, accounts = Stellar_node.Genesis.make ~n_accounts:10_000 () in
   let state = State.set_header genesis ~ledger_seq:2 ~close_time:1000 in
-  let src = accounts.(0) and dst = accounts.(1) in
-  let payment =
+  let pay (src : Stellar_node.Genesis.account) (dst : Stellar_node.Genesis.account) =
     let tx =
-      Tx.make ~source:src.Stellar_node.Genesis.public ~seq_num:1
-        [
-          Tx.op
-            (Tx.Payment
-               { destination = dst.Stellar_node.Genesis.public; asset = Asset.native; amount = 100 });
-        ]
+      Tx.make ~source:src.public ~seq_num:1
+        [ Tx.op (Tx.Payment { destination = dst.public; asset = Asset.native; amount = 100 }) ]
     in
-    Tx.sign tx ~secret:src.Stellar_node.Genesis.secret
-      ~public:src.Stellar_node.Genesis.public ~scheme
+    Tx.sign tx ~secret:src.secret ~public:src.public ~scheme
   in
+  let src = accounts.(0) in
+  let payment = pay src accounts.(1) in
   (* a book with 100 resting offers to cross *)
   let usd = Asset.credit ~code:"USD" ~issuer:src.Stellar_node.Genesis.public in
   let book_state =
@@ -83,6 +79,22 @@ let make_tests () =
   let level0_4k = Stellar_bucket.Bucket.of_items (bucket_items 4_000 "full-0") in
   let level1_4k = Stellar_bucket.Bucket.of_items (bucket_items 4_000 "level-1") in
   let bucket_b = Stellar_bucket.Bucket.of_items (bucket_items 10_000 "b") in
+  (* a 2,000-item run already in key order: of_items only checks the order
+     and streams the items into SHA-256 *)
+  let sorted_2k =
+    Stellar_bucket.Bucket.items (Stellar_bucket.Bucket.of_items (bucket_items 2_000 "hash"))
+  in
+  (* a payments ledger's tx set: 1,000 signed payments, hashed as
+     Tx_set.make does, streamed through one fixed chunk *)
+  let tx_set_1k =
+    Stellar_herder.Tx_set.make ~prev_header_hash:(Sha256.digest "prev")
+      (List.init 1_000 (fun i -> pay accounts.(i) accounts.(i + 1)))
+  in
+  let tx_set_hash () =
+    let ctx = Sha256.init () in
+    ignore (Stellar_xdr.Xdr.stream Stellar_herder.Tx_set.xdr tx_set_1k (Sha256.update_sub ctx));
+    Sha256.final ctx
+  in
   let qset =
     Scp.Quorum_set.majority (List.init 19 (fun i -> Sha256.digest (Printf.sprintf "v%d" i)))
   in
@@ -247,6 +259,9 @@ let make_tests () =
                 ~keep_tombstones:true)));
     Test.make ~name:"bucket/add-batch-memo-hit"
       (Staged.stage (fun () -> ignore (Stellar_bucket.Bucket_list.add_batch list_4 batch_1k)));
+    Test.make ~name:"bucket/hash-2k"
+      (Staged.stage (fun () -> ignore (Stellar_bucket.Bucket.of_items sorted_2k)));
+    Test.make ~name:"txset/hash-1000" (Staged.stage (fun () -> ignore (tx_set_hash ())));
     Test.make ~name:"scp/quorum-slice-19"
       (Staged.stage (fun () -> ignore (Scp.Quorum_set.is_quorum_slice qset in_set)));
     Test.make ~name:"scp/v-blocking-19"

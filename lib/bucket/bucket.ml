@@ -12,13 +12,15 @@ let item_xdr =
     (fun (key, entry) -> { key; entry })
     Xdr.(pair Entry.key_xdr (option Entry.entry_xdr))
 
-let encode_item it = Xdr.encode item_xdr it
-
+(* The items' encodings run through one streaming writer into the hash,
+   so no item's bytes, let alone the run's, are ever held whole. *)
 let compute_hash items =
   if Array.length items = 0 then Stellar_crypto.Sha256.digest "empty-bucket"
   else begin
     let ctx = Stellar_crypto.Sha256.init () in
-    Array.iter (fun it -> Stellar_crypto.Sha256.update ctx (encode_item it)) items;
+    let w = Xdr.Writer.to_sink (Stellar_crypto.Sha256.update_sub ctx) in
+    Array.iter (item_xdr.Xdr.write w) items;
+    Xdr.Writer.flush w;
     Stellar_crypto.Sha256.final ctx
   end
 

@@ -62,31 +62,32 @@ let compress ctx block off =
   let h = ctx.h in
   rounds ctx 0 h.(0) h.(1) h.(2) h.(3) h.(4) h.(5) h.(6) h.(7)
 
-let update ctx s =
-  let len = String.length s in
+let update_sub ctx src off len =
+  if off < 0 || len < 0 || off + len > Bytes.length src then invalid_arg "Sha256.update_sub";
   ctx.total <- ctx.total + len;
-  let pos = ref 0 in
+  let pos = ref off and stop = off + len in
   (* Top up a partially filled buffer first. *)
   if ctx.buf_len > 0 then begin
     let take = min (64 - ctx.buf_len) len in
-    Bytes.blit_string s 0 ctx.buf ctx.buf_len take;
+    Bytes.blit src off ctx.buf ctx.buf_len take;
     ctx.buf_len <- ctx.buf_len + take;
-    pos := take;
+    pos := off + take;
     if ctx.buf_len = 64 then begin
       compress ctx ctx.buf 0;
       ctx.buf_len <- 0
     end
   end;
   (* Whole blocks are read in place; [compress] never writes its input. *)
-  let src = Bytes.unsafe_of_string s in
-  while len - !pos >= 64 do
+  while stop - !pos >= 64 do
     compress ctx src !pos;
     pos := !pos + 64
   done;
-  if !pos < len then begin
-    Bytes.blit_string s !pos ctx.buf 0 (len - !pos);
-    ctx.buf_len <- len - !pos
+  if !pos < stop then begin
+    Bytes.blit src !pos ctx.buf 0 (stop - !pos);
+    ctx.buf_len <- stop - !pos
   end
+
+let update ctx s = update_sub ctx (Bytes.unsafe_of_string s) 0 (String.length s)
 
 let final ctx =
   let buf = ctx.buf and n = ctx.buf_len in

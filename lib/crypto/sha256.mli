@@ -6,6 +6,12 @@ type ctx
 
 val init : unit -> ctx
 val update : ctx -> string -> unit
+
+val update_sub : ctx -> Bytes.t -> int -> int -> unit
+(** [update_sub ctx b off len] absorbs [len] bytes of [b] from [off], reading
+    whole blocks in place.  It never modifies [b].
+    @raise Invalid_argument if the range is not within [b]. *)
+
 val final : ctx -> string
 (** [final ctx] returns the 32-byte digest.  The context must not be used
     afterwards. *)

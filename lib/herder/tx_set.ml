@@ -1,5 +1,6 @@
 open Stellar_ledger
 module Xdr = Stellar_xdr.Xdr
+module Sha256 = Stellar_crypto.Sha256
 
 type t = {
   prev_header_hash : string;
@@ -10,34 +11,28 @@ type t = {
   size_bytes : int;
 }
 
-let write_components w ~prev_header_hash txs =
-  Xdr.Writer.opaque_var w prev_header_hash;
-  (Xdr.list Tx.signed_xdr).Xdr.write w txs
+let components_xdr = Xdr.(pair (str ()) (list Tx.signed_xdr))
 
 let make ~prev_header_hash txs =
   (* Canonical order: by hash, so identical sets have identical bytes. *)
   let txs = List.sort (fun a b -> String.compare a.Tx.tx_hash b.Tx.tx_hash) txs in
-  let w = Xdr.Writer.create ~initial_size:1024 () in
-  write_components w ~prev_header_hash txs;
-  let encoded = Xdr.Writer.contents w in
+  (* The bytes are hashed as they are written, never held whole. *)
+  let ctx = Sha256.init () in
+  let size_bytes = Xdr.stream components_xdr (prev_header_hash, txs) (Sha256.update_sub ctx) in
   {
     prev_header_hash;
     txs;
-    hash = Stellar_crypto.Sha256.digest encoded;
+    hash = Sha256.final ctx;
     op_count = List.fold_left (fun acc s -> acc + Tx.operation_count s.Tx.tx) 0 txs;
     total_fees = List.fold_left (fun acc s -> acc + s.Tx.tx.Tx.fee) 0 txs;
-    size_bytes = String.length encoded;
+    size_bytes;
   }
 
 let xdr =
-  {
-    Xdr.write = (fun w t -> write_components w ~prev_header_hash:t.prev_header_hash t.txs);
-    read =
-      (fun r ->
-        let prev_header_hash = Xdr.Reader.opaque_var r () in
-        let txs = (Xdr.list Tx.signed_xdr).Xdr.read r in
-        make ~prev_header_hash txs);
-  }
+  Xdr.conv
+    (fun t -> (t.prev_header_hash, t.txs))
+    (fun (prev_header_hash, txs) -> make ~prev_header_hash txs)
+    components_xdr
 
 let encode t = Xdr.encode xdr t
 let decode s = Xdr.decode xdr s

@@ -55,11 +55,3 @@ let order_book state ~base ~quote =
   }
 
 let transaction archive hash = Stellar_archive.Archive.find_tx archive hash
-
-let pp_account fmt v =
-  Format.fprintf fmt "@[<v>account %s@,  XLM: %a  seq: %d  sub-entries: %d@,%a@]"
-    (Stellar_crypto.Hex.encode (String.sub v.id 0 4))
-    Asset.pp_amount v.native_balance v.seq_num v.sub_entries
-    (Format.pp_print_list (fun f (a, b, _) ->
-         Format.fprintf f "  %a: %a" Asset.pp a Asset.pp_amount b))
-    v.balances

@@ -31,5 +31,3 @@ val transaction :
   Stellar_archive.Archive.t -> string -> (int * Stellar_ledger.Tx.signed) option
 (** Historical lookup by hash: "there needs to be some place one can look up
     a transaction from two years ago" (§5.4). *)
-
-val pp_account : Format.formatter -> account_view -> unit

@@ -25,7 +25,6 @@ let mul_ceil x p =
   Option.map (fun v -> (v + p.d - 1) / p.d) (checked_mul x p.n)
 
 let div_floor x p = mul_floor x (inverse p)
-let div_ceil x p = mul_ceil x (inverse p)
 
 let crosses ~taker ~maker = taker.n * maker.n <= taker.d * maker.d
 

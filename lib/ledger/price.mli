@@ -25,8 +25,6 @@ val mul_ceil : int -> t -> int option
 val div_floor : int -> t -> int option
 (** [div_floor x p = ⌊x·d/n⌋]; [None] on overflow. *)
 
-val div_ceil : int -> t -> int option
-
 val crosses : taker:t -> maker:t -> bool
 (** Does a taker offer (selling S for B at [taker]) cross a maker offer
     (selling B for S at [maker])?  True when [taker · maker <= 1], i.e. the

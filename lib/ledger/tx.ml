@@ -289,17 +289,3 @@ let threshold_level = function
   | Create_account _ | Payment _ | Path_payment _ | Manage_offer _ | Change_trust _
   | Manage_data _ | Set_inflation_dest _ ->
       Medium
-
-let op_name = function
-  | Create_account _ -> "create_account"
-  | Payment _ -> "payment"
-  | Path_payment _ -> "path_payment"
-  | Manage_offer _ -> "manage_offer"
-  | Set_options _ -> "set_options"
-  | Change_trust _ -> "change_trust"
-  | Allow_trust _ -> "allow_trust"
-  | Account_merge _ -> "account_merge"
-  | Manage_data _ -> "manage_data"
-  | Bump_sequence _ -> "bump_sequence"
-  | Set_inflation_dest _ -> "set_inflation_dest"
-  | Inflation -> "inflation"

@@ -112,4 +112,3 @@ val size : signed -> int
 type threshold_level = Low | Medium | High
 
 val threshold_level : operation_body -> threshold_level
-val op_name : operation_body -> string

@@ -27,10 +27,16 @@ type wire = { msg : t; size : int; id : string }
 
 (* The bytes are dropped once measured and hashed: every hop only needs the
    value, the size and the id, and keeping the bytes alive in flight would
-   hold a copy of every message in the heap. *)
+   hold a copy of every message in the heap.  A tx set already carries its
+   size and the hash of its bytes, which name it exactly as the hash of the
+   wrapper would, so it is neither encoded nor hashed again. *)
 let wire msg =
-  let bytes = encode msg in
-  { msg; size = String.length bytes; id = Stellar_crypto.Sha256.digest bytes }
+  match msg with
+  | Tx_set_msg ts ->
+      { msg; size = 4 + Stellar_herder.Tx_set.size_bytes ts; id = Stellar_herder.Tx_set.hash ts }
+  | Envelope _ | Tx_msg _ ->
+      let bytes = encode msg in
+      { msg; size = String.length bytes; id = Stellar_crypto.Sha256.digest bytes }
 
 let kind_name = function
   | Envelope _ -> "envelope"

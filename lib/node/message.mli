@@ -18,14 +18,17 @@ val decode : string -> (t, string) result
 type wire = private {
   msg : t;
   size : int;  (** [String.length (encode msg)], for bandwidth accounting (§7.4) *)
-  id : string;  (** SHA-256 of [encode msg]: the flood dedup key *)
+  id : string;
+      (** The flood dedup key: SHA-256 of [encode msg] for envelopes and
+          txs, {!Stellar_herder.Tx_set.hash} for a tx set *)
 }
 (** A message as the overlay carries it.  The origin builds it once with
     {!wire}; every hop dedups on [id], accounts [size] and forwards the same
     record, so each message is encoded and hashed exactly once. *)
 
 val wire : t -> wire
-(** Encode once, measure and hash the bytes, then drop them. *)
+(** Encode once, measure and hash the bytes, then drop them.  A tx set
+    reuses the size and hash it was built with. *)
 
 val kind_name : t -> string
 (** Short stable label ("envelope" | "txset" | "tx") for trace events. *)

@@ -9,7 +9,6 @@ let of_assoc l = M.of_seq (List.to_seq l)
 let nodes t = List.map fst (M.bindings t)
 let size t = M.cardinal t
 let qset t n = M.find_opt n t
-let override t n q = M.add n q t
 
 let transitive_closure t start =
   let rec go visited = function

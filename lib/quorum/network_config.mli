@@ -10,7 +10,6 @@ val of_assoc : (node_id * Scp.Quorum_set.t) list -> t
 val nodes : t -> node_id list
 val size : t -> int
 val qset : t -> node_id -> Scp.Quorum_set.t option
-val override : t -> node_id -> Scp.Quorum_set.t -> t
 
 val transitive_closure : t -> node_id -> node_id list
 (** Nodes reachable from a starting node through quorum-set references. *)

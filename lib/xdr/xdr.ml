@@ -5,33 +5,85 @@ let error fmt = Printf.ksprintf (fun s -> raise (Error s)) fmt
 let padding len = (4 - (len land 3)) land 3
 
 module Writer = struct
-  type t = Buffer.t
+  type t = {
+    mutable chunk : Bytes.t;
+    mutable pos : int; (* bytes of [chunk] in use *)
+    mutable flushed : int; (* bytes already handed to [sink] *)
+    sink : (Bytes.t -> int -> int -> unit) option; (* [None]: [chunk] grows *)
+  }
 
-  let create ?(initial_size = 256) () = Buffer.create initial_size
-  let length = Buffer.length
+  (* Small enough to be a minor-heap block: a streamed encoding allocates
+     nothing that outlives it, however long it is. *)
+  let chunk_size = 512
+
+  let create () = { chunk = Bytes.create 256; pos = 0; flushed = 0; sink = None }
+
+  let to_sink sink = { chunk = Bytes.create chunk_size; pos = 0; flushed = 0; sink = Some sink }
+  let length t = t.flushed + t.pos
+
+  let flush t =
+    match t.sink with
+    | Some sink when t.pos > 0 ->
+        sink t.chunk 0 t.pos;
+        t.flushed <- t.flushed + t.pos;
+        t.pos <- 0
+    | _ -> ()
+
+  (* A streaming writer hands its chunk on (so [n] must not exceed
+     [chunk_size]); a materializing one doubles it. *)
+  let make_room t n =
+    match t.sink with
+    | Some _ -> flush t
+    | None ->
+        let size = ref (2 * Bytes.length t.chunk) in
+        while t.pos + n > !size do
+          size := 2 * !size
+        done;
+        let chunk = Bytes.create !size in
+        Bytes.blit t.chunk 0 chunk 0 t.pos;
+        t.chunk <- chunk
+
+  let[@inline] reserve t n = if t.pos + n > Bytes.length t.chunk then make_room t n
 
   let int32 t v =
     if v < -0x8000_0000 || v > 0x7fff_ffff then error "Xdr.Writer.int32: %d out of range" v;
-    Buffer.add_int32_be t (Int32.of_int v)
+    reserve t 4;
+    Bytes.set_int32_be t.chunk t.pos (Int32.of_int v);
+    t.pos <- t.pos + 4
 
   let uint32 t v =
     if v < 0 || v > 0xffff_ffff then error "Xdr.Writer.uint32: %d out of range" v;
     (* Int32.of_int truncates to the low 32 bits, which is exactly the
        unsigned representation we want. *)
-    Buffer.add_int32_be t (Int32.of_int v)
+    reserve t 4;
+    Bytes.set_int32_be t.chunk t.pos (Int32.of_int v);
+    t.pos <- t.pos + 4
 
-  let hyper t v = Buffer.add_int64_be t (Int64.of_int v)
+  let hyper t v =
+    reserve t 8;
+    Bytes.set_int64_be t.chunk t.pos (Int64.of_int v);
+    t.pos <- t.pos + 8
 
   let bool t b = uint32 t (if b then 1 else 0)
 
-  let add_padding t len =
-    for _ = 1 to padding len do
-      Buffer.add_char t '\000'
-    done
-
   let opaque_fixed t s =
-    Buffer.add_string t s;
-    add_padding t (String.length s)
+    let len = String.length s in
+    (match t.sink with
+    | Some sink when len > chunk_size ->
+        (* Too long to be worth copying: the sink reads it in place. *)
+        flush t;
+        sink (Bytes.unsafe_of_string s) 0 len;
+        t.flushed <- t.flushed + len
+    | _ ->
+        reserve t len;
+        Bytes.blit_string s 0 t.chunk t.pos len;
+        t.pos <- t.pos + len);
+    let pad = padding len in
+    if pad > 0 then begin
+      reserve t pad;
+      Bytes.fill t.chunk t.pos pad '\000';
+      t.pos <- t.pos + pad
+    end
 
   let opaque_var t ?max s =
     let len = String.length s in
@@ -41,7 +93,10 @@ module Writer = struct
     uint32 t len;
     opaque_fixed t s
 
-  let contents = Buffer.contents
+  let contents t =
+    match t.sink with
+    | Some _ -> invalid_arg "Xdr.Writer.contents: a streaming writer keeps no bytes"
+    | None -> Bytes.sub_string t.chunk 0 t.pos
 end
 
 module Reader = struct
@@ -207,10 +262,13 @@ let encode c v =
   c.write w v;
   Writer.contents w
 
-let encoded_length c v =
-  let w = Writer.create () in
+let stream c v sink =
+  let w = Writer.to_sink sink in
   c.write w v;
+  Writer.flush w;
   Writer.length w
+
+let encoded_length c v = stream c v (fun _ _ _ -> ())
 
 let decode_exn c s =
   let r = Reader.of_string s in

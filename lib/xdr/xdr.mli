@@ -11,12 +11,29 @@
 exception Error of string
 (** Raised on malformed input (bounds, padding, bad discriminant, range). *)
 
-(** Output stream: an append-only buffer obeying XDR alignment. *)
+(** Output stream obeying XDR alignment: an append-only buffer, or a fixed
+    chunk drained into a sink. *)
 module Writer : sig
   type t
 
-  val create : ?initial_size:int -> unit -> t
+  val create : unit -> t
+  (** A writer that keeps every byte, for {!contents}. *)
+
+  val chunk_size : int
+  (** 512: the chunk of a {!to_sink} writer. *)
+
+  val to_sink : (Bytes.t -> int -> int -> unit) -> t
+  (** A writer over a fixed chunk of {!chunk_size} bytes: each time it
+      fills, the chunk is handed to the sink as [sink bytes off len], and
+      an opaque longer than the chunk is handed over in place.  The sink
+      must not keep or modify what it is given.  The whole encoding is
+      never held. *)
+
+  val flush : t -> unit
+  (** Hand any bytes still in the chunk to the sink (no-op without one). *)
+
   val length : t -> int
+  (** Bytes written so far, including those already given to the sink. *)
 
   val int32 : t -> int -> unit
   (** Signed 32-bit, big-endian. @raise Error outside [-2^31, 2^31). *)
@@ -38,6 +55,7 @@ module Writer : sig
       [max]. XDR strings share this representation. *)
 
   val contents : t -> string
+  (** @raise Invalid_argument on a {!to_sink} writer. *)
 end
 
 (** Input stream over an immutable string, with bounds checking. *)
@@ -106,8 +124,13 @@ val fix : ('a codec -> 'a codec) -> 'a codec
 
 val encode : 'a codec -> 'a -> string
 
+val stream : 'a codec -> 'a -> (Bytes.t -> int -> int -> unit) -> int
+(** [stream c v sink] feeds the bytes of [encode c v] to [sink] in order,
+    through a {!Writer.to_sink} writer, and returns their length. *)
+
 val encoded_length : 'a codec -> 'a -> int
-(** Exact length in bytes of [encode c v] (always a multiple of 4). *)
+(** Exact length in bytes of [encode c v] (always a multiple of 4),
+    measured by streaming into a sink that drops the bytes. *)
 
 val decode : 'a codec -> string -> ('a, string) result
 (** Strict: the whole input must be consumed. *)

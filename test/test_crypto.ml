@@ -119,6 +119,31 @@ let hmac_prop =
           && String.equal (Hmac.sha256 ~key msg) expected)
         (List.init 151 Fun.id))
 
+(* Each piece of the message sits at a random offset inside a larger
+   buffer of junk, so a read outside [off, off + len) changes the digest. *)
+let update_sub_prop =
+  QCheck.Test.make ~name:"update_sub over random ranges = digest of the concatenation"
+    ~count:200
+    QCheck.(
+      triple (string_of_size (Gen.int_range 0 700)) (small_list small_nat) (small_list small_nat))
+    (fun (msg, cuts, junk) ->
+      let ctx = Sha256.init () in
+      let junk = Array.of_list (if junk = [] then [ 0 ] else junk) in
+      let rec feed pos i = function
+        | cut :: rest when pos < String.length msg ->
+            let len = min (cut * 13) (String.length msg - pos) in
+            let before = junk.(i mod Array.length junk) and after = 1 + (i * 5 mod 17) in
+            let buf = Bytes.make (before + len + after) (Char.chr (i land 255)) in
+            Bytes.blit_string msg pos buf before len;
+            Sha256.update_sub ctx buf before len;
+            feed (pos + len) (i + 1) rest
+        | _ ->
+            let n = String.length msg - pos in
+            Sha256.update_sub ctx (Bytes.of_string ("junk" ^ String.sub msg pos n)) 4 n
+      in
+      feed 0 0 cuts;
+      String.equal (Sha256.final ctx) (Sha256.digest msg))
+
 (* ---------- Nat bignum properties ---------- *)
 
 let nat_of_int64ish = Nat.of_int
@@ -327,7 +352,7 @@ let hex_props =
 let () =
   Alcotest.run "crypto"
     [
-      ("sha2", sha_tests @ [ QCheck_alcotest.to_alcotest hmac_prop ]);
+      ("sha2", sha_tests @ List.map QCheck_alcotest.to_alcotest [ hmac_prop; update_sub_prop ]);
       ("hex", hex_tests @ hex_props);
       ("nat-unit", nat_unit_tests);
       ("nat-props", nat_prop_tests);

@@ -249,9 +249,11 @@ let gen_value () =
         tags;
   }
 
-let gen_tx_set () =
+let gen_tx_set_of n =
   Stellar_herder.Tx_set.make ~prev_header_hash:(Rng.bytes rng 32)
-    (List.init (Rng.int rng 4) (fun _ -> gen_signed ()))
+    (List.init n (fun _ -> gen_signed ()))
+
+let gen_tx_set () = gen_tx_set_of (Rng.int rng 4)
 
 let gen_message () =
   match Rng.int rng 3 with
@@ -414,6 +416,14 @@ let prim_tests =
 
 (* ---------- hashes and sizes are measured over canonical bytes ---------- *)
 
+(* [Xdr.stream] into SHA-256 returns the length of [Xdr.encode] and hashes
+   to the digest of its bytes. *)
+let streams_like_encode codec v =
+  let ctx = Stellar_crypto.Sha256.init () in
+  let n = Xdr.stream codec v (Stellar_crypto.Sha256.update_sub ctx) in
+  let bytes = Xdr.encode codec v in
+  n = String.length bytes && String.equal (Stellar_crypto.Sha256.final ctx) (sha256 bytes)
+
 let accounting_tests =
   let open Alcotest in
   [
@@ -432,9 +442,14 @@ let accounting_tests =
           check string "tx set"
             (hex (sha256 (Stellar_herder.Tx_set.encode ts)))
             (hex (Stellar_herder.Tx_set.hash ts));
+          (* A tx set is named by its own hash; other messages by the
+             hash of the flood wrapper's bytes. *)
           let m = gen_message () in
           check string "message wire id"
-            (hex (sha256 (Stellar_node.Message.encode m)))
+            (hex
+               (match m with
+               | Stellar_node.Message.Tx_set_msg ts -> Stellar_herder.Tx_set.hash ts
+               | _ -> sha256 (Stellar_node.Message.encode m)))
             (hex (Stellar_node.Message.wire m).Stellar_node.Message.id)
         done);
     test_case "sizes = Bytes.length of the actual encoding" `Quick (fun () ->
@@ -454,6 +469,98 @@ let accounting_tests =
             (String.length (Stellar_node.Message.encode m))
             (Stellar_node.Message.wire m).Stellar_node.Message.size
         done);
+    test_case "wire size and id for every message kind" `Quick (fun () ->
+        let open Stellar_node.Message in
+        for i = 1 to 30 do
+          let m =
+            match i mod 3 with
+            | 0 -> Envelope (gen_envelope ())
+            | 1 -> Tx_set_msg (gen_tx_set_of (Rng.int rng 300))
+            | _ -> Tx_msg (gen_signed ())
+          in
+          let w = wire m and bytes = encode m in
+          check int (kind_name m ^ " size") (String.length bytes) w.size;
+          check string (kind_name m ^ " id")
+            (hex (match m with Tx_set_msg ts -> Stellar_herder.Tx_set.hash ts | _ -> sha256 bytes))
+            (hex w.id)
+        done);
+    test_case "a tx set re-read from the wire keeps its id" `Quick (fun () ->
+        let open Stellar_node.Message in
+        for _ = 1 to 20 do
+          let ts = gen_tx_set_of (Rng.int rng 300) in
+          let sent = wire (Tx_set_msg ts) in
+          (match decode (encode (Tx_set_msg ts)) with
+          | Ok (Tx_set_msg _ as m) ->
+              let got = wire m in
+              check string "id" (hex sent.id) (hex got.id);
+              check int "size" sent.size got.size
+          | Ok _ -> fail "decoded another kind"
+          | Error e -> fail e);
+          (* Dedup is by set: the same txs in another order are one message,
+             another previous header is another. *)
+          let prev = Stellar_herder.Tx_set.prev_header_hash ts
+          and txs = Stellar_herder.Tx_set.txs ts in
+          let same = Stellar_herder.Tx_set.make ~prev_header_hash:prev (List.rev txs) in
+          check string "reordered" (hex sent.id) (hex (wire (Tx_set_msg same)).id);
+          let other = Stellar_herder.Tx_set.make ~prev_header_hash:(prev ^ "x") txs in
+          check bool "other prev" false (String.equal sent.id (wire (Tx_set_msg other)).id)
+        done);
+    test_case "stream: chunk boundaries and long opaques" `Quick (fun () ->
+        let chunk = Xdr.Writer.chunk_size in
+        let blob n = String.init n (fun i -> Char.chr ((i * 31) land 255)) in
+        let case name codec v len =
+          let sunk = Buffer.create 16 and longest = ref 0 in
+          let n =
+            Xdr.stream codec v (fun b off l ->
+                longest := max !longest l;
+                Buffer.add_subbytes sunk b off l)
+          in
+          check int (name ^ " length") len n;
+          check string (name ^ " bytes") (hex (Xdr.encode codec v)) (hex (Buffer.contents sunk));
+          check bool (name ^ " streams") true (streams_like_encode codec v);
+          (* an opaque longer than the chunk reaches the sink in place *)
+          if len > 2 * chunk then check bool (name ^ " in place") true (!longest > chunk)
+        in
+        (* ends exactly on one chunk boundary, then on two *)
+        case "one chunk" (Xdr.str ()) (blob (chunk - 4)) chunk;
+        case "two chunks" Xdr.(list uint32) (List.init ((2 * chunk / 4) - 1) Fun.id) (2 * chunk);
+        (* an opaque longer than the chunk after a partial chunk *)
+        case "long opaque" Xdr.(pair hyper (str ())) (7, blob ((2 * chunk) + 3)) ((2 * chunk) + 16);
+        case "mixed"
+          Xdr.(list (str ()))
+          [ blob 5; blob (3 * chunk); blob chunk; blob (chunk - 1) ]
+          (4 + 12 + (4 + (3 * chunk)) + (4 + chunk) + (4 + chunk)));
+    QCheck_alcotest.to_alcotest
+      (QCheck.Test.make ~name:"streamed SHA-256 = digest of the encoding" ~count:60
+         QCheck.(pair (int_bound 6) (int_bound 3000))
+         (fun (kind, size) ->
+           let open Stellar_node.Message in
+           match kind with
+           | 0 ->
+               let ts = gen_tx_set_of (size mod 1201) in
+               let bytes = Stellar_herder.Tx_set.encode ts in
+               streams_like_encode Stellar_herder.Tx_set.xdr ts
+               && String.equal (Stellar_herder.Tx_set.hash ts) (sha256 bytes)
+               && Stellar_herder.Tx_set.size_bytes ts = String.length bytes
+           | 1 ->
+               let b = Stellar_bucket.Bucket.of_items (List.init size (fun _ -> gen_item ())) in
+               let items = Stellar_bucket.Bucket.items b in
+               streams_like_encode Stellar_bucket.Bucket.xdr b
+               && String.equal (Stellar_bucket.Bucket.hash b)
+                    (if items = [] then sha256 "empty-bucket"
+                     else
+                       sha256
+                         (String.concat ""
+                            (List.map (Xdr.encode Stellar_bucket.Bucket.item_xdr) items)))
+           | 2 -> streams_like_encode Header.xdr (gen_header ())
+           | 3 -> streams_like_encode xdr (Envelope (gen_envelope ()))
+           | 4 -> streams_like_encode xdr (Tx_set_msg (gen_tx_set_of (size mod 1201)))
+           | 5 -> streams_like_encode xdr (Tx_msg (gen_signed ()))
+           | _ ->
+               (* opaques of every length up to three chunks *)
+               streams_like_encode
+                 Xdr.(list (str ()))
+                 (List.init (size mod 7) (fun i -> gen_blob (size * (i + 1) mod 1600)))));
   ]
 
 (* ---------- golden vectors for domain codecs ---------- *)
