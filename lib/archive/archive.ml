@@ -28,12 +28,10 @@ let create ?(checkpoint_frequency = 8) () =
     archived_bytes = 0;
   }
 
-let record_ledger t ~header ~tx_set ~buckets =
+let follows t seq = match t.latest with Some prev -> seq = prev + 1 | None -> true
+
+let add_record t (header, tx_set) =
   let seq = header.Header.ledger_seq in
-  (match t.latest with
-  | Some prev when seq <> prev + 1 ->
-      invalid_arg (Printf.sprintf "Archive.record_ledger: out of order (%d after %d)" seq prev)
-  | _ -> ());
   Hashtbl.replace t.headers seq header;
   Hashtbl.replace t.tx_sets seq tx_set;
   List.iter
@@ -43,12 +41,22 @@ let record_ledger t ~header ~tx_set ~buckets =
     t.archived_bytes
     + Xdr.encoded_length Header.xdr header
     + Stellar_herder.Tx_set.size_bytes tx_set;
-  if seq mod t.checkpoint_frequency = 0 then begin
-    t.checkpoints <- { seq; chk_header = header; chk_buckets = buckets } :: t.checkpoints;
-    t.archived_bytes <-
-      t.archived_bytes + Xdr.encoded_length Stellar_bucket.Bucket_list.xdr buckets
-  end;
   t.latest <- Some seq
+
+let add_checkpoint t c =
+  t.checkpoints <- c :: t.checkpoints;
+  t.archived_bytes <-
+    t.archived_bytes + Xdr.encoded_length Stellar_bucket.Bucket_list.xdr c.chk_buckets
+
+let record_ledger t ~header ~tx_set ~buckets =
+  let seq = header.Header.ledger_seq in
+  if not (follows t seq) then
+    invalid_arg
+      (Printf.sprintf "Archive.record_ledger: out of order (%d after %d)" seq
+         (Option.get t.latest));
+  add_record t (header, tx_set);
+  if seq mod t.checkpoint_frequency = 0 then
+    add_checkpoint t { seq; chk_header = header; chk_buckets = buckets }
 
 let latest_seq t = t.latest
 let header t seq = Hashtbl.find_opt t.headers seq
@@ -86,13 +94,13 @@ let catchup t =
           ~protocol_version:chk_header.Header.protocol_version
           ~fee_pool:chk_header.Header.fee_pool ~id_pool:chk_header.Header.id_pool entries
       in
-      (* replay forward to the tip, folding each ledger's changes into the
-         bucket list exactly as the herder did when it closed them — the
-         level structure (not just the live entries) feeds the snapshot
-         hash, so a catching-up node must reproduce it to agree with the
-         network's future headers *)
+      (* replay forward to the tip through the herder's own close: each
+         rebuilt header must hash to the archived one, so results, fee and
+         id pools, parameters and skip list are checked along with the
+         snapshot, whose level structure a catching-up node must reproduce
+         to agree with the network's future headers *)
       let tip = Option.value ~default:seq t.latest in
-      let rec replay state buckets acc n =
+      let rec replay prev state buckets acc n =
         if n > tip then Ok (state, buckets, List.rev acc)
         else
           let* h =
@@ -101,29 +109,20 @@ let catchup t =
           let* ts =
             Option.to_result ~none:(Printf.sprintf "missing tx set %d" n) (tx_set_for t n)
           in
-          let state, _results =
-            Apply.apply_tx_set Apply.sim_ctx state ~close_time:h.Header.close_time
-              (Stellar_herder.Tx_set.txs ts)
+          let state, buckets, rebuilt, _ =
+            Stellar_herder.Herder.apply_ledger ~prev:(Some prev) state buckets
+              ~scp_value_hash:h.Header.scp_value_hash ~close_time:h.Header.close_time
+              ~params:
+                (State.with_params ~base_fee:h.Header.base_fee
+                   ~base_reserve:h.Header.base_reserve
+                   ~protocol_version:h.Header.protocol_version)
+              ts
           in
-          let state = State.with_params ~base_fee:h.Header.base_fee
-              ~base_reserve:h.Header.base_reserve ~protocol_version:h.Header.protocol_version
-              state
-          in
-          let state, dirty = State.take_dirty state in
-          let batch =
-            List.map
-              (fun key -> { Stellar_bucket.Bucket.key; entry = State.lookup state key })
-              dirty
-          in
-          let buckets = Stellar_bucket.Bucket_list.add_batch buckets batch in
-          let* () =
-            if String.equal (Stellar_bucket.Bucket_list.hash buckets) h.Header.snapshot_hash
-            then Ok ()
-            else Error (Printf.sprintf "replayed snapshot hash mismatch at ledger %d" n)
-          in
-          replay state buckets (h :: acc) (n + 1)
+          if String.equal (Header.hash rebuilt) (Header.hash h) then
+            replay h state buckets (h :: acc) (n + 1)
+          else Error (Printf.sprintf "replayed header mismatch at ledger %d" n)
       in
-      let* state, buckets, replayed = replay state chk_buckets [] (seq + 1) in
+      let* state, buckets, replayed = replay chk_header state chk_buckets [] (seq + 1) in
       (* collect the full chain back to the earliest archived header *)
       let rec back acc n =
         match header t n with Some h -> back (h :: acc) (n - 1) | None -> acc
@@ -166,29 +165,14 @@ let of_blob s =
       if checkpoint_frequency < 1 then Error "archive blob: bad checkpoint frequency"
       else begin
         let t = create ~checkpoint_frequency () in
-        let ordered = ref true in
-        List.iter
-          (fun (header, tx_set) ->
-            let seq = header.Header.ledger_seq in
-            (match t.latest with
-            | Some prev when seq <> prev + 1 -> ordered := false
-            | _ -> ());
-            Hashtbl.replace t.headers seq header;
-            Hashtbl.replace t.tx_sets seq tx_set;
-            List.iter
-              (fun signed -> Hashtbl.replace t.tx_index signed.Tx.tx_hash seq)
-              (Stellar_herder.Tx_set.txs tx_set);
-            t.archived_bytes <-
-              t.archived_bytes
-              + Xdr.encoded_length Header.xdr header
-              + Stellar_herder.Tx_set.size_bytes tx_set;
-            t.latest <- Some seq)
-          records;
-        t.checkpoints <- checkpoints;
-        List.iter
-          (fun c ->
-            t.archived_bytes <-
-              t.archived_bytes + Xdr.encoded_length Stellar_bucket.Bucket_list.xdr c.chk_buckets)
-          checkpoints;
-        if not !ordered then Error "archive blob: ledgers out of order" else Ok t
+        let ordered =
+          List.fold_left
+            (fun ok ((header, _) as r) ->
+              let ok = ok && follows t header.Header.ledger_seq in
+              add_record t r;
+              ok)
+            true records
+        in
+        List.iter (add_checkpoint t) (List.rev checkpoints);
+        if not ordered then Error "archive blob: ledgers out of order" else Ok t
       end

@@ -42,12 +42,14 @@ val catchup :
   result
 (** Bootstrap a new node: rebuild the ledger state from the latest
     checkpoint's buckets, verify it against the header's snapshot hash, then
-    replay the archived transaction sets up to the tip, folding each
-    ledger's changes into the bucket list and checking every header's
-    snapshot hash and chain link along the way.  Returns the state, the
-    bucket list at the tip (level structure identical to a node that closed
-    those ledgers live — required to agree on future snapshot hashes), and
-    the full header chain (oldest first). *)
+    replay the archived transaction sets up to the tip, closing each ledger
+    through {!Stellar_herder.Herder.apply_ledger} with the archived close
+    time and parameters.  A ledger is accepted only when the rebuilt header
+    hashes to the archived one; the chain links before the checkpoint are
+    checked too.  Returns the state, the bucket list at the tip (level
+    structure identical to a node that closed those ledgers live — required
+    to agree on future snapshot hashes), and the full header chain (oldest
+    first). *)
 
 val size_bytes : t -> int
 (** Exact archived volume: the XDR-encoded bytes of every published header,

@@ -9,6 +9,3 @@
 
 include Sig_intf.SCHEME with type secret = string
 (** [secret] is the 32-byte seed. *)
-
-val public_of_secret : string -> string
-(** [public_of_secret seed] is the 32-byte public key. *)

@@ -64,7 +64,7 @@ type t = {
   mutable state : State.t;
   mutable buckets : Stellar_bucket.Bucket_list.t;
   mutable headers : Header.t list;
-  mutable pending_apply : (int * Value.t) list;  (* externalized, tx set missing *)
+  decided : (int, Value.t) Hashtbl.t;  (* externalized slots not yet closed *)
   mutable running : bool;
   mutable trigger_cancel : (unit -> unit) option;
   mutable last_trigger : float;
@@ -130,7 +130,7 @@ let combine_candidates t ~slot:_ raws =
   | Some v -> Some (Value.encode v)
   | None -> None
 
-(* ---- ledger close ---- *)
+(* ---- the ledger-close transition (Fig. 3) ---- *)
 
 let results_hash results =
   let ctx = Stellar_crypto.Sha256.init () in
@@ -140,6 +140,34 @@ let results_hash results =
       Stellar_crypto.Sha256.update ctx (Format.asprintf "%a" Apply.pp_tx_outcome outcome))
     results;
   Stellar_crypto.Sha256.final ctx
+
+let apply_ledger ?obs ~prev state buckets ~scp_value_hash ~close_time ~params ts =
+  let cpu0 = Sys.time () in
+  let state, results =
+    Apply.apply_tx_set ?obs Apply.sim_ctx state ~close_time (Tx_set.txs ts)
+  in
+  (* fold this ledger's changes into the bucket list *)
+  let state, dirty = State.take_dirty (params state) in
+  let batch =
+    List.map (fun key -> { Stellar_bucket.Bucket.key; entry = State.lookup state key }) dirty
+  in
+  let cpu_apply = Sys.time () -. cpu0 in
+  let buckets = Stellar_bucket.Bucket_list.add_batch ?obs buckets batch in
+  let cpu1 = Sys.time () in
+  let header =
+    Header.make ~prev ~scp_value_hash ~tx_set_hash:(Tx_set.hash ts)
+      ~results_hash:(results_hash results)
+      ~snapshot_hash:(Stellar_bucket.Bucket_list.hash buckets)
+      ~state
+  in
+  (* the merges are charged at what they cost when computed, also when
+     another node of this process computed them first *)
+  let apply_s =
+    cpu_apply +. Stellar_bucket.Bucket_list.merge_s buckets +. (Sys.time () -. cpu1)
+  in
+  (state, buckets, header, apply_s)
+
+(* ---- ledger close ---- *)
 
 (* SCP keeps the last 32 slots for stragglers; the tx sets those slots use
    and the envelopes still waiting for a tx set go with them. *)
@@ -154,109 +182,70 @@ let purge t ~below =
       if !q = [] then None else Some q)
     t.pending_envs
 
-let rec close_ledger t slot (v : Value.t) =
-  match tx_set t v.Value.tx_set_hash with
-  | None ->
-      (* confirmed by the network but we lack the data: wait for the set *)
-      t.pending_apply <- (slot, v) :: t.pending_apply
-  | Some ts ->
-      let cpu0 = Sys.time () in
-      let txs = Tx_set.txs ts in
-      (* Apply_begin/Apply_end carry tx/op counts at the (single) simulated
-         instant of application; CPU time goes to the ledger.apply_ms
-         histogram, keeping the trace deterministic. *)
-      if Stellar_obs.Sink.tracing t.obs then begin
-        (* the network decided this slot: every tx in the winning set is
-           externalized at this node's close instant *)
-        List.iter
-          (fun signed ->
-            Stellar_obs.Sink.emit t.obs
-              (Stellar_obs.Event.Tx_externalized { tx = signed.Tx.tx_hash; slot }))
-          txs;
+let rec close_ledger t slot (v : Value.t) ts =
+  let txs = Tx_set.txs ts in
+  (* Apply_begin/Apply_end carry tx/op counts at the (single) simulated
+     instant of application; CPU time goes to the ledger.apply_ms
+     histogram, keeping the trace deterministic. *)
+  if Stellar_obs.Sink.tracing t.obs then begin
+    (* the network decided this slot: every tx in the winning set is
+       externalized at this node's close instant *)
+    List.iter
+      (fun signed ->
         Stellar_obs.Sink.emit t.obs
-          (Stellar_obs.Event.Apply_begin
-             { slot; txs = Tx_set.tx_count ts; ops = Tx_set.op_count ts })
-      end;
-      let state', results =
-        Apply.apply_tx_set ~obs:t.obs Apply.sim_ctx t.state ~close_time:v.Value.close_time
-          txs
-      in
-      let state' = Value.apply_upgrades state' v.Value.upgrades in
-      (* fold this ledger's changes into the bucket list *)
-      let state', dirty = State.take_dirty state' in
-      let batch =
-        List.map
-          (fun key -> { Stellar_bucket.Bucket.key; entry = State.lookup state' key })
-          dirty
-      in
-      let cpu_apply = Sys.time () -. cpu0 in
-      let buckets' = Stellar_bucket.Bucket_list.add_batch ~obs:t.obs t.buckets batch in
-      let cpu1 = Sys.time () in
-      let header =
-        Header.make
-          ~prev:(last_header t)
-          ~scp_value_hash:(Value.hash v) ~tx_set_hash:v.Value.tx_set_hash
-          ~results_hash:(results_hash results)
-          ~snapshot_hash:(Stellar_bucket.Bucket_list.hash buckets')
-          ~state:state'
-      in
-      (* the merges are charged at what they cost when computed, also when
-         another node of this process computed them first *)
-      let apply_s =
-        cpu_apply +. Stellar_bucket.Bucket_list.merge_s buckets' +. (Sys.time () -. cpu1)
-      in
-      if Stellar_obs.Sink.tracing t.obs then
+          (Stellar_obs.Event.Tx_externalized { tx = signed.Tx.tx_hash; slot }))
+      txs;
+    Stellar_obs.Sink.emit t.obs
+      (Stellar_obs.Event.Apply_begin { slot; txs = Tx_set.tx_count ts; ops = Tx_set.op_count ts })
+  end;
+  let state, buckets, header, apply_s =
+    apply_ledger ~obs:t.obs ~prev:(last_header t) t.state t.buckets
+      ~scp_value_hash:(Value.hash v) ~close_time:v.Value.close_time
+      ~params:(fun state -> Value.apply_upgrades state v.Value.upgrades)
+      ts
+  in
+  if Stellar_obs.Sink.tracing t.obs then
+    Stellar_obs.Sink.emit t.obs
+      (Stellar_obs.Event.Apply_end { slot; txs = Tx_set.tx_count ts; ops = Tx_set.op_count ts });
+  Stellar_obs.Sink.observe t.obs "ledger.apply_ms" (apply_s *. 1000.0);
+  Stellar_obs.Sink.incr t.obs "ledger.closed";
+  t.state <- state;
+  t.buckets <- buckets;
+  t.headers <- header :: t.headers;
+  Tx_queue.remove_applied t.queue txs;
+  let purged = Tx_queue.purge_invalid t.queue ~state:t.state in
+  if Stellar_obs.Sink.tracing t.obs then
+    List.iter
+      (fun signed ->
         Stellar_obs.Sink.emit t.obs
-          (Stellar_obs.Event.Apply_end
-             { slot; txs = Tx_set.tx_count ts; ops = Tx_set.op_count ts });
-      Stellar_obs.Sink.observe t.obs "ledger.apply_ms" (apply_s *. 1000.0);
-      Stellar_obs.Sink.incr t.obs "ledger.closed";
-      t.state <- state';
-      t.buckets <- buckets';
-      t.headers <- header :: t.headers;
-      Tx_queue.remove_applied t.queue txs;
-      let purged = Tx_queue.purge_invalid t.queue ~state:t.state in
-      if Stellar_obs.Sink.tracing t.obs then
-        List.iter
-          (fun signed ->
-            Stellar_obs.Sink.emit t.obs
-              (Stellar_obs.Event.Tx_dropped { tx = signed.Tx.tx_hash; reason = `Stale }))
-          purged;
-      Stellar_obs.Sink.set_gauge t.obs "herder.queue.size"
-        (float_of_int (Tx_queue.size t.queue));
-      purge t ~below:(slot - 32);
-      (* stats *)
-      let tm = timing t slot in
-      let now = t.cb.now () in
-      let first_ballot = Option.value ~default:now tm.t_first_ballot in
-      t.cb.on_ledger_closed
-        {
-          seq = State.ledger_seq t.state;
-          close_time = v.Value.close_time;
-          tx_count = Tx_set.tx_count ts;
-          op_count = Tx_set.op_count ts;
-          nomination_s = Float.max 0.0 (first_ballot -. tm.t_trigger);
-          balloting_s = Float.max 0.0 (now -. first_ballot);
-          apply_s;
-          total_s = now -. tm.t_trigger;
-          header;
-        };
-      Hashtbl.remove t.timings slot;
-      (* schedule the next ledger to hold the 5-second cadence *)
-      (if t.running && t.config.is_validator then begin
-         let elapsed = now -. t.last_trigger in
-         let delay = Float.max 0.0 (t.config.ledger_interval -. elapsed) in
-         Option.iter (fun c -> c ()) t.trigger_cancel;
-         t.trigger_cancel <- Some (t.cb.schedule ~delay (fun () -> trigger_next_ledger t))
-       end);
-      (* cascade: while catching up, successor slots may already have
-         externalized values waiting *)
-      let next = State.ledger_seq t.state + 1 in
-      match List.assoc_opt next t.pending_apply with
-      | Some v when Hashtbl.mem t.tx_sets v.Value.tx_set_hash ->
-          t.pending_apply <- List.remove_assoc next t.pending_apply;
-          close_ledger t next v
-      | _ -> ()
+          (Stellar_obs.Event.Tx_dropped { tx = signed.Tx.tx_hash; reason = `Stale }))
+      purged;
+  Stellar_obs.Sink.set_gauge t.obs "herder.queue.size" (float_of_int (Tx_queue.size t.queue));
+  purge t ~below:(slot - 32);
+  (* stats *)
+  let tm = timing t slot in
+  let now = t.cb.now () in
+  let first_ballot = Option.value ~default:now tm.t_first_ballot in
+  t.cb.on_ledger_closed
+    {
+      seq = State.ledger_seq t.state;
+      close_time = v.Value.close_time;
+      tx_count = Tx_set.tx_count ts;
+      op_count = Tx_set.op_count ts;
+      nomination_s = Float.max 0.0 (first_ballot -. tm.t_trigger);
+      balloting_s = Float.max 0.0 (now -. first_ballot);
+      apply_s;
+      total_s = now -. tm.t_trigger;
+      header;
+    };
+  Hashtbl.remove t.timings slot;
+  (* schedule the next ledger to hold the 5-second cadence *)
+  if t.running && t.config.is_validator then begin
+    let elapsed = now -. t.last_trigger in
+    let delay = Float.max 0.0 (t.config.ledger_interval -. elapsed) in
+    Option.iter (fun c -> c ()) t.trigger_cancel;
+    t.trigger_cancel <- Some (t.cb.schedule ~delay (fun () -> trigger_next_ledger t))
+  end
 
 and trigger_next_ledger t =
   if t.running && t.config.is_validator then begin
@@ -280,11 +269,22 @@ and trigger_next_ledger t =
     let close_time = max (int_of_float (t.cb.now ())) (State.close_time t.state + 1) in
     let upgrades = if t.config.is_governing then t.config.desired_upgrades else [] in
     let value = Value.{ tx_set_hash = Tx_set.hash ts; close_time; upgrades } in
-    let prev =
-      match last_header t with Some h -> Header.hash h | None -> Header.genesis_hash
-    in
-    Scp.Protocol.nominate t.scp ~slot ~value:(Value.encode value) ~prev
+    Scp.Protocol.nominate t.scp ~slot ~value:(Value.encode value) ~prev:(prev_header_hash t)
   end
+
+(* Close the next ledger while its slot is decided and its tx set is known:
+   a node that falls behind catches up through the same loop. *)
+let rec advance t =
+  let slot = State.ledger_seq t.state + 1 in
+  match Hashtbl.find_opt t.decided slot with
+  | None -> ()
+  | Some v -> (
+      match tx_set t v.Value.tx_set_hash with
+      | None -> () (* decided, but the set has not arrived yet *)
+      | Some ts ->
+          Hashtbl.remove t.decided slot;
+          close_ledger t slot v ts;
+          advance t)
 
 (* ---- construction ---- *)
 
@@ -303,13 +303,10 @@ let create config cb ~genesis ?buckets ?(headers = []) ?(obs = Stellar_obs.Sink.
            ~value_externalized:(fun ~slot raw ->
              let h = Lazy.force t in
              match Value.decode raw with
-             | Some v ->
-                 let next = State.ledger_seq h.state + 1 in
-                 if slot = next then close_ledger h slot v
-                 else if slot > next && not (List.mem_assoc slot h.pending_apply) then
-                   (* we are behind: remember the decision until we get there *)
-                   h.pending_apply <- (slot, v) :: h.pending_apply
-             | None -> ())
+             | Some v when slot > State.ledger_seq h.state ->
+                 Hashtbl.replace h.decided slot v;
+                 advance h
+             | _ -> ())
            ~schedule:(fun ~delay f -> cb.schedule ~delay f)
            ~started_ballot:(fun ~slot ->
              (* the nomination → balloting boundary of the phase breakdown *)
@@ -334,7 +331,7 @@ let create config cb ~genesis ?buckets ?(headers = []) ?(obs = Stellar_obs.Sink.
            (match buckets with
            | Some b -> b
            | None -> Stellar_bucket.Bucket_list.of_state genesis);
-         pending_apply = [];
+         decided = Hashtbl.create 8;
          running = false;
          trigger_cancel = None;
          last_trigger = 0.0;
@@ -429,14 +426,7 @@ and receive_tx_set t ts =
         Hashtbl.remove t.pending_envs h;
         List.iter (receive_envelope t) envs
     | None -> ());
-    (* and any externalized-but-unapplied value *)
-    let ready, waiting =
-      List.partition (fun (_, v) -> String.equal v.Value.tx_set_hash h) t.pending_apply
-    in
-    t.pending_apply <- waiting;
-    List.iter
-      (fun (slot, v) -> if slot = State.ledger_seq t.state + 1 then close_ledger t slot v)
-      (List.sort (fun (a, _) (b, _) -> Int.compare a b) ready)
+    advance t
   end
 
 (* §6: help a peer finish an old slot after lost messages — the production

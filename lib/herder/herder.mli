@@ -41,6 +41,25 @@ type config = {
 
 val default_config : seed:string -> qset:Scp.Quorum_set.t -> config
 
+val apply_ledger :
+  ?obs:Stellar_obs.Sink.t ->
+  prev:Stellar_ledger.Header.t option ->
+  Stellar_ledger.State.t ->
+  Stellar_bucket.Bucket_list.t ->
+  scp_value_hash:string ->
+  close_time:int ->
+  params:(Stellar_ledger.State.t -> Stellar_ledger.State.t) ->
+  Tx_set.t ->
+  Stellar_ledger.State.t * Stellar_bucket.Bucket_list.t * Stellar_ledger.Header.t * float
+(** The ledger-close transition (Fig. 3), the one definition of closing a
+    ledger, shared by the live close and archive catch-up: apply the tx
+    set at [close_time], run the parameter step [params] (the value's
+    upgrades when live, the archived header's parameters on replay), fold
+    the touched entries into the bucket list and build the header after
+    [prev] (its tx set, results and snapshot hashes).  Returns the new
+    state, bucket list and header, and the CPU seconds charged for the
+    close, the bucket merges at their first cost. *)
+
 type t
 
 val create :

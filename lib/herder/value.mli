@@ -30,7 +30,6 @@ val combine_with :
   lookup:(string -> Tx_set.t option) -> t list -> t option
 (** Full §5.3 combination; values whose tx set is unknown are skipped. *)
 
-val upgrade_tag : upgrade -> int
 val apply_upgrades : Stellar_ledger.State.t -> upgrade list -> Stellar_ledger.State.t
 
 val valid_upgrade : upgrade -> bool

@@ -7,6 +7,8 @@ type route = {
   hops : int;
 }
 
+(* Cost of buying [amount] of [get] with [give] at current books, without
+   mutating state; [None] if the book is too thin. *)
 let estimate_cost state ~give ~get ~amount =
   if Asset.equal give get then Some amount
   else

@@ -21,12 +21,3 @@ val find :
   route list
 (** Routes sorted by estimated cost, cheapest first.  [max_hops] defaults to
     5, the PathPayment limit. *)
-
-val estimate_cost :
-  Stellar_ledger.State.t ->
-  give:Stellar_ledger.Asset.t ->
-  get:Stellar_ledger.Asset.t ->
-  amount:int ->
-  int option
-(** Cost of buying [amount] of [get] with [give] at current books, without
-    mutating state; [None] if the book is too thin. *)

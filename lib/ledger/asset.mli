@@ -28,11 +28,8 @@ val pp : Format.formatter -> t -> unit
 
 (** Fixed-point helpers. *)
 
-val stroops_per_unit : int
-(** 10^7. *)
-
 val of_units : int -> int
-(** Whole units to stroops. *)
+(** Whole units to stroops (10^7 per unit). *)
 
 val pp_amount : Format.formatter -> int -> unit
 (** Renders stroops as a decimal unit amount. *)

@@ -9,11 +9,7 @@ type flags = {
   auth_immutable : bool;  (** these flags may never change again *)
 }
 
-val default_flags : flags
-
 type thresholds = { master_weight : int; low : int; medium : int; high : int }
-
-val default_thresholds : thresholds
 
 type signer = { key : string; weight : int }
 

@@ -21,8 +21,6 @@ val spendable : State.t -> Asset.account_id -> Asset.t -> int
 (** How much of [asset] the account can currently pay out: native balance
     above the reserve, trustline balance, or unbounded for the issuer. *)
 
-val receivable : State.t -> Asset.account_id -> Asset.t -> int
-
 val cross :
   State.t ->
   give_asset:Asset.t ->

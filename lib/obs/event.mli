@@ -82,9 +82,6 @@ val name : t -> string
 val hex : string -> string
 (** Lowercase hex of every byte: how tx ids are printed. *)
 
-val timeout_kind_name : timeout_kind -> string
-val drop_reason_name : drop_reason -> string
-
 val fields : t -> string
 (** Payload as a comma-prefixed JSON fragment; deterministic formatting.
     Tx ids appear as lowercase hex. *)

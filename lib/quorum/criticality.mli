@@ -4,12 +4,9 @@
 
 type org = { name : string; validators : Network_config.node_id list }
 
-val check_org : Network_config.t -> org -> Intersection.result
-(** Re-run the intersection checker with the org's nodes simulated as
-    worst-case misconfigured (modelled as byzantine: they will complete any
-    candidate quorum's slices). *)
-
 val critical_orgs : Network_config.t -> org list -> org list
 (** Orgs whose misconfiguration alone admits disjoint quorums among the
-    remaining nodes.  An empty result means the configuration keeps two
-    layers of safety margin. *)
+    remaining nodes: the intersection checker is re-run with each org's
+    nodes simulated as worst-case misconfigured (modelled as byzantine:
+    they will complete any candidate quorum's slices).  An empty result
+    means the configuration keeps two layers of safety margin. *)

@@ -26,15 +26,6 @@ let transitive_closure t start =
   in
   S.elements (go S.empty [ start ])
 
-let is_quorum t set =
-  set <> []
-  && List.for_all
-       (fun n ->
-         match M.find_opt n t with
-         | Some q -> Scp.Quorum_set.is_quorum_slice q (fun v -> List.mem v set)
-         | None -> false)
-       set
-
 let greatest_quorum t set =
   let rec shrink set =
     let in_set = S.of_list set in

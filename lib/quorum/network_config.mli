@@ -14,10 +14,6 @@ val qset : t -> node_id -> Scp.Quorum_set.t option
 val transitive_closure : t -> node_id -> node_id list
 (** Nodes reachable from a starting node through quorum-set references. *)
 
-val is_quorum : t -> node_id list -> bool
-(** Is the given set a quorum: non-empty and containing a slice of every
-    member?  Nodes without a known quorum set cannot be part of a quorum. *)
-
 val greatest_quorum : t -> node_id list -> node_id list
 (** The largest quorum contained in the given set ([\[\]] if none): the
     fixpoint of discarding unsatisfied members. *)

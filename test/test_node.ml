@@ -268,69 +268,76 @@ let fault_tests =
 
 (* ---------- archive + catchup ---------- *)
 
+(* A single-validator network running 62 s with ten payments, archived
+   with checkpoint frequency 4.  Returns the validator, its accounts, the
+   archive and each closed ledger's live bucket list by sequence number. *)
+let archived_run () =
+  let engine = Stellar_sim.Engine.create () in
+  let rng = Stellar_sim.Rng.create ~seed:5 in
+  let network = Stellar_sim.Network.create ~engine ~rng ~n:1 ~latency:(Stellar_sim.Latency.Constant 0.001) () in
+  let genesis, accounts = Genesis.make ~n_accounts:20 () in
+  let archive = Stellar_archive.Archive.create ~checkpoint_frequency:4 () in
+  let buckets_at = Hashtbl.create 16 in
+  let spec = Topology.all_to_all ~n:1 in
+  let v = ref None in
+  let on_ledger_closed stats =
+    match !v with
+    | Some validator ->
+        let herder = Validator.herder validator in
+        let header = stats.Stellar_herder.Herder.header in
+        let ts =
+          Option.get
+            (Stellar_herder.Herder.tx_set herder header.Stellar_ledger.Header.tx_set_hash)
+        in
+        let buckets = Stellar_herder.Herder.buckets herder in
+        Hashtbl.replace buckets_at header.Stellar_ledger.Header.ledger_seq buckets;
+        Stellar_archive.Archive.record_ledger archive ~header ~tx_set:ts ~buckets
+    | None -> ()
+  in
+  let validator =
+    Validator.create ~network ~index:0 ~peers:[]
+      ~config:
+        (Stellar_herder.Herder.default_config ~seed:(spec.Topology.validator_seed 0)
+           ~qset:(Scp.Quorum_set.singleton (Topology.node_ids spec).(0)))
+      ~genesis ~on_ledger_closed ()
+  in
+  v := Some validator;
+  Validator.start validator;
+  (* submit some payments *)
+  let scheme = (module Stellar_crypto.Sim_sig : Stellar_crypto.Sig_intf.SCHEME with type secret = string) in
+  for i = 0 to 9 do
+    let src = accounts.(i) and dst = accounts.((i + 1) mod 20) in
+    let tx =
+      Stellar_ledger.Tx.make ~source:src.Genesis.public ~seq_num:1
+        [
+          Stellar_ledger.Tx.op
+            (Stellar_ledger.Tx.Payment
+               {
+                 destination = dst.Genesis.public;
+                 asset = Stellar_ledger.Asset.native;
+                 amount = 100;
+               });
+        ]
+    in
+    let signed =
+      Stellar_ledger.Tx.sign tx ~secret:src.Genesis.secret ~public:src.Genesis.public
+        ~scheme
+    in
+    ignore
+      (Stellar_sim.Engine.schedule engine ~delay:(float_of_int i) (fun () ->
+           Validator.submit_tx validator signed))
+  done;
+  Stellar_sim.Engine.run ~until:62.0 engine;
+  Validator.stop validator;
+  (validator, accounts, archive, buckets_at)
+
 let archive_tests =
   let open Alcotest in
   [
     test_case "record, find, catch up to tip" `Quick (fun () ->
         (* drive a single-validator network and archive its ledgers, then
            bootstrap a state from the archive and compare hashes *)
-        let engine = Stellar_sim.Engine.create () in
-        let rng = Stellar_sim.Rng.create ~seed:5 in
-        let network = Stellar_sim.Network.create ~engine ~rng ~n:1 ~latency:(Stellar_sim.Latency.Constant 0.001) () in
-        let genesis, accounts = Genesis.make ~n_accounts:20 () in
-        let archive = Stellar_archive.Archive.create ~checkpoint_frequency:4 () in
-        let spec = Topology.all_to_all ~n:1 in
-        let recorded = ref [] in
-        let v = ref None in
-        let on_ledger_closed stats =
-          recorded := stats :: !recorded;
-          match !v with
-          | Some validator ->
-              let herder = Validator.herder validator in
-              let header = stats.Stellar_herder.Herder.header in
-              let ts =
-                Option.get
-                  (Stellar_herder.Herder.tx_set herder header.Stellar_ledger.Header.tx_set_hash)
-              in
-              Stellar_archive.Archive.record_ledger archive ~header ~tx_set:ts
-                ~buckets:(Stellar_herder.Herder.buckets herder)
-          | None -> ()
-        in
-        let validator =
-          Validator.create ~network ~index:0 ~peers:[]
-            ~config:
-              (Stellar_herder.Herder.default_config ~seed:(spec.Topology.validator_seed 0)
-                 ~qset:(Scp.Quorum_set.singleton (Topology.node_ids spec).(0)))
-            ~genesis ~on_ledger_closed ()
-        in
-        v := Some validator;
-        Validator.start validator;
-        (* submit some payments *)
-        let scheme = (module Stellar_crypto.Sim_sig : Stellar_crypto.Sig_intf.SCHEME with type secret = string) in
-        for i = 0 to 9 do
-          let src = accounts.(i) and dst = accounts.((i + 1) mod 20) in
-          let tx =
-            Stellar_ledger.Tx.make ~source:src.Genesis.public ~seq_num:1
-              [
-                Stellar_ledger.Tx.op
-                  (Stellar_ledger.Tx.Payment
-                     {
-                       destination = dst.Genesis.public;
-                       asset = Stellar_ledger.Asset.native;
-                       amount = 100;
-                     });
-              ]
-          in
-          let signed =
-            Stellar_ledger.Tx.sign tx ~secret:src.Genesis.secret ~public:src.Genesis.public
-              ~scheme
-          in
-          ignore
-            (Stellar_sim.Engine.schedule engine ~delay:(float_of_int i) (fun () ->
-                 Validator.submit_tx validator signed))
-        done;
-        Stellar_sim.Engine.run ~until:62.0 engine;
-        Validator.stop validator;
+        let validator, accounts, archive, _ = archived_run () in
         check bool "archived some ledgers" true
           (Option.value ~default:0 (Stellar_archive.Archive.latest_seq archive) >= 10);
         check bool "has checkpoints" true (Stellar_archive.Archive.checkpoint_count archive >= 2);
@@ -343,7 +350,16 @@ let archive_tests =
               (String.equal
                  (Stellar_ledger.State.snapshot_hash state)
                  (Stellar_ledger.State.snapshot_hash live));
-            check bool "chain verified" true (Stellar_ledger.Header.verify_chain chain));
+            check bool "chain verified" true (Stellar_ledger.Header.verify_chain chain);
+            let tip = List.nth chain (List.length chain - 1) in
+            let live_tip =
+              List.find
+                (fun h ->
+                  h.Stellar_ledger.Header.ledger_seq = tip.Stellar_ledger.Header.ledger_seq)
+                (Stellar_herder.Herder.headers (Validator.herder validator))
+            in
+            check string "caught-up tip header = live header"
+              (Stellar_ledger.Header.hash live_tip) (Stellar_ledger.Header.hash tip));
         (* tx lookup by hash *)
         let src = accounts.(0) in
         let tx =
@@ -375,6 +391,92 @@ let archive_tests =
         check_raises "gap rejected"
           (Invalid_argument "Archive.record_ledger: out of order (5 after 2)") (fun () ->
             Stellar_archive.Archive.record_ledger archive ~header:(mk 5) ~tx_set:ts ~buckets));
+    test_case "catch-up rejects a forged header after the checkpoint" `Quick (fun () ->
+        (* copy a checkpoint and the two ledgers after it, forging the first
+           of them and relinking the next one to the forgery: every chain
+           link and snapshot hash still checks out *)
+        let _, _, archive, buckets_at = archived_run () in
+        let latest = Option.get (Stellar_archive.Archive.latest_seq archive) in
+        let chk = 4 * ((latest - 2) / 4) in
+        let copy forge =
+          let copy = Stellar_archive.Archive.create ~checkpoint_frequency:4 () in
+          let prev = ref None in
+          for seq = chk to chk + 2 do
+            let h = Option.get (Stellar_archive.Archive.header archive seq) in
+            let h = if seq = chk + 1 then forge h else h in
+            let h =
+              match !prev with
+              | Some p when seq > chk + 1 ->
+                  { h with Stellar_ledger.Header.prev_hash = Stellar_ledger.Header.hash p }
+              | _ -> h
+            in
+            prev := Some h;
+            Stellar_archive.Archive.record_ledger copy ~header:h
+              ~tx_set:(Option.get (Stellar_archive.Archive.tx_set_for archive seq))
+              ~buckets:(Hashtbl.find buckets_at seq)
+          done;
+          Stellar_archive.Archive.catchup copy
+        in
+        (match copy Fun.id with
+        | Ok (_, _, chain) ->
+            check int "faithful copy catches up to its tip" (chk + 2)
+              (List.nth chain (List.length chain - 1)).Stellar_ledger.Header.ledger_seq
+        | Error e -> fail e);
+        List.iter
+          (fun (what, forge) ->
+            match copy forge with
+            | Ok _ -> fail (what ^ " accepted")
+            | Error e ->
+                check string what
+                  (Printf.sprintf "replayed header mismatch at ledger %d" (chk + 1))
+                  e)
+          [
+            ( "forged results hash",
+              fun h ->
+                {
+                  h with
+                  Stellar_ledger.Header.results_hash = Stellar_crypto.Sha256.digest "forged";
+                } );
+            ( "forged fee pool",
+              fun h ->
+                { h with Stellar_ledger.Header.fee_pool = h.Stellar_ledger.Header.fee_pool + 1 } );
+          ]);
+    test_case "catch-up replays a parameter upgrade after the checkpoint" `Quick (fun () ->
+        (* ledgers closed through the herder's transition, the base fee
+           raised at ledger 5: replay must apply the archived parameters *)
+        let genesis, _ = Genesis.make ~n_accounts:4 () in
+        let archive = Stellar_archive.Archive.create ~checkpoint_frequency:4 () in
+        let state = ref genesis in
+        let buckets = ref (Stellar_bucket.Bucket_list.of_state genesis) in
+        let prev = ref None in
+        for seq = Stellar_ledger.State.ledger_seq genesis + 1 to 6 do
+          let ts =
+            Stellar_herder.Tx_set.make
+              ~prev_header_hash:
+                (Option.fold ~none:Stellar_ledger.Header.genesis_hash
+                   ~some:Stellar_ledger.Header.hash !prev)
+              []
+          in
+          let upgrades = if seq = 5 then [ Stellar_herder.Value.Upgrade_base_fee 200 ] else [] in
+          let s, b, header, _ =
+            Stellar_herder.Herder.apply_ledger ~prev:!prev !state !buckets
+              ~scp_value_hash:(Stellar_crypto.Sha256.digest (string_of_int seq))
+              ~close_time:(10 * seq)
+              ~params:(fun s -> Stellar_herder.Value.apply_upgrades s upgrades)
+              ts
+          in
+          Stellar_archive.Archive.record_ledger archive ~header ~tx_set:ts ~buckets:b;
+          state := s;
+          buckets := b;
+          prev := Some header
+        done;
+        match Stellar_archive.Archive.catchup archive with
+        | Error e -> fail e
+        | Ok (state, _, chain) ->
+            check int "upgraded base fee" 200 (Stellar_ledger.State.base_fee state);
+            check string "tip header"
+              (Stellar_ledger.Header.hash (Option.get !prev))
+              (Stellar_ledger.Header.hash (List.nth chain (List.length chain - 1))));
   ]
 
 (* ---------- topology & genesis ---------- *)
