@@ -7,10 +7,12 @@ type checkpoint = {
   chk_buckets : Stellar_bucket.Bucket_list.t;
 }
 
+module Tx_set = Stellar_herder.Tx_set
+module Value = Stellar_herder.Value
+
 type t = {
   checkpoint_frequency : int;
-  headers : (int, Header.t) Hashtbl.t;
-  tx_sets : (int, Stellar_herder.Tx_set.t) Hashtbl.t;
+  ledgers : (int, Header.t * Value.t * Tx_set.t) Hashtbl.t;
   tx_index : (string, int) Hashtbl.t;  (* tx hash -> ledger seq *)
   mutable checkpoints : checkpoint list;  (* newest first *)
   mutable latest : int option;
@@ -20,8 +22,7 @@ type t = {
 let create ?(checkpoint_frequency = 8) () =
   {
     checkpoint_frequency;
-    headers = Hashtbl.create 256;
-    tx_sets = Hashtbl.create 256;
+    ledgers = Hashtbl.create 256;
     tx_index = Hashtbl.create 1024;
     checkpoints = [];
     latest = None;
@@ -30,17 +31,15 @@ let create ?(checkpoint_frequency = 8) () =
 
 let follows t seq = match t.latest with Some prev -> seq = prev + 1 | None -> true
 
-let add_record t (header, tx_set) =
+let add_record t ((header, value, tx_set) as r) =
   let seq = header.Header.ledger_seq in
-  Hashtbl.replace t.headers seq header;
-  Hashtbl.replace t.tx_sets seq tx_set;
-  List.iter
-    (fun signed -> Hashtbl.replace t.tx_index signed.Tx.tx_hash seq)
-    (Stellar_herder.Tx_set.txs tx_set);
+  Hashtbl.replace t.ledgers seq r;
+  List.iter (fun signed -> Hashtbl.replace t.tx_index signed.Tx.tx_hash seq) (Tx_set.txs tx_set);
   t.archived_bytes <-
     t.archived_bytes
     + Xdr.encoded_length Header.xdr header
-    + Stellar_herder.Tx_set.size_bytes tx_set;
+    + Xdr.encoded_length Value.xdr value
+    + Tx_set.size_bytes tx_set;
   t.latest <- Some seq
 
 let add_checkpoint t c =
@@ -48,28 +47,28 @@ let add_checkpoint t c =
   t.archived_bytes <-
     t.archived_bytes + Xdr.encoded_length Stellar_bucket.Bucket_list.xdr c.chk_buckets
 
-let record_ledger t ~header ~tx_set ~buckets =
+let record_ledger t ~header ~value ~tx_set ~buckets =
   let seq = header.Header.ledger_seq in
   if not (follows t seq) then
     invalid_arg
       (Printf.sprintf "Archive.record_ledger: out of order (%d after %d)" seq
          (Option.get t.latest));
-  add_record t (header, tx_set);
+  add_record t (header, value, tx_set);
   if seq mod t.checkpoint_frequency = 0 then
     add_checkpoint t { seq; chk_header = header; chk_buckets = buckets }
 
 let latest_seq t = t.latest
-let header t seq = Hashtbl.find_opt t.headers seq
-let tx_set_for t seq = Hashtbl.find_opt t.tx_sets seq
+let ledger t seq = Hashtbl.find_opt t.ledgers seq
+let header t seq = Option.map (fun (h, _, _) -> h) (ledger t seq)
 
 let find_tx t hash =
   match Hashtbl.find_opt t.tx_index hash with
   | None -> None
   | Some seq -> (
-      match Hashtbl.find_opt t.tx_sets seq with
+      match ledger t seq with
       | None -> None
-      | Some ts ->
-          Stellar_herder.Tx_set.txs ts
+      | Some (_, _, ts) ->
+          Tx_set.txs ts
           |> List.find_opt (fun s -> String.equal s.Tx.tx_hash hash)
           |> Option.map (fun s -> (seq, s)))
 
@@ -94,29 +93,30 @@ let catchup t =
           ~protocol_version:chk_header.Header.protocol_version
           ~fee_pool:chk_header.Header.fee_pool ~id_pool:chk_header.Header.id_pool entries
       in
-      (* replay forward to the tip through the herder's own close: each
-         rebuilt header must hash to the archived one, so results, fee and
-         id pools, parameters and skip list are checked along with the
+      (* replay forward to the tip through the herder's own close, fed the
+         archived value and tx set as the live node was: each rebuilt header
+         must hash to the archived one, so the value, results, fee and id
+         pools, parameters and skip list are checked along with the
          snapshot, whose level structure a catching-up node must reproduce
          to agree with the network's future headers *)
       let tip = Option.value ~default:seq t.latest in
       let rec replay prev state buckets acc n =
         if n > tip then Ok (state, buckets, List.rev acc)
         else
-          let* h =
-            Option.to_result ~none:(Printf.sprintf "missing header %d" n) (header t n)
+          let* h, v, ts =
+            Option.to_result ~none:(Printf.sprintf "missing ledger %d" n) (ledger t n)
           in
-          let* ts =
-            Option.to_result ~none:(Printf.sprintf "missing tx set %d" n) (tx_set_for t n)
+          (* the value comes from outside: hold it to what a live node
+             validates before it votes *)
+          let* () =
+            if not (String.equal v.Value.tx_set_hash (Tx_set.hash ts)) then
+              Error (Printf.sprintf "value names another tx set at ledger %d" n)
+            else if not (List.for_all Value.valid_upgrade v.Value.upgrades) then
+              Error (Printf.sprintf "invalid upgrade at ledger %d" n)
+            else Ok ()
           in
           let state, buckets, rebuilt, _ =
-            Stellar_herder.Herder.apply_ledger ~prev:(Some prev) state buckets
-              ~scp_value_hash:h.Header.scp_value_hash ~close_time:h.Header.close_time
-              ~params:
-                (State.with_params ~base_fee:h.Header.base_fee
-                   ~base_reserve:h.Header.base_reserve
-                   ~protocol_version:h.Header.protocol_version)
-              ts
+            Stellar_herder.Herder.apply_ledger ~prev:(Some prev) state buckets v ts
           in
           if String.equal (Header.hash rebuilt) (Header.hash h) then
             replay h state buckets (h :: acc) (n + 1)
@@ -138,7 +138,11 @@ let size_bytes t = t.archived_bytes
 (* ---- XDR blob serialization (§5.4: archives are flat files on blob
    stores; here, one blob for the whole archive) ---- *)
 
-let record_xdr = Xdr.pair Header.xdr Stellar_herder.Tx_set.xdr
+let record_xdr =
+  Xdr.conv
+    (fun (h, v, ts) -> (h, (v, ts)))
+    (fun (h, (v, ts)) -> (h, v, ts))
+    Xdr.(pair Header.xdr (pair Value.xdr Tx_set.xdr))
 
 let checkpoint_xdr =
   Xdr.conv
@@ -150,12 +154,8 @@ let blob_xdr =
   Xdr.(pair uint32 (pair (list record_xdr) (list checkpoint_xdr)))
 
 let to_blob t =
-  let seqs = Hashtbl.fold (fun seq _ acc -> seq :: acc) t.headers [] |> List.sort Int.compare in
-  let records =
-    List.map
-      (fun seq -> (Hashtbl.find t.headers seq, Hashtbl.find t.tx_sets seq))
-      seqs
-  in
+  let seqs = Hashtbl.fold (fun seq _ acc -> seq :: acc) t.ledgers [] |> List.sort Int.compare in
+  let records = List.map (Hashtbl.find t.ledgers) seqs in
   Xdr.encode blob_xdr (t.checkpoint_frequency, (records, t.checkpoints))
 
 let of_blob s =
@@ -167,7 +167,7 @@ let of_blob s =
         let t = create ~checkpoint_frequency () in
         let ordered =
           List.fold_left
-            (fun ok ((header, _) as r) ->
+            (fun ok ((header, _, _) as r) ->
               let ok = ok && follows t header.Header.ledger_seq in
               add_record t r;
               ok)

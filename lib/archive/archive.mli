@@ -1,5 +1,6 @@
-(** Write-only history archive (§5.4): every confirmed transaction set, all
-    headers, and periodic bucket snapshots.  New nodes bootstrap from the
+(** Write-only history archive (§5.4): every closed ledger as the record
+    the herder reports it in (header, externalized value and transaction
+    set), and periodic bucket snapshots.  New nodes bootstrap from the
     latest checkpoint and replay forward; anyone can look up a transaction
     from two years ago.
 
@@ -15,14 +16,23 @@ val create : ?checkpoint_frequency:int -> unit -> t
 val record_ledger :
   t ->
   header:Stellar_ledger.Header.t ->
+  value:Stellar_herder.Value.t ->
   tx_set:Stellar_herder.Tx_set.t ->
   buckets:Stellar_bucket.Bucket_list.t ->
   unit
-(** Publish one closed ledger.  Ledgers must arrive in sequence order. *)
+(** Publish one closed ledger, as {!Stellar_herder.Herder.ledger_stats}
+    reports it; [buckets] (the list after the close) is kept only at
+    checkpoints.  Ledgers must arrive in sequence order. *)
 
 val latest_seq : t -> int option
 val header : t -> int -> Stellar_ledger.Header.t option
-val tx_set_for : t -> int -> Stellar_herder.Tx_set.t option
+
+val ledger :
+  t ->
+  int ->
+  (Stellar_ledger.Header.t * Stellar_herder.Value.t * Stellar_herder.Tx_set.t) option
+(** The archived record of one ledger: header, value, tx set. *)
+
 val find_tx : t -> string -> (int * Stellar_ledger.Tx.signed) option
 (** Look a transaction up by hash: (ledger seq, tx). *)
 
@@ -42,18 +52,22 @@ val catchup :
   result
 (** Bootstrap a new node: rebuild the ledger state from the latest
     checkpoint's buckets, verify it against the header's snapshot hash, then
-    replay the archived transaction sets up to the tip, closing each ledger
-    through {!Stellar_herder.Herder.apply_ledger} with the archived close
-    time and parameters.  A ledger is accepted only when the rebuilt header
-    hashes to the archived one; the chain links before the checkpoint are
-    checked too.  Returns the state, the bucket list at the tip (level
-    structure identical to a node that closed those ledgers live — required
-    to agree on future snapshot hashes), and the full header chain (oldest
-    first). *)
+    replay the archived ledgers up to the tip, each through the call the
+    live node made, {!Stellar_herder.Herder.apply_ledger} on its archived
+    value and tx set, so close time and parameters come only from the
+    value.  The value is checked as input from outside first: it must name
+    the archived tx set and carry only upgrades that pass
+    {!Stellar_herder.Value.valid_upgrade}.  A ledger is accepted only when
+    the rebuilt header hashes to the archived one; the chain links before
+    the checkpoint are checked too.  Errors name the ledger.  Returns the
+    state, the bucket list at the tip (level structure identical to a node
+    that closed those ledgers live — required to agree on future snapshot
+    hashes), and the full header chain (oldest first). *)
 
 val size_bytes : t -> int
 (** Exact archived volume: the XDR-encoded bytes of every published header,
-    transaction set and checkpoint snapshot (§7.4-style cost accounting). *)
+    value, transaction set and checkpoint snapshot (§7.4-style cost
+    accounting). *)
 
 val to_blob : t -> string
 (** The whole archive as one canonical XDR blob, as it would be laid out on

@@ -4,7 +4,6 @@
    right by n < 32 leaves x rotated right by n in the low 32 bits, so
    several rotations of one word share the doubling. *)
 
-let digest_size = 32
 let mask32 = 0xFFFFFFFF
 let double x = x lor (x lsl 32)
 

@@ -35,6 +35,3 @@ val digest_list : string list -> string
 
 val hex : string -> string
 (** [hex msg] is the lowercase hex digest of [msg]. *)
-
-val digest_size : int
-(** 32. *)

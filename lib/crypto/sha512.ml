@@ -1,5 +1,3 @@
-let digest_size = 64
-
 let rotr x n = Int64.logor (Int64.shift_right_logical x n) (Int64.shift_left x (64 - n))
 
 type ctx = {

@@ -10,6 +10,3 @@ val final : ctx -> string
 val digest : string -> string
 val digest_list : string list -> string
 val hex : string -> string
-
-val digest_size : int
-(** 64. *)

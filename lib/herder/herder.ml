@@ -1,15 +1,14 @@
 open Stellar_ledger
 
 type ledger_stats = {
-  seq : int;
-  close_time : int;
-  tx_count : int;
-  op_count : int;
+  header : Header.t;
+  value : Value.t;
+  tx_set : Tx_set.t;
+  buckets : Stellar_bucket.Bucket_list.t;
   nomination_s : float;
   balloting_s : float;
   apply_s : float;
   total_s : float;
-  header : Header.t;
 }
 
 type callbacks = {
@@ -141,13 +140,13 @@ let results_hash results =
     results;
   Stellar_crypto.Sha256.final ctx
 
-let apply_ledger ?obs ~prev state buckets ~scp_value_hash ~close_time ~params ts =
+let apply_ledger ?obs ~prev state buckets (v : Value.t) ts =
   let cpu0 = Sys.time () in
   let state, results =
-    Apply.apply_tx_set ?obs Apply.sim_ctx state ~close_time (Tx_set.txs ts)
+    Apply.apply_tx_set ?obs Apply.sim_ctx state ~close_time:v.close_time (Tx_set.txs ts)
   in
-  (* fold this ledger's changes into the bucket list *)
-  let state, dirty = State.take_dirty (params state) in
+  (* fold this ledger's changes, its upgrades included, into the bucket list *)
+  let state, dirty = State.take_dirty (Value.apply_upgrades state v.upgrades) in
   let batch =
     List.map (fun key -> { Stellar_bucket.Bucket.key; entry = State.lookup state key }) dirty
   in
@@ -155,7 +154,7 @@ let apply_ledger ?obs ~prev state buckets ~scp_value_hash ~close_time ~params ts
   let buckets = Stellar_bucket.Bucket_list.add_batch ?obs buckets batch in
   let cpu1 = Sys.time () in
   let header =
-    Header.make ~prev ~scp_value_hash ~tx_set_hash:(Tx_set.hash ts)
+    Header.make ~prev ~scp_value_hash:(Value.hash v) ~tx_set_hash:(Tx_set.hash ts)
       ~results_hash:(results_hash results)
       ~snapshot_hash:(Stellar_bucket.Bucket_list.hash buckets)
       ~state
@@ -199,10 +198,7 @@ let rec close_ledger t slot (v : Value.t) ts =
       (Stellar_obs.Event.Apply_begin { slot; txs = Tx_set.tx_count ts; ops = Tx_set.op_count ts })
   end;
   let state, buckets, header, apply_s =
-    apply_ledger ~obs:t.obs ~prev:(last_header t) t.state t.buckets
-      ~scp_value_hash:(Value.hash v) ~close_time:v.Value.close_time
-      ~params:(fun state -> Value.apply_upgrades state v.Value.upgrades)
-      ts
+    apply_ledger ~obs:t.obs ~prev:(last_header t) t.state t.buckets v ts
   in
   if Stellar_obs.Sink.tracing t.obs then
     Stellar_obs.Sink.emit t.obs
@@ -228,15 +224,14 @@ let rec close_ledger t slot (v : Value.t) ts =
   let first_ballot = Option.value ~default:now tm.t_first_ballot in
   t.cb.on_ledger_closed
     {
-      seq = State.ledger_seq t.state;
-      close_time = v.Value.close_time;
-      tx_count = Tx_set.tx_count ts;
-      op_count = Tx_set.op_count ts;
+      header;
+      value = v;
+      tx_set = ts;
+      buckets;
       nomination_s = Float.max 0.0 (first_ballot -. tm.t_trigger);
       balloting_s = Float.max 0.0 (now -. first_ballot);
       apply_s;
       total_s = now -. tm.t_trigger;
-      header;
     };
   Hashtbl.remove t.timings slot;
   (* schedule the next ledger to hold the 5-second cadence *)

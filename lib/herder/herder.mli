@@ -9,16 +9,17 @@
     network). *)
 
 type ledger_stats = {
-  seq : int;
-  close_time : int;
-  tx_count : int;
-  op_count : int;
+  header : Stellar_ledger.Header.t;
+  value : Value.t;  (** the externalized value the header commits to *)
+  tx_set : Tx_set.t;  (** the set the value names, as applied *)
+  buckets : Stellar_bucket.Bucket_list.t;  (** the bucket list after the close *)
   nomination_s : float;  (** virtual time: nomination start → first ballot *)
   balloting_s : float;  (** virtual time: first ballot → externalize *)
   apply_s : float;  (** real CPU time to apply the tx set + buckets *)
   total_s : float;  (** virtual time: trigger → externalize *)
-  header : Stellar_ledger.Header.t;
 }
+(** One closed ledger: its header, value and tx set are the record an
+    archive stores and catch-up replays through {!apply_ledger}. *)
 
 type callbacks = {
   broadcast_envelope : Scp.Types.envelope -> unit;
@@ -46,19 +47,17 @@ val apply_ledger :
   prev:Stellar_ledger.Header.t option ->
   Stellar_ledger.State.t ->
   Stellar_bucket.Bucket_list.t ->
-  scp_value_hash:string ->
-  close_time:int ->
-  params:(Stellar_ledger.State.t -> Stellar_ledger.State.t) ->
+  Value.t ->
   Tx_set.t ->
   Stellar_ledger.State.t * Stellar_bucket.Bucket_list.t * Stellar_ledger.Header.t * float
 (** The ledger-close transition (Fig. 3), the one definition of closing a
     ledger, shared by the live close and archive catch-up: apply the tx
-    set at [close_time], run the parameter step [params] (the value's
-    upgrades when live, the archived header's parameters on replay), fold
-    the touched entries into the bucket list and build the header after
-    [prev] (its tx set, results and snapshot hashes).  Returns the new
-    state, bucket list and header, and the CPU seconds charged for the
-    close, the bucket merges at their first cost. *)
+    set at the value's close time, apply the value's upgrades, fold the
+    touched entries into the bucket list and build the header after
+    [prev] (the value's hash, the tx set, results and snapshot hashes).
+    The value is the only source of the close time and the parameters.
+    Returns the new state, bucket list and header, and the CPU seconds
+    charged for the close, the bucket merges at their first cost. *)
 
 type t
 

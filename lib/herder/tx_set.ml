@@ -35,7 +35,6 @@ let xdr =
     components_xdr
 
 let encode t = Xdr.encode xdr t
-let decode s = Xdr.decode xdr s
 
 let txs t = t.txs
 let hash t = t.hash

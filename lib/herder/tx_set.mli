@@ -16,7 +16,6 @@ val xdr : t Stellar_xdr.Xdr.codec
     to the same bytes and carries the same hash. *)
 
 val encode : t -> string
-val decode : string -> (t, string) result
 
 val prev_header_hash : t -> string
 val op_count : t -> int

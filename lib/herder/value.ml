@@ -86,18 +86,6 @@ let combine_with ~lookup values =
       let close_time = List.fold_left (fun acc v -> max acc v.close_time) 0 known in
       Some { tx_set_hash = best.tx_set_hash; close_time; upgrades = merge_upgrades known }
 
-let combine values =
-  combine_with ~lookup:(fun _ -> None) values
-  |> fun r ->
-  match (r, values) with
-  | Some v, _ -> Some v
-  | None, [] -> None
-  | None, v :: rest ->
-      (* no lookup available: fall back to highest tx-set hash *)
-      let best = List.fold_left (fun a b -> if b.tx_set_hash > a.tx_set_hash then b else a) v rest in
-      let close_time = List.fold_left (fun acc v -> max acc v.close_time) 0 values in
-      Some { tx_set_hash = best.tx_set_hash; close_time; upgrades = merge_upgrades values }
-
 let valid_upgrade = function
   | Upgrade_base_fee v -> v >= 1 && v <= 10_000
   | Upgrade_base_reserve v -> v >= 1 && v <= 100_000_000

@@ -20,15 +20,12 @@ val decode : string -> t option
 val hash : t -> string
 (** SHA-256 of {!encode}. *)
 
-val combine : t list -> t option
-(** §5.3: take the transaction set with the most operations (ties broken by
-    total fees, then by hash), the union of all upgrades (higher values
-    supersede), and the highest close time.  Needs the op/fee counts, so
-    callers pass a lookup. *)
-
 val combine_with :
   lookup:(string -> Tx_set.t option) -> t list -> t option
-(** Full §5.3 combination; values whose tx set is unknown are skipped. *)
+(** §5.3: take the transaction set with the most operations (ties broken by
+    total fees, then by hash), the union of all upgrades (higher values
+    supersede), and the highest close time.  The op and fee counts come
+    from [lookup]; values whose tx set it does not know are skipped. *)
 
 val apply_upgrades : Stellar_ledger.State.t -> upgrade list -> Stellar_ledger.State.t
 

@@ -56,7 +56,6 @@ let xdr =
   }
 
 let encode h = Xdr.encode xdr h
-let decode s = Xdr.decode xdr s
 
 let hash h = Stellar_crypto.Sha256.digest (encode h)
 

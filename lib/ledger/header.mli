@@ -25,8 +25,6 @@ val xdr : t Stellar_xdr.Xdr.codec
 val encode : t -> string
 (** Canonical XDR bytes. *)
 
-val decode : string -> (t, string) result
-
 val hash : t -> string
 (** SHA-256 over {!encode}. *)
 

@@ -7,7 +7,6 @@ let make ~n ~d =
     invalid_arg "Price.make: components must be in (0, 2^31)";
   { n; d }
 
-let one = { n = 1; d = 1 }
 let compare a b = Int.compare (a.n * b.d) (b.n * a.d)
 let equal a b = compare a b = 0
 let inverse p = { n = p.d; d = p.n }

@@ -11,7 +11,6 @@ val make : n:int -> d:int -> t
     (so cross products cannot overflow a 63-bit int against ledger
     amounts). *)
 
-val one : t
 val compare : t -> t -> int
 val equal : t -> t -> bool
 val inverse : t -> t

@@ -254,7 +254,6 @@ let xdr =
   }
 
 let encode tx = Xdr.encode xdr tx
-let decode s = Xdr.decode xdr s
 
 let network_id = Stellar_crypto.Sha256.digest "stellar-repro network ; 2026"
 

@@ -90,8 +90,6 @@ val signed_xdr : signed Stellar_xdr.Xdr.codec
 val encode : t -> string
 (** Canonical XDR bytes ({!xdr}). *)
 
-val decode : string -> (t, string) result
-
 val hash : t -> string
 (** SHA-256 over the network-prefixed canonical XDR encoding; this is what
     gets signed. *)

@@ -60,6 +60,17 @@ type report = {
   telemetry : Stellar_obs.Collector.t option;
 }
 
+(* What the report reads of each of node 0's closes: numbers only, so the
+   log holds no ledger's tx set or bucket list for the whole run. *)
+type closed = {
+  close_time : int;
+  tx_count : int;
+  nomination_s : float;
+  balloting_s : float;
+  apply_s : float;
+  total_s : float;
+}
+
 let scheme =
   (module Stellar_crypto.Sim_sig : Stellar_crypto.Sig_intf.SCHEME with type secret = string)
 
@@ -102,11 +113,11 @@ let run p =
     if p.faults = [] then None
     else Some (Stellar_archive.Archive.create ~checkpoint_frequency:4 ())
   in
-  let v0 = ref None in
-  let record_in_archive stats =
-    match (archive, !v0) with
-    | Some a, Some v ->
-        let header = stats.Stellar_herder.Herder.header in
+  let record_in_archive (stats : Stellar_herder.Herder.ledger_stats) =
+    match archive with
+    | None -> ()
+    | Some a ->
+        let header = stats.header in
         (* in-sequence guard: if node 0 itself was down for some closes, the
            archive just stops at the gap rather than tripping the
            append-only order check *)
@@ -116,12 +127,8 @@ let run p =
           | None -> header.Header.ledger_seq
         in
         if header.Header.ledger_seq = expected then
-          Option.iter
-            (fun tx_set ->
-              Stellar_archive.Archive.record_ledger a ~header ~tx_set
-                ~buckets:(Stellar_herder.Herder.buckets (Validator.herder v)))
-            (Stellar_herder.Herder.tx_set (Validator.herder v) header.Header.tx_set_hash)
-    | _ -> ()
+          Stellar_archive.Archive.record_ledger a ~header ~value:stats.value
+            ~tx_set:stats.tx_set ~buckets:stats.buckets
   in
   let validators =
     Array.init p.spec.Topology.n_nodes (fun i ->
@@ -136,9 +143,18 @@ let run p =
           }
         in
         let on_ledger_closed =
-          if i = 0 then fun stats ->
+          if i = 0 then fun (stats : Stellar_herder.Herder.ledger_stats) ->
             begin
-              ledger_log := stats :: !ledger_log;
+              ledger_log :=
+                {
+                  close_time = stats.header.Header.close_time;
+                  tx_count = Stellar_herder.Tx_set.tx_count stats.tx_set;
+                  nomination_s = stats.nomination_s;
+                  balloting_s = stats.balloting_s;
+                  apply_s = stats.apply_s;
+                  total_s = stats.total_s;
+                }
+                :: !ledger_log;
               let ((nom, ballot) as counts) = timeouts () in
               let nom0, ballot0 = !last_timeouts in
               timeouts_per_ledger := (nom - nom0, ballot - ballot0) :: !timeouts_per_ledger;
@@ -152,7 +168,6 @@ let run p =
           ~obs:(Stellar_obs.Collector.sink collector i)
           ())
   in
-  v0 := Some validators.(0);
   Array.iter Validator.start validators;
   (* ---- fault schedule interpretation ---- *)
   List.iter
@@ -234,14 +249,13 @@ let run p =
   let close_intervals =
     let rec go = function
       | a :: (b :: _ as rest) ->
-          float_of_int (b.Stellar_herder.Herder.close_time - a.Stellar_herder.Herder.close_time)
-          :: go rest
+          float_of_int (b.close_time - a.close_time) :: go rest
       | _ -> []
     in
     go stats'
   in
   let txs_applied =
-    List.fold_left (fun acc s -> acc + s.Stellar_herder.Herder.tx_count) 0 stats
+    List.fold_left (fun acc s -> acc + s.tx_count) 0 stats
   in
   let virtual_elapsed = Stellar_sim.Engine.now engine in
   let per_second n = if virtual_elapsed > 0.0 then float_of_int n /. virtual_elapsed else 0.0 in
@@ -296,13 +310,13 @@ let run p =
   in
   {
     ledgers_closed = List.length stats;
-    nomination = Report.quantiles (fl (fun s -> s.Stellar_herder.Herder.nomination_s));
-    balloting = Report.quantiles (fl (fun s -> s.Stellar_herder.Herder.balloting_s));
-    apply = Report.quantiles (fl (fun s -> s.Stellar_herder.Herder.apply_s));
-    total = Report.quantiles (fl (fun s -> s.Stellar_herder.Herder.total_s));
+    nomination = Report.quantiles (fl (fun s -> s.nomination_s));
+    balloting = Report.quantiles (fl (fun s -> s.balloting_s));
+    apply = Report.quantiles (fl (fun s -> s.apply_s));
+    total = Report.quantiles (fl (fun s -> s.total_s));
     close_interval = Report.quantiles close_intervals;
     txs_per_ledger =
-      Report.quantiles (fl (fun s -> float_of_int s.Stellar_herder.Herder.tx_count));
+      Report.quantiles (fl (fun s -> float_of_int s.tx_count));
     txs_submitted = !submitted;
     txs_applied;
     nomination_timeouts_per_ledger =

@@ -240,8 +240,9 @@ let callbacks_for ~engine ~gen get_t =
         (fun stats ->
           let v = get_t () in
           if v.generation = gen then begin
-            prune_helped v ~upto:stats.Stellar_herder.Herder.seq;
-            prune_seen v ~upto:stats.Stellar_herder.Herder.seq;
+            let upto = stats.Stellar_herder.Herder.header.Stellar_ledger.Header.ledger_seq in
+            prune_helped v ~upto;
+            prune_seen v ~upto;
             v.user_on_ledger_closed stats
           end);
     }

@@ -246,17 +246,6 @@ let union ~tag ~write_arm ~read_arm =
         read_arm t r);
   }
 
-let fix f =
-  let rec lazy_c =
-    lazy
-      (f
-         {
-           write = (fun w v -> (Lazy.force lazy_c).write w v);
-           read = (fun r -> (Lazy.force lazy_c).read r);
-         })
-  in
-  Lazy.force lazy_c
-
 let encode c v =
   let w = Writer.create () in
   c.write w v;

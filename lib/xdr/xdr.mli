@@ -117,9 +117,6 @@ val union :
 (** Discriminated union: uint32 tag then the arm body.  [read_arm] should
     raise {!Error} on an unknown tag. *)
 
-val fix : ('a codec -> 'a codec) -> 'a codec
-(** Recursive codec. *)
-
 (* ---- top-level entry points ---- *)
 
 val encode : 'a codec -> 'a -> string

@@ -30,9 +30,12 @@ let value_tests =
         let enc = Value.encode v in
         check bool "trailing bytes" true (Value.decode (enc ^ "x") = None));
     test_case "combine: highest close time, upgrade union" `Quick (fun () ->
-        let v1 = Value.{ tx_set_hash = h32 "a"; close_time = 10; upgrades = [ Value.Upgrade_base_fee 200 ] } in
-        let v2 = Value.{ tx_set_hash = h32 "b"; close_time = 12; upgrades = [ Value.Upgrade_base_fee 150; Value.Upgrade_base_reserve 9 ] } in
-        match Value.combine [ v1; v2 ] with
+        let a = Tx_set.make ~prev_header_hash:(h32 "a") [] in
+        let b = Tx_set.make ~prev_header_hash:(h32 "b") [] in
+        let lookup h = List.find_opt (fun ts -> Tx_set.hash ts = h) [ a; b ] in
+        let v1 = Value.{ tx_set_hash = Tx_set.hash a; close_time = 10; upgrades = [ Value.Upgrade_base_fee 200 ] } in
+        let v2 = Value.{ tx_set_hash = Tx_set.hash b; close_time = 12; upgrades = [ Value.Upgrade_base_fee 150; Value.Upgrade_base_reserve 9 ] } in
+        match Value.combine_with ~lookup [ v1; v2 ] with
         | None -> fail "no combination"
         | Some v ->
             check int "max close" 12 v.Value.close_time;

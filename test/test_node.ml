@@ -146,19 +146,8 @@ let fault_tests =
         let network = Stellar_sim.Network.create ~engine ~rng ~n:4 ~latency:Stellar_sim.Latency.datacenter () in
         let genesis, accounts = Genesis.make ~n_accounts:15 () in
         let ledger_txs = ref [] in
-        let v = ref None in
         let on_ledger_closed stats =
-          match !v with
-          | Some validator ->
-              let herder = Validator.herder validator in
-              let ts =
-                Stellar_herder.Herder.tx_set herder
-                  stats.Stellar_herder.Herder.header.Stellar_ledger.Header.tx_set_hash
-              in
-              Option.iter
-                (fun ts -> ledger_txs := Stellar_herder.Tx_set.txs ts :: !ledger_txs)
-                ts
-          | None -> ()
+          ledger_txs := Stellar_herder.Tx_set.txs stats.Stellar_herder.Herder.tx_set :: !ledger_txs
         in
         let mk i =
           let config =
@@ -175,7 +164,6 @@ let fault_tests =
             ()
         in
         let vs = Array.init 4 mk in
-        v := Some vs.(0);
         Array.iter Validator.start vs;
         let scheme = (module Stellar_crypto.Sim_sig : Stellar_crypto.Sig_intf.SCHEME with type secret = string) in
         (* 15 payments: fees 100..1500 stroops, all submitted up front *)
@@ -279,20 +267,9 @@ let archived_run () =
   let archive = Stellar_archive.Archive.create ~checkpoint_frequency:4 () in
   let buckets_at = Hashtbl.create 16 in
   let spec = Topology.all_to_all ~n:1 in
-  let v = ref None in
-  let on_ledger_closed stats =
-    match !v with
-    | Some validator ->
-        let herder = Validator.herder validator in
-        let header = stats.Stellar_herder.Herder.header in
-        let ts =
-          Option.get
-            (Stellar_herder.Herder.tx_set herder header.Stellar_ledger.Header.tx_set_hash)
-        in
-        let buckets = Stellar_herder.Herder.buckets herder in
-        Hashtbl.replace buckets_at header.Stellar_ledger.Header.ledger_seq buckets;
-        Stellar_archive.Archive.record_ledger archive ~header ~tx_set:ts ~buckets
-    | None -> ()
+  let on_ledger_closed { Stellar_herder.Herder.header; value; tx_set; buckets; _ } =
+    Hashtbl.replace buckets_at header.Stellar_ledger.Header.ledger_seq buckets;
+    Stellar_archive.Archive.record_ledger archive ~header ~value ~tx_set ~buckets
   in
   let validator =
     Validator.create ~network ~index:0 ~peers:[]
@@ -301,7 +278,6 @@ let archived_run () =
            ~qset:(Scp.Quorum_set.singleton (Topology.node_ids spec).(0)))
       ~genesis ~on_ledger_closed ()
   in
-  v := Some validator;
   Validator.start validator;
   (* submit some payments *)
   let scheme = (module Stellar_crypto.Sim_sig : Stellar_crypto.Sig_intf.SCHEME with type secret = string) in
@@ -341,6 +317,18 @@ let archive_tests =
         check bool "archived some ledgers" true
           (Option.value ~default:0 (Stellar_archive.Archive.latest_seq archive) >= 10);
         check bool "has checkpoints" true (Stellar_archive.Archive.checkpoint_count archive >= 2);
+        (* every archived ledger's value is the one its header commits to *)
+        for seq = 2 to Option.get (Stellar_archive.Archive.latest_seq archive) do
+          match Stellar_archive.Archive.ledger archive seq with
+          | None -> fail (Printf.sprintf "ledger %d not archived" seq)
+          | Some (header, v, _) ->
+              check string
+                (Printf.sprintf "value hash %d" seq)
+                header.Stellar_ledger.Header.scp_value_hash (Stellar_herder.Value.hash v);
+              check string
+                (Printf.sprintf "value names the tx set %d" seq)
+                header.Stellar_ledger.Header.tx_set_hash v.Stellar_herder.Value.tx_set_hash
+        done;
         (* catchup *)
         (match Stellar_archive.Archive.catchup archive with
         | Error e -> fail e
@@ -387,14 +375,20 @@ let archive_tests =
             ~results_hash:"r" ~snapshot_hash:(Stellar_bucket.Bucket_list.hash buckets) ~state
         in
         let ts = Stellar_herder.Tx_set.make ~prev_header_hash:"p" [] in
-        Stellar_archive.Archive.record_ledger archive ~header:(mk 2) ~tx_set:ts ~buckets;
+        let value =
+          { Stellar_herder.Value.tx_set_hash = Stellar_herder.Tx_set.hash ts; close_time = 2; upgrades = [] }
+        in
+        Stellar_archive.Archive.record_ledger archive ~header:(mk 2) ~value ~tx_set:ts ~buckets;
         check_raises "gap rejected"
           (Invalid_argument "Archive.record_ledger: out of order (5 after 2)") (fun () ->
-            Stellar_archive.Archive.record_ledger archive ~header:(mk 5) ~tx_set:ts ~buckets));
+            Stellar_archive.Archive.record_ledger archive ~header:(mk 5) ~value ~tx_set:ts
+              ~buckets));
     test_case "catch-up rejects a forged header after the checkpoint" `Quick (fun () ->
         (* copy a checkpoint and the two ledgers after it, forging the first
-           of them and relinking the next one to the forgery: every chain
-           link and snapshot hash still checks out *)
+           of them and relinking the next one to the forgery (its
+           [prev_hash] and skip-list slot 0, the previous header's hash):
+           every chain link and snapshot hash still checks out, so each
+           forgery must be caught at the forged ledger itself *)
         let _, _, archive, buckets_at = archived_run () in
         let latest = Option.get (Stellar_archive.Archive.latest_seq archive) in
         let chk = 4 * ((latest - 2) / 4) in
@@ -402,17 +396,21 @@ let archive_tests =
           let copy = Stellar_archive.Archive.create ~checkpoint_frequency:4 () in
           let prev = ref None in
           for seq = chk to chk + 2 do
-            let h = Option.get (Stellar_archive.Archive.header archive seq) in
-            let h = if seq = chk + 1 then forge h else h in
+            let h, value, tx_set = Option.get (Stellar_archive.Archive.ledger archive seq) in
+            let h, value = if seq = chk + 1 then forge (h, value) else (h, value) in
             let h =
               match !prev with
               | Some p when seq > chk + 1 ->
-                  { h with Stellar_ledger.Header.prev_hash = Stellar_ledger.Header.hash p }
+                  let link = Stellar_ledger.Header.hash p in
+                  {
+                    h with
+                    Stellar_ledger.Header.prev_hash = link;
+                    skip_list = link :: List.tl h.Stellar_ledger.Header.skip_list;
+                  }
               | _ -> h
             in
             prev := Some h;
-            Stellar_archive.Archive.record_ledger copy ~header:h
-              ~tx_set:(Option.get (Stellar_archive.Archive.tx_set_for archive seq))
+            Stellar_archive.Archive.record_ledger copy ~header:h ~value ~tx_set
               ~buckets:(Hashtbl.find buckets_at seq)
           done;
           Stellar_archive.Archive.catchup copy
@@ -422,28 +420,63 @@ let archive_tests =
             check int "faithful copy catches up to its tip" (chk + 2)
               (List.nth chain (List.length chain - 1)).Stellar_ledger.Header.ledger_seq
         | Error e -> fail e);
+        let forged = chk + 1 in
+        let mismatch = Printf.sprintf "replayed header mismatch at ledger %d" forged in
+        (* a header made consistent with a forged value: its own hash and
+           parameters agree, so only the value checks can refuse it *)
+        let consistent (h, v) base_fee =
+          ( {
+              h with
+              Stellar_ledger.Header.scp_value_hash = Stellar_herder.Value.hash v;
+              base_fee;
+            },
+            v )
+        in
         List.iter
-          (fun (what, forge) ->
+          (fun (what, expected, forge) ->
             match copy forge with
             | Ok _ -> fail (what ^ " accepted")
-            | Error e ->
-                check string what
-                  (Printf.sprintf "replayed header mismatch at ledger %d" (chk + 1))
-                  e)
+            | Error e -> check string what expected e)
           [
             ( "forged results hash",
-              fun h ->
-                {
-                  h with
-                  Stellar_ledger.Header.results_hash = Stellar_crypto.Sha256.digest "forged";
-                } );
+              mismatch,
+              fun (h, v) ->
+                ( {
+                    h with
+                    Stellar_ledger.Header.results_hash = Stellar_crypto.Sha256.digest "forged";
+                  },
+                  v ) );
             ( "forged fee pool",
-              fun h ->
-                { h with Stellar_ledger.Header.fee_pool = h.Stellar_ledger.Header.fee_pool + 1 } );
+              mismatch,
+              fun (h, v) ->
+                ({ h with Stellar_ledger.Header.fee_pool = h.Stellar_ledger.Header.fee_pool + 1 }, v)
+            );
+            ( "base fee forged in the header only",
+              mismatch,
+              fun (h, v) -> ({ h with Stellar_ledger.Header.base_fee = 200 }, v) );
+            ( "base-fee upgrade added to the value, scp_value_hash kept",
+              mismatch,
+              fun (h, v) ->
+                ( { h with Stellar_ledger.Header.base_fee = 200 },
+                  { v with Stellar_herder.Value.upgrades = [ Stellar_herder.Value.Upgrade_base_fee 200 ] }
+                ) );
+            ( "value naming another tx set",
+              Printf.sprintf "value names another tx set at ledger %d" forged,
+              fun (h, v) ->
+                consistent
+                  (h, { v with Stellar_herder.Value.tx_set_hash = Stellar_crypto.Sha256.digest "other" })
+                  h.Stellar_ledger.Header.base_fee );
+            ( "out-of-range upgrade, header consistent",
+              Printf.sprintf "invalid upgrade at ledger %d" forged,
+              fun (h, v) ->
+                consistent
+                  (h, { v with Stellar_herder.Value.upgrades = [ Stellar_herder.Value.Upgrade_base_fee 20_000 ] })
+                  20_000 );
           ]);
     test_case "catch-up replays a parameter upgrade after the checkpoint" `Quick (fun () ->
         (* ledgers closed through the herder's transition, the base fee
-           raised at ledger 5: replay must apply the archived parameters *)
+           raised by ledger 5's value: replay must apply the archived
+           value's upgrade *)
         let genesis, _ = Genesis.make ~n_accounts:4 () in
         let archive = Stellar_archive.Archive.create ~checkpoint_frequency:4 () in
         let state = ref genesis in
@@ -457,15 +490,17 @@ let archive_tests =
                    ~some:Stellar_ledger.Header.hash !prev)
               []
           in
-          let upgrades = if seq = 5 then [ Stellar_herder.Value.Upgrade_base_fee 200 ] else [] in
-          let s, b, header, _ =
-            Stellar_herder.Herder.apply_ledger ~prev:!prev !state !buckets
-              ~scp_value_hash:(Stellar_crypto.Sha256.digest (string_of_int seq))
-              ~close_time:(10 * seq)
-              ~params:(fun s -> Stellar_herder.Value.apply_upgrades s upgrades)
-              ts
+          let value =
+            {
+              Stellar_herder.Value.tx_set_hash = Stellar_herder.Tx_set.hash ts;
+              close_time = 10 * seq;
+              upgrades = (if seq = 5 then [ Stellar_herder.Value.Upgrade_base_fee 200 ] else []);
+            }
           in
-          Stellar_archive.Archive.record_ledger archive ~header ~tx_set:ts ~buckets:b;
+          let s, b, header, _ =
+            Stellar_herder.Herder.apply_ledger ~prev:!prev !state !buckets value ts
+          in
+          Stellar_archive.Archive.record_ledger archive ~header ~value ~tx_set:ts ~buckets:b;
           state := s;
           buckets := b;
           prev := Some header
@@ -538,34 +573,18 @@ let join_tests =
         let qset = Scp.Quorum_set.majority (Array.to_list founder_ids) in
         let founders =
           Array.init 4 (fun i ->
-              let v = ref None in
               let on_ledger_closed =
-                if i = 0 then (fun stats ->
-                  match !v with
-                  | Some validator ->
-                      let herder = Validator.herder validator in
-                      let header = stats.Stellar_herder.Herder.header in
-                      let ts =
-                        Option.get
-                          (Stellar_herder.Herder.tx_set herder
-                             header.Stellar_ledger.Header.tx_set_hash)
-                      in
-                      Stellar_archive.Archive.record_ledger archive ~header ~tx_set:ts
-                        ~buckets:(Stellar_herder.Herder.buckets herder)
-                  | None -> ())
+                if i = 0 then fun { Stellar_herder.Herder.header; value; tx_set; buckets; _ } ->
+                  Stellar_archive.Archive.record_ledger archive ~header ~value ~tx_set ~buckets
                 else fun _ -> ()
               in
-              let validator =
-                Validator.create ~network ~index:i
-                  ~peers:(List.filter (fun j -> j <> i) [ 0; 1; 2; 3; 4 ])
-                  ~config:
-                    (Stellar_herder.Herder.default_config
-                       ~seed:(Stellar_crypto.Sha256.digest (Printf.sprintf "validator-%d" i))
-                       ~qset)
-                  ~genesis ~on_ledger_closed ()
-              in
-              v := Some validator;
-              validator)
+              Validator.create ~network ~index:i
+                ~peers:(List.filter (fun j -> j <> i) [ 0; 1; 2; 3; 4 ])
+                ~config:
+                  (Stellar_herder.Herder.default_config
+                     ~seed:(Stellar_crypto.Sha256.digest (Printf.sprintf "validator-%d" i))
+                     ~qset)
+                ~genesis ~on_ledger_closed ())
         in
         Array.iter Validator.start founders;
         Stellar_sim.Engine.run ~until:31.0 engine;

@@ -41,12 +41,6 @@ let intersection_tests =
             ]
         in
         check bool "no quorum" true (Intersection.check config = Intersection.No_quorum));
-    test_case "greatest quorum / transitive closure" `Quick (fun () ->
-        let ids = List.init 3 id in
-        let config = Network_config.of_assoc (clique ids 2) in
-        check int "gq size" 3
-          (List.length (Network_config.greatest_quorum config (Network_config.nodes config)));
-        check int "closure" 3 (List.length (Network_config.transitive_closure config (id 0))));
     test_case "byzantine nodes enable splits" `Quick (fun () ->
         (* 3-of-5 clique is intersecting, but with one node byzantine the
            remaining 4 honest with effective 2-of-4... still need 3-of-5

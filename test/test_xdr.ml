@@ -721,7 +721,11 @@ let archive_tests =
           (match (txs, !known_tx) with s :: _, None -> known_tx := Some s | _ -> ());
           let tx_set = Stellar_herder.Tx_set.make ~prev_header_hash:(Rng.bytes rng 32) txs in
           let header = { (gen_header ()) with Header.ledger_seq = seq } in
-          Stellar_archive.Archive.record_ledger a ~header ~tx_set ~buckets:(gen_bucket_list ())
+          let value =
+            { (gen_value ()) with Stellar_herder.Value.tx_set_hash = Stellar_herder.Tx_set.hash tx_set }
+          in
+          Stellar_archive.Archive.record_ledger a ~header ~value ~tx_set
+            ~buckets:(gen_bucket_list ())
         done;
         let blob = Stellar_archive.Archive.to_blob a in
         match Stellar_archive.Archive.of_blob blob with
@@ -739,10 +743,16 @@ let archive_tests =
                 (Printf.sprintf "header %d equal" seq)
                 true
                 (Stellar_archive.Archive.header a seq = Stellar_archive.Archive.header b seq);
-              let ts_hash x =
-                Option.map Stellar_herder.Tx_set.hash (Stellar_archive.Archive.tx_set_for x seq)
+              let hashes x =
+                Option.map
+                  (fun (h, v, ts) ->
+                    (Header.hash h, Stellar_herder.Value.hash v, Stellar_herder.Tx_set.hash ts))
+                  (Stellar_archive.Archive.ledger x seq)
               in
-              check bool (Printf.sprintf "tx set %d equal" seq) true (ts_hash a = ts_hash b)
+              check bool
+                (Printf.sprintf "ledger %d: header, value and tx set hashes equal" seq)
+                true
+                (hashes a <> None && hashes a = hashes b)
             done;
             (match !known_tx with
             | None -> fail "no tx recorded"
