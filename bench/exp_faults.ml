@@ -62,23 +62,14 @@ let run_rate ~accounts rate =
   in
   let trace = Obs.Collector.trace telemetry in
   if not r.Stellar_node.Scenario.converged then begin
-    let c0 =
-      match r.Stellar_node.Scenario.chains with (_, c) :: _ -> Array.of_list c | [] -> [||]
-    in
     List.iter
       (fun (i, c) ->
-        let arr = Array.of_list c in
-        let div = ref (-1) in
-        Array.iteri
-          (fun k h -> if !div < 0 && (k >= Array.length c0 || c0.(k) <> h) then div := k)
-          arr;
-        Printf.eprintf "node %d: chain length %d head %s first-divergence %d\n%!" i
-          (List.length c)
-          (match List.rev c with h :: _ -> String.sub h 0 12 | [] -> "-")
-          !div)
+        Printf.eprintf "node %d: %d ledgers past genesis, head %s\n%!" i (List.length c)
+          (match List.rev c with h :: _ -> String.sub h 0 12 | [] -> "-"))
       r.Stellar_node.Scenario.chains;
     failwith
-      (Printf.sprintf "fig-liveness: validators did not converge at rate %.0f" rate)
+      (Printf.sprintf "fig-liveness: validators did not converge at rate %.0f%s" rate
+         (if r.Stellar_node.Scenario.diverged then " (diverged)" else ""))
   end;
   (* every crashed node must have completed an archive catchup on restart *)
   let catchup_done_nodes =

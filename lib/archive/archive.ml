@@ -86,6 +86,21 @@ let catchup t =
         then Ok ()
         else Error "checkpoint bucket hash does not match header"
       in
+      (* the checkpoint's header must be the archived ledger at its seq and
+         link back through the archived headers before it; replay links
+         every later header to it *)
+      let rec back acc n =
+        match header t n with Some h -> back (h :: acc) (n - 1) | None -> acc
+      in
+      let* () =
+        let archived =
+          match header t seq with
+          | Some h -> String.equal (Header.hash h) (Header.hash chk_header)
+          | None -> true
+        in
+        if archived && Header.verify_chain (back [ chk_header ] (seq - 1)) then Ok ()
+        else Error "header chain broken"
+      in
       let entries = Stellar_bucket.Bucket_list.live_entries chk_buckets in
       let state =
         State.of_entries ~ledger_seq:seq ~close_time:chk_header.Header.close_time
@@ -99,9 +114,9 @@ let catchup t =
          pools, parameters and skip list are checked along with the
          snapshot, whose level structure a catching-up node must reproduce
          to agree with the network's future headers *)
-      let tip = Option.value ~default:seq t.latest in
-      let rec replay prev state buckets acc n =
-        if n > tip then Ok (state, buckets, List.rev acc)
+      let last = Option.value ~default:seq t.latest in
+      let rec replay prev state buckets n =
+        if n > last then Ok (state, buckets, prev)
         else
           let* h, v, ts =
             Option.to_result ~none:(Printf.sprintf "missing ledger %d" n) (ledger t n)
@@ -119,19 +134,11 @@ let catchup t =
             Stellar_herder.Herder.apply_ledger ~prev:(Some prev) state buckets v ts
           in
           if String.equal (Header.hash rebuilt) (Header.hash h) then
-            replay h state buckets (h :: acc) (n + 1)
+            replay h state buckets (n + 1)
           else Error (Printf.sprintf "replayed header mismatch at ledger %d" n)
       in
-      let* state, buckets, replayed = replay chk_header state chk_buckets [] (seq + 1) in
-      (* collect the full chain back to the earliest archived header *)
-      let rec back acc n =
-        match header t n with Some h -> back (h :: acc) (n - 1) | None -> acc
-      in
-      let chain = back [] seq @ replayed in
-      let* () =
-        if Header.verify_chain chain then Ok () else Error "header chain broken"
-      in
-      Ok (state, buckets, chain)
+      let* state, buckets, tip = replay chk_header state chk_buckets (seq + 1) in
+      Ok (state, buckets, tip)
 
 let size_bytes t = t.archived_bytes
 

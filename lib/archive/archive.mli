@@ -47,9 +47,7 @@ val checkpoint_count : t -> int
 
 val catchup :
   t ->
-  ( Stellar_ledger.State.t * Stellar_bucket.Bucket_list.t * Stellar_ledger.Header.t list,
-    string )
-  result
+  (Stellar_ledger.State.t * Stellar_bucket.Bucket_list.t * Stellar_ledger.Header.t, string) result
 (** Bootstrap a new node: rebuild the ledger state from the latest
     checkpoint's buckets, verify it against the header's snapshot hash, then
     replay the archived ledgers up to the tip, each through the call the
@@ -58,11 +56,15 @@ val catchup :
     value.  The value is checked as input from outside first: it must name
     the archived tx set and carry only upgrades that pass
     {!Stellar_herder.Value.valid_upgrade}.  A ledger is accepted only when
-    the rebuilt header hashes to the archived one; the chain links before
-    the checkpoint are checked too.  Errors name the ledger.  Returns the
+    the rebuilt header hashes to the archived one.  Before replay, the
+    checkpoint's header must equal the archived ledger at its seq and link
+    back through the archived headers before it, or catch-up fails with
+    ["header chain broken"].  Replay errors name the ledger.  Returns the
     state, the bucket list at the tip (level structure identical to a node
     that closed those ledgers live — required to agree on future snapshot
-    hashes), and the full header chain (oldest first). *)
+    hashes), and the tip: the archived header of the last ledger, which a
+    node bootstrapping from the result hands its herder to link the next
+    close to. *)
 
 val size_bytes : t -> int
 (** Exact archived volume: the XDR-encoded bytes of every published header,

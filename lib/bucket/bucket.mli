@@ -12,7 +12,6 @@ type item = { key : Stellar_ledger.Entry.key; entry : Stellar_ledger.Entry.entry
 type t
 
 val empty : t
-val is_empty : t -> bool
 val size : t -> int
 
 val of_items : item list -> t

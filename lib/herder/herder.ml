@@ -52,7 +52,6 @@ type t = {
   config : config;
   cb : callbacks;
   obs : Stellar_obs.Sink.t;
-  id : Scp.Types.node_id;
   scp : Scp.Protocol.t;
   queue : Tx_queue.t;
   tx_sets : (string, held_tx_set) Hashtbl.t;
@@ -62,18 +61,15 @@ type t = {
   timings : (int, slot_timing) Hashtbl.t;
   mutable state : State.t;
   mutable buckets : Stellar_bucket.Bucket_list.t;
-  mutable headers : Header.t list;
+  mutable tip : Header.t option;  (* the last closed header; None at genesis *)
   decided : (int, Value.t) Hashtbl.t;  (* externalized slots not yet closed *)
   mutable running : bool;
   mutable trigger_cancel : (unit -> unit) option;
   mutable last_trigger : float;
 }
 
-let node_id t = t.id
 let state t = t.state
-let buckets t = t.buckets
-let headers t = t.headers
-let last_header t = match t.headers with h :: _ -> Some h | [] -> None
+let last_header t = t.tip
 let ledger_seq t = State.ledger_seq t.state
 let tx_set t h = Option.map (fun held -> held.set) (Hashtbl.find_opt t.tx_sets h)
 
@@ -98,8 +94,7 @@ let timing t slot =
       Hashtbl.add t.timings slot x;
       x
 
-let prev_header_hash t =
-  match t.headers with h :: _ -> Header.hash h | [] -> Header.genesis_hash
+let prev_header_hash t = Option.fold ~none:Header.genesis_hash ~some:Header.hash t.tip
 
 (* ---- value validation & combination (§5.3) ---- *)
 
@@ -198,7 +193,7 @@ let rec close_ledger t slot (v : Value.t) ts =
       (Stellar_obs.Event.Apply_begin { slot; txs = Tx_set.tx_count ts; ops = Tx_set.op_count ts })
   end;
   let state, buckets, header, apply_s =
-    apply_ledger ~obs:t.obs ~prev:(last_header t) t.state t.buckets v ts
+    apply_ledger ~obs:t.obs ~prev:t.tip t.state t.buckets v ts
   in
   if Stellar_obs.Sink.tracing t.obs then
     Stellar_obs.Sink.emit t.obs
@@ -207,7 +202,7 @@ let rec close_ledger t slot (v : Value.t) ts =
   Stellar_obs.Sink.incr t.obs "ledger.closed";
   t.state <- state;
   t.buckets <- buckets;
-  t.headers <- header :: t.headers;
+  t.tip <- Some header;
   Tx_queue.remove_applied t.queue txs;
   let purged = Tx_queue.purge_invalid t.queue ~state:t.state in
   if Stellar_obs.Sink.tracing t.obs then
@@ -262,7 +257,9 @@ and trigger_next_ledger t =
     add_tx_set t (Tx_set.hash ts) ts ~slot;
     t.cb.broadcast_tx_set ts;
     let close_time = max (int_of_float (t.cb.now ())) (State.close_time t.state + 1) in
-    let upgrades = if t.config.is_governing then t.config.desired_upgrades else [] in
+    let upgrades =
+      if t.config.is_governing then Value.merge_upgrades t.config.desired_upgrades else []
+    in
     let value = Value.{ tx_set_hash = Tx_set.hash ts; close_time; upgrades } in
     Scp.Protocol.nominate t.scp ~slot ~value:(Value.encode value) ~prev:(prev_header_hash t)
   end
@@ -283,7 +280,7 @@ let rec advance t =
 
 (* ---- construction ---- *)
 
-let create config cb ~genesis ?buckets ?(headers = []) ?(obs = Stellar_obs.Sink.null) () =
+let create config cb ~genesis ?buckets ?tip ?(obs = Stellar_obs.Sink.null) () =
   let secret, id = Stellar_crypto.Sim_sig.keypair ~seed:config.seed in
   let rec t =
     lazy
@@ -314,14 +311,13 @@ let create config cb ~genesis ?buckets ?(headers = []) ?(obs = Stellar_obs.Sink.
          config;
          cb;
          obs;
-         id;
          scp = Scp.Protocol.create ~driver ~local_id:id ~qset:config.qset;
          queue = Tx_queue.create ();
          tx_sets = Hashtbl.create 64;
          pending_envs = Hashtbl.create 16;
          timings = Hashtbl.create 8;
          state = genesis;
-         headers;
+         tip;
          buckets =
            (match buckets with
            | Some b -> b

@@ -66,14 +66,15 @@ val create :
   callbacks ->
   genesis:Stellar_ledger.State.t ->
   ?buckets:Stellar_bucket.Bucket_list.t ->
-  ?headers:Stellar_ledger.Header.t list ->
+  ?tip:Stellar_ledger.Header.t ->
   ?obs:Stellar_obs.Sink.t ->
   unit ->
   t
 (** [buckets] lets many simulated validators share one precomputed bucket
     list for the same genesis instead of re-hashing it per node.
-    [headers] (most recent first) seeds the header chain when bootstrapping
-    from an archive checkpoint rather than from ledger 1 (§5.4).
+    [tip] is the header of [genesis]'s ledger when bootstrapping from an
+    archive (§5.4) rather than from ledger 1: the next close links to it.
+    The herder keeps only its last closed header, never the whole chain.
     [obs] (default disabled) instruments the whole close path: it is handed
     to the SCP driver (which emits the slot events, [First_vote] included),
     ledger apply and bucket merges, and the herder itself emits
@@ -82,13 +83,11 @@ val create :
     [Tx_dropped]; [Tx_applied] comes from ledger apply), plus the
     [ledger.apply_ms] CPU histogram and [herder.queue.size] gauge. *)
 
-val node_id : t -> Scp.Types.node_id
 val state : t -> Stellar_ledger.State.t
-val buckets : t -> Stellar_bucket.Bucket_list.t
-val headers : t -> Stellar_ledger.Header.t list
-(** Most recent first. *)
 
 val last_header : t -> Stellar_ledger.Header.t option
+(** The tip: the last closed (or caught-up) header, [None] at genesis. *)
+
 val ledger_seq : t -> int
 val set_quorum_set : t -> Scp.Quorum_set.t -> unit
 

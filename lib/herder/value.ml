@@ -43,6 +43,13 @@ let xdr =
         let tx_set_hash = Reader.opaque_var r () in
         let close_time = Reader.hyper r in
         let upgrades = (list ~max:16 upgrade_xdr).read r in
+        (* strictly increasing tags, as the writer emits them: any other
+           order or a repeated tag would be a second encoding of a value *)
+        let rec canonical = function
+          | a :: (b :: _ as rest) -> upgrade_tag a < upgrade_tag b && canonical rest
+          | _ -> true
+        in
+        if not (canonical upgrades) then raise (Error "Value: upgrades not in tag order");
         { tx_set_hash; close_time; upgrades });
   }
 
@@ -51,20 +58,17 @@ let decode s = match Xdr.decode xdr s with Ok v -> Some v | Error _ -> None
 
 let hash v = Stellar_crypto.Sha256.digest (encode v)
 
-let merge_upgrades values =
-  (* Union; on conflicting values for the same parameter the higher wins
-     (§5.3: "higher fees and protocol version numbers supersede"). *)
+let merge_upgrades upgrades =
+  (* on conflicting values for the same parameter the higher wins (§5.3:
+     "higher fees and protocol version numbers supersede") *)
   let best = Hashtbl.create 4 in
   List.iter
-    (fun v ->
-      List.iter
-        (fun u ->
-          let tag = upgrade_tag u in
-          match Hashtbl.find_opt best tag with
-          | Some u' when upgrade_value u' >= upgrade_value u -> ()
-          | _ -> Hashtbl.replace best tag u)
-        v.upgrades)
-    values;
+    (fun u ->
+      let tag = upgrade_tag u in
+      match Hashtbl.find_opt best tag with
+      | Some u' when upgrade_value u' >= upgrade_value u -> ()
+      | _ -> Hashtbl.replace best tag u)
+    upgrades;
   Hashtbl.fold (fun _ u acc -> u :: acc) best []
   |> List.sort (fun a b -> Int.compare (upgrade_tag a) (upgrade_tag b))
 
@@ -84,7 +88,8 @@ let combine_with ~lookup values =
           (List.hd known) (List.tl known)
       in
       let close_time = List.fold_left (fun acc v -> max acc v.close_time) 0 known in
-      Some { tx_set_hash = best.tx_set_hash; close_time; upgrades = merge_upgrades known }
+      let upgrades = merge_upgrades (List.concat_map (fun v -> v.upgrades) known) in
+      Some { tx_set_hash = best.tx_set_hash; close_time; upgrades }
 
 let valid_upgrade = function
   | Upgrade_base_fee v -> v >= 1 && v <= 10_000

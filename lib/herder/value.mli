@@ -15,10 +15,15 @@ val encode : t -> string
 (** Canonical XDR bytes (upgrades sorted by tag). *)
 
 val decode : string -> t option
-(** Strict decode: [None] on malformed input or trailing bytes. *)
+(** Strict decode: [None] on malformed input, trailing bytes, or upgrades
+    not in strictly increasing tag order, so only {!encode}'s bytes decode. *)
 
 val hash : t -> string
 (** SHA-256 of {!encode}. *)
+
+val merge_upgrades : upgrade list -> upgrade list
+(** One upgrade per parameter, the highest value of each, in tag order: the
+    only upgrade lists {!decode} accepts. *)
 
 val combine_with :
   lookup:(string -> Tx_set.t option) -> t list -> t option

@@ -53,5 +53,3 @@ let order_book state ~base ~quote =
     asks = aggregate (State.best_offers state ~selling:base ~buying:quote);
     bids = aggregate (State.best_offers state ~selling:quote ~buying:base);
   }
-
-let transaction archive hash = Stellar_archive.Archive.find_tx archive hash

@@ -1,6 +1,7 @@
-(** Read-only query API over a validator's ledger and archive — the rest of
-    horizon's role in Fig. 5: clients learn about accounts, books and
-    historical transactions here rather than by touching stellar-core. *)
+(** Read-only query API over a validator's ledger — the rest of horizon's
+    role in Fig. 5: clients learn about accounts and books here rather than
+    by touching stellar-core.  Historical transactions are looked up in the
+    history archive ([Stellar_archive.Archive.find_tx], §5.4). *)
 
 type account_view = {
   id : Stellar_ledger.Asset.account_id;
@@ -27,7 +28,3 @@ val order_book :
 (** Asks: offers selling [base] for [quote]; bids: the opposite side,
     both aggregated by price level, best first. *)
 
-val transaction :
-  Stellar_archive.Archive.t -> string -> (int * Stellar_ledger.Tx.signed) option
-(** Historical lookup by hash: "there needs to be some place one can look up
-    a transaction from two years ago" (§5.4). *)

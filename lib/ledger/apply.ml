@@ -606,6 +606,9 @@ let check_auth ctx state (signed : Tx.signed) =
 
 (* ---------- transaction validation & application ---------- *)
 
+(* Static checks: source exists, sequence number is next, fee and balance
+   suffice, time bounds admit the current close time, signature weight meets
+   the highest threshold needed by the operations. *)
 let validate ctx state (signed : Tx.signed) =
   let tx = signed.Tx.tx in
   if tx.Tx.operations = [] || List.length tx.Tx.operations > max_operations then

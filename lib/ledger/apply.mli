@@ -48,11 +48,6 @@ val sim_ctx : ctx
 
 val ed25519_ctx : ctx
 
-val validate : ctx -> State.t -> Tx.signed -> (unit, tx_outcome) result
-(** Static checks: source exists, sequence number is next, fee and balance
-    suffice, time bounds admit the current close time, signature weight
-    meets the highest threshold needed by the operations. *)
-
 val apply_tx : ctx -> State.t -> Tx.signed -> State.t * tx_outcome
 (** Validate, charge fee + sequence, then run operations atomically. *)
 

@@ -21,7 +21,6 @@ let compare a b =
 let equal a b = compare a b = 0
 let is_native = function Native -> true | Credit _ -> false
 let issuer = function Native -> None | Credit c -> Some c.issuer
-let code = function Native -> "XLM" | Credit c -> c.code
 
 let encode = function
   | Native -> "N"

@@ -16,7 +16,6 @@ val compare : t -> t -> int
 val equal : t -> t -> bool
 val is_native : t -> bool
 val issuer : t -> account_id option
-val code : t -> string
 
 val encode : t -> string
 (** Short printable key, for hashtable keys only — wire format is {!xdr}. *)

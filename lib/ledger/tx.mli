@@ -87,9 +87,6 @@ val make :
 val xdr : t Stellar_xdr.Xdr.codec
 val signed_xdr : signed Stellar_xdr.Xdr.codec
 
-val encode : t -> string
-(** Canonical XDR bytes ({!xdr}). *)
-
 val hash : t -> string
 (** SHA-256 over the network-prefixed canonical XDR encoding; this is what
     gets signed. *)

@@ -74,6 +74,14 @@ type closed = {
 let scheme =
   (module Stellar_crypto.Sim_sig : Stellar_crypto.Sig_intf.SCHEME with type secret = string)
 
+let agree agreed header =
+  let seq = header.Header.ledger_seq and h = Header.hash header in
+  match Hashtbl.find_opt agreed seq with
+  | None ->
+      Hashtbl.add agreed seq h;
+      true
+  | Some h' -> String.equal h h'
+
 let run p =
   (match Fault.validate ~n_nodes:p.spec.Topology.n_nodes p.faults with
   | Ok () -> ()
@@ -130,6 +138,13 @@ let run p =
           Stellar_archive.Archive.record_ledger a ~header ~value:stats.value
             ~tx_set:stats.tx_set ~buckets:stats.buckets
   in
+  (* Agreement, checked online at every close of every node.  A restarted
+     node's replayed ledgers need no entry of their own: catch-up accepts a
+     ledger only when it rebuilds the archived header, and the archive holds
+     node 0's closes, checked here. *)
+  let agreed = Hashtbl.create 64 in
+  let diverged = ref false in
+  let check_agreement header = if not (agree agreed header) then diverged := true in
   let validators =
     Array.init p.spec.Topology.n_nodes (fun i ->
         let config =
@@ -142,26 +157,25 @@ let run p =
             max_ops_per_ledger = p.max_ops_per_ledger;
           }
         in
-        let on_ledger_closed =
-          if i = 0 then fun (stats : Stellar_herder.Herder.ledger_stats) ->
-            begin
-              ledger_log :=
-                {
-                  close_time = stats.header.Header.close_time;
-                  tx_count = Stellar_herder.Tx_set.tx_count stats.tx_set;
-                  nomination_s = stats.nomination_s;
-                  balloting_s = stats.balloting_s;
-                  apply_s = stats.apply_s;
-                  total_s = stats.total_s;
-                }
-                :: !ledger_log;
-              let ((nom, ballot) as counts) = timeouts () in
-              let nom0, ballot0 = !last_timeouts in
-              timeouts_per_ledger := (nom - nom0, ballot - ballot0) :: !timeouts_per_ledger;
-              last_timeouts := counts;
-              record_in_archive stats
-            end
-          else fun _ -> ()
+        let on_ledger_closed (stats : Stellar_herder.Herder.ledger_stats) =
+          check_agreement stats.header;
+          if i = 0 then begin
+            ledger_log :=
+              {
+                close_time = stats.header.Header.close_time;
+                tx_count = Stellar_herder.Tx_set.tx_count stats.tx_set;
+                nomination_s = stats.nomination_s;
+                balloting_s = stats.balloting_s;
+                apply_s = stats.apply_s;
+                total_s = stats.total_s;
+              }
+              :: !ledger_log;
+            let ((nom, ballot) as counts) = timeouts () in
+            let nom0, ballot0 = !last_timeouts in
+            timeouts_per_ledger := (nom - nom0, ballot - ballot0) :: !timeouts_per_ledger;
+            last_timeouts := counts;
+            record_in_archive stats
+          end
         in
         Validator.create ~network ~index:i ~peers:(p.spec.Topology.peers_of i) ~config
           ~genesis ~buckets:shared_buckets ~on_ledger_closed
@@ -271,42 +285,32 @@ let run p =
       float_of_int (Registry.counter_value reg0 "flood.own_envelopes")
       /. float_of_int n_ledgers_all
   in
-  (* per-validator header chains, oldest first, as hex hashes *)
+  (* per-validator agreed header hashes up to its tip, oldest first, as hex *)
+  let first_seq = State.ledger_seq genesis + 1 in
   let chains =
     Array.to_list validators
     |> List.filter (fun v -> p.spec.Topology.is_validator (Validator.index v))
     |> List.map (fun v ->
+           let tip = Stellar_herder.Herder.ledger_seq (Validator.herder v) in
            ( Validator.index v,
-             List.rev_map
-               (fun h -> Stellar_crypto.Hex.encode (Header.hash h))
-               (Stellar_herder.Herder.headers (Validator.herder v)) ))
+             List.init (tip - first_seq + 1) (fun k ->
+                 Stellar_crypto.Hex.encode (Hashtbl.find agreed (first_seq + k))) ))
   in
-  (* compare validators at the same ledger seq: use min common length *)
-  let common_prefix_equal cs =
-    match cs with
-    | [] -> true
-    | first :: rest ->
-        let common =
-          List.fold_left (fun acc c -> min acc (List.length c)) (List.length first) rest
-        in
-        let prefix c = List.filteri (fun i _ -> i < common) c in
-        let p0 = prefix first in
-        List.for_all (fun c -> prefix c = p0) rest
-  in
-  let diverged = not (common_prefix_equal (List.map snd chains)) in
   (* Convergence after faults, judged over the validators that are up at the
      end of the run: everyone closed ledgers, nobody is more than one close
-     behind (the cutoff can land mid-spread), and all chains agree on the
-     common prefix. *)
+     behind (the cutoff can land mid-spread), and no close disagreed. *)
   let converged =
-    let up = List.filter (fun (i, _) -> not (Stellar_sim.Network.is_down network i)) chains in
-    match up with
+    let heights =
+      List.filter_map
+        (fun (i, c) ->
+          if Stellar_sim.Network.is_down network i then None else Some (List.length c))
+        chains
+    in
+    match heights with
     | [] -> false
-    | _ ->
-        let lens = List.map (fun (_, c) -> List.length c) up in
-        let minl = List.fold_left min (List.hd lens) lens in
-        let maxl = List.fold_left max (List.hd lens) lens in
-        minl > 0 && maxl - minl <= 1 && common_prefix_equal (List.map snd up)
+    | h0 :: _ ->
+        let lo = List.fold_left min h0 heights and hi = List.fold_left max h0 heights in
+        lo > 0 && hi - lo <= 1 && not !diverged
   in
   {
     ledgers_closed = List.length stats;
@@ -329,7 +333,7 @@ let run p =
     bytes_out_total = bytes_sent;
     bytes_in_per_second = per_second bytes_received;
     bytes_out_per_second = per_second bytes_sent;
-    diverged;
+    diverged = !diverged;
     chains;
     converged;
     wall_seconds = Unix.gettimeofday () -. wall0;

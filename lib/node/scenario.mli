@@ -35,6 +35,12 @@ type params = {
 
 val default : spec:Topology.spec -> params
 
+val agree : (int, string) Hashtbl.t -> Stellar_ledger.Header.t -> bool
+(** The online agreement check, over a table from ledger seq to header hash:
+    the first close of a seq records its hash and agrees; a later close, by
+    any node, agrees only when its header hashes the same.  {!run} calls it
+    at every close of every node. *)
+
 type report = {
   ledgers_closed : int;
   nomination : Stellar_obs.Report.quantiles;
@@ -53,12 +59,17 @@ type report = {
   bytes_out_total : int;
   bytes_in_per_second : float;  (** observed at node 0 *)
   bytes_out_per_second : float;
-  diverged : bool;  (** any two validators on different header chains *)
+  diverged : bool;
+      (** some node closed a ledger whose header differs from the first
+          close of the same seq, by any node.  Checked online at every
+          close, so closes a crash later erased count too *)
   chains : (int * string list) list;
-      (** per-validator header chains, oldest first, as hex hashes *)
+      (** per validator, the agreed header hashes (the first close of each
+          seq) from the first ledger after genesis up to its tip, oldest
+          first, as hex *)
   converged : bool;
       (** all validators still up at the end closed ledgers, are within one
-          close of each other, and agree on the common chain prefix — the
+          close of each other, and the run is not [diverged] — the
           post-fault recovery criterion *)
   wall_seconds : float;  (** real time the simulation took *)
   final_ledger_seq : int;

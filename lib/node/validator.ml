@@ -247,7 +247,7 @@ let callbacks_for ~engine ~gen get_t =
           end);
     }
 
-let create ~network ~index ~peers ~config ~genesis ?buckets ?headers
+let create ~network ~index ~peers ~config ~genesis ?buckets ?tip
     ?(on_ledger_closed = fun _ -> ()) ?(obs = Obs.Sink.null) () =
   let engine = Stellar_sim.Network.engine network in
   let rec t =
@@ -269,7 +269,7 @@ let create ~network ~index ~peers ~config ~genesis ?buckets ?headers
              c_dup_bytes = Obs.Sink.counter obs "flood.dup_bytes";
              c_forwarded = Obs.Sink.counter obs "flood.forwarded";
            };
-         herder = Stellar_herder.Herder.create config cb ~genesis ?buckets ?headers ~obs ();
+         herder = Stellar_herder.Herder.create config cb ~genesis ?buckets ?tip ~obs ();
          generation = 0;
          crashed = false;
          seen = Hashtbl.create 1024;
@@ -314,39 +314,23 @@ let restart ?archive t =
     (* §5.4 bootstrap: rebuild state from the archive's latest checkpoint and
        replay forward to its tip; whatever closed after the archive tip is
        recovered live via straggler help once we rejoin consensus. *)
-    let bootstrap =
-      match archive with
-      | None -> None
-      | Some a -> (
-          match Stellar_archive.Archive.catchup a with
-          | Ok (state, buckets, chain) ->
-              let from_seq =
-                match Stellar_archive.Archive.latest_checkpoint a with
-                | Some c -> c.Stellar_archive.Archive.seq
-                | None -> 0
-              in
-              Some (from_seq, state, buckets, chain)
-          | Error _ -> None)
+    let state, buckets, tip, from_seq =
+      match
+        ( Option.map Stellar_archive.Archive.catchup archive,
+          Option.bind archive Stellar_archive.Archive.latest_checkpoint )
+      with
+      | Some (Ok (state, buckets, tip)), Some chk ->
+          (state, Some buckets, Some tip, chk.Stellar_archive.Archive.seq)
+      | _ -> (t.genesis, t.genesis_buckets, None, 0)
     in
-    let from_seq = match bootstrap with Some (f, _, _, _) -> f | None -> 0 in
     if Obs.Sink.tracing t.obs then
       Obs.Sink.emit t.obs (Obs.Event.Catchup_begin { from_seq });
     let engine = Stellar_sim.Network.engine t.network in
     let cb = callbacks_for ~engine ~gen:t.generation (fun () -> t) in
-    let to_seq, replayed =
-      match bootstrap with
-      | Some (from_seq, state, buckets, chain) ->
-          let to_seq = Stellar_ledger.State.ledger_seq state in
-          t.herder <-
-            Stellar_herder.Herder.create t.config cb ~genesis:state ~buckets
-              ~headers:(List.rev chain) ~obs:t.obs ();
-          (to_seq, max 0 (to_seq - from_seq))
-      | None ->
-          t.herder <-
-            Stellar_herder.Herder.create t.config cb ~genesis:t.genesis
-              ?buckets:t.genesis_buckets ~obs:t.obs ();
-          (0, 0)
-    in
+    t.herder <-
+      Stellar_herder.Herder.create t.config cb ~genesis:state ?buckets ?tip ~obs:t.obs ();
+    let to_seq = Option.fold ~none:0 ~some:(fun h -> h.Stellar_ledger.Header.ledger_seq) tip in
+    let replayed = max 0 (to_seq - from_seq) in
     if Obs.Sink.tracing t.obs then
       Obs.Sink.emit t.obs (Obs.Event.Catchup_done { to_seq; replayed });
     Stellar_herder.Herder.start t.herder

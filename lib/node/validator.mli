@@ -11,12 +11,15 @@ val create :
   config:Stellar_herder.Herder.config ->
   genesis:Stellar_ledger.State.t ->
   ?buckets:Stellar_bucket.Bucket_list.t ->
-  ?headers:Stellar_ledger.Header.t list ->
+  ?tip:Stellar_ledger.Header.t ->
   ?on_ledger_closed:(Stellar_herder.Herder.ledger_stats -> unit) ->
   ?obs:Stellar_obs.Sink.t ->
   unit ->
   t
-(** [obs] (default disabled) instruments the flood path — [flood.*]
+(** [buckets] and [tip] are handed to {!Stellar_herder.Herder.create}: a
+    node bootstrapped from {!Stellar_archive.Archive.catchup} passes the
+    caught-up state as [genesis] with its bucket list and tip header.
+    [obs] (default disabled) instruments the flood path — [flood.*]
     counters and, when tracing, [Flood_send], [Flood_recv] and [Dedup_drop]
     events — and is passed down to the herder/SCP/ledger stack.  Node-level
     figures live there: [flood.own_envelopes] counts the SCP envelopes this
@@ -55,11 +58,11 @@ val wired_size : t -> int
     SCP timers) is abandoned, the dedup, wire-record and straggler-memo
     tables are lost, and the network marks the node down.  Restart rebuilds
     a fresh herder — from the archive's latest checkpoint plus replay when
-    an [archive] is supplied (§5.4), from genesis otherwise — and rejoins
-    consensus, closing any remaining gap live through the §6 straggler-help
-    protocol.  An
-    internal generation counter keeps timers and broadcasts created before
-    the fault from acting on the new incarnation. *)
+    an [archive] is supplied and catch-up succeeds (§5.4), from genesis
+    otherwise — and rejoins consensus, closing any remaining gap live
+    through the §6 straggler-help protocol.  An internal generation counter
+    keeps timers and broadcasts created before the fault from acting on the
+    new incarnation. *)
 
 val crash : t -> unit
 (** Stop the herder, mark the node down, emit [Node_crash].  Idempotent. *)

@@ -67,7 +67,6 @@ let create ~engine ~rng ~n ~latency ?(processing = fun _ -> 0.0) ?obs () =
     next_msg_id = 0;
   }
 
-let size t = Array.length t.handlers
 let engine t = t.engine
 let set_handler t i f = t.handlers.(i) <- Some f
 let set_down t i b =

@@ -40,7 +40,6 @@ val create :
     [overlay.bytes.received].  Without [obs] the network still accounts
     traffic, into private metrics-only registries. *)
 
-val size : 'msg t -> int
 val engine : 'msg t -> Engine.t
 
 val set_handler : 'msg t -> int -> (src:int -> info:delivery -> 'msg -> unit) -> unit

@@ -10,7 +10,6 @@ val create : seed:int -> t
 val split : t -> t
 (** Derive an independent stream (e.g. one per node). *)
 
-val int64 : t -> int64
 val int : t -> int -> int
 (** [int t bound] is uniform in [\[0, bound)]. @raise Invalid_argument if
     [bound <= 0]. *)

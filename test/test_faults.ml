@@ -99,13 +99,11 @@ let recovery_tests =
         in
         check bool "converged" true r.Scenario.converged;
         check bool "not diverged" false r.Scenario.diverged;
-        (* the restarted node's chain matches the others' *)
+        (* the restarted node's closes, before the crash and after the
+           catch-up, all agreed with the others' ([not diverged] above) *)
         let c4 = List.assoc 4 r.Scenario.chains and c0 = List.assoc 0 r.Scenario.chains in
         let common = min (List.length c4) (List.length c0) in
         check bool "closed ledgers" true (common > 5);
-        check bool "identical prefix" true
-          (List.filteri (fun i _ -> i < common) c4
-          = List.filteri (fun i _ -> i < common) c0);
         (* catchup events were traced *)
         let trace = trace_of r in
         let crash = ref 0 and restart = ref 0 and cu_begin = ref 0 and cu_done = ref 0 in
@@ -149,6 +147,29 @@ let recovery_tests =
               (List.map fst h.Stellar_obs.Report.lagged |> List.sort compare);
             check bool "all resynced" true (h.Stellar_obs.Report.heal_recover_s <> None)
         | l -> fail (Printf.sprintf "expected 1 heal, got %d" (List.length l)));
+    test_case "a split brain is flagged as diverged" `Quick (fun () ->
+        (* two 3-node cliques, each trusting only a majority of itself, split
+           at 3 s: each side closes its own ledgers at the same seqs, and the
+           online agreement check must catch the first conflicting close *)
+        let spec = Topology.all_to_all ~n:6 in
+        let ids = Topology.node_ids spec in
+        let clique lo = Scp.Quorum_set.majority [ ids.(lo); ids.(lo + 1); ids.(lo + 2) ] in
+        let spec = { spec with Topology.qset_of = (fun i -> clique (if i < 3 then 0 else 3)) } in
+        let r =
+          Scenario.run
+            {
+              (Scenario.default ~spec) with
+              Scenario.tx_rate = 5.0;
+              duration = 20.0;
+              faults =
+                [
+                  Fault.Partition
+                    { at = 3.0; groups = [ (0, 0); (1, 0); (2, 0); (3, 1); (4, 1); (5, 1) ] };
+                ];
+            }
+        in
+        check bool "diverged" true r.Scenario.diverged;
+        check bool "not converged" false r.Scenario.converged);
     test_case "reflooding Byzantine peer wastes bytes but cannot stall" `Quick (fun () ->
         let r =
           scenario_with_faults ~duration:30.0

@@ -16,6 +16,15 @@ let run_scenario ?(n = 4) ?(accounts = 50) ?(rate = 5.0) ?(duration = 30.0) ?(se
       latency;
     }
 
+(* Scenario's online agreement check for a hand-built network.  Returns
+   the table, the count of closes that disagreed, and the callback. *)
+let agreement () =
+  let agreed = Hashtbl.create 16 and conflicts = ref 0 in
+  let on_ledger_closed { Stellar_herder.Herder.header; _ } =
+    if not (Scenario.agree agreed header) then incr conflicts
+  in
+  (agreed, conflicts, on_ledger_closed)
+
 let integration_tests =
   let open Alcotest in
   [
@@ -99,13 +108,14 @@ let fault_tests =
         let rng = Stellar_sim.Rng.create ~seed:4 in
         let network = Stellar_sim.Network.create ~engine ~rng ~n:5 ~latency:Stellar_sim.Latency.datacenter () in
         let genesis, _ = Genesis.make ~n_accounts:10 () in
+        let _, conflicts, on_ledger_closed = agreement () in
         let mk i =
           Validator.create ~network ~index:i
             ~peers:(spec.Topology.peers_of i)
             ~config:
               (Stellar_herder.Herder.default_config ~seed:(spec.Topology.validator_seed i)
                  ~qset:(spec.Topology.qset_of i))
-            ~genesis ()
+            ~genesis ~on_ledger_closed ()
         in
         let vs = Array.init 5 mk in
         Array.iter Validator.start vs;
@@ -117,26 +127,16 @@ let fault_tests =
         let majority = seq 0 in
         let minority = seq 3 in
         check bool "majority progressed" true (majority > minority);
-        (* the minority must not have closed a conflicting ledger: its chain
-           is a strict prefix of the majority's *)
-        let chain i =
-          List.rev_map Stellar_ledger.Header.hash
-            (Stellar_herder.Herder.headers (Validator.herder vs.(i)))
-        in
-        let rec is_prefix a b =
-          match (a, b) with
-          | [], _ -> true
-          | x :: a', y :: b' -> String.equal x y && is_prefix a' b'
-          | _, [] -> false
-        in
-        check bool "minority chain is a prefix" true (is_prefix (chain 3) (chain 0));
+        (* the minority must not have closed a conflicting ledger: every
+           close agreed with the first close of its seq, so the minority's
+           chain is a strict prefix of the majority's *)
+        check int "minority chain is a prefix" 0 !conflicts;
         (* heal the partition: peers help the stragglers finish the old
            slots (the §6 fix), so the minority catches up ledger by ledger *)
         Stellar_sim.Network.set_partition network (fun _ -> 0);
         Stellar_sim.Engine.run ~until:130.0 engine;
         check bool "minority caught up after heal" true (seq 3 >= seq 0 - 1);
-        check bool "chains consistent after heal" true
-          (is_prefix (chain 3) (chain 0) || is_prefix (chain 0) (chain 3)));
+        check int "chains consistent after heal" 0 !conflicts);
     test_case "surge pricing under congestion (§5.2)" `Quick (fun () ->
         (* cap ledgers at 5 operations; submit 15 competing 1-op payments
            with tiered fees; the expensive ones must land first *)
@@ -246,6 +246,36 @@ let fault_tests =
         match Quorum_analysis.Intersection.check config with
         | Quorum_analysis.Intersection.Disjoint _ -> ()
         | _ -> fail "doctor failed to flag the split-brain configuration");
+    test_case "a governing node configured with repeated upgrades still closes" `Quick (fun () ->
+        (* two base-fee upgrades in the config: the node nominates one, the
+           higher, since a value with a repeated kind does not decode *)
+        let engine = Stellar_sim.Engine.create () in
+        let rng = Stellar_sim.Rng.create ~seed:5 in
+        let network =
+          Stellar_sim.Network.create ~engine ~rng ~n:1 ~latency:(Stellar_sim.Latency.Constant 0.001) ()
+        in
+        let genesis, _ = Genesis.make ~n_accounts:4 () in
+        let spec = Topology.all_to_all ~n:1 in
+        let v =
+          Validator.create ~network ~index:0 ~peers:[]
+            ~config:
+              {
+                (Stellar_herder.Herder.default_config ~seed:(spec.Topology.validator_seed 0)
+                   ~qset:(Scp.Quorum_set.singleton (Topology.node_ids spec).(0)))
+                with
+                Stellar_herder.Herder.is_governing = true;
+                desired_upgrades =
+                  Stellar_herder.Value.[ Upgrade_base_fee 150; Upgrade_base_fee 200 ];
+              }
+            ~genesis ()
+        in
+        Validator.start v;
+        Stellar_sim.Engine.run ~until:20.0 engine;
+        let h = Validator.herder v in
+        check bool "ledgers closed" true
+          (Stellar_herder.Herder.ledger_seq h >= Stellar_ledger.State.ledger_seq genesis + 2);
+        check int "higher fee applied" 200
+          (Stellar_ledger.State.base_fee (Stellar_herder.Herder.state h)));
     test_case "leaf watcher tracks without validating" `Quick (fun () ->
         let spec, _ = Topology.tiered ~leaves:1 () in
         let n = spec.Topology.n_nodes in
@@ -332,20 +362,14 @@ let archive_tests =
         (* catchup *)
         (match Stellar_archive.Archive.catchup archive with
         | Error e -> fail e
-        | Ok (state, _buckets, chain) ->
+        | Ok (state, _buckets, tip) ->
             let live = Stellar_herder.Herder.state (Validator.herder validator) in
             check bool "caught-up state matches live snapshot" true
               (String.equal
                  (Stellar_ledger.State.snapshot_hash state)
                  (Stellar_ledger.State.snapshot_hash live));
-            check bool "chain verified" true (Stellar_ledger.Header.verify_chain chain);
-            let tip = List.nth chain (List.length chain - 1) in
-            let live_tip =
-              List.find
-                (fun h ->
-                  h.Stellar_ledger.Header.ledger_seq = tip.Stellar_ledger.Header.ledger_seq)
-                (Stellar_herder.Herder.headers (Validator.herder validator))
-            in
+            (* the validator archived every close, so its tip is the archive's *)
+            let live_tip = Option.get (Stellar_herder.Herder.last_header (Validator.herder validator)) in
             check string "caught-up tip header = live header"
               (Stellar_ledger.Header.hash live_tip) (Stellar_ledger.Header.hash tip));
         (* tx lookup by hash *)
@@ -384,20 +408,20 @@ let archive_tests =
             Stellar_archive.Archive.record_ledger archive ~header:(mk 5) ~value ~tx_set:ts
               ~buckets));
     test_case "catch-up rejects a forged header after the checkpoint" `Quick (fun () ->
-        (* copy a checkpoint and the two ledgers after it, forging the first
-           of them and relinking the next one to the forgery (its
-           [prev_hash] and skip-list slot 0, the previous header's hash):
-           every chain link and snapshot hash still checks out, so each
-           forgery must be caught at the forged ledger itself *)
+        (* copy a checkpoint with the two ledgers before and after it,
+           forging the first one after it and relinking the next one to the
+           forgery (its [prev_hash] and skip-list slot 0, the previous
+           header's hash): every chain link and snapshot hash still checks
+           out, so each forgery must be caught at the forged ledger itself *)
         let _, _, archive, buckets_at = archived_run () in
         let latest = Option.get (Stellar_archive.Archive.latest_seq archive) in
         let chk = 4 * ((latest - 2) / 4) in
-        let copy forge =
+        let archived ?(at = chk + 1) forge =
           let copy = Stellar_archive.Archive.create ~checkpoint_frequency:4 () in
           let prev = ref None in
-          for seq = chk to chk + 2 do
+          for seq = chk - 2 to chk + 2 do
             let h, value, tx_set = Option.get (Stellar_archive.Archive.ledger archive seq) in
-            let h, value = if seq = chk + 1 then forge (h, value) else (h, value) in
+            let h, value = if seq = at then forge (h, value) else (h, value) in
             let h =
               match !prev with
               | Some p when seq > chk + 1 ->
@@ -413,13 +437,48 @@ let archive_tests =
             Stellar_archive.Archive.record_ledger copy ~header:h ~value ~tx_set
               ~buckets:(Hashtbl.find buckets_at seq)
           done;
-          Stellar_archive.Archive.catchup copy
+          copy
         in
+        let copy ?at forge = Stellar_archive.Archive.catchup (archived ?at forge) in
         (match copy Fun.id with
-        | Ok (_, _, chain) ->
+        | Ok (_, _, tip) ->
             check int "faithful copy catches up to its tip" (chk + 2)
-              (List.nth chain (List.length chain - 1)).Stellar_ledger.Header.ledger_seq
+              tip.Stellar_ledger.Header.ledger_seq
         | Error e -> fail e);
+        (* a header before the checkpoint altered and the later links left
+           as they are: replay starts at the checkpoint, so only the check
+           of the links up to it can refuse the chain *)
+        (match
+           copy ~at:(chk - 1) (fun (h, v) ->
+               ({ h with Stellar_ledger.Header.fee_pool = h.Stellar_ledger.Header.fee_pool + 1 }, v))
+         with
+        | Ok _ -> fail "header altered before the checkpoint accepted"
+        | Error e -> check string "header altered before the checkpoint" "header chain broken" e);
+        (* the checkpoint record forged and the archived ledgers left as they
+           are: the blob re-read with the checkpoint header's fee pool raised,
+           so its bucket hash and its link back still check out, and only the
+           comparison with the archived ledger at its seq can refuse it *)
+        (let module Xdr = Stellar_xdr.Xdr in
+         let module H = Stellar_ledger.Header in
+         let blob_xdr =
+           Xdr.(
+             pair uint32
+               (pair
+                  (list (pair H.xdr (pair Stellar_herder.Value.xdr Stellar_herder.Tx_set.xdr)))
+                  (list (pair hyper (pair H.xdr Stellar_bucket.Bucket_list.xdr)))))
+         in
+         let freq, (records, checkpoints) =
+           Result.get_ok (Xdr.decode blob_xdr (Stellar_archive.Archive.to_blob (archived Fun.id)))
+         in
+         let checkpoints =
+           List.map (fun (seq, (h, b)) -> (seq, ({ h with H.fee_pool = h.H.fee_pool + 1 }, b))) checkpoints
+         in
+         match Stellar_archive.Archive.of_blob (Xdr.encode blob_xdr (freq, (records, checkpoints))) with
+         | Error e -> fail e
+         | Ok forged -> (
+             match Stellar_archive.Archive.catchup forged with
+             | Ok _ -> fail "forged checkpoint accepted"
+             | Error e -> check string "forged checkpoint" "header chain broken" e));
         let forged = chk + 1 in
         let mismatch = Printf.sprintf "replayed header mismatch at ledger %d" forged in
         (* a header made consistent with a forged value: its own hash and
@@ -507,11 +566,11 @@ let archive_tests =
         done;
         match Stellar_archive.Archive.catchup archive with
         | Error e -> fail e
-        | Ok (state, _, chain) ->
+        | Ok (state, _, tip) ->
             check int "upgraded base fee" 200 (Stellar_ledger.State.base_fee state);
             check string "tip header"
               (Stellar_ledger.Header.hash (Option.get !prev))
-              (Stellar_ledger.Header.hash (List.nth chain (List.length chain - 1))));
+              (Stellar_ledger.Header.hash tip));
   ]
 
 (* ---------- topology & genesis ---------- *)
@@ -568,15 +627,16 @@ let join_tests =
         in
         let genesis, _ = Genesis.make ~n_accounts:10 () in
         let archive = Stellar_archive.Archive.create ~checkpoint_frequency:4 () in
+        let agreed, conflicts, check_agreement = agreement () in
         (* founders trust a majority of the four founders only *)
         let founder_ids = Array.init 4 (fun i -> (Topology.node_ids (Topology.all_to_all ~n:4)).(i)) in
         let qset = Scp.Quorum_set.majority (Array.to_list founder_ids) in
         let founders =
           Array.init 4 (fun i ->
-              let on_ledger_closed =
-                if i = 0 then fun { Stellar_herder.Herder.header; value; tx_set; buckets; _ } ->
+              let on_ledger_closed ({ Stellar_herder.Herder.header; value; tx_set; buckets; _ } as stats) =
+                check_agreement stats;
+                if i = 0 then
                   Stellar_archive.Archive.record_ledger archive ~header ~value ~tx_set ~buckets
-                else fun _ -> ()
               in
               Validator.create ~network ~index:i
                 ~peers:(List.filter (fun j -> j <> i) [ 0; 1; 2; 3; 4 ])
@@ -591,7 +651,7 @@ let join_tests =
         let founder_seq = Stellar_herder.Herder.ledger_seq (Validator.herder founders.(0)) in
         check bool "founders made progress" true (founder_seq >= 6);
         (* the newcomer catches up offline from the archive... *)
-        let state, catchup_buckets, chain =
+        let state, catchup_buckets, tip =
           match Stellar_archive.Archive.catchup archive with
           | Ok r -> r
           | Error e -> fail e
@@ -605,25 +665,21 @@ let join_tests =
                 with
                 Stellar_herder.Herder.is_validator = false;
               }
-            ~genesis:state ~buckets:catchup_buckets ~headers:(List.rev chain) ()
+            ~genesis:state ~buckets:catchup_buckets ~tip ()
         in
         Validator.start newcomer;
         let start_seq = Stellar_herder.Herder.ledger_seq (Validator.herder newcomer) in
         Stellar_sim.Engine.run ~until:(Stellar_sim.Engine.now engine +. 30.0) engine;
         let new_seq = Stellar_herder.Herder.ledger_seq (Validator.herder newcomer) in
         check bool "newcomer tracked new ledgers" true (new_seq > start_seq);
-        (* and its chain head matches a founder at the same height *)
-        let founder_headers = Stellar_herder.Herder.headers (Validator.herder founders.(1)) in
+        (* and its chain head matches the founders' header at the same
+           height, on which the founders agree *)
+        check int "founders agree" 0 !conflicts;
         let new_head = Option.get (Stellar_herder.Herder.last_header (Validator.herder newcomer)) in
-        let matching =
-          List.find_opt
-            (fun h -> h.Stellar_ledger.Header.ledger_seq = new_seq)
-            founder_headers
-        in
-        match matching with
+        match Hashtbl.find_opt agreed new_seq with
         | Some h ->
             check bool "same header hash" true
-              (String.equal (Stellar_ledger.Header.hash h) (Stellar_ledger.Header.hash new_head))
+              (String.equal h (Stellar_ledger.Header.hash new_head))
         | None -> fail "founder does not have the newcomer's height yet");
   ]
 

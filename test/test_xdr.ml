@@ -402,6 +402,23 @@ let prim_tests =
         check bool "bad union discriminant" true
           (is_err (Xdr.decode Asset.xdr "\x00\x00\x00\x07"));
         check bool "bad bool" true (is_err (Xdr.decode Xdr.bool "\x00\x00\x00\x02")));
+    test_case "value decode accepts only the canonical upgrade order" `Quick (fun () ->
+        (* the two arms of a canonical two-upgrade encoding, swapped, and a
+           value with two base-fee arms: each would decode to a value whose
+           encoding is not the bytes received *)
+        let module V = Stellar_herder.Value in
+        let encode upgrades = V.encode { V.tx_set_hash = "tsh"; close_time = 7; upgrades } in
+        let canonical = encode [ V.Upgrade_base_fee 200; V.Upgrade_base_reserve 5 ] in
+        (* each arm is a 4-byte tag and an 8-byte hyper, at the end *)
+        let n = String.length canonical in
+        let swapped =
+          String.sub canonical 0 (n - 24) ^ String.sub canonical (n - 12) 12
+          ^ String.sub canonical (n - 24) 12
+        in
+        check bool "canonical two-upgrade value decodes" true (V.decode canonical <> None);
+        check bool "swapped arms rejected" true (V.decode swapped = None);
+        check bool "repeated tag rejected" true
+          (V.decode (encode [ V.Upgrade_base_fee 200; V.Upgrade_base_fee 300 ]) = None));
     test_case "quorum set decode re-validates invariants" `Quick (fun () ->
         (* threshold 3 over 1 validator: structurally decodable, semantically bad *)
         let w = Xdr.Writer.create () in
