@@ -24,8 +24,9 @@ let run () =
                    Stellar_crypto.Sha256.digest (Printf.sprintf "qic-%d-%d" oi vi))))
       in
       let config = Quorum_analysis.Synthesis.network_config orgs in
-      let result, dt = Common.time (fun () -> Quorum_analysis.Intersection.check config) in
-      let explored = Quorum_analysis.Intersection.stats () in
+      let (result, explored), dt =
+        Common.time (fun () -> Quorum_analysis.Intersection.check_counted config)
+      in
       let crit_orgs =
         List.map
           (fun o ->

@@ -13,15 +13,14 @@ let run leaves drop_org =
   Format.printf "validators in collective configuration: %d@."
     (Quorum_analysis.Network_config.size config);
   let t0 = Unix.gettimeofday () in
-  (match Quorum_analysis.Intersection.check config with
-  | Quorum_analysis.Intersection.Intersecting ->
-      Format.printf "quorum intersection: OK (%d branch nodes, %.3fs)@."
-        (Quorum_analysis.Intersection.stats ())
+  (match Quorum_analysis.Intersection.check_counted config with
+  | Quorum_analysis.Intersection.Intersecting, explored ->
+      Format.printf "quorum intersection: OK (%d branch nodes, %.3fs)@." explored
         (Unix.gettimeofday () -. t0)
-  | Quorum_analysis.Intersection.Disjoint (a, b) ->
+  | Quorum_analysis.Intersection.Disjoint (a, b), _ ->
       Format.printf "!! DISJOINT QUORUMS (%d vs %d nodes) — the network can diverge@."
         (List.length a) (List.length b)
-  | Quorum_analysis.Intersection.No_quorum ->
+  | Quorum_analysis.Intersection.No_quorum, _ ->
       Format.printf "!! configuration contains no quorum at all@.");
   let crit_orgs =
     Quorum_analysis.Criticality.critical_orgs config

@@ -129,11 +129,14 @@ let live_entries t =
   Array.to_list t.items |> List.filter_map (fun it -> it.entry)
 
 (* Items are written in their canonical sorted order, so decoding rebuilds
-   the identical array (and hash) without re-sorting. *)
+   the identical array (and hash) without re-sorting.  Any other order, or
+   a repeated key, is no bucket's encoding: it would break [merge_runs]'s
+   sorted-run precondition, so it is rejected. *)
 let xdr =
   Xdr.conv
     (fun t -> Array.to_list t.items)
     (fun items ->
       let arr = Array.of_list items in
+      if not (strictly_sorted arr) then raise (Xdr.Error "Bucket: keys not strictly increasing");
       { items = arr; hash = compute_hash arr })
     (Xdr.list item_xdr)

@@ -17,6 +17,8 @@ let set_quorum_set t qset =
      new configuration unblocks federated voting *)
   Hashtbl.iter (fun _ s -> Slot.reevaluate s) t.slots
 
+let quorum_set t = t.qset
+
 let slot t index =
   match Hashtbl.find_opt t.slots index with
   | Some s -> s
@@ -34,5 +36,4 @@ let latest_envelopes t ~slot:index =
   match Hashtbl.find_opt t.slots index with Some s -> Slot.latest_envelopes s | None -> []
 
 let purge_slots t ~below =
-  let old = Hashtbl.fold (fun k _ acc -> if k < below then k :: acc else acc) t.slots [] in
-  List.iter (Hashtbl.remove t.slots) old
+  Hashtbl.filter_map_inplace (fun k s -> if k < below then None else Some s) t.slots

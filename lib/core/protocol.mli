@@ -14,6 +14,10 @@ val set_quorum_set : t -> Quorum_set.t -> unit
     active slot re-evaluates federated voting under the new slices, and
     future statements advertise them. *)
 
+val quorum_set : t -> Quorum_set.t
+(** The slices in force: the one given at {!create} or the latest
+    {!set_quorum_set}. *)
+
 val nominate : t -> slot:int -> value:Types.value -> prev:Types.value -> unit
 
 val receive_envelope : t -> Types.envelope -> [ `Processed | `Stale | `Invalid ]

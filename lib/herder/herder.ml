@@ -18,6 +18,7 @@ type callbacks = {
   schedule : delay:float -> (unit -> unit) -> unit -> unit;
   now : unit -> float;
   on_ledger_closed : ledger_stats -> unit;
+  fell_behind : unit -> unit;
 }
 
 type config = {
@@ -57,7 +58,7 @@ type t = {
   tx_sets : (string, held_tx_set) Hashtbl.t;
   pending_envs : (string, Scp.Types.envelope list ref) Hashtbl.t;
       (* envelopes waiting for a tx set, keyed by tx-set hash; both tables
-         drop what is older than SCP's purge horizon at each close *)
+         drop what is older than the slot horizon at each close *)
   timings : (int, slot_timing) Hashtbl.t;
   mutable state : State.t;
   mutable buckets : Stellar_bucket.Bucket_list.t;
@@ -163,9 +164,16 @@ let apply_ledger ?obs ~prev state buckets (v : Value.t) ts =
 
 (* ---- ledger close ---- *)
 
-(* SCP keeps the last 32 slots for stragglers; the tx sets those slots use
-   and the envelopes still waiting for a tx set go with them. *)
-let purge t ~below =
+(* stellar-core's MAX_SLOTS_TO_REMEMBER default; DESIGN.md argues the value. *)
+let slots_to_remember = 12
+
+(* The oldest slot this node still holds: SCP keeps the last
+   [slots_to_remember] closed slots for stragglers, and the tx sets those
+   slots use and the envelopes still waiting for a tx set go with them. *)
+let horizon t = State.ledger_seq t.state - slots_to_remember
+
+let purge t =
+  let below = horizon t in
   Scp.Protocol.purge_slots t.scp ~below;
   Hashtbl.filter_map_inplace
     (fun _ held -> if held.last_slot < below then None else Some held)
@@ -175,6 +183,17 @@ let purge t ~below =
       q := List.filter (fun env -> env.Scp.Types.statement.Scp.Types.slot >= below) !q;
       if !q = [] then None else Some q)
     t.pending_envs
+
+(* Queued transactions the current state can no longer apply. *)
+let drop_stale t =
+  let purged = Tx_queue.purge_invalid t.queue ~state:t.state in
+  if Stellar_obs.Sink.tracing t.obs then
+    List.iter
+      (fun signed ->
+        Stellar_obs.Sink.emit t.obs
+          (Stellar_obs.Event.Tx_dropped { tx = signed.Tx.tx_hash; reason = `Stale }))
+      purged;
+  Stellar_obs.Sink.set_gauge t.obs "herder.queue.size" (float_of_int (Tx_queue.size t.queue))
 
 let rec close_ledger t slot (v : Value.t) ts =
   let txs = Tx_set.txs ts in
@@ -204,15 +223,8 @@ let rec close_ledger t slot (v : Value.t) ts =
   t.buckets <- buckets;
   t.tip <- Some header;
   Tx_queue.remove_applied t.queue txs;
-  let purged = Tx_queue.purge_invalid t.queue ~state:t.state in
-  if Stellar_obs.Sink.tracing t.obs then
-    List.iter
-      (fun signed ->
-        Stellar_obs.Sink.emit t.obs
-          (Stellar_obs.Event.Tx_dropped { tx = signed.Tx.tx_hash; reason = `Stale }))
-      purged;
-  Stellar_obs.Sink.set_gauge t.obs "herder.queue.size" (float_of_int (Tx_queue.size t.queue));
-  purge t ~below:(slot - 32);
+  drop_stale t;
+  purge t;
   (* stats *)
   let tm = timing t slot in
   let now = t.cb.now () in
@@ -280,7 +292,7 @@ let rec advance t =
 
 (* ---- construction ---- *)
 
-let create config cb ~genesis ?buckets ?tip ?(obs = Stellar_obs.Sink.null) () =
+let make config cb ~genesis ~buckets ~tip ~obs ~queue =
   let secret, id = Stellar_crypto.Sim_sig.keypair ~seed:config.seed in
   let rec t =
     lazy
@@ -295,6 +307,9 @@ let create config cb ~genesis ?buckets ?tip ?(obs = Stellar_obs.Sink.null) () =
            ~value_externalized:(fun ~slot raw ->
              let h = Lazy.force t in
              match Value.decode raw with
+             | Some _ when slot - State.ledger_seq h.state > slots_to_remember + 1 ->
+                 (* the peers that closed [slot] no longer hold our next one *)
+                 cb.fell_behind ()
              | Some v when slot > State.ledger_seq h.state ->
                  Hashtbl.replace h.decided slot v;
                  advance h
@@ -312,7 +327,7 @@ let create config cb ~genesis ?buckets ?tip ?(obs = Stellar_obs.Sink.null) () =
          cb;
          obs;
          scp = Scp.Protocol.create ~driver ~local_id:id ~qset:config.qset;
-         queue = Tx_queue.create ();
+         queue;
          tx_sets = Hashtbl.create 64;
          pending_envs = Hashtbl.create 16;
          timings = Hashtbl.create 8;
@@ -329,6 +344,18 @@ let create config cb ~genesis ?buckets ?tip ?(obs = Stellar_obs.Sink.null) () =
        })
   in
   Lazy.force t
+
+let create config cb ~genesis ?buckets ?tip ?(obs = Stellar_obs.Sink.null) () =
+  make config cb ~genesis ~buckets ~tip ~obs ~queue:(Tx_queue.create ())
+
+let catch_up t cb (state, buckets, tip) =
+  let config = { t.config with qset = Scp.Protocol.quorum_set t.scp } in
+  let t' =
+    make config cb ~genesis:state ~buckets:(Some buckets) ~tip:(Some tip) ~obs:t.obs
+      ~queue:t.queue
+  in
+  drop_stale t';
+  t'
 
 let start t =
   if not t.running then begin
@@ -378,12 +405,13 @@ let referenced_tx_sets st =
 (* stellar-core's LEDGER_VALIDITY_BRACKET: an envelope for a slot further
    ahead of the last closed ledger is dropped unread, before it can keep a
    tx set alive, wait for one, or open an SCP slot; nothing about it has
-   been verified yet. *)
+   been verified yet.  So is one for a slot behind the horizon, whose SCP
+   slot is purged and would otherwise be opened again. *)
 let ledger_validity_bracket = 100
 
 let rec receive_envelope t env =
   let slot = env.Scp.Types.statement.Scp.Types.slot in
-  if slot <= State.ledger_seq t.state + ledger_validity_bracket then begin
+  if horizon t <= slot && slot <= State.ledger_seq t.state + ledger_validity_bracket then begin
     let referenced = referenced_tx_sets env.Scp.Types.statement in
     match List.filter (fun h -> not (Hashtbl.mem t.tx_sets h)) referenced with
     | [] -> (
@@ -423,7 +451,7 @@ and receive_tx_set t ts =
 (* §6: help a peer finish an old slot after lost messages — the production
    incident was caused by validators moving on without doing this. *)
 let help_straggler t ~slot =
-  if slot <= State.ledger_seq t.state then begin
+  if horizon t <= slot && slot <= State.ledger_seq t.state then begin
     let envs = Scp.Protocol.latest_envelopes t.scp ~slot in
     let tx_sets =
       List.filter_map
@@ -436,9 +464,9 @@ let help_straggler t ~slot =
           | _ -> None)
         envs
     in
-    (envs, tx_sets)
+    Some (envs, tx_sets)
   end
-  else ([], [])
+  else None
 
 (* Everything this node would currently assert about the in-flight slot and
    the one it just closed — what a (simulated) Byzantine re-flooder blasts

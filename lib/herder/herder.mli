@@ -28,6 +28,11 @@ type callbacks = {
   schedule : delay:float -> (unit -> unit) -> unit -> unit;
   now : unit -> float;
   on_ledger_closed : ledger_stats -> unit;
+  fell_behind : unit -> unit;
+      (** SCP externalized a slot more than [slots_to_remember + 1] past the
+          last close: the peers that closed it have purged this node's next
+          slot, so straggler help cannot bring it forward and only a
+          history archive can ({!catch_up}, §5.4).  The value is not kept. *)
 }
 
 type config = {
@@ -83,6 +88,18 @@ val create :
     [Tx_dropped]; [Tx_applied] comes from ledger apply), plus the
     [ledger.apply_ms] CPU histogram and [herder.queue.size] gauge. *)
 
+val catch_up :
+  t ->
+  callbacks ->
+  Stellar_ledger.State.t * Stellar_bucket.Bucket_list.t * Stellar_ledger.Header.t ->
+  t
+(** [catch_up t cb (state, buckets, tip)] is the herder that replaces a
+    running [t] once it has caught up to [tip] from a history archive
+    ({!Stellar_archive.Archive.catchup}'s result): SCP starts afresh, under
+    [t]'s config and current quorum set, and [t]'s queued transactions carry
+    over, less those [state] can no longer apply.  [t] is abandoned; its
+    callbacks must go inert. *)
+
 val state : t -> Stellar_ledger.State.t
 
 val last_header : t -> Stellar_ledger.Header.t option
@@ -103,23 +120,36 @@ val receive_tx : t -> Stellar_ledger.Tx.signed -> [ `New | `Duplicate ]
 val receive_tx_set : t -> Tx_set.t -> unit
 val receive_envelope : t -> Scp.Types.envelope -> unit
 (** Envelopes whose transaction sets have not arrived yet are buffered and
-    replayed when the set shows up, or dropped once their slot is older
-    than SCP's purge horizon.  Envelopes for slots more than 100 ahead of
-    the last closed ledger are dropped on receipt. *)
+    replayed when the set shows up, or dropped once their slot falls behind
+    the {!slots_to_remember} horizon.  Envelopes for slots more than 100
+    ahead of the last closed ledger, or already behind the horizon, are
+    dropped on receipt. *)
 
 val tx_set : t -> string -> Tx_set.t option
 
+val slots_to_remember : int
+(** The slot horizon, 12 (stellar-core's [MAX_SLOTS_TO_REMEMBER]
+    default; DESIGN.md argues the value).  After closing ledger [n], a
+    herder keeps per-slot state (SCP slots, the tx sets they use, envelopes
+    waiting for a tx set) only for slots from [n - slots_to_remember] on,
+    drops envelopes for older slots on receipt, and helps stragglers only
+    inside the horizon.  A node further behind than that is told through
+    [fell_behind]. *)
+
 val table_sizes : t -> int * int
 (** The transaction sets held, and the envelopes waiting for a transaction
-    set.  Each ledger close drops the ones older than SCP's purge horizon
-    (32 slots), so both stay bounded. *)
+    set.  Each ledger close drops the ones older than the
+    {!slots_to_remember} horizon, so both stay bounded. *)
 
 val recent_envelopes : t -> Scp.Types.envelope list
 (** This node's latest envelopes for the in-flight slot and the one just
     closed — the payload a fault-injected Byzantine re-flooder rebroadcasts. *)
 
-val help_straggler : t -> slot:int -> Scp.Types.envelope list * Tx_set.t list
+val help_straggler : t -> slot:int -> (Scp.Types.envelope list * Tx_set.t list) option
 (** Envelopes (and the transaction sets their externalized values need) to
     send a peer that is still working on an already-closed slot — the fix
     for the §6 production incident where validators moved on without
-    helping stragglers finish the previous ledger. *)
+    helping stragglers finish the previous ledger.  [None] unless [slot] is
+    closed and inside the {!slots_to_remember} horizon; the lists can be
+    empty for a slot this node closed without running SCP on it (one it
+    caught up to from an archive). *)

@@ -12,7 +12,9 @@ type event =
           archive and rejoins consensus *)
   | Partition of { at : float; groups : (int * int) list }
       (** split the network: [(node, group)] for every node; messages
-          between different groups are dropped *)
+          between different groups are dropped.  A group left further
+          behind than straggler help reaches catches up from the scenario
+          archive after the heal *)
   | Heal of { at : float }  (** drop all partition groups *)
   | Loss of { rate : float; from_ : float; until_ : float }
       (** independent per-message drop probability [rate] during the window *)

@@ -114,9 +114,12 @@ let run p =
   let ledger_log = ref [] in
   let last_timeouts = ref (0, 0) in
   let timeouts_per_ledger = ref [] in
-  (* Fault runs keep a history archive fed from node 0's closes, so a
-     restarted validator has a §5.4 checkpoint to bootstrap from.  A short
-     checkpoint frequency keeps the replay tail small at simulation scale. *)
+  (* Fault runs keep a history archive of the first close of each ledger,
+     by whichever node closes it first (the agreement check below makes
+     every later close of it the same), so a restarted validator, or a
+     running one left behind, has a §5.4 checkpoint to catch up from.  A
+     short checkpoint frequency keeps the replay tail small at simulation
+     scale. *)
   let archive =
     if p.faults = [] then None
     else Some (Stellar_archive.Archive.create ~checkpoint_frequency:4 ())
@@ -126,9 +129,8 @@ let run p =
     | None -> ()
     | Some a ->
         let header = stats.header in
-        (* in-sequence guard: if node 0 itself was down for some closes, the
-           archive just stops at the gap rather than tripping the
-           append-only order check *)
+        (* the first close of the next ledger; later closes of it, and
+           closes of older ledgers, are already in *)
         let expected =
           match Stellar_archive.Archive.latest_seq a with
           | Some s -> s + 1
@@ -141,7 +143,7 @@ let run p =
   (* Agreement, checked online at every close of every node.  A restarted
      node's replayed ledgers need no entry of their own: catch-up accepts a
      ledger only when it rebuilds the archived header, and the archive holds
-     node 0's closes, checked here. *)
+     the first close of each ledger, the one that fills the table here. *)
   let agreed = Hashtbl.create 64 in
   let diverged = ref false in
   let check_agreement header = if not (agree agreed header) then diverged := true in
@@ -173,12 +175,12 @@ let run p =
             let ((nom, ballot) as counts) = timeouts () in
             let nom0, ballot0 = !last_timeouts in
             timeouts_per_ledger := (nom - nom0, ballot - ballot0) :: !timeouts_per_ledger;
-            last_timeouts := counts;
-            record_in_archive stats
-          end
+            last_timeouts := counts
+          end;
+          record_in_archive stats
         in
         Validator.create ~network ~index:i ~peers:(p.spec.Topology.peers_of i) ~config
-          ~genesis ~buckets:shared_buckets ~on_ledger_closed
+          ~genesis ~buckets:shared_buckets ?archive ~on_ledger_closed
           ~obs:(Stellar_obs.Collector.sink collector i)
           ())
   in
@@ -190,7 +192,7 @@ let run p =
       match ev with
       | Fault.Crash { node; at = t } -> at t (fun () -> Validator.crash validators.(node))
       | Fault.Restart { node; at = t } ->
-          at t (fun () -> Validator.restart ?archive validators.(node))
+          at t (fun () -> Validator.restart validators.(node))
       | Fault.Partition { at = t; groups } ->
           at t (fun () ->
               let arr = Array.make p.spec.Topology.n_nodes 0 in

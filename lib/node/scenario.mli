@@ -27,9 +27,11 @@ type params = {
           trace is optional *)
   faults : Fault.schedule;
       (** fault events to inject during the run (default none).  When
-          non-empty, the scenario keeps a history archive fed from node 0's
-          closes so restarted validators can bootstrap from a checkpoint
-          (§5.4); invalid schedules (see {!Fault.validate}) make {!run}
+          non-empty, the scenario keeps a history archive of the first
+          close of each ledger, by any node, which every validator is
+          given: a restarted one bootstraps from its latest checkpoint, and
+          a running one left further behind than straggler help reaches
+          catches up from it (§5.4); invalid schedules (see {!Fault.validate}) make {!run}
           fail fast *)
 }
 

@@ -31,6 +31,7 @@ type t = {
   config : Stellar_herder.Herder.config;
   genesis : Stellar_ledger.State.t;
   genesis_buckets : Stellar_bucket.Bucket_list.t option;
+  archive : Stellar_archive.Archive.t option;
   user_on_ledger_closed : Stellar_herder.Herder.ledger_stats -> unit;
   obs : Obs.Sink.t;
   flood_metrics : flood_metrics;
@@ -56,11 +57,7 @@ let wired_size t = Wired.length t.wired
    life of a slot: once slot [upto] is externalized locally, memos for it and
    everything older can go, keeping the table bounded over long runs. *)
 let prune_helped t ~upto =
-  let stale =
-    Hashtbl.fold (fun ((_, slot) as k) () acc -> if slot <= upto then k :: acc else acc)
-      t.helped []
-  in
-  List.iter (Hashtbl.remove t.helped) stale;
+  Hashtbl.filter_map_inplace (fun (_, slot) () -> if slot <= upto then None else Some ()) t.helped;
   Obs.Sink.set_gauge t.obs "validator.helped.size" (float_of_int (Hashtbl.length t.helped))
 
 (* How long a dedup entry stays useful.  Envelopes are only ever re-flooded
@@ -136,7 +133,10 @@ let send_direct t ~dst msg =
   Stellar_sim.Network.send t.network ~src:t.index ~dst ~size:w.size ~msg_id w
 
 (* A peer still voting on a slot we already closed gets our retained
-   envelopes (and the tx sets they reference) directly — the §6 fix. *)
+   envelopes (and the tx sets they reference) directly — the §6 fix.  The
+   herder serves only slots inside its horizon; a peer further behind
+   catches up from the archive (§5.4), and no help is memoized or counted
+   for it. *)
 let maybe_help_straggler t ~src env =
   let slot = env.Scp.Types.statement.Scp.Types.slot in
   let is_externalize =
@@ -144,17 +144,14 @@ let maybe_help_straggler t ~src env =
     | Scp.Types.Externalize _ -> true
     | _ -> false
   in
-  if
-    (not is_externalize)
-    && slot <= Stellar_herder.Herder.ledger_seq t.herder
-    && not (Hashtbl.mem t.helped (src, slot))
-  then begin
-    Hashtbl.replace t.helped (src, slot) ();
-    Obs.Sink.incr t.obs "flood.straggler_helped";
-    let envs, tx_sets = Stellar_herder.Herder.help_straggler t.herder ~slot in
-    List.iter (fun ts -> send_direct t ~dst:src (Message.Tx_set_msg ts)) tx_sets;
-    List.iter (fun e -> send_direct t ~dst:src (Message.Envelope e)) envs
-  end
+  if (not is_externalize) && not (Hashtbl.mem t.helped (src, slot)) then
+    match Stellar_herder.Herder.help_straggler t.herder ~slot with
+    | None -> ()
+    | Some (envs, tx_sets) ->
+        Hashtbl.replace t.helped (src, slot) ();
+        Obs.Sink.incr t.obs "flood.straggler_helped";
+        List.iter (fun ts -> send_direct t ~dst:src (Message.Tx_set_msg ts)) tx_sets;
+        List.iter (fun e -> send_direct t ~dst:src (Message.Envelope e)) envs
 
 let handle t ~src ~(info : Stellar_sim.Network.delivery) (w : Message.wire) =
   if t.crashed then ()
@@ -205,7 +202,7 @@ let handle t ~src ~(info : Stellar_sim.Network.delivery) (w : Message.wire) =
    validator's current generation before acting: after a crash or restart
    bumps it, timers and broadcasts created under the old herder fall
    silent instead of acting on dead state. *)
-let callbacks_for ~engine ~gen get_t =
+let rec callbacks_for ~engine ~gen get_t =
   Stellar_herder.Herder.
     {
       broadcast_envelope =
@@ -245,9 +242,57 @@ let callbacks_for ~engine ~gen get_t =
             prune_seen v ~upto;
             v.user_on_ledger_closed stats
           end);
+      fell_behind =
+        (fun () ->
+          (* once the delivery in progress is done: the herder that calls
+             this is the one the catch-up replaces *)
+          let v = get_t () in
+          if v.generation = gen then
+            ignore
+              (Stellar_sim.Engine.schedule engine ~delay:0.0 (fun () ->
+                   if v.generation = gen then catch_up_from_archive v)));
     }
 
-let create ~network ~index ~peers ~config ~genesis ?buckets ?tip
+(* Swap in a herder rebuilt on a caught-up ledger ([make] builds it on the
+   callbacks of a new generation) and start it.  The old herder is
+   abandoned: the generation bump silences its timers and broadcasts, and
+   the dedup, wire-record and straggler-memo tables go too, so the new one
+   hears again what the old one took in, straggler help included. *)
+and install t ~from_seq make =
+  t.generation <- t.generation + 1;
+  Hashtbl.reset t.seen;
+  Wired.reset t.wired;
+  Hashtbl.reset t.helped;
+  if Obs.Sink.tracing t.obs then
+    Obs.Sink.emit t.obs (Obs.Event.Catchup_begin { from_seq });
+  let engine = Stellar_sim.Network.engine t.network in
+  t.herder <- make (callbacks_for ~engine ~gen:t.generation (fun () -> t));
+  let to_seq =
+    Option.fold ~none:0
+      ~some:(fun h -> h.Stellar_ledger.Header.ledger_seq)
+      (Stellar_herder.Herder.last_header t.herder)
+  in
+  let replayed = max 0 (to_seq - from_seq) in
+  if Obs.Sink.tracing t.obs then
+    Obs.Sink.emit t.obs (Obs.Event.Catchup_done { to_seq; replayed });
+  Stellar_herder.Herder.start t.herder
+
+(* §5.4 for a running node the network has left behind: rebuild from the
+   archive once the archive holds a ledger past this node's last close. *)
+and catch_up_from_archive t =
+  match t.archive with
+  | Some a
+    when Stellar_archive.Archive.latest_seq a > Some (Stellar_herder.Herder.ledger_seq t.herder)
+    -> (
+      match (Stellar_archive.Archive.catchup a, Stellar_archive.Archive.latest_checkpoint a) with
+      | Ok caught, Some chk ->
+          Obs.Sink.incr t.obs "archive.live_catchups";
+          install t ~from_seq:chk.Stellar_archive.Archive.seq (fun cb ->
+              Stellar_herder.Herder.catch_up t.herder cb caught)
+      | _ -> ())
+  | _ -> ()
+
+let create ~network ~index ~peers ~config ~genesis ?buckets ?tip ?archive
     ?(on_ledger_closed = fun _ -> ()) ?(obs = Obs.Sink.null) () =
   let engine = Stellar_sim.Network.engine network in
   let rec t =
@@ -260,6 +305,7 @@ let create ~network ~index ~peers ~config ~genesis ?buckets ?tip
          config;
          genesis;
          genesis_buckets = buckets;
+         archive;
          user_on_ledger_closed = on_ledger_closed;
          obs;
          flood_metrics =
@@ -300,14 +346,9 @@ let crash t =
     Obs.Sink.emit t.obs Obs.Event.Node_crash
   end
 
-let restart ?archive t =
+let restart t =
   if t.crashed then begin
     t.crashed <- false;
-    t.generation <- t.generation + 1;
-    (* the process died: its dedup/memo tables did not survive *)
-    Hashtbl.reset t.seen;
-    Wired.reset t.wired;
-    Hashtbl.reset t.helped;
     Stellar_sim.Network.set_down t.network t.index false;
     Obs.Sink.incr t.obs "fault.restarts";
     Obs.Sink.emit t.obs Obs.Event.Node_restart;
@@ -316,24 +357,16 @@ let restart ?archive t =
        recovered live via straggler help once we rejoin consensus. *)
     let state, buckets, tip, from_seq =
       match
-        ( Option.map Stellar_archive.Archive.catchup archive,
-          Option.bind archive Stellar_archive.Archive.latest_checkpoint )
+        ( Option.map Stellar_archive.Archive.catchup t.archive,
+          Option.bind t.archive Stellar_archive.Archive.latest_checkpoint )
       with
       | Some (Ok (state, buckets, tip)), Some chk ->
           (state, Some buckets, Some tip, chk.Stellar_archive.Archive.seq)
       | _ -> (t.genesis, t.genesis_buckets, None, 0)
     in
-    if Obs.Sink.tracing t.obs then
-      Obs.Sink.emit t.obs (Obs.Event.Catchup_begin { from_seq });
-    let engine = Stellar_sim.Network.engine t.network in
-    let cb = callbacks_for ~engine ~gen:t.generation (fun () -> t) in
-    t.herder <-
-      Stellar_herder.Herder.create t.config cb ~genesis:state ?buckets ?tip ~obs:t.obs ();
-    let to_seq = Option.fold ~none:0 ~some:(fun h -> h.Stellar_ledger.Header.ledger_seq) tip in
-    let replayed = max 0 (to_seq - from_seq) in
-    if Obs.Sink.tracing t.obs then
-      Obs.Sink.emit t.obs (Obs.Event.Catchup_done { to_seq; replayed });
-    Stellar_herder.Herder.start t.herder
+    (* the process died: its queue, dedup and memo tables did not survive *)
+    install t ~from_seq (fun cb ->
+        Stellar_herder.Herder.create t.config cb ~genesis:state ?buckets ?tip ~obs:t.obs ())
   end
 
 (* Byzantine-style pressure: re-broadcast our latest envelopes [copies]

@@ -12,6 +12,7 @@ val create :
   genesis:Stellar_ledger.State.t ->
   ?buckets:Stellar_bucket.Bucket_list.t ->
   ?tip:Stellar_ledger.Header.t ->
+  ?archive:Stellar_archive.Archive.t ->
   ?on_ledger_closed:(Stellar_herder.Herder.ledger_stats -> unit) ->
   ?obs:Stellar_obs.Sink.t ->
   unit ->
@@ -19,6 +20,15 @@ val create :
 (** [buckets] and [tip] are handed to {!Stellar_herder.Herder.create}: a
     node bootstrapped from {!Stellar_archive.Archive.catchup} passes the
     caught-up state as [genesis] with its bucket list and tip header.
+    [archive] is the history archive this node catches up from (§5.4): on
+    {!restart}, and while running, whenever its herder reports it has
+    [fell_behind] further than straggler help reaches and the archive holds
+    a ledger past its last close.  Such a live catch-up swaps in
+    {!Stellar_herder.Herder.catch_up}'s herder (queued transactions kept),
+    resets the dedup, wire-record and straggler-memo tables as a restart
+    does, emits [Catchup_begin]/[Catchup_done] and counts
+    [archive.live_catchups].  Without an archive a node left that far behind
+    stays behind.
     [obs] (default disabled) instruments the flood path — [flood.*]
     counters and, when tracing, [Flood_send], [Flood_recv] and [Dedup_drop]
     events — and is passed down to the herder/SCP/ledger stack.  Node-level
@@ -58,7 +68,7 @@ val wired_size : t -> int
     SCP timers) is abandoned, the dedup, wire-record and straggler-memo
     tables are lost, and the network marks the node down.  Restart rebuilds
     a fresh herder — from the archive's latest checkpoint plus replay when
-    an [archive] is supplied and catch-up succeeds (§5.4), from genesis
+    the node has an [archive] and catch-up succeeds (§5.4), from genesis
     otherwise — and rejoins consensus, closing any remaining gap live
     through the §6 straggler-help protocol.  An internal generation counter
     keeps timers and broadcasts created before the fault from acting on the
@@ -67,7 +77,7 @@ val wired_size : t -> int
 val crash : t -> unit
 (** Stop the herder, mark the node down, emit [Node_crash].  Idempotent. *)
 
-val restart : ?archive:Stellar_archive.Archive.t -> t -> unit
+val restart : t -> unit
 (** Bring a crashed node back: emits [Node_restart], [Catchup_begin] (with
     the checkpoint seq, 0 when restarting from genesis) and [Catchup_done]
     (archive tip and replayed-ledger count), then starts the rebuilt herder.

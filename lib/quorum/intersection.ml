@@ -5,9 +5,6 @@ type result =
   | Disjoint of Network_config.node_id list * Network_config.node_id list
   | No_quorum
 
-let explored = ref 0
-let stats () = !explored
-
 (* Quorum predicates "modulo" a byzantine set: byzantine nodes complete
    anyone's slice for free but never count as quorum members themselves. *)
 let slice_ok config byz set n =
@@ -30,12 +27,13 @@ let is_quorum config byz set = (not (S.is_empty set)) && S.equal (greatest_quoru
    later round on the reduced universe, as in stellar-core's checker), with
    two prunes: a branch dies when its committed nodes can no longer be
    completed into a quorum, or when the complement of the committed nodes
-   can no longer contain the partner quorum. *)
-let check ?(byzantine = []) config =
-  explored := 0;
+   can no longer contain the partner quorum.  [explored] counts the
+   branch-and-bound nodes visited. *)
+let check_counted ?(byzantine = []) config =
+  let explored = ref 0 in
   let byz = S.of_list byzantine in
   let all = S.diff (S.of_list (Network_config.nodes config)) byz in
-  if S.is_empty (greatest_quorum config byz all) then No_quorum
+  if S.is_empty (greatest_quorum config byz all) then (No_quorum, 0)
   else begin
     let exception Found of S.t * S.t in
     let rec outer universe =
@@ -85,8 +83,13 @@ let check ?(byzantine = []) config =
         outer (S.remove v0 universe)
       end
     in
-    try
-      outer all;
-      Intersecting
-    with Found (a, b) -> Disjoint (S.elements a, S.elements b)
+    let result =
+      try
+        outer all;
+        Intersecting
+      with Found (a, b) -> Disjoint (S.elements a, S.elements b)
+    in
+    (result, !explored)
   end
+
+let check ?byzantine config = fst (check_counted ?byzantine config)

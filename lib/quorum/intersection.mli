@@ -20,6 +20,6 @@ type result =
 
 val check : ?byzantine:Network_config.node_id list -> Network_config.t -> result
 
-val stats : unit -> int
-(** Branch-and-bound nodes explored by the last {!check} (for the §6.2.1
-    performance experiment). *)
+val check_counted : ?byzantine:Network_config.node_id list -> Network_config.t -> result * int
+(** {!check}, with the number of branch-and-bound nodes the search explored
+    (for the §6.2.1 performance experiment). *)

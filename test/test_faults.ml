@@ -147,6 +147,42 @@ let recovery_tests =
               (List.map fst h.Stellar_obs.Report.lagged |> List.sort compare);
             check bool "all resynced" true (h.Stellar_obs.Report.heal_recover_s <> None)
         | l -> fail (Printf.sprintf "expected 1 heal, got %d" (List.length l)));
+    test_case "a minority split past the horizon catches up from the archive" `Quick (fun () ->
+        (* a 3-2 split of 100 s (~20 ledgers) leaves the minority further
+           behind than any peer's slot horizon reaches, so straggler help
+           cannot walk it forward: it catches up from the run's archive
+           while running and keeps its queued payments, so every payment
+           applies.  With nodes 0 and 1 split off for 200 s (~40 ledgers),
+           the archive grows from the majority's closes. *)
+        let split ~minority ~secs ~tail =
+          scenario_with_faults ~duration:(10.0 +. secs +. tail)
+            [
+              Fault.Partition
+                {
+                  at = 10.0;
+                  groups = List.init 5 (fun i -> (i, if List.mem i minority then 1 else 0));
+                };
+              Fault.Heal { at = 10.0 +. secs };
+            ]
+        in
+        let live r i =
+          Stellar_obs.Registry.counter_value
+            (Stellar_obs.Collector.registry (Option.get r.Scenario.telemetry) i)
+            "archive.live_catchups"
+        in
+        let r = split ~minority:[ 3; 4 ] ~secs:100.0 ~tail:80.0 in
+        check bool "converged" true r.Scenario.converged;
+        check bool "not diverged" false r.Scenario.diverged;
+        check (list bool) "only the minority caught up from the archive"
+          [ false; false; false; true; true ]
+          (List.init 5 (fun i -> live r i > 0));
+        check int "every payment applied" r.Scenario.txs_submitted r.Scenario.txs_applied;
+        let r = split ~minority:[ 0; 1 ] ~secs:200.0 ~tail:40.0 in
+        check bool "node 0 split off: converged" true r.Scenario.converged;
+        check bool "node 0 split off: not diverged" false r.Scenario.diverged;
+        check (list bool) "node 0 split off: the minority caught up from the archive"
+          [ true; true; false; false; false ]
+          (List.init 5 (fun i -> live r i > 0)));
     test_case "a split brain is flagged as diverged" `Quick (fun () ->
         (* two 3-node cliques, each trusting only a majority of itself, split
            at 3 s: each side closes its own ledgers at the same seqs, and the
@@ -420,21 +456,186 @@ let regression_tests =
         Array.iter Validator.start vs;
         Stellar_herder.Herder.receive_envelope h0 (orphan 2);
         check int "one envelope waiting" 1 (snd (Stellar_herder.Herder.table_sizes h0));
-        (* past the 32-slot horizon, then twice as far *)
-        Stellar_sim.Engine.run ~until:180.0 engine;
-        let at_35, _ = Stellar_herder.Herder.table_sizes h0 in
-        Stellar_sim.Engine.run ~until:340.0 engine;
+        (* past the horizon, then twice as far (a ledger every ~5 s) *)
+        let k = Stellar_herder.Herder.slots_to_remember in
+        Stellar_sim.Engine.run ~until:(float_of_int (5 * (k + 4))) engine;
+        let past, _ = Stellar_herder.Herder.table_sizes h0 in
+        Stellar_sim.Engine.run ~until:(float_of_int (10 * (k + 4))) engine;
         let seq = Stellar_herder.Herder.ledger_seq h0 in
-        check bool (Printf.sprintf "closed 60+ ledgers (%d)" seq) true (seq >= 60);
-        Stellar_herder.Herder.receive_envelope h0 (orphan (seq + 1));
-        let tx_sets, waiting = Stellar_herder.Herder.table_sizes h0 in
-        (* the sets of the 33 slots SCP keeps (here one set a slot: the
-           idle validators build the same empty set), not one a ledger *)
         check bool
-          (Printf.sprintf "tx sets flat: %d after ~35 ledgers, %d after %d" at_35 tx_sets seq)
+          (Printf.sprintf "closed %d+ ledgers (%d)" (2 * (k + 2)) seq)
           true
-          (tx_sets <= at_35 + 2 && tx_sets <= 4 * 34);
-        check int "the old envelope expired, the current one waits" 1 waiting);
+          (seq >= 2 * (k + 2));
+        Stellar_herder.Herder.receive_envelope h0 (orphan (seq + 1));
+        (* one for a slot already behind the horizon does not wait at all *)
+        Stellar_herder.Herder.receive_envelope h0 (orphan (seq - k - 1));
+        let tx_sets, waiting = Stellar_herder.Herder.table_sizes h0 in
+        (* the sets of the k + 2 slots the herder keeps (here one set a
+           slot: the idle validators build the same empty set), not one a
+           ledger *)
+        check bool
+          (Printf.sprintf "tx sets flat: %d past the horizon, %d after %d" past tx_sets seq)
+          true
+          (tx_sets <= past + 2 && tx_sets <= 4 * (k + 2));
+        check int "the old envelopes expired or were dropped, the current one waits" 1 waiting);
+    test_case "straggler help reaches back to the horizon and no further" `Quick (fun () ->
+        (* four validators and a spy (node 4) peered only with node 0; the
+           spy asks for help with a nomination for a slot node 0 has purged,
+           then for the oldest slot it still holds.  Node 0 and the spy are
+           cut off from nodes 1-3 first, so node 0's forwards of an ask
+           start no help between the validators and each count is exact. *)
+        let k = Stellar_herder.Herder.slots_to_remember in
+        let spec = Topology.all_to_all ~n:4 in
+        let engine = Stellar_sim.Engine.create () in
+        let rng = Stellar_sim.Rng.create ~seed:9 in
+        let network =
+          Stellar_sim.Network.create ~engine ~rng ~n:5 ~latency:Stellar_sim.Latency.datacenter ()
+        in
+        let genesis, _ = Genesis.make ~n_accounts:10 () in
+        let registry = Stellar_obs.Registry.create () in
+        let obs =
+          Stellar_obs.Sink.make ~node:0
+            ~now:(fun () -> Stellar_sim.Engine.now engine)
+            registry
+        in
+        let mk i =
+          Validator.create ~network ~index:i
+            ~peers:(spec.Topology.peers_of i @ if i = 0 then [ 4 ] else [])
+            ~config:
+              (Stellar_herder.Herder.default_config ~seed:(spec.Topology.validator_seed i)
+                 ~qset:(spec.Topology.qset_of i))
+            ~genesis
+            ?obs:(if i = 0 then Some obs else None)
+            ()
+        in
+        let vs = Array.init 4 mk in
+        let received = ref [] in
+        Stellar_sim.Network.set_handler network 4 (fun ~src:_ ~info:_ w ->
+            received := w :: !received);
+        Array.iter Validator.start vs;
+        Stellar_sim.Engine.run ~until:(float_of_int (5 * (k + 6))) engine;
+        Array.iter Validator.stop vs;
+        Stellar_sim.Engine.run ~until:(float_of_int ((5 * (k + 6)) + 10)) engine;
+        let h0 = Validator.herder vs.(0) in
+        let seq = Stellar_herder.Herder.ledger_seq h0 in
+        check bool (Printf.sprintf "closed %d+ ledgers (%d)" (k + 3) seq) true (seq > k + 2);
+        let help =
+          match Stellar_herder.Herder.help_straggler h0 ~slot:(seq - k) with
+          | Some (envs, tx_sets) -> List.length envs + List.length tx_sets
+          | None -> 0
+        in
+        check bool "envelopes for the oldest slot held" true (help > 0);
+        check bool "nothing below the horizon" true
+          (Stellar_herder.Herder.help_straggler h0 ~slot:(seq - k - 1) = None);
+        Stellar_sim.Network.set_partition network (fun i -> if i = 0 || i = 4 then 0 else 1);
+        let ask slot =
+          let vote =
+            {
+              Scp.Types.statement =
+                {
+                  node_id = (Topology.node_ids spec).(1);
+                  slot;
+                  quorum_set = spec.Topology.qset_of 1;
+                  pledge = Nominate { votes = []; accepted = [] };
+                };
+              signature = String.make 64 'x';
+            }
+          in
+          let w = Message.wire (Message.Envelope vote) in
+          received := [];
+          Stellar_sim.Network.send network ~src:4 ~dst:0 ~size:w.size w;
+          Stellar_sim.Engine.run ~until:(Stellar_sim.Engine.now engine +. 5.0) engine;
+          ( Validator.helped_size vs.(0),
+            Stellar_obs.Registry.counter_value registry "flood.straggler_helped",
+            List.length !received )
+        in
+        let helped, counted, _ = ask seq in
+        let helped', counted', sent = ask (seq - k - 1) in
+        check int "no memo for a purged slot" helped helped';
+        check int "no help counted for a purged slot" counted counted';
+        check int "nothing sent for a purged slot" 0 sent;
+        let helped'', counted'', sent = ask (seq - k) in
+        check int "the oldest slot held is memoized once" (helped' + 1) helped'';
+        check int "the oldest slot held is counted once" (counted' + 1) counted'';
+        check int "the oldest slot held gets its help" help sent);
+    test_case "a caught-up herder keeps its quorum set and queue" `Quick (fun () ->
+        (* one self-trusting validator closes a few ledgers: its last close
+           stands in for an archive catch-up.  Node 1 of a 2-node network
+           reconfigures to trust itself alone, queues a payment, and is
+           caught up to that ledger: the new herder must close the next
+           ledger alone, on the caught-up tip, with the payment. *)
+        let engine = Stellar_sim.Engine.create () in
+        let rng = Stellar_sim.Rng.create ~seed:9 in
+        let network =
+          Stellar_sim.Network.create ~engine ~rng ~n:1 ~latency:Stellar_sim.Latency.datacenter ()
+        in
+        let genesis, accounts = Genesis.make ~n_accounts:10 () in
+        let solo = Topology.all_to_all ~n:1 in
+        let last = ref None in
+        let v =
+          Validator.create ~network ~index:0 ~peers:[]
+            ~config:
+              (Stellar_herder.Herder.default_config ~seed:(solo.Topology.validator_seed 0)
+                 ~qset:(solo.Topology.qset_of 0))
+            ~genesis
+            ~on_ledger_closed:(fun stats -> last := Some stats)
+            ()
+        in
+        Validator.start v;
+        Stellar_sim.Engine.run ~until:20.0 engine;
+        Validator.stop v;
+        let stats = Option.get !last in
+        let tip = stats.Stellar_herder.Herder.header in
+        let caught =
+          (Stellar_herder.Herder.state (Validator.herder v), stats.Stellar_herder.Herder.buckets, tip)
+        in
+        let pair = Topology.all_to_all ~n:2 in
+        let closed = ref [] and qsets = ref [] in
+        let cb =
+          {
+            Stellar_herder.Herder.broadcast_envelope =
+              (fun env -> qsets := env.Scp.Types.statement.Scp.Types.quorum_set :: !qsets);
+            broadcast_tx_set = (fun _ -> ());
+            broadcast_tx = (fun _ -> ());
+            schedule =
+              (fun ~delay f ->
+                let ev = Stellar_sim.Engine.schedule engine ~delay f in
+                fun () -> Stellar_sim.Engine.cancel ev);
+            now = (fun () -> Stellar_sim.Engine.now engine);
+            on_ledger_closed = (fun stats -> closed := stats :: !closed);
+            fell_behind = (fun () -> ());
+          }
+        in
+        let h =
+          Stellar_herder.Herder.create
+            (Stellar_herder.Herder.default_config ~seed:(pair.Topology.validator_seed 1)
+               ~qset:(pair.Topology.qset_of 1))
+            cb ~genesis ()
+        in
+        let alone = Scp.Quorum_set.majority [ (Topology.node_ids pair).(1) ] in
+        Stellar_herder.Herder.set_quorum_set h alone;
+        let seqs = Array.make (Array.length accounts) 0 in
+        let pay = payment ~accounts ~seqs 0 in
+        check bool "payment queued" true (Stellar_herder.Herder.submit_tx h pay = `Queued);
+        let h = Stellar_herder.Herder.catch_up h cb caught in
+        check int "at the caught-up ledger" tip.Stellar_ledger.Header.ledger_seq
+          (Stellar_herder.Herder.ledger_seq h);
+        Stellar_herder.Herder.start h;
+        Stellar_sim.Engine.run ~until:25.0 engine;
+        check bool "statements carry the reconfigured quorum set" true
+          (!qsets <> [] && List.for_all (fun q -> q = alone) !qsets);
+        match List.rev !closed with
+        | first :: _ ->
+            let header = first.Stellar_herder.Herder.header in
+            check int "closes the next ledger" (tip.Stellar_ledger.Header.ledger_seq + 1)
+              header.Stellar_ledger.Header.ledger_seq;
+            check string "on the caught-up tip" (Stellar_ledger.Header.hash tip)
+              header.Stellar_ledger.Header.prev_hash;
+            check (list string) "with the queued payment" [ pay.Stellar_ledger.Tx.tx_hash ]
+              (List.map
+                 (fun (s : Stellar_ledger.Tx.signed) -> s.tx_hash)
+                 (Stellar_herder.Tx_set.txs first.Stellar_herder.Herder.tx_set))
+        | [] -> fail "no ledger closed after the catch-up");
     test_case "a tx set an envelope references outlives the horizon" `Quick (fun () ->
         (* one self-trusting validator closes ledgers on its own; it learns
            two tx sets at ledger 1, and an envelope for slot 50 names one *)

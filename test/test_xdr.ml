@@ -419,6 +419,27 @@ let prim_tests =
         check bool "swapped arms rejected" true (V.decode swapped = None);
         check bool "repeated tag rejected" true
           (V.decode (encode [ V.Upgrade_base_fee 200; V.Upgrade_base_fee 300 ]) = None));
+    test_case "bucket decode accepts only strictly increasing keys" `Quick (fun () ->
+        (* a canonical three-item bucket re-encoded with two items swapped,
+           and with one item repeated: neither is a sorted run *)
+        let module B = Stellar_bucket.Bucket in
+        let item name = { B.key = Entry.Account_key name; entry = None } in
+        let b = B.of_items [ item "a"; item "b"; item "c" ] in
+        let encode items =
+          let w = Xdr.Writer.create () in
+          Xdr.Writer.uint32 w (List.length items);
+          List.iter (B.item_xdr.Xdr.write w) items;
+          Xdr.Writer.contents w
+        in
+        let ok s = Result.is_ok (Xdr.decode B.xdr s) in
+        match B.items b with
+        | [ x; y; z ] ->
+            check string "canonical order encodes as the bucket" (Xdr.encode B.xdr b)
+              (encode [ x; y; z ]);
+            check bool "canonical bucket decodes" true (ok (encode [ x; y; z ]));
+            check bool "swapped items rejected" false (ok (encode [ x; z; y ]));
+            check bool "repeated item rejected" false (ok (encode [ x; y; y; z ]))
+        | _ -> fail "expected three items");
     test_case "quorum set decode re-validates invariants" `Quick (fun () ->
         (* threshold 3 over 1 validator: structurally decodable, semantically bad *)
         let w = Xdr.Writer.create () in
