@@ -8,7 +8,7 @@
    minority that later heals.  For every rate we assert that the surviving
    network never stops closing ledgers and that every node converges to the
    same header chain by the end, and we report time-to-recover quantiles
-   (restart → first in-sync externalize, heal → last laggard in sync).
+   (restart → first in-sync close, heal → last laggard in sync).
 
    Everything in BENCH_faults.json derives from simulated-time stamps, so
    the file is byte-identical across runs with the same seed — the harness

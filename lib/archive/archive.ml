@@ -72,14 +72,13 @@ let find_tx t hash =
           |> List.find_opt (fun s -> String.equal s.Tx.tx_hash hash)
           |> Option.map (fun s -> (seq, s)))
 
-let latest_checkpoint t = match t.checkpoints with c :: _ -> Some c | [] -> None
 let checkpoint_count t = List.length t.checkpoints
 
 let catchup t =
   let ( let* ) = Result.bind in
-  match latest_checkpoint t with
-  | None -> Error "no checkpoint available"
-  | Some { seq; chk_header; chk_buckets } ->
+  match t.checkpoints with
+  | [] -> Error "no checkpoint available"
+  | { seq; chk_header; chk_buckets } :: _ ->
       (* rebuild state from the checkpoint's buckets *)
       let* () =
         if String.equal (Stellar_bucket.Bucket_list.hash chk_buckets) chk_header.Header.snapshot_hash
@@ -137,8 +136,8 @@ let catchup t =
             replay h state buckets (n + 1)
           else Error (Printf.sprintf "replayed header mismatch at ledger %d" n)
       in
-      let* state, buckets, tip = replay chk_header state chk_buckets (seq + 1) in
-      Ok (state, buckets, tip)
+      let* caught = replay chk_header state chk_buckets (seq + 1) in
+      Ok (seq, caught)
 
 let size_bytes t = t.archived_bytes
 

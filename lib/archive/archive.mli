@@ -36,18 +36,13 @@ val ledger :
 val find_tx : t -> string -> (int * Stellar_ledger.Tx.signed) option
 (** Look a transaction up by hash: (ledger seq, tx). *)
 
-type checkpoint = {
-  seq : int;
-  chk_header : Stellar_ledger.Header.t;
-  chk_buckets : Stellar_bucket.Bucket_list.t;
-}
-
-val latest_checkpoint : t -> checkpoint option
 val checkpoint_count : t -> int
 
 val catchup :
   t ->
-  (Stellar_ledger.State.t * Stellar_bucket.Bucket_list.t * Stellar_ledger.Header.t, string) result
+  ( int * (Stellar_ledger.State.t * Stellar_bucket.Bucket_list.t * Stellar_ledger.Header.t),
+    string )
+  result
 (** Bootstrap a new node: rebuild the ledger state from the latest
     checkpoint's buckets, verify it against the header's snapshot hash, then
     replay the archived ledgers up to the tip, each through the call the
@@ -60,11 +55,11 @@ val catchup :
     checkpoint's header must equal the archived ledger at its seq and link
     back through the archived headers before it, or catch-up fails with
     ["header chain broken"].  Replay errors name the ledger.  Returns the
-    state, the bucket list at the tip (level structure identical to a node
-    that closed those ledgers live — required to agree on future snapshot
-    hashes), and the tip: the archived header of the last ledger, which a
-    node bootstrapping from the result hands its herder to link the next
-    close to. *)
+    seq of the checkpoint it replayed from, with the state, the bucket list
+    at the tip (level structure identical to a node that closed those
+    ledgers live — required to agree on future snapshot hashes), and the
+    tip: the archived header of the last ledger, which a node bootstrapping
+    from the result hands its herder to link the next close to. *)
 
 val size_bytes : t -> int
 (** Exact archived volume: the XDR-encoded bytes of every published header,

@@ -95,7 +95,8 @@ val catch_up :
   t
 (** [catch_up t cb (state, buckets, tip)] is the herder that replaces a
     running [t] once it has caught up to [tip] from a history archive
-    ({!Stellar_archive.Archive.catchup}'s result): SCP starts afresh, under
+    (the triple {!Stellar_archive.Archive.catchup} returns beside its
+    checkpoint seq): SCP starts afresh, under
     [t]'s config and current quorum set, and [t]'s queued transactions carry
     over, less those [state] can no longer apply.  [t] is abandoned; its
     callbacks must go inert. *)

@@ -13,9 +13,11 @@ type t = {
 
 let components_xdr = Xdr.(pair (str ()) (list Tx.signed_xdr))
 
+let by_hash a b = String.compare a.Tx.tx_hash b.Tx.tx_hash
+
 let make ~prev_header_hash txs =
   (* Canonical order: by hash, so identical sets have identical bytes. *)
-  let txs = List.sort (fun a b -> String.compare a.Tx.tx_hash b.Tx.tx_hash) txs in
+  let txs = List.sort by_hash txs in
   (* The bytes are hashed as they are written, never held whole. *)
   let ctx = Sha256.init () in
   let size_bytes = Xdr.stream components_xdr (prev_header_hash, txs) (Sha256.update_sub ctx) in
@@ -31,7 +33,15 @@ let make ~prev_header_hash txs =
 let xdr =
   Xdr.conv
     (fun t -> (t.prev_header_hash, t.txs))
-    (fun (prev_header_hash, txs) -> make ~prev_header_hash txs)
+    (fun (prev_header_hash, txs) ->
+      (* in [make]'s order only: any other order would be a second
+         encoding of the set *)
+      let rec in_order = function
+        | a :: (b :: _ as rest) -> by_hash a b <= 0 && in_order rest
+        | _ -> true
+      in
+      if not (in_order txs) then raise (Xdr.Error "Tx_set: transactions not in hash order");
+      make ~prev_header_hash txs)
     components_xdr
 
 let encode t = Xdr.encode xdr t

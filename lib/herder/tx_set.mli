@@ -12,8 +12,9 @@ val hash : t -> string
     ledger header"). *)
 
 val xdr : t Stellar_xdr.Xdr.codec
-(** Decoding re-canonicalizes through {!make}, so a decoded set re-encodes
-    to the same bytes and carries the same hash. *)
+(** Decoding accepts transactions only in the hash order {!make} writes
+    them in, so a decoded set re-encodes to the bytes received and carries
+    their hash. *)
 
 val encode : t -> string
 

@@ -79,8 +79,8 @@ let agree agreed header =
   match Hashtbl.find_opt agreed seq with
   | None ->
       Hashtbl.add agreed seq h;
-      true
-  | Some h' -> String.equal h h'
+      `First
+  | Some h' -> if String.equal h h' then `Agrees else `Conflicts
 
 let run p =
   (match Fault.validate ~n_nodes:p.spec.Topology.n_nodes p.faults with
@@ -115,8 +115,7 @@ let run p =
   let last_timeouts = ref (0, 0) in
   let timeouts_per_ledger = ref [] in
   (* Fault runs keep a history archive of the first close of each ledger,
-     by whichever node closes it first (the agreement check below makes
-     every later close of it the same), so a restarted validator, or a
+     by whichever node closes it first, so a restarted validator, or a
      running one left behind, has a §5.4 checkpoint to catch up from.  A
      short checkpoint frequency keeps the replay tail small at simulation
      scale. *)
@@ -124,29 +123,24 @@ let run p =
     if p.faults = [] then None
     else Some (Stellar_archive.Archive.create ~checkpoint_frequency:4 ())
   in
-  let record_in_archive (stats : Stellar_herder.Herder.ledger_stats) =
-    match archive with
-    | None -> ()
-    | Some a ->
-        let header = stats.header in
-        (* the first close of the next ledger; later closes of it, and
-           closes of older ledgers, are already in *)
-        let expected =
-          match Stellar_archive.Archive.latest_seq a with
-          | Some s -> s + 1
-          | None -> header.Header.ledger_seq
-        in
-        if header.Header.ledger_seq = expected then
-          Stellar_archive.Archive.record_ledger a ~header ~value:stats.value
-            ~tx_set:stats.tx_set ~buckets:stats.buckets
-  in
-  (* Agreement, checked online at every close of every node.  A restarted
-     node's replayed ledgers need no entry of their own: catch-up accepts a
-     ledger only when it rebuilds the archived header, and the archive holds
-     the first close of each ledger, the one that fills the table here. *)
+  (* Agreement, checked online at every close of every node: the first
+     close of a seq fills the table and goes into the archive, and every
+     later close of it must match.  A restarted node's replayed ledgers
+     need no entry of their own: catch-up accepts a ledger only when it
+     rebuilds the archived header, which is that first close. *)
   let agreed = Hashtbl.create 64 in
   let diverged = ref false in
-  let check_agreement header = if not (agree agreed header) then diverged := true in
+  let check_agreement (stats : Stellar_herder.Herder.ledger_stats) =
+    match agree agreed stats.header with
+    | `First ->
+        Option.iter
+          (fun a ->
+            Stellar_archive.Archive.record_ledger a ~header:stats.header ~value:stats.value
+              ~tx_set:stats.tx_set ~buckets:stats.buckets)
+          archive
+    | `Agrees -> ()
+    | `Conflicts -> diverged := true
+  in
   let validators =
     Array.init p.spec.Topology.n_nodes (fun i ->
         let config =
@@ -160,7 +154,7 @@ let run p =
           }
         in
         let on_ledger_closed (stats : Stellar_herder.Herder.ledger_stats) =
-          check_agreement stats.header;
+          check_agreement stats;
           if i = 0 then begin
             ledger_log :=
               {
@@ -176,8 +170,7 @@ let run p =
             let nom0, ballot0 = !last_timeouts in
             timeouts_per_ledger := (nom - nom0, ballot - ballot0) :: !timeouts_per_ledger;
             last_timeouts := counts
-          end;
-          record_in_archive stats
+          end
         in
         Validator.create ~network ~index:i ~peers:(p.spec.Topology.peers_of i) ~config
           ~genesis ~buckets:shared_buckets ?archive ~on_ledger_closed

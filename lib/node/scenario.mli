@@ -37,11 +37,12 @@ type params = {
 
 val default : spec:Topology.spec -> params
 
-val agree : (int, string) Hashtbl.t -> Stellar_ledger.Header.t -> bool
+val agree :
+  (int, string) Hashtbl.t -> Stellar_ledger.Header.t -> [ `First | `Agrees | `Conflicts ]
 (** The online agreement check, over a table from ledger seq to header hash:
-    the first close of a seq records its hash and agrees; a later close, by
+    the first close of a seq records its hash ([`First]); a later close, by
     any node, agrees only when its header hashes the same.  {!run} calls it
-    at every close of every node. *)
+    at every close of every node, and archives each [`First] close. *)
 
 type report = {
   ledgers_closed : int;

@@ -198,6 +198,14 @@ let handle t ~src ~(info : Stellar_sim.Network.delivery) (w : Message.wire) =
     end
   end
 
+(* §5.4: the archive's catch-up, when the archive holds a ledger past
+   [past]: the checkpoint seq it replayed from and what it rebuilt. *)
+let bootstrap t ~past =
+  match t.archive with
+  | Some a when Stellar_archive.Archive.latest_seq a > Some past ->
+      Result.to_option (Stellar_archive.Archive.catchup a)
+  | _ -> None
+
 (* Herder callbacks for generation [gen].  Every one of them re-checks the
    validator's current generation before acting: after a crash or restart
    bumps it, timers and broadcasts created under the old herder fall
@@ -277,20 +285,14 @@ and install t ~from_seq make =
     Obs.Sink.emit t.obs (Obs.Event.Catchup_done { to_seq; replayed });
   Stellar_herder.Herder.start t.herder
 
-(* §5.4 for a running node the network has left behind: rebuild from the
-   archive once the archive holds a ledger past this node's last close. *)
+(* A running node the network has left behind rebuilds from the archive
+   once it holds a ledger past this node's last close. *)
 and catch_up_from_archive t =
-  match t.archive with
-  | Some a
-    when Stellar_archive.Archive.latest_seq a > Some (Stellar_herder.Herder.ledger_seq t.herder)
-    -> (
-      match (Stellar_archive.Archive.catchup a, Stellar_archive.Archive.latest_checkpoint a) with
-      | Ok caught, Some chk ->
-          Obs.Sink.incr t.obs "archive.live_catchups";
-          install t ~from_seq:chk.Stellar_archive.Archive.seq (fun cb ->
-              Stellar_herder.Herder.catch_up t.herder cb caught)
-      | _ -> ())
-  | _ -> ()
+  match bootstrap t ~past:(Stellar_herder.Herder.ledger_seq t.herder) with
+  | Some (from_seq, caught) ->
+      Obs.Sink.incr t.obs "archive.live_catchups";
+      install t ~from_seq (fun cb -> Stellar_herder.Herder.catch_up t.herder cb caught)
+  | None -> ()
 
 let create ~network ~index ~peers ~config ~genesis ?buckets ?tip ?archive
     ?(on_ledger_closed = fun _ -> ()) ?(obs = Obs.Sink.null) () =
@@ -355,14 +357,10 @@ let restart t =
     (* §5.4 bootstrap: rebuild state from the archive's latest checkpoint and
        replay forward to its tip; whatever closed after the archive tip is
        recovered live via straggler help once we rejoin consensus. *)
-    let state, buckets, tip, from_seq =
-      match
-        ( Option.map Stellar_archive.Archive.catchup t.archive,
-          Option.bind t.archive Stellar_archive.Archive.latest_checkpoint )
-      with
-      | Some (Ok (state, buckets, tip)), Some chk ->
-          (state, Some buckets, Some tip, chk.Stellar_archive.Archive.seq)
-      | _ -> (t.genesis, t.genesis_buckets, None, 0)
+    let from_seq, state, buckets, tip =
+      match bootstrap t ~past:(Stellar_ledger.State.ledger_seq t.genesis) with
+      | Some (from_seq, (state, buckets, tip)) -> (from_seq, state, Some buckets, Some tip)
+      | None -> (0, t.genesis, t.genesis_buckets, None)
     in
     (* the process died: its queue, dedup and memo tables did not survive *)
     install t ~from_seq (fun cb ->

@@ -76,8 +76,6 @@ let sorted_array values =
   Array.sort Float.compare arr;
   arr
 
-let percentile values q = match values with [] -> 0.0 | _ -> rank (sorted_array values) q
-
 type quantiles = { n : int; mean : float; p50 : float; p75 : float; p99 : float; max : float }
 
 let quantiles values =
@@ -439,13 +437,14 @@ type heal_report = {
   heal_recover_s : float option;
 }
 
-(* Externalize times per slot, as (node, time) in trace order (first
-   externalize per (slot, node) only: a node externalizes a slot once). *)
-let externalizations trace =
+(* Close times per slot, as (node, time) in trace order (first close per
+   (slot, node) only).  Catch-up replays through no traced close, so a
+   replayed ledger is not one. *)
+let closes trace =
   let by_slot : (int, (int * float) list ref) Hashtbl.t = Hashtbl.create 64 in
   Trace.iter trace (fun s ->
       match s.Trace.event with
-      | Event.Externalize { slot } ->
+      | Event.Apply_end { slot; _ } ->
           let l =
             match Hashtbl.find_opt by_slot slot with
             | Some l -> l
@@ -458,10 +457,10 @@ let externalizations trace =
       | _ -> ());
   by_slot
 
-(* A node is "back in sync" at the first slot it externalizes no later than
-   [interval/2] after the fastest *other* node: replayed/straggler-helped
-   old slots close long after the network did and fail this test, while the
-   first live slot closes with the crowd (normal spread is milliseconds). *)
+(* A node is "back in sync" at the first slot it closes no later than
+   [interval/2] after the fastest *other* node: straggler-helped old slots
+   close long after the network did and fail this test, while the first
+   live slot closes with the crowd (normal spread is milliseconds). *)
 let first_in_sync by_slot ~interval ~node ~after =
   let candidates =
     Hashtbl.fold
@@ -481,7 +480,7 @@ let first_in_sync by_slot ~interval ~node ~after =
   match candidates with [] -> None | t :: rest -> Some (List.fold_left Float.min t rest)
 
 let recoveries ?(interval = 5.0) trace =
-  let by_slot = externalizations trace in
+  let by_slot = closes trace in
   (* per-node fault timelines, in trace order *)
   let crashes : (int, float list ref) Hashtbl.t = Hashtbl.create 8 in
   let restarts : (int, float list ref) Hashtbl.t = Hashtbl.create 8 in
@@ -549,7 +548,7 @@ let recoveries ?(interval = 5.0) trace =
     nodes
 
 let heals ?(interval = 5.0) trace =
-  let by_slot = externalizations trace in
+  let by_slot = closes trace in
   (* pair each Partition_begin with the next Partition_heal *)
   let out = ref [] in
   let open_split = ref None in

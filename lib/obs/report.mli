@@ -20,10 +20,6 @@ val slot_phases : ?node:int -> Trace.t -> phases list
 (** Phase durations for every slot [node] (default 0) both nominated and
     externalized, sorted by slot. *)
 
-val percentile : float list -> float -> float
-(** Exact nearest-rank percentile: the element at index [q * (n-1)] of the
-    sorted values (0 for an empty list). *)
-
 type quantiles = {
   n : int;
   mean : float;
@@ -34,7 +30,8 @@ type quantiles = {
 }
 
 val quantiles : float list -> quantiles
-(** Exact summary ({!percentile} for each quantile); all zero when empty.
+(** Exact summary: each quantile [q] is the nearest-rank element at index
+    [q * (n-1)] of the sorted values; all zero when empty.
     The mean sums the values in input order. *)
 
 type breakdown = {
@@ -131,11 +128,12 @@ val e2e_latency : Trace.t -> e2e
 
     Derived from the fault-injection events ([Node_crash] / [Node_restart] /
     [Catchup_begin] / [Catchup_done] / [Partition_begin] / [Partition_heal])
-    plus externalize timestamps.  A node counts as "back in sync" at its
-    first externalize that lands within [interval/2] of the fastest other
-    node for the same slot: catchup replays and straggler-helped old slots
-    close long after the network did and fail that test, while the first
-    live slot closes with the crowd. *)
+    plus close ([Apply_end]) timestamps.  A node counts as "back in sync"
+    at its first close that lands within [interval/2] of the fastest other
+    node's close of the same ledger: straggler-helped old slots close long
+    after the network did and fail that test, catch-up replays emit no
+    close at all, and the first live ledger closes with the crowd.  A node
+    that externalizes in step but never closes is not back. *)
 
 type recovery = {
   rec_node : int;
@@ -144,7 +142,7 @@ type recovery = {
   catchup_from : int;  (** checkpoint seq the restart bootstrapped from *)
   catchup_to : int;  (** archive tip reached by replay *)
   replayed : int;
-  t_resync : float option;  (** first in-sync externalize after restart *)
+  t_resync : float option;  (** first in-sync close after restart *)
   recover_s : float option;  (** [t_resync - t_restart] *)
 }
 

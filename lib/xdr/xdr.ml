@@ -128,7 +128,11 @@ module Reader = struct
       v := Int64.logor (Int64.shift_left !v 8) (Int64.of_int (Char.code t.data.[t.pos + i]))
     done;
     t.pos <- t.pos + 8;
-    Int64.to_int !v
+    let i = Int64.to_int !v in
+    (* an OCaml int has 63 bits: a hyper outside them has no value to
+       decode to *)
+    if Int64.of_int i <> !v then error "Xdr.Reader.hyper: %Ld outside the int range" !v;
+    i
 
   let bool t =
     match uint32 t with

@@ -69,6 +69,9 @@ module Reader : sig
   val int32 : t -> int
   val uint32 : t -> int
   val hyper : t -> int
+  (** @raise Error outside OCaml's 63-bit [int] range, where the writer
+      cannot have produced it. *)
+
   val bool : t -> bool
   val opaque_fixed : t -> int -> string
   val opaque_var : t -> ?max:int -> unit -> string

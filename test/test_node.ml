@@ -21,7 +21,7 @@ let run_scenario ?(n = 4) ?(accounts = 50) ?(rate = 5.0) ?(duration = 30.0) ?(se
 let agreement () =
   let agreed = Hashtbl.create 16 and conflicts = ref 0 in
   let on_ledger_closed { Stellar_herder.Herder.header; _ } =
-    if not (Scenario.agree agreed header) then incr conflicts
+    if Scenario.agree agreed header = `Conflicts then incr conflicts
   in
   (agreed, conflicts, on_ledger_closed)
 
@@ -362,7 +362,10 @@ let archive_tests =
         (* catchup *)
         (match Stellar_archive.Archive.catchup archive with
         | Error e -> fail e
-        | Ok (state, _buckets, tip) ->
+        | Ok (from_seq, (state, _buckets, tip)) ->
+            (* replayed from the latest checkpoint *)
+            let latest = Option.get (Stellar_archive.Archive.latest_seq archive) in
+            check int "from the latest checkpoint" (latest / 4 * 4) from_seq;
             let live = Stellar_herder.Herder.state (Validator.herder validator) in
             check bool "caught-up state matches live snapshot" true
               (String.equal
@@ -441,7 +444,7 @@ let archive_tests =
         in
         let copy ?at forge = Stellar_archive.Archive.catchup (archived ?at forge) in
         (match copy Fun.id with
-        | Ok (_, _, tip) ->
+        | Ok (_, (_, _, tip)) ->
             check int "faithful copy catches up to its tip" (chk + 2)
               tip.Stellar_ledger.Header.ledger_seq
         | Error e -> fail e);
@@ -566,7 +569,7 @@ let archive_tests =
         done;
         match Stellar_archive.Archive.catchup archive with
         | Error e -> fail e
-        | Ok (state, _, tip) ->
+        | Ok (_, (state, _, tip)) ->
             check int "upgraded base fee" 200 (Stellar_ledger.State.base_fee state);
             check string "tip header"
               (Stellar_ledger.Header.hash (Option.get !prev))
@@ -653,7 +656,7 @@ let join_tests =
         (* the newcomer catches up offline from the archive... *)
         let state, catchup_buckets, tip =
           match Stellar_archive.Archive.catchup archive with
-          | Ok r -> r
+          | Ok (_, r) -> r
           | Error e -> fail e
         in
         let newcomer =

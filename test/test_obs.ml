@@ -41,50 +41,11 @@ let test_merge () =
   Alcotest.(check int) "counters add" 7 (Obs.Registry.counter_value m "c");
   Alcotest.(check (float 1e-9)) "gauges sum" 4.0 (Obs.Registry.gauge_value m "g");
   match Obs.Registry.summary m "h" with
-  | Some s -> Alcotest.(check int) "histogram counts add" 2 s.Obs.Registry.count
-  | None -> Alcotest.fail "merged histogram missing"
-
-(* Histogram percentile estimates agree exactly with the list-based
-   Report.percentile when every sample sits on a bucket bound (the estimate
-   is the bucket's upper bound under the same nearest-rank convention), and
-   Report.quantiles summarizes with that same percentile. *)
-let test_histogram_percentiles () =
-  let bounds = Obs.Registry.default_bounds in
-  let r = Obs.Registry.create () in
-  let h = Obs.Registry.histogram r "lat" in
-  let samples = ref [] in
-  (* an uneven spread over the bound values, including repeats *)
-  Array.iteri
-    (fun i b ->
-      let reps = 1 + (i mod 4) in
-      for _ = 1 to reps do
-        Obs.Registry.observe h b;
-        samples := b :: !samples
-      done)
-    bounds;
-  List.iter
-    (fun q ->
-      let exact = Obs.Report.percentile !samples q in
-      let est = Obs.Registry.percentile_of h q in
-      Alcotest.(check (float 1e-12))
-        (Printf.sprintf "p%.0f" (q *. 100.0))
-        exact est)
-    [ 0.0; 0.5; 0.75; 0.9; 0.99; 1.0 ];
-  let q = Obs.Report.quantiles !samples in
-  let p = Obs.Report.percentile !samples in
-  Alcotest.(check int) "quantiles n" (List.length !samples) q.Obs.Report.n;
-  Alcotest.(check (float 1e-12)) "quantiles p50" (p 0.50) q.Obs.Report.p50;
-  Alcotest.(check (float 1e-12)) "quantiles p75" (p 0.75) q.Obs.Report.p75;
-  Alcotest.(check (float 1e-12)) "quantiles p99" (p 0.99) q.Obs.Report.p99;
-  Alcotest.(check (float 1e-12)) "quantiles max" (p 1.0) q.Obs.Report.max;
-  Alcotest.(check (float 1e-12)) "quantiles mean"
-    (List.fold_left ( +. ) 0.0 !samples /. float_of_int (List.length !samples))
-    q.Obs.Report.mean;
-  match Obs.Registry.summary r "lat" with
   | Some s ->
-      Alcotest.(check (float 1e-12)) "histogram p75 = exact p75" q.Obs.Report.p75
-        s.Obs.Registry.p75
-  | None -> Alcotest.fail "histogram missing"
+      Alcotest.(check int) "histogram counts add" 2 s.Obs.Registry.count;
+      Alcotest.(check (float 1e-12)) "histogram sums add" 0.03 s.Obs.Registry.sum;
+      Alcotest.(check (float 0.0)) "histogram max is the larger" 0.02 s.Obs.Registry.max
+  | None -> Alcotest.fail "merged histogram missing"
 
 (* ---- null sink is inert ---- *)
 
@@ -568,6 +529,86 @@ let test_dedup_bytes () =
     (Obs.Registry.counter_value agg "flood.dup_bytes")
     total_dup_bytes
 
+(* ---- recovery is read from closes ---- *)
+
+(* A hand-built trace of three 5 s ledgers (slots 5-7, at 25, 30 and 35 s)
+   that every node in [nodes] externalizes in step; [closes node slot] says
+   whether (and how late) that node also closes it. *)
+let in_step_trace ~nodes ~faults ~closes =
+  let trace = Obs.Trace.create () in
+  let record time node ev = ignore (Obs.Trace.try_record trace ~time ~node ev) in
+  List.iter (fun (time, node, ev) -> record time node ev) faults;
+  List.iter
+    (fun slot ->
+      let t = 25.0 +. (5.0 *. float_of_int (slot - 5)) in
+      List.iter
+        (fun node ->
+          record t node (Obs.Event.Externalize { slot });
+          Option.iter
+            (fun late -> record (t +. late) node (Obs.Event.Apply_end { slot; txs = 0; ops = 0 }))
+            (closes node slot))
+        nodes)
+    [ 5; 6; 7 ];
+  trace
+
+let restart_of_node_2 =
+  [ (10.0, 2, Obs.Event.Node_crash); (20.0, 2, Obs.Event.Node_restart) ]
+
+let split_of_3_and_4 =
+  [
+    (10.0, -1, Obs.Event.Partition_begin { groups = [ 0; 0; 0; 1; 1 ] });
+    (20.0, -1, Obs.Event.Partition_heal);
+  ]
+
+let recover_s trace =
+  match Obs.Report.recoveries ~interval:5.0 trace with
+  | [ r ] -> r.Obs.Report.recover_s
+  | l -> Alcotest.failf "expected one recovery, got %d" (List.length l)
+
+let test_restart_without_closes () =
+  (* node 2 externalizes every slot with the others but closes none *)
+  let trace =
+    in_step_trace ~nodes:[ 0; 1; 2 ] ~faults:restart_of_node_2 ~closes:(fun node _ ->
+        if node = 2 then None else Some 0.001)
+  in
+  Alcotest.(check (option (float 0.0))) "not back" None (recover_s trace)
+
+let test_heal_without_closes () =
+  (* nodes 3 and 4 externalize every slot after the heal but close none *)
+  let trace =
+    in_step_trace ~nodes:[ 0; 1; 2; 3; 4 ] ~faults:split_of_3_and_4 ~closes:(fun node _ ->
+        if node >= 3 then None else Some 0.001)
+  in
+  match Obs.Report.heals ~interval:5.0 trace with
+  | [ h ] ->
+      Alcotest.(check (list (pair int (option (float 0.0))))) "lagged not back"
+        [ (3, None); (4, None) ]
+        (List.sort compare h.Obs.Report.lagged);
+      Alcotest.(check (option (float 0.0))) "heal not back" None h.Obs.Report.heal_recover_s
+  | l -> Alcotest.failf "expected one heal, got %d" (List.length l)
+
+let test_back_at_first_close () =
+  (* node 2 closes slot 5 only a whole interval after the others, so it is
+     back at its close of slot 6, 2 ms after the fastest other node's *)
+  let trace =
+    in_step_trace ~nodes:[ 0; 1; 2 ] ~faults:restart_of_node_2 ~closes:(fun node slot ->
+        match (node, slot) with 2, 5 -> Some 5.0 | 2, _ -> Some 0.003 | _ -> Some 0.001)
+  in
+  Alcotest.(check (option (float 1e-9))) "recover_s" (Some 10.003) (recover_s trace);
+  (* a healed minority reads the same rule *)
+  let trace =
+    in_step_trace ~nodes:[ 0; 1; 2; 3; 4 ] ~faults:split_of_3_and_4 ~closes:(fun node slot ->
+        match (node, slot) with
+        | 3, 5 | 4, 5 -> None
+        | 3, _ | 4, _ -> Some 0.003
+        | _ -> Some 0.001)
+  in
+  match Obs.Report.heals ~interval:5.0 trace with
+  | [ h ] ->
+      Alcotest.(check (option (float 1e-9))) "heal recover_s" (Some 10.003)
+        h.Obs.Report.heal_recover_s
+  | l -> Alcotest.failf "expected one heal, got %d" (List.length l)
+
 (* The obs library's own hex encoder matches the crypto library's. *)
 let hex_agrees =
   QCheck.Test.make ~name:"Event.hex = Hex.encode" ~count:200
@@ -582,7 +623,6 @@ let () =
           Alcotest.test_case "counter monotonic" `Quick test_counter_monotonic;
           Alcotest.test_case "kind mismatch" `Quick test_kind_mismatch;
           Alcotest.test_case "merge" `Quick test_merge;
-          Alcotest.test_case "histogram percentiles" `Quick test_histogram_percentiles;
         ] );
       ( "sink",
         [
@@ -592,6 +632,15 @@ let () =
           QCheck_alcotest.to_alcotest hex_agrees;
         ] );
       ("trace", [ Alcotest.test_case "chunked storage" `Quick test_trace_chunks ]);
+      ( "recovery",
+        [
+          Alcotest.test_case "a restart that externalizes but never closes is not back"
+            `Quick test_restart_without_closes;
+          Alcotest.test_case "a healed minority that externalizes but never closes is not back"
+            `Quick test_heal_without_closes;
+          Alcotest.test_case "a node is back at its first close in step" `Quick
+            test_back_at_first_close;
+        ] );
       ( "network",
         [ Alcotest.test_case "overlay counters" `Quick test_network_overlay_counters ] );
       ( "determinism",

@@ -345,6 +345,105 @@ let roundtrip_tests =
       Stellar_bucket.Bucket_list.hash;
   ]
 
+(* ---------- canonical decoding: two properties per codec ---------- *)
+
+(* Every exported codec, with a generator and the value as its module's
+   constructor builds it from the decoded parts: a decoded bucket must be
+   the sorted run [Bucket.of_items] makes of its items.  Identity where the
+   module has no such constructor. *)
+type codec = Codec : string * 'a Xdr.codec * (unit -> 'a) * ('a -> 'a) -> codec
+
+let gen_bucket () =
+  Stellar_bucket.Bucket.of_items (List.init (Rng.int rng 6) (fun _ -> gen_item ()))
+
+let codecs =
+  let module B = Stellar_bucket.Bucket in
+  [
+    Codec ("asset", Asset.xdr, gen_asset, Fun.id);
+    Codec ("price", Price.xdr, gen_price, Fun.id);
+    Codec ("entry key", Entry.key_xdr, gen_key, Fun.id);
+    Codec ("ledger entry", Entry.entry_xdr, gen_entry, Fun.id);
+    Codec ("transaction", Tx.xdr, gen_tx, Fun.id);
+    Codec ("signed transaction", Tx.signed_xdr, gen_signed, Fun.id);
+    Codec ("ledger header", Header.xdr, gen_header, Fun.id);
+    Codec ("scp statement", Scp.Types.statement_xdr, gen_statement, Fun.id);
+    Codec ("scp envelope", Scp.Types.envelope_xdr, gen_envelope, Fun.id);
+    Codec ("consensus value", Stellar_herder.Value.xdr, gen_value, Fun.id);
+    Codec ("tx set", Stellar_herder.Tx_set.xdr, gen_tx_set, Fun.id);
+    Codec ("overlay message", Stellar_node.Message.xdr, gen_message, Fun.id);
+    Codec ("bucket item", B.item_xdr, gen_item, Fun.id);
+    Codec ("bucket", B.xdr, gen_bucket, fun b -> B.of_items (B.items b));
+    Codec ("bucket list", Stellar_bucket.Bucket_list.xdr, gen_bucket_list, Fun.id);
+    Codec ("quorum set", Scp.Quorum_set.xdr, (fun () -> gen_qset 0), Fun.id);
+  ]
+
+(* The four mutations of an encoding: a flipped byte, two 4-byte words
+   swapped, a truncation and an extension.  [a] and [b] pick the place and
+   the bytes. *)
+let mutate s (kind, a, b) =
+  let n = String.length s in
+  match kind with
+  | 0 when n > 0 ->
+      let m = Bytes.of_string s in
+      Bytes.set m (a mod n) (Char.chr (Char.code s.[a mod n] lxor (1 + (b mod 255))));
+      ("flip", Bytes.to_string m)
+  | 1 when n >= 8 ->
+      let words = n / 4 in
+      let i = a mod words in
+      let j = (i + 1 + (b mod (words - 1))) mod words in
+      let m = Bytes.of_string s in
+      Bytes.blit_string s (4 * i) m (4 * j) 4;
+      Bytes.blit_string s (4 * j) m (4 * i) 4;
+      ("swap", Bytes.to_string m)
+  | 2 when n > 0 -> ("truncate", String.sub s 0 (a mod n))
+  | _ -> ("extend", s ^ String.init (1 + (a mod 8)) (fun k -> Char.chr ((b lsr k) land 0xff)))
+
+let mutations_per_value = 32
+
+let mutation =
+  QCheck.Gen.(triple (int_bound 3) (int_bound 1_000_000) (int_bound 1_000_000))
+
+(* Fixed QCheck seed: mutations, like values, reproduce run to run. *)
+let canonical_case t =
+  QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 0x5EED |]) t
+
+let canonical_tests =
+  List.concat_map
+    (fun (Codec (name, codec, gen, rebuild)) ->
+      let value = QCheck.make ~print:(fun v -> hex (Xdr.encode codec v)) (fun _ -> gen ()) in
+      let mutated =
+        QCheck.make
+          ~print:(fun (v, _) -> hex (Xdr.encode codec v))
+          (fun st -> (gen (), QCheck.Gen.list_repeat mutations_per_value mutation st))
+      in
+      [
+        canonical_case
+          (QCheck.Test.make ~count:100 ~name:(name ^ ": encode (decode (encode v)) = encode v")
+             value (fun v ->
+               let e = Xdr.encode codec v in
+               match Xdr.decode codec e with
+               | Ok v' -> String.equal (Xdr.encode codec v') e
+               | Error err -> QCheck.Test.fail_reportf "decode failed: %s" err));
+        canonical_case
+          (QCheck.Test.make ~count:100
+             ~name:(name ^ ": a mutated encoding decodes only to a value encoding as it")
+             mutated (fun (v, plans) ->
+               let e = Xdr.encode codec v in
+               List.for_all
+                 (fun plan ->
+                   let what, m = mutate e plan in
+                   match Xdr.decode codec m with
+                   | Error _ -> true
+                   | Ok v' ->
+                       String.equal (Xdr.encode codec v') m
+                       && String.equal (Xdr.encode codec (rebuild v')) m
+                       || QCheck.Test.fail_reportf "%s: %s decodes to a value encoding as %s"
+                            what (hex m)
+                            (hex (Xdr.encode codec (rebuild v'))))
+                 plans));
+      ])
+    codecs
+
 (* ---------- primitives & strictness ---------- *)
 
 let prim_tests =
@@ -809,6 +908,7 @@ let () =
     [
       ("primitives", prim_tests);
       ("roundtrip", roundtrip_tests);
+      ("canonical", canonical_tests);
       ("accounting", accounting_tests);
       ("golden", golden_tests);
       ("archive", archive_tests);
