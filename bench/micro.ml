@@ -1,6 +1,6 @@
 (* abl-crypto: Bechamel micro-benchmarks of the substrate design choices —
    real Ed25519 vs the simulated scheme, hashing, order-book crossing,
-   transaction application, bucket merging and its memo, streamed tx-set
+   transaction application, bucket merging, streamed tx-set
    and bucket hashing, the event core and the tracing paths. *)
 
 open Bechamel
@@ -62,19 +62,10 @@ let make_tests () =
           entry = Some (Entry.Account_entry acct) })
   in
   let bucket_a = Stellar_bucket.Bucket.of_items (bucket_items 10_000 "a") in
-  (* a 1,000-entry batch onto a 4-level list whose level 0 already holds
-     two batches, so the add merges without spilling; the list's merge memo
-     already holds that merge, so the timed add is a memo hit *)
-  let batch_1k = bucket_items 1_000 "batch" in
-  let list_4 =
-    List.fold_left Stellar_bucket.Bucket_list.add_batch
-      (Stellar_bucket.Bucket_list.create ~levels:4 ())
-      (List.init 6 (fun i -> bucket_items 1_000 (Printf.sprintf "level-%d" i)))
-  in
-  ignore (Stellar_bucket.Bucket_list.add_batch list_4 batch_1k);
-  (* the merges themselves, outside any memo: that batch into level 0's
-     two batches, and a full level 0 (four batches) spilling into a level 1
+  (* the bucket list's merges: a 1,000-entry batch into level 0's two
+     batches, and a full level 0 (four batches) spilling into a level 1
      that holds one earlier spill *)
+  let batch_1k = bucket_items 1_000 "batch" in
   let level0_2k = Stellar_bucket.Bucket.of_items (bucket_items 2_000 "level-0") in
   let level0_4k = Stellar_bucket.Bucket.of_items (bucket_items 4_000 "full-0") in
   let level1_4k = Stellar_bucket.Bucket.of_items (bucket_items 4_000 "level-1") in
@@ -257,8 +248,6 @@ let make_tests () =
            ignore
              (Stellar_bucket.Bucket.merge ~newer:level0_4k ~older:level1_4k
                 ~keep_tombstones:true)));
-    Test.make ~name:"bucket/add-batch-memo-hit"
-      (Staged.stage (fun () -> ignore (Stellar_bucket.Bucket_list.add_batch list_4 batch_1k)));
     Test.make ~name:"bucket/hash-2k"
       (Staged.stage (fun () -> ignore (Stellar_bucket.Bucket.of_items sorted_2k)));
     Test.make ~name:"txset/hash-1000" (Staged.stage (fun () -> ignore (tx_set_hash ())));

@@ -10,30 +10,25 @@
     hash committed in the ledger header; reconciling two bucket lists only
     transfers the levels whose hashes differ.
 
-    Every list grown by {!add_batch} from one {!create}, {!of_state} or
-    decoded list shares a bounded memo of that lineage's last 64 merges,
-    keyed by their exact inputs: level 0's older bucket hash and the batch
-    (compared structurally), or a spill's two bucket hashes and whether it
-    keeps tombstones.  Validators of one simulated network that close the
-    same ledger therefore merge and hash it once, and hold the same
-    buckets. *)
+    {!add_batch} computes every merge it needs: validators of one simulated
+    network share whole ledger closes through the herder's close memo. *)
 
 type t
 
 val create : ?levels:int -> ?spill_factor:int -> unit -> t
 (** Defaults: 10 levels, spill factor 4 (stellar-core's shape). *)
 
-val add_batch : ?obs:Stellar_obs.Sink.t -> t -> Bucket.item list -> t
-(** Absorb one ledger's changes; performs any due spills.  A live [obs]
-    sink counts [bucket.merge]/[bucket.spill], tracks the [bucket.entries]
-    gauge and, when tracing, emits a [Bucket_merge] event per level
-    touched, whether the merge was computed or taken from the memo. *)
+val add_batch : t -> Bucket.item list -> t
+(** Absorb one ledger's changes; performs any due spills. *)
 
-val merge_s : t -> float
-(** CPU seconds of the merges of the {!add_batch} that returned this list
-    ([0.] for a list not made by [add_batch]).  A merge taken from the memo
-    counts the seconds it took when first computed, so each node is charged
-    its merges as if it had done them itself. *)
+val add_batch_merges : t -> Bucket.item list -> t * (int * int) list
+(** {!add_batch}, and its merges as [(level, entries)], level 0's first,
+    then each spill, with the size of the bucket each produced. *)
+
+val observe : Stellar_obs.Sink.t -> t -> (int * int) list -> unit
+(** Show the merges that made [t] on a sink: count [bucket.merge] (level
+    0's) and [bucket.spill], set the [bucket.entries] gauge to [t]'s size
+    and, when tracing, emit a [Bucket_merge] event per merge. *)
 
 val hash : t -> string
 val level_bucket : t -> int -> Bucket.t

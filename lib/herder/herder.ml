@@ -49,10 +49,34 @@ type held_tx_set = { set : Tx_set.t; mutable last_slot : int }
 (* Per-slot timing for the latency metrics of §7.3. *)
 type slot_timing = { mutable t_trigger : float; mutable t_first_ballot : float option }
 
+(* stellar-core's MAX_SLOTS_TO_REMEMBER default; DESIGN.md argues the value. *)
+let slots_to_remember = 12
+
+(* One computed close: its inputs, compared by identity (the header holds
+   the value and tx set hashes, the rest of the key), the close, and what it
+   shows a sink. *)
+type close = {
+  prev : Header.t option;
+  before : State.t;
+  buckets_before : Stellar_bucket.Bucket_list.t;
+  state : State.t;
+  buckets : Stellar_bucket.Bucket_list.t;
+  header : Header.t;
+  apply_s : float;
+  results : (Tx.signed * Apply.tx_outcome) list;  (* in apply order *)
+  merges : (int * int) list;  (* Bucket_list.add_batch_merges's *)
+}
+
+(* The last [slots_to_remember] closes, overwritten oldest first. *)
+type memo = { ring : close option array; mutable next : int }
+
+let memo () = { ring = Array.make slots_to_remember None; next = 0 }
+
 type t = {
   config : config;
   cb : callbacks;
   obs : Stellar_obs.Sink.t;
+  memo : memo option;  (* the closes this node shares with others *)
   scp : Scp.Protocol.t;
   queue : Tx_queue.t;
   tx_sets : (string, held_tx_set) Hashtbl.t;
@@ -136,36 +160,52 @@ let results_hash results =
     results;
   Stellar_crypto.Sha256.final ctx
 
-let apply_ledger ?obs ~prev state buckets (v : Value.t) ts =
+let compute ~prev before buckets_before (v : Value.t) ts =
   let cpu0 = Sys.time () in
   let state, results =
-    Apply.apply_tx_set ?obs Apply.sim_ctx state ~close_time:v.close_time (Tx_set.txs ts)
+    Apply.apply_tx_set Apply.sim_ctx before ~close_time:v.close_time (Tx_set.txs ts)
   in
   (* fold this ledger's changes, its upgrades included, into the bucket list *)
   let state, dirty = State.take_dirty (Value.apply_upgrades state v.upgrades) in
   let batch =
     List.map (fun key -> { Stellar_bucket.Bucket.key; entry = State.lookup state key }) dirty
   in
-  let cpu_apply = Sys.time () -. cpu0 in
-  let buckets = Stellar_bucket.Bucket_list.add_batch ?obs buckets batch in
-  let cpu1 = Sys.time () in
+  let buckets, merges = Stellar_bucket.Bucket_list.add_batch_merges buckets_before batch in
   let header =
     Header.make ~prev ~scp_value_hash:(Value.hash v) ~tx_set_hash:(Tx_set.hash ts)
       ~results_hash:(results_hash results)
       ~snapshot_hash:(Stellar_bucket.Bucket_list.hash buckets)
       ~state
   in
-  (* the merges are charged at what they cost when computed, also when
-     another node of this process computed them first *)
-  let apply_s =
-    cpu_apply +. Stellar_bucket.Bucket_list.merge_s buckets +. (Sys.time () -. cpu1)
+  let apply_s = Sys.time () -. cpu0 in
+  { prev; before; buckets_before; state; buckets; header; apply_s; results; merges }
+
+let apply_ledger ?memo ?(obs = Stellar_obs.Sink.null) ~prev state buckets (v : Value.t) ts =
+  let same c =
+    c.before == state && c.buckets_before == buckets
+    && Option.equal ( == ) c.prev prev
+    && String.equal c.header.tx_set_hash (Tx_set.hash ts)
+    && String.equal c.header.scp_value_hash (Value.hash v)
   in
-  (state, buckets, header, apply_s)
+  let shared m = Array.find_map (function Some c when same c -> Some c | _ -> None) m.ring in
+  let c =
+    match Option.bind memo shared with
+    | Some c -> c
+    | None ->
+        let c = compute ~prev state buckets v ts in
+        Option.iter
+          (fun m ->
+            m.ring.(m.next) <- Some c;
+            m.next <- (m.next + 1) mod slots_to_remember)
+          memo;
+        c
+  in
+  (* every node shows its own close, also one another node computed *)
+  Apply.observe obs ~slot:(State.ledger_seq c.state) c.results;
+  Stellar_bucket.Bucket_list.observe obs c.buckets c.merges;
+  (c.state, c.buckets, c.header, c.apply_s)
 
 (* ---- ledger close ---- *)
-
-(* stellar-core's MAX_SLOTS_TO_REMEMBER default; DESIGN.md argues the value. *)
-let slots_to_remember = 12
 
 (* The oldest slot this node still holds: SCP keeps the last
    [slots_to_remember] closed slots for stragglers, and the tx sets those
@@ -212,7 +252,7 @@ let rec close_ledger t slot (v : Value.t) ts =
       (Stellar_obs.Event.Apply_begin { slot; txs = Tx_set.tx_count ts; ops = Tx_set.op_count ts })
   end;
   let state, buckets, header, apply_s =
-    apply_ledger ~obs:t.obs ~prev:t.tip t.state t.buckets v ts
+    apply_ledger ?memo:t.memo ~obs:t.obs ~prev:t.tip t.state t.buckets v ts
   in
   if Stellar_obs.Sink.tracing t.obs then
     Stellar_obs.Sink.emit t.obs
@@ -292,7 +332,7 @@ let rec advance t =
 
 (* ---- construction ---- *)
 
-let make config cb ~genesis ~buckets ~tip ~obs ~queue =
+let make config cb ~genesis ~buckets ~tip ~obs ~memo ~queue =
   let secret, id = Stellar_crypto.Sim_sig.keypair ~seed:config.seed in
   let rec t =
     lazy
@@ -326,6 +366,7 @@ let make config cb ~genesis ~buckets ~tip ~obs ~queue =
          config;
          cb;
          obs;
+         memo;
          scp = Scp.Protocol.create ~driver ~local_id:id ~qset:config.qset;
          queue;
          tx_sets = Hashtbl.create 64;
@@ -345,14 +386,14 @@ let make config cb ~genesis ~buckets ~tip ~obs ~queue =
   in
   Lazy.force t
 
-let create config cb ~genesis ?buckets ?tip ?(obs = Stellar_obs.Sink.null) () =
-  make config cb ~genesis ~buckets ~tip ~obs ~queue:(Tx_queue.create ())
+let create config cb ~genesis ?buckets ?tip ?(obs = Stellar_obs.Sink.null) ?memo () =
+  make config cb ~genesis ~buckets ~tip ~obs ~memo ~queue:(Tx_queue.create ())
 
 let catch_up t cb (state, buckets, tip) =
   let config = { t.config with qset = Scp.Protocol.quorum_set t.scp } in
   let t' =
     make config cb ~genesis:state ~buckets:(Some buckets) ~tip:(Some tip) ~obs:t.obs
-      ~queue:t.queue
+      ~memo:t.memo ~queue:t.queue
   in
   drop_stale t';
   t'

@@ -15,7 +15,7 @@ type ledger_stats = {
   buckets : Stellar_bucket.Bucket_list.t;  (** the bucket list after the close *)
   nomination_s : float;  (** virtual time: nomination start → first ballot *)
   balloting_s : float;  (** virtual time: first ballot → externalize *)
-  apply_s : float;  (** real CPU time to apply the tx set + buckets *)
+  apply_s : float;  (** real CPU time of the close, when first computed *)
   total_s : float;  (** virtual time: trigger → externalize *)
 }
 (** One closed ledger: its header, value and tx set are the record an
@@ -47,7 +47,14 @@ type config = {
 
 val default_config : seed:string -> qset:Scp.Quorum_set.t -> config
 
+type memo
+(** The last {!slots_to_remember} ledger closes, for the herders of one
+    simulated network to share. *)
+
+val memo : unit -> memo
+
 val apply_ledger :
+  ?memo:memo ->
   ?obs:Stellar_obs.Sink.t ->
   prev:Stellar_ledger.Header.t option ->
   Stellar_ledger.State.t ->
@@ -61,8 +68,12 @@ val apply_ledger :
     touched entries into the bucket list and build the header after
     [prev] (the value's hash, the tx set, results and snapshot hashes).
     The value is the only source of the close time and the parameters.
-    Returns the new state, bucket list and header, and the CPU seconds
-    charged for the close, the bucket merges at their first cost. *)
+    Returns the new state, bucket list and header, and the CPU seconds the
+    close took when it was computed.  With [memo], a close computed from
+    the same (by identity) [prev], state and bucket list, for a value and
+    tx set of equal hashes, is returned, not recomputed; either way [obs]
+    sees this close's transactions and merges
+    ({!Stellar_ledger.Apply.observe}, {!Stellar_bucket.Bucket_list.observe}). *)
 
 type t
 
@@ -73,6 +84,7 @@ val create :
   ?buckets:Stellar_bucket.Bucket_list.t ->
   ?tip:Stellar_ledger.Header.t ->
   ?obs:Stellar_obs.Sink.t ->
+  ?memo:memo ->
   unit ->
   t
 (** [buckets] lets many simulated validators share one precomputed bucket
@@ -86,7 +98,8 @@ val create :
     [Apply_begin]/[Apply_end] events, the per-transaction
     lifecycle events ([Tx_submit], [Tx_in_txset], [Tx_externalized],
     [Tx_dropped]; [Tx_applied] comes from ledger apply), plus the
-    [ledger.apply_ms] CPU histogram and [herder.queue.size] gauge. *)
+    [ledger.apply_ms] CPU histogram and [herder.queue.size] gauge.
+    [memo] (default none) is {!apply_ledger}'s; {!catch_up} keeps it. *)
 
 val catch_up :
   t ->

@@ -678,7 +678,7 @@ let outcome_metric = function
   | Tx_too_late -> "ledger.tx.too_late"
   | Tx_malformed -> "ledger.tx.malformed"
 
-let apply_tx_set ?(obs = Stellar_obs.Sink.null) ctx state ~close_time txs =
+let apply_tx_set ctx state ~close_time txs =
   let state =
     State.set_header state ~ledger_seq:(State.ledger_seq state + 1) ~close_time
   in
@@ -721,20 +721,24 @@ let apply_tx_set ?(obs = Stellar_obs.Sink.null) ctx state ~close_time txs =
     done;
     List.rev !out
   in
-  let slot = State.ledger_seq state in
   let state, results =
     List.fold_left
       (fun (state, acc) signed ->
         let state, outcome = apply_tx ctx state signed in
-        Stellar_obs.Sink.incr obs (outcome_metric outcome);
-        (match outcome with
-        | Tx_success rs -> Stellar_obs.Sink.add obs "ledger.ops.applied" (List.length rs)
-        | _ -> ());
-        if Stellar_obs.Sink.tracing obs then
-          Stellar_obs.Sink.emit obs
-            (Stellar_obs.Event.Tx_applied
-               { tx = signed.Tx.tx_hash; slot; ok = tx_succeeded outcome });
         (state, (signed, outcome) :: acc))
       (state, []) sorted
   in
   (state, List.rev results)
+
+let observe obs ~slot results =
+  let tracing = Stellar_obs.Sink.tracing obs in
+  List.iter
+    (fun (signed, outcome) ->
+      Stellar_obs.Sink.incr obs (outcome_metric outcome);
+      (match outcome with
+      | Tx_success rs -> Stellar_obs.Sink.add obs "ledger.ops.applied" (List.length rs)
+      | _ -> ());
+      if tracing then
+        Stellar_obs.Sink.emit obs
+          (Stellar_obs.Event.Tx_applied { tx = signed.Tx.tx_hash; slot; ok = tx_succeeded outcome }))
+    results

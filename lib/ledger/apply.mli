@@ -52,15 +52,13 @@ val apply_tx : ctx -> State.t -> Tx.signed -> State.t * tx_outcome
 (** Validate, charge fee + sequence, then run operations atomically. *)
 
 val apply_tx_set :
-  ?obs:Stellar_obs.Sink.t ->
-  ctx ->
-  State.t ->
-  close_time:int ->
-  Tx.signed list ->
-  State.t * (Tx.signed * tx_outcome) list
+  ctx -> State.t -> close_time:int -> Tx.signed list -> State.t * (Tx.signed * tx_outcome) list
 (** Close one ledger: set header fields, charge all fees up front, then
     apply in deterministic (hash-shuffled) order, as stellar-core does.
-    A live [obs] sink counts per-outcome transactions
-    ([ledger.tx.success], [ledger.tx.bad_seq], ...) and applied operations
-    ([ledger.ops.applied]) and, when tracing, emits one [Tx_applied]
-    lifecycle event per transaction, keyed by its [tx_hash]. *)
+    The results come in that order. *)
+
+val observe : Stellar_obs.Sink.t -> slot:int -> (Tx.signed * tx_outcome) list -> unit
+(** Show a ledger's {!apply_tx_set} results on a sink: count per-outcome
+    transactions ([ledger.tx.success], [ledger.tx.bad_seq], ...) and
+    applied operations ([ledger.ops.applied]) and, when tracing, emit one
+    [Tx_applied] lifecycle event per transaction, keyed by its [tx_hash]. *)

@@ -104,6 +104,8 @@ let run p =
   in
   let genesis, accounts = Genesis.make ~n_accounts:p.n_accounts () in
   let shared_buckets = Stellar_bucket.Bucket_list.of_state genesis in
+  (* validators on one state close each ledger once between them *)
+  let memo = Stellar_herder.Herder.memo () in
   (* per-ledger stats from node 0, plus node 0's timeouts during each
      ledger as deltas of its scp.timeout.* counters *)
   let reg0 = Stellar_obs.Collector.registry collector 0 in
@@ -173,7 +175,7 @@ let run p =
           end
         in
         Validator.create ~network ~index:i ~peers:(p.spec.Topology.peers_of i) ~config
-          ~genesis ~buckets:shared_buckets ?archive ~on_ledger_closed
+          ~genesis ~buckets:shared_buckets ?archive ~memo ~on_ledger_closed
           ~obs:(Stellar_obs.Collector.sink collector i)
           ())
   in

@@ -32,6 +32,7 @@ type t = {
   genesis : Stellar_ledger.State.t;
   genesis_buckets : Stellar_bucket.Bucket_list.t option;
   archive : Stellar_archive.Archive.t option;
+  memo : Stellar_herder.Herder.memo option;
   user_on_ledger_closed : Stellar_herder.Herder.ledger_stats -> unit;
   obs : Obs.Sink.t;
   flood_metrics : flood_metrics;
@@ -135,7 +136,7 @@ let send_direct t ~dst msg =
 (* A peer still voting on a slot we already closed gets our retained
    envelopes (and the tx sets they reference) directly — the §6 fix.  The
    herder serves only slots inside its horizon; a peer further behind
-   catches up from the archive (§5.4), and no help is memoized or counted
+   catches up from the archive (§5.4), and no help is recorded or counted
    for it. *)
 let maybe_help_straggler t ~src env =
   let slot = env.Scp.Types.statement.Scp.Types.slot in
@@ -294,7 +295,7 @@ and catch_up_from_archive t =
       install t ~from_seq (fun cb -> Stellar_herder.Herder.catch_up t.herder cb caught)
   | None -> ()
 
-let create ~network ~index ~peers ~config ~genesis ?buckets ?tip ?archive
+let create ~network ~index ~peers ~config ~genesis ?buckets ?tip ?archive ?memo
     ?(on_ledger_closed = fun _ -> ()) ?(obs = Obs.Sink.null) () =
   let engine = Stellar_sim.Network.engine network in
   let rec t =
@@ -308,6 +309,7 @@ let create ~network ~index ~peers ~config ~genesis ?buckets ?tip ?archive
          genesis;
          genesis_buckets = buckets;
          archive;
+         memo;
          user_on_ledger_closed = on_ledger_closed;
          obs;
          flood_metrics =
@@ -317,7 +319,7 @@ let create ~network ~index ~peers ~config ~genesis ?buckets ?tip ?archive
              c_dup_bytes = Obs.Sink.counter obs "flood.dup_bytes";
              c_forwarded = Obs.Sink.counter obs "flood.forwarded";
            };
-         herder = Stellar_herder.Herder.create config cb ~genesis ?buckets ?tip ~obs ();
+         herder = Stellar_herder.Herder.create config cb ~genesis ?buckets ?tip ~obs ?memo ();
          generation = 0;
          crashed = false;
          seen = Hashtbl.create 1024;
@@ -364,7 +366,8 @@ let restart t =
     in
     (* the process died: its queue, dedup and memo tables did not survive *)
     install t ~from_seq (fun cb ->
-        Stellar_herder.Herder.create t.config cb ~genesis:state ?buckets ?tip ~obs:t.obs ())
+        Stellar_herder.Herder.create t.config cb ~genesis:state ?buckets ?tip ~obs:t.obs
+          ?memo:t.memo ())
   end
 
 (* Byzantine-style pressure: re-broadcast our latest envelopes [copies]

@@ -303,19 +303,14 @@ let setup_props =
             model);
   ]
 
-(* ---- the merge memo ---- *)
-
-let same_levels a b =
-  List.for_all
-    (fun i -> Bucket_list.level_bucket a i == Bucket_list.level_bucket b i)
-    (List.init (List.length (Bucket_list.level_sizes a)) Fun.id)
+(* ---- lists grown apart ---- *)
 
 let roundtrip bl =
   match Stellar_xdr.Xdr.(decode Bucket_list.xdr (encode Bucket_list.xdr bl)) with
   | Ok bl -> bl
   | Error e -> failwith e
 
-let memo_props =
+let lineage_props =
   [
     (* spill factor 2 over 4 levels: 8+ batches reach the bottom level,
        where tombstones are dropped *)
@@ -333,58 +328,9 @@ let memo_props =
               let decoded = Bucket_list.add_batch (roundtrip decoded) batch in
               let h = Bucket_list.hash a in
               List.for_all (fun l -> String.equal h (Bucket_list.hash l)) [ b; indep; decoded ]
-              && same_levels a b && go a b indep decoded rest
+              && go a b indep decoded rest
         in
         go base base (make ()) (make ()) batches);
-  ]
-
-let memo_tests =
-  let open Alcotest in
-  let batch i = [ item_of i i; item_of (i + 1) i; dead_of (i + 2) ] in
-  [
-    test_case "lists of one lineage hold the same buckets" `Quick (fun () ->
-        let master = Stellar_crypto.Sha256.digest "m" in
-        let genesis = Bucket_list.of_state (State.genesis ~master ~total_xlm:1000 ()) in
-        let a = ref genesis and b = ref genesis in
-        let indep = ref (Bucket_list.of_state (State.genesis ~master ~total_xlm:1000 ())) in
-        for i = 1 to 41 do
-          a := Bucket_list.add_batch !a (batch i);
-          b := Bucket_list.add_batch !b (batch i);
-          indep := Bucket_list.add_batch !indep (batch i);
-          check bool (Printf.sprintf "shared after batch %d" i) true (same_levels !a !b)
-        done;
-        check bool "spilled to level 2" true (List.nth (Bucket_list.level_sizes !a) 2 > 0);
-        check string "same hash" (Bucket_list.hash !a) (Bucket_list.hash !indep);
-        check bool "another lineage merges for itself" false
-          (Bucket_list.level_bucket !a 0 == Bucket_list.level_bucket !indep 0));
-    test_case "the memo holds the last 64 merges" `Quick (fun () ->
-        (* no spills: every batch is exactly one merge *)
-        let base = Bucket_list.create ~levels:2 ~spill_factor:1000 () in
-        let lists = Array.make 66 base in
-        for i = 1 to 65 do
-          lists.(i) <- Bucket_list.add_batch lists.(i - 1) (batch i)
-        done;
-        let level0 l = Bucket_list.level_bucket l 0 in
-        let redo i = level0 (Bucket_list.add_batch lists.(i - 1) (batch i)) in
-        check bool "the newest merge is reused" true (redo 65 == level0 lists.(65));
-        check bool "the 64th newest is reused" true (redo 2 == level0 lists.(2));
-        let again = redo 1 in
-        check bool "the 65th newest was evicted" false (again == level0 lists.(1));
-        check string "and recomputes the same bucket" (Bucket.hash (level0 lists.(1)))
-          (Bucket.hash again));
-    test_case "a reused merge is charged its first cost" `Quick (fun () ->
-        check (float 0.0) "nothing merged yet" 0.0
-          (Bucket_list.merge_s (Bucket_list.create ()));
-        let base = Bucket_list.create ~levels:4 ~spill_factor:2 () in
-        let a = ref base and b = ref base in
-        for i = 1 to 20 do
-          let big = List.init 300 (fun k -> item_of ((i * 1000) + k) i) in
-          a := Bucket_list.add_batch !a big;
-          b := Bucket_list.add_batch !b big;
-          check bool "reused" true (same_levels !a !b);
-          check (float 0.0) (Printf.sprintf "batch %d charged alike" i)
-            (Bucket_list.merge_s !a) (Bucket_list.merge_s !b)
-        done);
   ]
 
 let () =
@@ -395,5 +341,5 @@ let () =
         @ List.map QCheck_alcotest.to_alcotest (bucket_prop :: bucket_props)
         @ golden_tests
         @ List.map QCheck_alcotest.to_alcotest setup_props );
-      ("bucket-list", list_tests @ memo_tests @ List.map QCheck_alcotest.to_alcotest memo_props);
+      ("bucket-list", list_tests @ List.map QCheck_alcotest.to_alcotest lineage_props);
     ]

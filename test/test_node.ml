@@ -576,6 +576,199 @@ let archive_tests =
               (Stellar_ledger.Header.hash tip));
   ]
 
+(* ---------- the close memo ---------- *)
+
+module Obs = Stellar_obs
+
+(* A live sink with its own registry and trace, and what it has seen: every
+   metric's counter, gauge and histogram count, then every trace event. *)
+let observed ?(now = fun () -> 0.0) node =
+  let reg = Obs.Registry.create () and trace = Obs.Trace.create () in
+  let seen skip =
+    ( List.filter_map
+        (fun name ->
+          if List.mem name skip then None
+          else
+            Some
+              ( name,
+                Obs.Registry.counter_value reg name,
+                Obs.Registry.gauge_value reg name,
+                Option.map (fun s -> s.Obs.Registry.count) (Obs.Registry.summary reg name) ))
+        (Obs.Registry.names reg),
+      Obs.Trace.events trace )
+  in
+  (Obs.Sink.make ~trace ~node ~now reg, seen)
+
+(* Ledger [seq]'s payments: account [i] pays account [i + 1], and account 0
+   pays more than it holds, so the set holds a failed transaction too. *)
+let payments accounts ~seq =
+  List.init 6 (fun i ->
+      let src = accounts.(i) and dst = accounts.(i + 1) in
+      let amount = if i = 0 then Stellar_ledger.Asset.of_units 1_000_000 else 100 + seq in
+      Stellar_ledger.Tx.sign
+        (Stellar_ledger.Tx.make ~source:src.Genesis.public ~seq_num:(seq - 1)
+           [
+             Stellar_ledger.Tx.op
+               (Stellar_ledger.Tx.Payment
+                  { destination = dst.Genesis.public; asset = Stellar_ledger.Asset.native; amount });
+           ])
+        ~secret:src.Genesis.secret ~public:src.Genesis.public
+        ~scheme:(module Stellar_crypto.Sim_sig : Stellar_crypto.Sig_intf.SCHEME with type secret = string))
+
+(* The value and tx set of the ledger after [prev], made afresh on every
+   call: equal hashes, never the same values. *)
+let ledger accounts ~prev ~seq =
+  let ts =
+    Stellar_herder.Tx_set.make
+      ~prev_header_hash:
+        (Option.fold ~none:Stellar_ledger.Header.genesis_hash ~some:Stellar_ledger.Header.hash prev)
+      (payments accounts ~seq)
+  in
+  ({ Stellar_herder.Value.tx_set_hash = Stellar_herder.Tx_set.hash ts; close_time = 10 * seq; upgrades = [] }, ts)
+
+(* [n] closes from genesis through [memo]; the inputs and result of each. *)
+let chain ?memo accounts genesis buckets n =
+  let rec go prev state buckets seq k =
+    if k = 0 then []
+    else
+      let v, ts = ledger accounts ~prev ~seq in
+      let ((state', buckets', header, _) as r) =
+        Stellar_herder.Herder.apply_ledger ?memo ~prev state buckets v ts
+      in
+      (prev, state, buckets, seq, r) :: go (Some header) state' buckets' (seq + 1) (k - 1)
+  in
+  go None genesis buckets (Stellar_ledger.State.ledger_seq genesis + 1) n
+
+let memo_tests =
+  let open Alcotest in
+  let same_close (s, b, h, apply_s) (s', b', h', apply_s') =
+    s == s' && b == b' && h == h' && Float.equal apply_s apply_s'
+  in
+  [
+    test_case "a repeated close is shared and shows the same observations" `Quick (fun () ->
+        let genesis, accounts = Genesis.make ~n_accounts:8 () in
+        let buckets = Stellar_bucket.Bucket_list.of_state genesis in
+        let memo = Stellar_herder.Herder.memo () in
+        (* six ledgers: level 0 spills into level 1 at the fourth *)
+        List.iter
+          (fun (prev, state, buckets, seq, _) ->
+            let close () =
+              let sink, seen = observed 0 in
+              (* each herder boxes its own tip *)
+              let prev = Option.map Fun.id prev in
+              let v, ts = ledger accounts ~prev ~seq in
+              let r = Stellar_herder.Herder.apply_ledger ~memo ~obs:sink ~prev state buckets v ts in
+              (r, seen [])
+            in
+            let first, seen_first = close () and again, seen_again = close () in
+            check bool (Printf.sprintf "ledger %d shared" seq) true (same_close first again);
+            check bool (Printf.sprintf "ledger %d observed alike" seq) true (seen_first = seen_again);
+            let metrics, events = seen_first in
+            check bool "counted its transactions" true
+              (List.exists (fun (name, n, _, _) -> name = "ledger.tx.success" && n = 5) metrics
+              && List.exists (fun (name, n, _, _) -> name = "ledger.tx.failed" && n = 1) metrics);
+            check bool "traced its merges" true
+              (List.exists (fun e -> match e.Obs.Trace.event with Obs.Event.Bucket_merge _ -> true | _ -> false) events))
+          (chain accounts genesis buckets 6));
+    test_case "an equal state not physically shared closes for itself" `Quick (fun () ->
+        let genesis, accounts = Genesis.make ~n_accounts:8 () in
+        let memo = Stellar_herder.Herder.memo () in
+        let second closes = List.nth closes 1 in
+        let prev, state, buckets, seq, ((_, _, h, _) as shared) =
+          second (chain ~memo accounts genesis (Stellar_bucket.Bucket_list.of_state genesis) 2)
+        in
+        (* the same ledger's inputs built apart: equal, not the same *)
+        let genesis', _ = Genesis.make ~n_accounts:8 () in
+        let _, state', buckets', _, _ =
+          second (chain accounts genesis' (Stellar_bucket.Bucket_list.of_state genesis') 2)
+        in
+        let copy h = { h with Stellar_ledger.Header.ledger_seq = h.Stellar_ledger.Header.ledger_seq } in
+        let v, ts = ledger accounts ~prev ~seq in
+        List.iter
+          (fun (what, prev, state, buckets) ->
+            let ((_, _, h', _) as r) = Stellar_herder.Herder.apply_ledger ~memo ~prev state buckets v ts in
+            check bool (what ^ " misses") false (same_close r shared);
+            check string (what ^ " reaches the same header") (Stellar_ledger.Header.hash h)
+              (Stellar_ledger.Header.hash h'))
+          [
+            ("an equal tip", Option.map copy prev, state, buckets);
+            ("an equal state", prev, state', buckets);
+            ("an equal bucket list", prev, state, buckets');
+          ]);
+    test_case "the memo holds the last 12 closes" `Quick (fun () ->
+        let genesis, accounts = Genesis.make ~n_accounts:8 () in
+        let memo = Stellar_herder.Herder.memo () in
+        let n = Stellar_herder.Herder.slots_to_remember + 1 in
+        let closes =
+          chain ~memo accounts genesis (Stellar_bucket.Bucket_list.of_state genesis) n
+        in
+        let redo (prev, state, buckets, seq, _) =
+          let v, ts = ledger accounts ~prev ~seq in
+          Stellar_herder.Herder.apply_ledger ~memo ~prev state buckets v ts
+        in
+        let first = List.hd closes and oldest_held = List.nth closes 1 in
+        let _, _, _, _, oldest_result = oldest_held in
+        check bool "the 12th newest is shared" true (same_close (redo oldest_held) oldest_result);
+        let _, _, _, _, ((_, _, h, _) as first_result) = first in
+        let (_, _, h', _) as again = redo first in
+        check bool "the 13th newest was evicted" false (same_close again first_result);
+        check string "and recomputes the same header" (Stellar_ledger.Header.hash h)
+          (Stellar_ledger.Header.hash h'));
+    test_case "sharing closes is invisible to every node" `Quick (fun () ->
+        (* one 4-validator network run twice: one memo for all, then one
+           memo each; every node must count, trace and close alike *)
+        let run memo_of =
+          let n = 4 in
+          let spec = Topology.all_to_all ~n in
+          let engine = Stellar_sim.Engine.create () in
+          let network =
+            Stellar_sim.Network.create ~engine ~rng:(Stellar_sim.Rng.create ~seed:5) ~n
+              ~latency:Stellar_sim.Latency.datacenter ()
+          in
+          let genesis, accounts = Genesis.make ~n_accounts:8 () in
+          let buckets = Stellar_bucket.Bucket_list.of_state genesis in
+          let chains = Array.make n [] in
+          let nodes =
+            Array.init n (fun i ->
+                let sink, seen = observed ~now:(fun () -> Stellar_sim.Engine.now engine) i in
+                let on_ledger_closed { Stellar_herder.Herder.header; _ } =
+                  chains.(i) <- Stellar_ledger.Header.hash header :: chains.(i)
+                in
+                let v =
+                  Validator.create ~network ~index:i ~peers:(spec.Topology.peers_of i)
+                    ~config:
+                      (Stellar_herder.Herder.default_config ~seed:(spec.Topology.validator_seed i)
+                         ~qset:(spec.Topology.qset_of i))
+                    ~genesis ~buckets ~memo:(memo_of i) ~on_ledger_closed ~obs:sink ()
+                in
+                (v, seen))
+          in
+          Array.iter (fun (v, _) -> Validator.start v) nodes;
+          for seq = 2 to 5 do
+            List.iter
+              (fun signed ->
+                ignore
+                  (Stellar_sim.Engine.schedule engine ~delay:(float_of_int (5 * (seq - 2)) +. 1.0)
+                     (fun () -> Validator.submit_tx (fst nodes.(seq mod n)) signed)))
+              (payments accounts ~seq)
+          done;
+          Stellar_sim.Engine.run ~until:40.0 engine;
+          Array.mapi
+            (fun i (_, seen) -> (seen [ "ledger.apply_ms" ], List.rev chains.(i)))
+            nodes
+        in
+        let shared = Stellar_herder.Herder.memo () in
+        let one = run (fun _ -> shared) and each = run (fun _ -> Stellar_herder.Herder.memo ()) in
+        Array.iteri
+          (fun i ((metrics, events), chain) ->
+            let (metrics', events'), chain' = each.(i) in
+            check bool (Printf.sprintf "node %d closed ledgers" i) true (List.length chain >= 6);
+            check (list string) (Printf.sprintf "node %d chain" i) chain chain';
+            check bool (Printf.sprintf "node %d metrics" i) true (metrics = metrics');
+            check bool (Printf.sprintf "node %d trace" i) true (events = events'))
+          one);
+  ]
+
 (* ---------- topology & genesis ---------- *)
 
 let topo_tests =
@@ -692,6 +885,7 @@ let () =
       ("integration", integration_tests);
       ("faults", fault_tests);
       ("archive", archive_tests);
+      ("close-memo", memo_tests);
       ("join", join_tests);
       ("topology", topo_tests);
     ]
