@@ -126,7 +126,7 @@ let make_tests () =
       Scp.Driver.make
         ~emit_envelope:(fun _ -> ())
         ~sign:(fun _ -> "")
-        ~verify:(fun node_id ~msg ~signature -> Sim_sig.verify ~public:node_id ~msg ~signature)
+        ~verify:Stellar_herder.Herder.verify_envelope
         ~validate_value:(fun ~slot:_ _ -> Scp.Driver.Valid)
         ~combine_candidates:(fun ~slot:_ _ -> None)
         ~value_externalized:(fun ~slot:_ _ -> ())
@@ -174,6 +174,14 @@ let make_tests () =
   let statement_sig =
     Sim_sig.sign (tiered.Stellar_node.Topology.validator_seed 0) (Scp.Types.signing_bytes statement)
   in
+  (* the herder's check through a warm verify memo: a hit on the envelope
+     it checked, and a miss on its forged twin (node 0's valid signature
+     over node 1's statement), which is checked in full on every call *)
+  let verify_memo = Stellar_herder.Herder.memo () in
+  let memo_verify = Stellar_herder.Herder.verify_envelope ~memo:verify_memo in
+  let checked = { Scp.Types.statement; signature = statement_sig } in
+  let forged = { checked with Scp.Types.statement = tiered_statement 1 } in
+  if not (memo_verify checked) then failwith "scp/verify-memo: envelope rejected";
   (* tracing: the trace's append and walk, and a hot-path counter update
      through a resolved handle against one looked up by name *)
   let module Obs = Stellar_obs in
@@ -270,6 +278,12 @@ let make_tests () =
            match slot_envelope () with
            | `Processed -> ()
            | `Stale | `Invalid -> failwith "scp/slot-envelope: envelope not processed"));
+    Test.make ~name:"scp/verify-memo-hit"
+      (Staged.stage (fun () ->
+           if not (memo_verify checked) then failwith "scp/verify-memo-hit: envelope rejected"));
+    Test.make ~name:"scp/verify-memo-miss"
+      (Staged.stage (fun () ->
+           if memo_verify forged then failwith "scp/verify-memo-miss: forged envelope accepted"));
     Test.make ~name:"sim-sig/verify-statement"
       (Staged.stage (fun () ->
            ignore

@@ -6,8 +6,6 @@ let create ?(levels = 10) ?(spill_factor = 4) () =
   if levels < 1 || spill_factor < 2 then invalid_arg "Bucket_list.create";
   { levels = Array.make levels { bucket = Bucket.empty; fill = 0 }; spill_factor }
 
-let level_bucket t i = t.levels.(i).bucket
-
 let add_batch_merges t batch =
   let levels = Array.copy t.levels in
   let nlevels = Array.length levels in
@@ -72,7 +70,7 @@ let live_entries t =
 let diff_levels a b =
   let count t = Array.length t.levels in
   let bucket_hash t i =
-    if i < count t then Bucket.hash (level_bucket t i) else Bucket.hash Bucket.empty
+    if i < count t then Bucket.hash t.levels.(i).bucket else Bucket.hash Bucket.empty
   in
   List.filter
     (fun i -> not (String.equal (bucket_hash a i) (bucket_hash b i)))

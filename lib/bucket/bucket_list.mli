@@ -31,7 +31,6 @@ val observe : Stellar_obs.Sink.t -> t -> (int * int) list -> unit
     and, when tracing, emit a [Bucket_merge] event per merge. *)
 
 val hash : t -> string
-val level_bucket : t -> int -> Bucket.t
 val level_sizes : t -> int list
 
 val find : t -> Stellar_ledger.Entry.key -> Bucket.item option

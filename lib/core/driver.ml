@@ -15,7 +15,7 @@ type metrics = {
 type t = {
   emit_envelope : Types.envelope -> unit;
   sign : string -> string;
-  verify : Types.node_id -> msg:string -> signature:string -> bool;
+  verify : Types.envelope -> bool;
   validate_value : slot:int -> Types.value -> validation;
   combine_candidates : slot:int -> Types.value list -> Types.value option;
   value_externalized : slot:int -> Types.value -> unit;

@@ -26,7 +26,9 @@ type t = {
   emit_envelope : Types.envelope -> unit;
       (** Broadcast a signed envelope to peers. *)
   sign : string -> string;
-  verify : Types.node_id -> msg:string -> signature:string -> bool;
+  verify : Types.envelope -> bool;
+      (** Whether the envelope's signature is its node's over the
+          statement's {!Types.signing_bytes}. *)
   validate_value : slot:int -> Types.value -> validation;
   combine_candidates : slot:int -> Types.value list -> Types.value option;
       (** Deterministically combine confirmed-nominated values into a single
@@ -47,7 +49,7 @@ type t = {
 val make :
   emit_envelope:(Types.envelope -> unit) ->
   sign:(string -> string) ->
-  verify:(Types.node_id -> msg:string -> signature:string -> bool) ->
+  verify:(Types.envelope -> bool) ->
   validate_value:(slot:int -> Types.value -> validation) ->
   combine_candidates:(slot:int -> Types.value list -> Types.value option) ->
   value_externalized:(slot:int -> Types.value -> unit) ->

@@ -45,11 +45,7 @@ let process_envelope t env =
   let st = env.Types.statement in
   if st.Types.slot <> t.index then `Invalid
   else if String.equal st.Types.node_id t.local_id then `Stale
-  else if
-    not
-      (t.driver.Driver.verify st.Types.node_id ~msg:(Types.signing_bytes st)
-         ~signature:env.Types.signature)
-  then `Invalid
+  else if not (t.driver.Driver.verify env) then `Invalid
   else if not (Federation.sane (Federation.compile t.nodes st.Types.quorum_set)) then `Invalid
   else begin
     Stellar_obs.Registry.incr (recv_counter t.driver.Driver.metrics st.Types.pledge);

@@ -67,16 +67,65 @@ type close = {
   merges : (int * int) list;  (* Bucket_list.add_batch_merges's *)
 }
 
-(* The last [slots_to_remember] closes, overwritten oldest first. *)
-type memo = { ring : close option array; mutable next : int }
+type memo = {
+  ring : close option array;  (* the last [slots_to_remember] closes, oldest overwritten first *)
+  mutable next : int;
+  verified : (string, Scp.Types.envelope) Hashtbl.t;
+      (* signature → the envelope it passed its check on, for the slots from
+         [newest - slots_to_remember] on *)
+  mutable newest : int;  (* the newest slot in [verified] *)
+  mutable hits : int;  (* lookups [verified] answered *)
+}
 
-let memo () = { ring = Array.make slots_to_remember None; next = 0 }
+let memo () =
+  {
+    ring = Array.make slots_to_remember None;
+    next = 0;
+    verified = Hashtbl.create 256;
+    newest = 0;
+    hits = 0;
+  }
+
+let verified m = (Hashtbl.length m.verified, m.hits)
+
+(* Receivers drop envelopes behind their horizon on receipt, so the memo
+   drops them too once a newer slot is verified. *)
+let remember m (env : Scp.Types.envelope) =
+  let slot = env.statement.slot in
+  if slot > m.newest then begin
+    m.newest <- slot;
+    Hashtbl.filter_map_inplace
+      (fun _ (e : Scp.Types.envelope) ->
+        if e.statement.slot < slot - slots_to_remember then None else Some e)
+      m.verified
+  end;
+  if slot >= m.newest - slots_to_remember then Hashtbl.replace m.verified env.signature env
+
+(* A check is kept only when it passed, and stands only for the very
+   envelope it passed on: a forged statement under a reused signature
+   misses and is checked, and a key registered later cannot flip a failure. *)
+let verify_envelope ?memo (env : Scp.Types.envelope) =
+  let checked m =
+    match Hashtbl.find_opt m.verified env.signature with Some e -> e == env | None -> false
+  in
+  match memo with
+  | Some m when checked m ->
+      m.hits <- m.hits + 1;
+      true
+  | _ ->
+      let st = env.statement in
+      let ok =
+        Stellar_crypto.Sim_sig.verify ~public:st.node_id ~msg:(Scp.Types.signing_bytes st)
+          ~signature:env.signature
+      in
+      if ok then Option.iter (fun m -> remember m env) memo;
+      ok
 
 type t = {
   config : config;
   cb : callbacks;
   obs : Stellar_obs.Sink.t;
-  memo : memo option;  (* the closes this node shares with others *)
+  memo : memo option;  (* the closes and checks this node shares with others *)
   scp : Scp.Protocol.t;
   queue : Tx_queue.t;
   tx_sets : (string, held_tx_set) Hashtbl.t;
@@ -340,8 +389,7 @@ let make config cb ~genesis ~buckets ~tip ~obs ~memo ~queue =
          Scp.Driver.make
            ~emit_envelope:(fun env -> cb.broadcast_envelope env)
            ~sign:(fun msg -> Stellar_crypto.Sim_sig.sign secret msg)
-           ~verify:(fun node_id ~msg ~signature ->
-             Stellar_crypto.Sim_sig.verify ~public:node_id ~msg ~signature)
+           ~verify:(verify_envelope ?memo)
            ~validate_value:(fun ~slot raw -> validate_value (Lazy.force t) ~slot raw)
            ~combine_candidates:(fun ~slot raws -> combine_candidates (Lazy.force t) ~slot raws)
            ~value_externalized:(fun ~slot raw ->

@@ -48,10 +48,22 @@ type config = {
 val default_config : seed:string -> qset:Scp.Quorum_set.t -> config
 
 type memo
-(** The last {!slots_to_remember} ledger closes, for the herders of one
-    simulated network to share. *)
+(** What the herders of one simulated network share: the last
+    {!slots_to_remember} ledger closes ({!apply_ledger}) and the envelope
+    signatures that passed their check ({!verify_envelope}). *)
 
 val memo : unit -> memo
+
+val verify_envelope : ?memo:memo -> Scp.Types.envelope -> bool
+(** Whether the envelope carries its node's signature over the statement's
+    {!Scp.Types.signing_bytes}: the herder's SCP driver's [verify].  With
+    [memo], an envelope physically the one a check passed on is answered
+    without checking again; only passed checks are kept, and only for
+    slots from {!slots_to_remember} behind the newest slot kept.  A memo
+    answers for the key table it was filled under. *)
+
+val verified : memo -> int * int
+(** The signatures [memo] holds, and the lookups they answered. *)
 
 val apply_ledger :
   ?memo:memo ->
@@ -99,7 +111,8 @@ val create :
     lifecycle events ([Tx_submit], [Tx_in_txset], [Tx_externalized],
     [Tx_dropped]; [Tx_applied] comes from ledger apply), plus the
     [ledger.apply_ms] CPU histogram and [herder.queue.size] gauge.
-    [memo] (default none) is {!apply_ledger}'s; {!catch_up} keeps it. *)
+    [memo] (default none) is {!apply_ledger}'s and {!verify_envelope}'s;
+    {!catch_up} keeps it. *)
 
 val catch_up :
   t ->

@@ -104,7 +104,8 @@ let run p =
   in
   let genesis, accounts = Genesis.make ~n_accounts:p.n_accounts () in
   let shared_buckets = Stellar_bucket.Bucket_list.of_state genesis in
-  (* validators on one state close each ledger once between them *)
+  (* validators on one state close each ledger once between them, and
+     check each flooded envelope's signature once *)
   let memo = Stellar_herder.Herder.memo () in
   (* per-ledger stats from node 0, plus node 0's timeouts during each
      ledger as deltas of its scp.timeout.* counters *)

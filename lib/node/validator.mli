@@ -30,8 +30,8 @@ val create :
     does, emits [Catchup_begin]/[Catchup_done] and counts
     [archive.live_catchups].  Without an archive a node left that far behind
     stays behind.
-    [memo] is the close memo ({!Stellar_herder.Herder.memo}) this node's
-    herders share with the network's other validators.
+    [memo] is the close and verify memo ({!Stellar_herder.Herder.memo})
+    this node's herders share with the network's other validators.
     [obs] (default disabled) instruments the flood path — [flood.*]
     counters and, when tracing, [Flood_send], [Flood_recv] and [Dedup_drop]
     events — and is passed down to the herder/SCP/ledger stack.  Node-level

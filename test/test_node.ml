@@ -639,6 +639,57 @@ let chain ?memo accounts genesis buckets n =
   in
   go None genesis buckets (Stellar_ledger.State.ledger_seq genesis + 1) n
 
+(* A hand-built [n]-validator network run of four ledgers' payments, each
+   node given [memo_of i]: every node's metrics (but its CPU histogram) and
+   trace, and its chain of header hashes. *)
+let memo_run ~n memo_of =
+  let spec = Topology.all_to_all ~n in
+  let engine = Stellar_sim.Engine.create () in
+  let network =
+    Stellar_sim.Network.create ~engine ~rng:(Stellar_sim.Rng.create ~seed:5) ~n
+      ~latency:Stellar_sim.Latency.datacenter ()
+  in
+  let genesis, accounts = Genesis.make ~n_accounts:8 () in
+  let buckets = Stellar_bucket.Bucket_list.of_state genesis in
+  let chains = Array.make n [] in
+  let nodes =
+    Array.init n (fun i ->
+        let sink, seen = observed ~now:(fun () -> Stellar_sim.Engine.now engine) i in
+        let on_ledger_closed { Stellar_herder.Herder.header; _ } =
+          chains.(i) <- Stellar_ledger.Header.hash header :: chains.(i)
+        in
+        let v =
+          Validator.create ~network ~index:i ~peers:(spec.Topology.peers_of i)
+            ~config:
+              (Stellar_herder.Herder.default_config ~seed:(spec.Topology.validator_seed i)
+                 ~qset:(spec.Topology.qset_of i))
+            ~genesis ~buckets ~memo:(memo_of i) ~on_ledger_closed ~obs:sink ()
+        in
+        (v, seen))
+  in
+  Array.iter (fun (v, _) -> Validator.start v) nodes;
+  for seq = 2 to 5 do
+    List.iter
+      (fun signed ->
+        ignore
+          (Stellar_sim.Engine.schedule engine ~delay:(float_of_int (5 * (seq - 2)) +. 1.0)
+             (fun () -> Validator.submit_tx (fst nodes.(seq mod n)) signed)))
+      (payments accounts ~seq)
+  done;
+  Stellar_sim.Engine.run ~until:40.0 engine;
+  Array.mapi (fun i (_, seen) -> (seen [ "ledger.apply_ms" ], List.rev chains.(i))) nodes
+
+let same_runs one each =
+  let open Alcotest in
+  Array.iteri
+    (fun i ((metrics, events), chain) ->
+      let (metrics', events'), chain' = each.(i) in
+      check bool (Printf.sprintf "node %d closed ledgers" i) true (List.length chain >= 6);
+      check (list string) (Printf.sprintf "node %d chain" i) chain chain';
+      check bool (Printf.sprintf "node %d metrics" i) true (metrics = metrics');
+      check bool (Printf.sprintf "node %d trace" i) true (events = events'))
+    one
+
 let memo_tests =
   let open Alcotest in
   let same_close (s, b, h, apply_s) (s', b', h', apply_s') =
@@ -717,56 +768,86 @@ let memo_tests =
     test_case "sharing closes is invisible to every node" `Quick (fun () ->
         (* one 4-validator network run twice: one memo for all, then one
            memo each; every node must count, trace and close alike *)
-        let run memo_of =
-          let n = 4 in
-          let spec = Topology.all_to_all ~n in
-          let engine = Stellar_sim.Engine.create () in
-          let network =
-            Stellar_sim.Network.create ~engine ~rng:(Stellar_sim.Rng.create ~seed:5) ~n
-              ~latency:Stellar_sim.Latency.datacenter ()
-          in
-          let genesis, accounts = Genesis.make ~n_accounts:8 () in
-          let buckets = Stellar_bucket.Bucket_list.of_state genesis in
-          let chains = Array.make n [] in
-          let nodes =
-            Array.init n (fun i ->
-                let sink, seen = observed ~now:(fun () -> Stellar_sim.Engine.now engine) i in
-                let on_ledger_closed { Stellar_herder.Herder.header; _ } =
-                  chains.(i) <- Stellar_ledger.Header.hash header :: chains.(i)
-                in
-                let v =
-                  Validator.create ~network ~index:i ~peers:(spec.Topology.peers_of i)
-                    ~config:
-                      (Stellar_herder.Herder.default_config ~seed:(spec.Topology.validator_seed i)
-                         ~qset:(spec.Topology.qset_of i))
-                    ~genesis ~buckets ~memo:(memo_of i) ~on_ledger_closed ~obs:sink ()
-                in
-                (v, seen))
-          in
-          Array.iter (fun (v, _) -> Validator.start v) nodes;
-          for seq = 2 to 5 do
-            List.iter
-              (fun signed ->
-                ignore
-                  (Stellar_sim.Engine.schedule engine ~delay:(float_of_int (5 * (seq - 2)) +. 1.0)
-                     (fun () -> Validator.submit_tx (fst nodes.(seq mod n)) signed)))
-              (payments accounts ~seq)
-          done;
-          Stellar_sim.Engine.run ~until:40.0 engine;
-          Array.mapi
-            (fun i (_, seen) -> (seen [ "ledger.apply_ms" ], List.rev chains.(i)))
-            nodes
-        in
         let shared = Stellar_herder.Herder.memo () in
-        let one = run (fun _ -> shared) and each = run (fun _ -> Stellar_herder.Herder.memo ()) in
-        Array.iteri
-          (fun i ((metrics, events), chain) ->
-            let (metrics', events'), chain' = each.(i) in
-            check bool (Printf.sprintf "node %d closed ledgers" i) true (List.length chain >= 6);
-            check (list string) (Printf.sprintf "node %d chain" i) chain chain';
-            check bool (Printf.sprintf "node %d metrics" i) true (metrics = metrics');
-            check bool (Printf.sprintf "node %d trace" i) true (events = events'))
-          one);
+        same_runs
+          (memo_run ~n:4 (fun _ -> shared))
+          (memo_run ~n:4 (fun _ -> Stellar_herder.Herder.memo ())));
+  ]
+
+(* An envelope of [statement] under the signature of [secret]. *)
+let signed secret statement =
+  {
+    Scp.Types.statement;
+    signature = Stellar_crypto.Sim_sig.sign secret (Scp.Types.signing_bytes statement);
+  }
+
+let verify_memo_tests =
+  let open Alcotest in
+  let spec = Topology.all_to_all ~n:3 in
+  let keys =
+    Array.init 3 (fun i -> Stellar_crypto.Sim_sig.keypair ~seed:(spec.Topology.validator_seed i))
+  in
+  let nominate i ~slot vote =
+    signed (fst keys.(i))
+      {
+        Scp.Types.node_id = snd keys.(i);
+        slot;
+        quorum_set = spec.Topology.qset_of i;
+        pledge = Scp.Types.Nominate { votes = [ Stellar_crypto.Sha256.digest vote ]; accepted = [] };
+      }
+  in
+  let verify = Stellar_herder.Herder.verify_envelope in
+  [
+    test_case "a forged envelope is rejected on a warm memo" `Quick (fun () ->
+        let memo = Stellar_herder.Herder.memo () in
+        let env = nominate 0 ~slot:2 "x" in
+        check bool "checked" true (verify ~memo env);
+        check bool "answered" true (verify ~memo env);
+        check (pair int int) "one signature, one hit" (1, 1) (Stellar_herder.Herder.verified memo);
+        (* the signature is valid, over other statement bytes *)
+        let forged = { (nominate 0 ~slot:2 "y") with signature = env.Scp.Types.signature } in
+        check bool "forged" false (verify ~memo forged);
+        check bool "still forged" false (verify ~memo forged);
+        (* an equal envelope that is not the one checked is checked again *)
+        let copy = { env with Scp.Types.signature = env.Scp.Types.signature } in
+        check bool "copy checked" true (verify ~memo copy);
+        check (pair int int) "no hit but the first" (1, 1) (Stellar_herder.Herder.verified memo));
+    test_case "a failed check is not memoized" `Quick (fun () ->
+        let memo = Stellar_herder.Herder.memo () in
+        let env = nominate 1 ~slot:2 "x" in
+        let garbled = { env with Scp.Types.signature = String.make 64 's' } in
+        List.iter
+          (fun what ->
+            check bool what false (verify ~memo garbled);
+            check (pair int int) (what ^ ": nothing held") (0, 0)
+              (Stellar_herder.Herder.verified memo))
+          [ "garbled"; "garbled again" ];
+        check bool "the real one" true (verify ~memo env);
+        check (pair int int) "held" (1, 0) (Stellar_herder.Herder.verified memo));
+    test_case "the memo holds the last 12 slots' signatures" `Quick (fun () ->
+        let memo = Stellar_herder.Herder.memo () in
+        let horizon = Stellar_herder.Herder.slots_to_remember in
+        let held () = fst (Stellar_herder.Herder.verified memo) in
+        for slot = 1 to (3 * horizon) + 5 do
+          for i = 0 to 2 do
+            check bool "checked" true (verify ~memo (nominate i ~slot "x"))
+          done;
+          check int (Printf.sprintf "held at slot %d" slot) (3 * min slot (horizon + 1)) (held ())
+        done;
+        let newest = (3 * horizon) + 5 in
+        let old = nominate 0 ~slot:(newest - horizon - 1) "late" in
+        check bool "one behind the horizon checks" true (verify ~memo old);
+        check bool "and checks again" true (verify ~memo old);
+        check (pair int int) "but is not held" (3 * (horizon + 1), 0)
+          (Stellar_herder.Herder.verified memo));
+    test_case "sharing checks is invisible to every node" `Quick (fun () ->
+        let shared = Stellar_herder.Herder.memo () in
+        let one = memo_run ~n:5 (fun _ -> shared) in
+        let each = memo_run ~n:5 (fun _ -> Stellar_herder.Herder.memo ()) in
+        let held, hits = Stellar_herder.Herder.verified shared in
+        (* each signature served the other receivers of its envelope *)
+        check bool "the shared memo answered most checks" true (hits > 2 * held);
+        same_runs one each);
   ]
 
 (* ---------- topology & genesis ---------- *)
@@ -886,6 +967,7 @@ let () =
       ("faults", fault_tests);
       ("archive", archive_tests);
       ("close-memo", memo_tests);
+      ("verify-memo", verify_memo_tests);
       ("join", join_tests);
       ("topology", topo_tests);
     ]

@@ -347,8 +347,7 @@ let signing_tests =
         Driver.make
           ~emit_envelope:(fun _ -> ())
           ~sign:(fun _ -> "unused")
-          ~verify:(fun node_id ~msg ~signature ->
-            Stellar_crypto.Sim_sig.verify ~public:node_id ~msg ~signature)
+          ~verify:Scp_harness.sim_verify
           ~validate_value:(fun ~slot:_ _ -> Driver.Valid)
           ~combine_candidates:(fun ~slot:_ _ -> None)
           ~value_externalized:(fun ~slot:_ _ -> ())

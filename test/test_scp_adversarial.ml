@@ -24,7 +24,7 @@ let make_probe () =
     Driver.make
       ~emit_envelope:(fun env -> emitted := env :: !emitted)
       ~sign:(fun _ -> "stub-signature")
-      ~verify:(fun _ ~msg:_ ~signature:_ -> true)
+      ~verify:(fun _ -> true)
       ~validate_value:(fun ~slot:_ _ -> Driver.Valid)
       ~combine_candidates:(fun ~slot:_ values ->
         match List.sort (fun a b -> String.compare b a) values with
