@@ -33,6 +33,7 @@ let add t signed =
   end
 
 let size t = Hashtbl.length t.by_hash
+let txs t = Hashtbl.fold (fun _ q acc -> !q @ acc) t.by_account []
 
 let fee_rate s = s.Tx.tx.Tx.fee / max 1 (Tx.operation_count s.Tx.tx)
 

@@ -9,6 +9,9 @@ val add : t -> Stellar_ledger.Tx.signed -> bool
 
 val size : t -> int
 
+val txs : t -> Stellar_ledger.Tx.signed list
+(** Every queued transaction, each account's in sequence order. *)
+
 val candidates : t -> state:Stellar_ledger.State.t -> max_ops:int -> Stellar_ledger.Tx.signed list
 (** Build a transaction-set candidate: for each account, the longest prefix
     of its queued transactions whose sequence numbers chain from the

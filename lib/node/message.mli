@@ -1,5 +1,6 @@
 (** Overlay wire messages: SCP envelopes, transaction sets and transactions
-    flooded among peers (§5.4, §7.5: a naive flooding protocol).  The flood
+    flooded among peers (§5.4, §7.5: a naive flooding protocol), and the
+    one request a node sends its peers point to point.  The flood
     wrapper is an XDR union, so its overhead is the measured 4-byte
     discriminant plus the member's canonical encoding — no estimates. *)
 
@@ -7,6 +8,10 @@ type t =
   | Envelope of Scp.Types.envelope
   | Tx_set_msg of Stellar_herder.Tx_set.t
   | Tx_msg of Stellar_ledger.Tx.signed
+  | Get_scp_state of int
+      (** stellar-core's [GET_SCP_STATE]: a ledger seq (XDR [uint32]).  A
+          node that has fallen behind asks its peers for what they remember
+          of every slot from that seq on; it is answered, never flooded. *)
 
 val xdr : t Stellar_xdr.Xdr.codec
 
@@ -31,4 +36,5 @@ val wire : t -> wire
     reuses the size and hash it was built with. *)
 
 val kind_name : t -> string
-(** Short stable label ("envelope" | "txset" | "tx") for trace events. *)
+(** Short stable label ("envelope" | "txset" | "tx" | "getscpstate") for
+    trace events. *)

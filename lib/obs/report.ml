@@ -458,8 +458,8 @@ let closes trace =
   by_slot
 
 (* A node is "back in sync" at the first slot it closes no later than
-   [interval/2] after the fastest *other* node: straggler-helped old slots
-   close long after the network did and fail this test, while the first
+   [interval/2] after the fastest *other* node: old slots closed from
+   straggler help close long after the network did and fail this test, while the first
    live slot closes with the crowd (normal spread is milliseconds). *)
 let first_in_sync by_slot ~interval ~node ~after =
   let candidates =

@@ -130,8 +130,8 @@ val e2e_latency : Trace.t -> e2e
     [Catchup_begin] / [Catchup_done] / [Partition_begin] / [Partition_heal])
     plus close ([Apply_end]) timestamps.  A node counts as "back in sync"
     at its first close that lands within [interval/2] of the fastest other
-    node's close of the same ledger: straggler-helped old slots close long
-    after the network did and fail that test, catch-up replays emit no
+    node's close of the same ledger: old slots closed from straggler help
+    close long after the network did and fail that test, catch-up replays emit no
     close at all, and the first live ledger closes with the crowd.  A node
     that externalizes in step but never closes is not back. *)
 

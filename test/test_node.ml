@@ -131,8 +131,9 @@ let fault_tests =
            close agreed with the first close of its seq, so the minority's
            chain is a strict prefix of the majority's *)
         check int "minority chain is a prefix" 0 !conflicts;
-        (* heal the partition: peers help the stragglers finish the old
-           slots (the §6 fix), so the minority catches up ledger by ledger *)
+        (* heal the partition: once the minority externalizes a slot past
+           its next one, it asks its peers for the slots it missed (the §6
+           fix) and closes them from their answer *)
         Stellar_sim.Network.set_partition network (fun _ -> 0);
         Stellar_sim.Engine.run ~until:130.0 engine;
         check bool "minority caught up after heal" true (seq 3 >= seq 0 - 1);

@@ -256,10 +256,11 @@ let gen_tx_set_of n =
 let gen_tx_set () = gen_tx_set_of (Rng.int rng 4)
 
 let gen_message () =
-  match Rng.int rng 3 with
+  match Rng.int rng 4 with
   | 0 -> Stellar_node.Message.Envelope (gen_envelope ())
   | 1 -> Stellar_node.Message.Tx_set_msg (gen_tx_set ())
-  | _ -> Stellar_node.Message.Tx_msg (gen_signed ())
+  | 2 -> Stellar_node.Message.Tx_msg (gen_signed ())
+  | _ -> Stellar_node.Message.Get_scp_state (Rng.int rng 0x1_0000_0000)
 
 let gen_item () =
   {
@@ -610,10 +611,11 @@ let accounting_tests =
         let open Stellar_node.Message in
         for i = 1 to 30 do
           let m =
-            match i mod 3 with
+            match i mod 4 with
             | 0 -> Envelope (gen_envelope ())
             | 1 -> Tx_set_msg (gen_tx_set_of (Rng.int rng 300))
-            | _ -> Tx_msg (gen_signed ())
+            | 2 -> Tx_msg (gen_signed ())
+            | _ -> Get_scp_state (Rng.int rng 0x1_0000_0000)
           in
           let w = wire m and bytes = encode m in
           check int (kind_name m ^ " size") (String.length bytes) w.size;
@@ -814,6 +816,9 @@ let goldens : (string * string * string) list Lazy.t =
       ( "bucket item",
         hex (Xdr.encode Stellar_bucket.Bucket.item_xdr golden_item),
         "0000000000000004676f6e6500000000" );
+      ( "scp state ask",
+        hex (Stellar_node.Message.encode (Stellar_node.Message.Get_scp_state 0x0102_0304)),
+        "0000000301020304" );
     ]
 
 let () =
@@ -843,6 +848,17 @@ let golden_tests =
             Alcotest.(check string) "tx_hash = Tx.hash tx" (hex (Tx.hash s.Tx.tx))
               (hex s.Tx.tx_hash);
             Alcotest.(check string) "golden" golden_tx_hash (hex s.Tx.tx_hash));
+    (* a request comes from outside the node: only a uint32 seq under tag 3 *)
+    Alcotest.test_case "scp state ask decodes strictly" `Quick (fun () ->
+        let decodes s = Result.is_ok (Stellar_node.Message.decode s) in
+        Alcotest.(check bool) "tag 3" true (decodes "\x00\x00\x00\x03\xff\xff\xff\xff");
+        Alcotest.(check bool) "tag 4" false (decodes "\x00\x00\x00\x04\x00\x00\x00\x07");
+        Alcotest.(check bool) "a 64-bit seq" false
+          (decodes "\x00\x00\x00\x03\x00\x00\x00\x01\x00\x00\x00\x00");
+        Alcotest.(check bool) "no seq" false (decodes "\x00\x00\x00\x03");
+        Alcotest.check_raises "a seq past uint32 does not encode"
+          (Xdr.Error "Xdr.Writer.uint32: 4294967296 out of range") (fun () ->
+            ignore (Stellar_node.Message.encode (Stellar_node.Message.Get_scp_state 0x1_0000_0000))));
   ]
 
 (* ---------- archive blob round trip ---------- *)
