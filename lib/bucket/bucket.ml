@@ -73,10 +73,12 @@ let find t key =
   done;
   !found
 
-(* Merge-join of two sorted runs; on equal keys [newer] shadows [older]. *)
-let merge_runs newer older ~keep_tombstones =
+(* Merge-join of two sorted runs; on equal keys [newer] shadows [older].
+   The merged run is not hashed: [merge_runs] hashes it into a bucket, and
+   [live_view] needs only its items. *)
+let merge_items newer older ~keep_tombstones =
   let n = Array.length newer and m = Array.length older in
-  if n + m = 0 then empty
+  if n + m = 0 then [||]
   else begin
     let out = Array.make (n + m) (if n > 0 then newer.(0) else older.(0)) in
     let k = ref 0 in
@@ -113,9 +115,12 @@ let merge_runs newer older ~keep_tombstones =
         end
       end
     done;
-    let arr = if !k = n + m then out else Array.sub out 0 !k in
-    { items = arr; hash = compute_hash arr }
+    if !k = n + m then out else Array.sub out 0 !k
   end
+
+let merge_runs newer older ~keep_tombstones =
+  let arr = merge_items newer older ~keep_tombstones in
+  { items = arr; hash = compute_hash arr }
 
 (* While tombstones are kept, merging with an empty run changes nothing. *)
 let merge ~newer ~older ~keep_tombstones =
@@ -125,8 +130,18 @@ let merge ~newer ~older ~keep_tombstones =
 
 let merge_batch list ~older = merge_runs (sort_dedup list) older.items ~keep_tombstones:true
 
-let live_entries t =
-  Array.to_list t.items |> List.filter_map (fun it -> it.entry)
+(* Every merge keeps its tombstones, so a deletion shadows each older
+   version of its key, however deep; only the merged run drops them. *)
+let live_view buckets =
+  let merged =
+    List.fold_left
+      (fun acc b ->
+        if is_empty b then acc
+        else if Array.length acc = 0 then b.items
+        else merge_items acc b.items ~keep_tombstones:true)
+      [||] buckets
+  in
+  Array.fold_right (fun it acc -> match it.entry with Some e -> e :: acc | None -> acc) merged []
 
 (* Items are written in their canonical sorted order, so decoding rebuilds
    the identical array (and hash) without re-sorting.  Any other order, or

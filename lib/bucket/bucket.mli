@@ -39,4 +39,7 @@ val merge_batch : item list -> older:t -> t
     [merge ~newer:(of_items items) ~older ~keep_tombstones:true] without
     building or hashing the intermediate bucket. *)
 
-val live_entries : t -> Stellar_ledger.Entry.entry list
+val live_view : t list -> Stellar_ledger.Entry.entry list
+(** [live_view buckets], newest bucket first, is the live entries in key
+    order: of each key only the newest item counts, and a tombstone hides
+    the key in every older bucket.  No bucket is built or hashed. *)

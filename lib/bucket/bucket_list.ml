@@ -58,14 +58,7 @@ let find t key =
   in
   go 0
 
-let live_entries t =
-  (* Merge all levels newest-first, then keep live entries. *)
-  let merged =
-    Array.fold_left
-      (fun acc l -> Bucket.merge ~newer:acc ~older:l.bucket ~keep_tombstones:false)
-      Bucket.empty t.levels
-  in
-  Bucket.live_entries merged
+let live_entries t = Bucket.live_view (Array.to_list (Array.map (fun l -> l.bucket) t.levels))
 
 let diff_levels a b =
   let count t = Array.length t.levels in

@@ -37,7 +37,9 @@ val find : t -> Stellar_ledger.Entry.key -> Bucket.item option
 (** Newest-level match wins (may be a tombstone). *)
 
 val live_entries : t -> Stellar_ledger.Entry.entry list
-(** Reconstruct the full live ledger state (used in catchup). *)
+(** The full live ledger state, rebuilt for catch-up: the levels merged
+    newest first ({!Bucket.live_view}), so a tombstone hides every older
+    version of its key, in any deeper level. *)
 
 val diff_levels : t -> t -> int list
 (** Levels whose bucket hashes differ — the buckets a reconnecting node

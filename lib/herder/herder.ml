@@ -235,17 +235,35 @@ let apply_ledger ?memo ?(obs = Stellar_obs.Sink.null) ~prev state buckets (v : V
     && String.equal c.header.scp_value_hash (Value.hash v)
   in
   let shared m = Array.find_map (function Some c when same c -> Some c | _ -> None) m.ring in
+  (* A node on a lineage of its own (restarted, caught up) that reaches a
+     held close's header takes that close, and hits from its next ledger
+     on; one that reaches another header keeps its own close. *)
+  let rejoin own m =
+    let seq = own.header.Header.ledger_seq in
+    let hash = lazy (Header.hash own.header) in
+    Array.find_map
+      (function
+        | Some c
+          when c.header.Header.ledger_seq = seq
+               && String.equal (Header.hash c.header) (Lazy.force hash) ->
+            Some c
+        | _ -> None)
+      m.ring
+  in
   let c =
-    match Option.bind memo shared with
-    | Some c -> c
-    | None ->
-        let c = compute ~prev state buckets v ts in
-        Option.iter
-          (fun m ->
-            m.ring.(m.next) <- Some c;
-            m.next <- (m.next + 1) mod slots_to_remember)
-          memo;
-        c
+    match memo with
+    | None -> compute ~prev state buckets v ts
+    | Some m -> (
+        match shared m with
+        | Some c -> c
+        | None -> (
+            let own = compute ~prev state buckets v ts in
+            match rejoin own m with
+            | Some c -> c
+            | None ->
+                m.ring.(m.next) <- Some own;
+                m.next <- (m.next + 1) mod slots_to_remember;
+                own))
   in
   (* every node shows its own close, also one another node computed *)
   Apply.observe obs ~slot:(State.ledger_seq c.state) c.results;

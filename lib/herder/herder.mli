@@ -88,7 +88,10 @@ val apply_ledger :
     Returns the new state, bucket list and header, and the CPU seconds the
     close took when it was computed.  With [memo], a close computed from
     the same (by identity) [prev], state and bucket list, for a value and
-    tx set of equal hashes, is returned, not recomputed; either way [obs]
+    tx set of equal hashes, is returned, not recomputed.  Otherwise the
+    close is computed; when [memo] holds a close whose header hashes the
+    same, that close is returned instead (so the next ledger is shared),
+    and when it holds none, the new close is kept.  Either way [obs]
     sees this close's transactions and merges
     ({!Stellar_ledger.Apply.observe}, {!Stellar_bucket.Bucket_list.observe}). *)
 

@@ -176,30 +176,33 @@ let list_tests =
         check int "entries" (List.length (State.all_entries state))
           (List.length (Bucket_list.live_entries bl)));
     test_case "reconstruction matches incremental state" `Quick (fun () ->
-        (* apply random account updates both to a State and via batches;
-           live_entries must equal the state's entries *)
+        (* apply random account updates and deletions both to a State and
+           via batches; live_entries must equal the state's entries after
+           every batch *)
         let master = Stellar_crypto.Sha256.digest "m" in
         let state = ref (State.genesis ~master ~total_xlm:1_000_000 ()) in
         let bl = ref (Bucket_list.of_state !state) in
         let _, cleared = State.take_dirty !state in
         ignore cleared;
+        let entries l = List.map Entry.encode_entry l |> List.sort compare in
         for round = 1 to 25 do
           let a = acct (round mod 7) (round * 10) in
           state := State.put_account !state a;
+          (* every fifth batch deletes the account put four batches back,
+             whose older version the fourth batch's spill moved to level 1 *)
+          if round mod 5 = 0 then
+            state := State.remove_account !state (acct ((round - 4) mod 7) 0).Entry.id;
           let s', dirty = State.take_dirty !state in
           state := s';
           let batch =
             List.map (fun key -> { Bucket.key; entry = State.lookup s' key }) dirty
           in
-          bl := Bucket_list.add_batch !bl batch
-        done;
-        let from_bl =
-          Bucket_list.live_entries !bl |> List.map Entry.encode_entry |> List.sort compare
-        in
-        let from_state =
-          State.all_entries !state |> List.map Entry.encode_entry |> List.sort compare
-        in
-        check bool "same entries" true (from_bl = from_state));
+          bl := Bucket_list.add_batch !bl batch;
+          check bool
+            (Printf.sprintf "same entries after batch %d" round)
+            true
+            (entries (Bucket_list.live_entries !bl) = entries (State.all_entries !state))
+        done);
   ]
 
 (* ---- setup paths against their sort-based definitions ---- *)
