@@ -100,7 +100,7 @@ let catchup t =
         if archived && Header.verify_chain (back [ chk_header ] (seq - 1)) then Ok ()
         else Error "header chain broken"
       in
-      let entries = Stellar_bucket.Bucket_list.live_entries chk_buckets in
+      let entries = Array.of_list (Stellar_bucket.Bucket_list.live_entries chk_buckets) in
       let state =
         State.of_entries ~ledger_seq:seq ~close_time:chk_header.Header.close_time
           ~base_fee:chk_header.Header.base_fee ~base_reserve:chk_header.Header.base_reserve

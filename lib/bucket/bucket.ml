@@ -35,8 +35,8 @@ let strictly_sorted arr =
   from 1
 
 (* Sorted by key; of equal keys only the one latest in [list] is kept.  A
-   list already in strict key order (a state snapshot, a ledger's dirty
-   keys) is taken as it is. *)
+   list already in strict key order (a ledger's dirty keys) is taken as it
+   is. *)
 let sort_dedup list =
   let arr = Array.of_list list in
   if strictly_sorted arr then arr
@@ -56,6 +56,10 @@ let sort_dedup list =
 
 let of_items list =
   let arr = sort_dedup list in
+  { items = arr; hash = compute_hash arr }
+
+let of_sorted arr =
+  if not (strictly_sorted arr) then invalid_arg "Bucket.of_sorted: keys not strictly increasing";
   { items = arr; hash = compute_hash arr }
 
 let items t = Array.to_list t.items

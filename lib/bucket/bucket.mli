@@ -17,6 +17,12 @@ val size : t -> int
 val of_items : item list -> t
 (** Sorts and deduplicates by key (last write wins). *)
 
+val of_sorted : item array -> t
+(** [of_items] for a run already in strictly increasing key order, taken
+    as it is (the array becomes the bucket's own; do not mutate it):
+    checked and hashed, never sorted or copied.  Raises [Invalid_argument]
+    on any other order, a repeated key included. *)
+
 val items : t -> item list
 val hash : t -> string
 (** SHA-256 over the serialized run; the empty bucket hashes to a fixed

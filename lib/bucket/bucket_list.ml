@@ -85,14 +85,21 @@ let xdr =
       { levels = Array.of_list levels; spill_factor })
     Xdr.(pair uint32 (list ~max:64 level_xdr))
 
+(* The state visits its entries in strict key order: the bottom bucket's
+   run is filled from its maps directly, never listed or sorted. *)
 let of_state state =
-  let t = create () in
   let items =
-    List.map
-      (fun e -> { Bucket.key = Stellar_ledger.Entry.key_of_entry e; entry = Some e })
-      (Stellar_ledger.State.all_entries state)
+    Array.make (Stellar_ledger.State.entry_count state)
+      { Bucket.key = Stellar_ledger.Entry.Offer_key 0; entry = None }
   in
+  let i = ref 0 in
+  Stellar_ledger.State.iter_entries
+    (fun e ->
+      items.(!i) <- { Bucket.key = Stellar_ledger.Entry.key_of_entry e; entry = Some e };
+      incr i)
+    state;
+  let t = create () in
   let levels = Array.copy t.levels in
   let bottom = Array.length levels - 1 in
-  levels.(bottom) <- { bucket = Bucket.of_items items; fill = 0 };
+  levels.(bottom) <- { bucket = Bucket.of_sorted items; fill = 0 };
   { t with levels }

@@ -2,22 +2,33 @@ let name = "sim"
 
 type secret = string
 
-let registry : (string, string) Hashtbl.t = Hashtbl.create 64
+let registry : (string, string) Hashtbl.t ref = ref (Hashtbl.create 64)
 
 (* HMAC keys prepared on a public key's first verify.  Not in [keypair]:
    most generated keys (genesis accounts) never verify anything. *)
 let prepared : (string, Hmac.key) Hashtbl.t = Hashtbl.create 64
 
 let reset () =
-  Hashtbl.reset registry;
+  registry := Hashtbl.create 64;
   Hashtbl.reset prepared
+
+(* A table of b buckets grows past 2b bindings; one big enough for [n] more
+   takes them without rehashing once per doubling. *)
+let reserve n =
+  let t = !registry in
+  let want = Hashtbl.length t + n in
+  if 2 * (Hashtbl.stats t).Hashtbl.num_buckets < want then begin
+    let bigger = Hashtbl.create want in
+    Hashtbl.iter (Hashtbl.replace bigger) t;
+    registry := bigger
+  end
 
 let public_of_seed seed = Sha256.digest_list [ "sim-sig-public:"; seed ]
 
 let keypair ~seed =
   if String.length seed <> 32 then invalid_arg "Sim_sig: seed must be 32 bytes";
   let public = public_of_seed seed in
-  Hashtbl.replace registry public seed;
+  Hashtbl.replace !registry public seed;
   (seed, public)
 
 let raw_sign seed msg = Hmac.sha256 ~key:seed msg
@@ -34,7 +45,7 @@ let prepared_key public =
           let key = Hmac.prepare seed in
           Hashtbl.replace prepared public key;
           key)
-        (Hashtbl.find_opt registry public)
+        (Hashtbl.find_opt !registry public)
 
 let verify ~public ~msg ~signature =
   String.length signature = 64

@@ -13,3 +13,7 @@ include Sig_intf.SCHEME with type secret = string
 
 val reset : unit -> unit
 (** Clear the key registry (between independent simulations/tests). *)
+
+val reserve : int -> unit
+(** [reserve n] sizes the key registry for [n] more keys at once, so that
+    registering a large genesis rehashes it at most once. *)

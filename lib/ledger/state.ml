@@ -59,25 +59,6 @@ type t = {
   dirty : Entry.key list;  (* keys touched since the last take_dirty *)
 }
 
-let genesis ?(base_fee = 100) ?(base_reserve = 5_000_000) ?(protocol_version = 1) ~master
-    ~total_xlm () =
-  let root = Entry.new_account ~id:master ~balance:total_xlm ~seq_num:0 in
-  {
-    accounts = Account_map.singleton master root;
-    trustlines = Trust_map.empty;
-    offers = Offer_map.empty;
-    book = Pair_map.empty;
-    data_entries = Data_map.empty;
-    next_offer = 1;
-    ledger_seq = 1;
-    close_time = 0;
-    base_fee;
-    base_reserve;
-    protocol_version;
-    fee_pool = 0;
-    dirty = [];
-  }
-
 let ledger_seq t = t.ledger_seq
 let close_time t = t.close_time
 let base_fee t = t.base_fee
@@ -206,9 +187,20 @@ let all_entries t =
   |> cons_down Trust_map.to_rev_seq (fun tl -> Entry.Trustline_entry tl) t.trustlines
   |> cons_down Account_map.to_rev_seq (fun a -> Entry.Account_entry a) t.accounts
 
+(* In key order, by the same ranking. *)
+let iter_entries f t =
+  Account_map.iter (fun _ a -> f (Entry.Account_entry a)) t.accounts;
+  Trust_map.iter (fun _ tl -> f (Entry.Trustline_entry tl)) t.trustlines;
+  Offer_map.iter (fun _ o -> f (Entry.Offer_entry o)) t.offers;
+  Data_map.iter (fun _ d -> f (Entry.Data_entry d)) t.data_entries
+
+let entry_count t =
+  Account_map.cardinal t.accounts + Trust_map.cardinal t.trustlines
+  + Offer_map.cardinal t.offers + Data_map.cardinal t.data_entries
+
 let snapshot_hash t =
   let ctx = Stellar_crypto.Sha256.init () in
-  List.iter (fun e -> Stellar_crypto.Sha256.update ctx (Entry.encode_entry e)) (all_entries t);
+  iter_entries (fun e -> Stellar_crypto.Sha256.update ctx (Entry.encode_entry e)) t;
   Stellar_crypto.Sha256.final ctx
 
 let total_native t =
@@ -297,33 +289,89 @@ let take_dirty t =
 
 let id_pool t = t.next_offer
 
+(* [map_of_run (empty, singleton, union) binding lo hi] is the map of the
+   bindings at [lo, hi), whose keys strictly increase.  Halves of such a
+   run are disjoint and ordered, so each union only joins them and the
+   build takes linear time, where adding the keys one by one path-copies
+   for each. *)
+let rec map_of_run ((empty, singleton, union) as m) binding lo hi =
+  if hi = lo then empty
+  else if hi - lo = 1 then
+    let k, v = binding lo in
+    singleton k v
+  else
+    let mid = lo + ((hi - lo) / 2) in
+    union (fun _ _ _ -> assert false) (map_of_run m binding lo mid) (map_of_run m binding mid hi)
+
+let rank = function
+  | Entry.Account_entry _ -> 0
+  | Entry.Trustline_entry _ -> 1
+  | Entry.Offer_entry _ -> 2
+  | Entry.Data_entry _ -> 3
+
 let of_entries ~ledger_seq ~close_time ~base_fee ~base_reserve ~protocol_version ~fee_pool
     ~id_pool entries =
-  let empty =
-    {
-      accounts = Account_map.empty;
-      trustlines = Trust_map.empty;
-      offers = Offer_map.empty;
-      book = Pair_map.empty;
-      data_entries = Data_map.empty;
-      next_offer = id_pool;
-      ledger_seq;
-      close_time;
-      base_fee;
-      base_reserve;
-      protocol_version;
-      fee_pool;
-      dirty = [];
-    }
+  let n = Array.length entries in
+  let key i = Entry.key_of_entry entries.(i) in
+  for i = 1 to n - 1 do
+    if Entry.compare_key (key (i - 1)) (key i) >= 0 then
+      invalid_arg "State.of_entries: entries not in strict key order"
+  done;
+  (* Key order ranks the kinds, so each kind is one run of [entries]. *)
+  let run_end r lo =
+    let i = ref lo in
+    while !i < n && rank entries.(!i) = r do
+      incr i
+    done;
+    !i
   in
-  let state =
-    List.fold_left
-      (fun state e ->
-        match e with
-        | Entry.Account_entry a -> put_account state a
-        | Entry.Trustline_entry tl -> put_trustline state tl
-        | Entry.Offer_entry o -> put_offer state o
-        | Entry.Data_entry d -> put_data state d)
-      empty entries
+  let a_end = run_end 0 0 in
+  let t_end = run_end 1 a_end in
+  let o_end = run_end 2 t_end in
+  let offers =
+    map_of_run
+      (Offer_map.empty, Offer_map.singleton, Offer_map.union)
+      (fun i ->
+        match entries.(i) with Entry.Offer_entry o -> (o.Entry.offer_id, o) | _ -> assert false)
+      t_end o_end
   in
-  { state with dirty = [] }
+  {
+    accounts =
+      map_of_run
+        (Account_map.empty, Account_map.singleton, Account_map.union)
+        (fun i ->
+          match entries.(i) with Entry.Account_entry a -> (a.Entry.id, a) | _ -> assert false)
+        0 a_end;
+    trustlines =
+      map_of_run
+        (Trust_map.empty, Trust_map.singleton, Trust_map.union)
+        (fun i ->
+          match entries.(i) with
+          | Entry.Trustline_entry tl -> ((tl.Entry.account, tl.Entry.asset), tl)
+          | _ -> assert false)
+        a_end t_end;
+    offers;
+    book = Offer_map.fold (fun _ o book -> book_add book o) offers Pair_map.empty;
+    data_entries =
+      map_of_run
+        (Data_map.empty, Data_map.singleton, Data_map.union)
+        (fun i ->
+          match entries.(i) with
+          | Entry.Data_entry d -> ((d.Entry.owner, d.Entry.name), d)
+          | _ -> assert false)
+        o_end n;
+    next_offer = id_pool;
+    ledger_seq;
+    close_time;
+    base_fee;
+    base_reserve;
+    protocol_version;
+    fee_pool;
+    dirty = [];
+  }
+
+let genesis ?(base_fee = 100) ?(base_reserve = 5_000_000) ?(protocol_version = 1) ~master
+    ~total_xlm () =
+  of_entries ~ledger_seq:1 ~close_time:0 ~base_fee ~base_reserve ~protocol_version ~fee_pool:0
+    ~id_pool:1
+    [| Entry.Account_entry (Entry.new_account ~id:master ~balance:total_xlm ~seq_num:0) |]

@@ -69,7 +69,15 @@ val remove_data : t -> Entry.account_id -> string -> t
 (* ---- whole-ledger views ---- *)
 
 val all_entries : t -> Entry.entry list
-(** Sorted by key; feeds snapshot hashing and the bucket list. *)
+(** Every entry, sorted by key. *)
+
+val iter_entries : (Entry.entry -> unit) -> t -> unit
+(** [f] on every entry in key order, as {!all_entries} lists them, with no
+    list built; feeds snapshot hashing and the bucket list's bottom
+    bucket. *)
+
+val entry_count : t -> int
+(** The number of entries {!iter_entries} visits. *)
 
 val lookup : t -> Entry.key -> Entry.entry option
 
@@ -99,10 +107,17 @@ val of_entries :
   protocol_version:int ->
   fee_pool:int ->
   id_pool:int ->
-  Entry.entry list ->
+  Entry.entry array ->
   t
-(** Rebuild a state from a full entry snapshot plus the header-carried
-    counters — the catchup path of {!Stellar_archive}. *)
+(** Build a state from a full entry snapshot plus the header-carried
+    counters.  The entries must be in strictly increasing
+    {!Entry.compare_key} order of their keys, as {!all_entries} lists
+    them; anything else, a repeated key included, raises
+    [Invalid_argument].  Each map is then built from its run in linear
+    time, with an empty dirty log.  Its callers: {!genesis} and
+    [Genesis.make] (the genesis ledger, sorted by account id) and
+    [Archive.catchup] (a checkpoint's live entries, which the bucket list
+    yields in key order). *)
 
 val check_integrity : t -> (unit, string) result
 (** Structural invariants: non-negative balances, trustline balance within

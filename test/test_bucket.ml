@@ -45,6 +45,20 @@ let bucket_tests =
         check int "tombstone dropped at bottom" 0 (Bucket.size dropped));
     test_case "find on empty" `Quick (fun () ->
         check bool "none" true (Bucket.find Bucket.empty (Entry.Offer_key 1) = None));
+    test_case "of_sorted refuses unsorted input and a repeated key" `Quick (fun () ->
+        let refused items =
+          match Bucket.of_sorted (Array.of_list items) with
+          | _ -> false
+          | exception Invalid_argument _ -> true
+        in
+        let sorted = Bucket.items (Bucket.of_items [ item_of 1 1; item_of 2 1; item_of 3 1 ]) in
+        check bool "sorted taken" false (refused sorted);
+        check bool "reversed" true (refused (List.rev sorted));
+        check bool "repeated key" true (refused [ List.hd sorted; List.hd sorted ]);
+        check bool "repeated key, other entry" true
+          (refused [ List.hd sorted; { (List.hd sorted) with Bucket.entry = None } ]);
+        check bool "empty hashes as empty" true
+          (Bucket.hash (Bucket.of_sorted [||]) = Bucket.hash Bucket.empty));
   ]
 
 let bucket_prop =
@@ -304,6 +318,31 @@ let setup_props =
         = List.sort
             (fun a b -> Entry.compare_key (Entry.key_of_entry a) (Entry.key_of_entry b))
             model);
+    QCheck.Test.make ~name:"of_sorted is of_items on a strict run and refuses the rest"
+      ~count:300 shaped_items_arb (fun items ->
+        let by_key a b = Entry.compare_key a.Bucket.key b.Bucket.key in
+        let strict = items = List.sort_uniq by_key items in
+        match Bucket.of_sorted (Array.of_list items) with
+        | b ->
+            let reference = Bucket.of_items items in
+            strict
+            && Bucket.items b = Bucket.items reference
+            && String.equal (Bucket.hash b) (Bucket.hash reference)
+        | exception Invalid_argument _ -> not strict);
+    (* the route [of_state] took before: every entry listed, made an item
+       and sorted by [of_items] into the bottom of ten levels *)
+    QCheck.Test.make ~name:"of_state hashes as of_items over all_entries" ~count:300 state_arb
+      (fun (state, _) ->
+        let items =
+          List.map
+            (fun e -> { Bucket.key = Entry.key_of_entry e; entry = Some e })
+            (State.all_entries state)
+        in
+        let empty = Bucket.hash Bucket.empty in
+        String.equal
+          (Bucket_list.hash (Bucket_list.of_state state))
+          (Stellar_crypto.Sha256.digest_list
+             (List.init 9 (fun _ -> empty) @ [ Bucket.hash (Bucket.of_items items) ])));
   ]
 
 (* ---- lists grown apart ---- *)

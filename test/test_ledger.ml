@@ -1337,6 +1337,160 @@ let fuzz_tests =
            true));
   ]
 
+(* ---- State.of_entries against a build by puts ---- *)
+
+let build_header f =
+  f ~ledger_seq:7 ~close_time:70 ~base_fee:100 ~base_reserve:10 ~protocol_version:1
+    ~fee_pool:5 ~id_pool:40
+
+let by_key a b = Entry.compare_key (Entry.key_of_entry a) (Entry.key_of_entry b)
+
+(* A consistent ledger of every entry kind: trustlines, offers and data of
+   up to six owners (offer ids unique, last write wins), and an account for
+   each owner counting its sub-entries.  The entries come out shuffled. *)
+let ledger_entries_arb =
+  let owner i = Stellar_crypto.Sha256.digest (Printf.sprintf "owner%d" i) in
+  let asset i =
+    if i = 0 then Asset.native
+    else Asset.credit ~code:(Printf.sprintf "C%d" (i mod 3)) ~issuer:(owner (i mod 2))
+  in
+  QCheck.(
+    map
+      (fun (ops, seed) ->
+        let subs = Hashtbl.create 16 in
+        let put entry = Hashtbl.replace subs (Entry.encode_key (Entry.key_of_entry entry)) entry in
+        List.iter
+          (fun (kind, i, v) ->
+            match kind with
+            | 0 ->
+                put
+                  (Entry.Trustline_entry
+                     {
+                       Entry.account = owner i;
+                       asset = asset (1 + v);
+                       tl_balance = v;
+                       limit = 1000;
+                       authorized = true;
+                     })
+            | 1 ->
+                put
+                  (Entry.Offer_entry
+                     {
+                       Entry.offer_id = (7 * i) + v;
+                       seller = owner i;
+                       selling = asset v;
+                       buying = asset ((v + 1 + i) mod 4);
+                       amount = 1 + v;
+                       price = Price.make ~n:(1 + ((i * v) mod 5)) ~d:3;
+                       passive = false;
+                     })
+            | _ ->
+                put
+                  (Entry.Data_entry
+                     { Entry.owner = owner i; name = Printf.sprintf "n%d" v; value = "x" }))
+          ops;
+        let subs = Hashtbl.fold (fun _ e acc -> e :: acc) subs [] in
+        let count id =
+          List.length
+            (List.filter
+               (function
+                 | Entry.Trustline_entry tl -> tl.Entry.account = id
+                 | Entry.Offer_entry o -> o.Entry.seller = id
+                 | Entry.Data_entry d -> d.Entry.owner = id
+                 | Entry.Account_entry _ -> false)
+               subs)
+        in
+        let accounts =
+          List.init 6 (fun i ->
+              Entry.Account_entry
+                {
+                  (Entry.new_account ~id:(owner i) ~balance:(1000 * (i + 1)) ~seq_num:i) with
+                  Entry.num_sub_entries = count (owner i);
+                })
+        in
+        let entries = Array.of_list (accounts @ subs) in
+        let rng = Random.State.make [| seed |] in
+        for i = Array.length entries - 1 downto 1 do
+          let j = Random.State.int rng (i + 1) in
+          let e = entries.(i) in
+          entries.(i) <- entries.(j);
+          entries.(j) <- e
+        done;
+        Array.to_list entries)
+      (pair
+         (list_of_size (Gen.int_range 0 50) (triple (int_bound 2) (int_bound 5) (int_bound 5)))
+         int))
+
+(* The reference: every entry put, in the given order, into an empty state. *)
+let put_all entries =
+  let state =
+    List.fold_left
+      (fun state e ->
+        match e with
+        | Entry.Account_entry a -> State.put_account state a
+        | Entry.Trustline_entry tl -> State.put_trustline state tl
+        | Entry.Offer_entry o -> State.put_offer state o
+        | Entry.Data_entry d -> State.put_data state d)
+      (build_header State.of_entries [||])
+      entries
+  in
+  fst (State.take_dirty state)
+
+let pairs_of entries =
+  List.sort_uniq compare
+    (List.filter_map
+       (function
+         | Entry.Offer_entry o -> Some (o.Entry.selling, o.Entry.buying)
+         | _ -> None)
+       entries)
+
+let of_entries_tests =
+  let open Alcotest in
+  let sorted entries = Array.of_list (List.sort by_key entries) in
+  let raises entries =
+    match build_header State.of_entries entries with
+    | _ -> false
+    | exception Invalid_argument _ -> true
+  in
+  [
+    QCheck_alcotest.to_alcotest
+      (QCheck.Test.make ~name:"of_entries equals a build by puts" ~count:200 ledger_entries_arb
+         (fun entries ->
+           let built = build_header State.of_entries (sorted entries) in
+           let reference = put_all entries in
+           State.all_entries built = State.all_entries reference
+           && String.equal (State.snapshot_hash built) (State.snapshot_hash reference)
+           && List.for_all
+                (fun (selling, buying) ->
+                  State.best_offers built ~selling ~buying
+                  = State.best_offers reference ~selling ~buying)
+                (pairs_of entries)
+           && State.check_integrity built = Ok ()
+           && snd (State.take_dirty built) = []
+           && State.id_pool built = 40
+           && State.fee_pool built = 5));
+    QCheck_alcotest.to_alcotest
+      (QCheck.Test.make ~name:"of_entries refuses what is not in strict key order" ~count:200
+         ledger_entries_arb (fun entries ->
+           let arr = Array.of_list entries in
+           let ordered = arr = sorted entries in
+           raises arr = not ordered
+           && (Array.length arr = 0 || raises (Array.append arr [| arr.(0) |]))));
+    test_case "of_entries refuses a repeated key and a swapped pair" `Quick (fun () ->
+        let a ?(balance = 1) c =
+          Entry.Account_entry (Entry.new_account ~id:(String.make 32 c) ~balance ~seq_num:0)
+        in
+        check bool "ordered" false (raises [| a 'a'; a 'b' |]);
+        check bool "swapped" true (raises [| a 'b'; a 'a' |]);
+        check bool "repeated" true (raises [| a 'a'; a 'a' |]);
+        check bool "repeated key, other entry" true (raises [| a 'a'; a ~balance:2 'a' |]);
+        check bool "kinds out of order" true
+          (raises
+             [|
+               Entry.Data_entry { Entry.owner = String.make 32 'a'; name = "n"; value = "v" }; a 'b';
+             |]));
+  ]
+
 let () =
   Alcotest.run "ledger"
     [
@@ -1351,4 +1505,5 @@ let () =
       ("conservation", conservation_tests);
       ("txset", txset_tests);
       ("price-props", price_tests);
+      ("state-build", of_entries_tests);
     ]

@@ -979,6 +979,21 @@ let topo_tests =
           = List.length
               (List.sort_uniq String.compare
                  (Array.to_list (Array.map (fun a -> a.Genesis.public) accounts)))));
+    test_case "genesis of 1000 accounts hashes to its pinned values" `Quick (fun () ->
+        (* the sorted one-pass build must reproduce, byte for byte, the
+           ledger the insertion-built genesis gave *)
+        let state, accounts = Genesis.make ~n_accounts:1000 () in
+        let hex = Stellar_crypto.Hex.encode in
+        check string "bucket-list hash"
+          "d0e30fefd1dfe19d95eac3cd81d394369cb245f0bb9f4d16babf1d4ebb91403c"
+          (hex (Stellar_bucket.Bucket_list.hash (Stellar_bucket.Bucket_list.of_state state)));
+        check string "snapshot hash"
+          "e1e6ff6702f9035ca9d2b8a27c50d9e9c361a1baa83f93de495526e23ab8b2b3"
+          (hex (Stellar_ledger.State.snapshot_hash state));
+        check string "account 0's key"
+          "2d1edd29df9900d4680bf929bc7be263b38fe13f52a747c18aef9f479f1a8b33"
+          (hex accounts.(0).Genesis.public);
+        check int "accounts in index order" 999 accounts.(999).Genesis.name);
   ]
 
 
