@@ -214,13 +214,9 @@ let bump_to_ballot t bal =
     stop_timer t;
     let obs = t.driver.Driver.obs in
     Stellar_obs.Registry.incr t.driver.Driver.metrics.Driver.ballot_bump;
-    if Stellar_obs.Sink.tracing obs then begin
+    if Stellar_obs.Sink.tracing obs then
       Stellar_obs.Sink.emit obs
         (Stellar_obs.Event.Ballot_bump { slot = t.slot; counter = bal.counter });
-      if first then
-        Stellar_obs.Sink.emit obs
-          (Stellar_obs.Event.First_vote { slot = t.slot; counter = bal.counter })
-    end;
     if first then t.driver.Driver.started_ballot ~slot:t.slot
   end
 

@@ -57,17 +57,17 @@ let ballot_xdr =
 
 let pledge_xdr =
   let open Xdr in
-  let value = str () in
+  let values = list (str ()) and opt_ballot = option ballot_xdr in
   union
     ~tag:(function Nominate _ -> 0 | Prepare _ -> 1 | Confirm _ -> 2 | Externalize _ -> 3)
     ~write_arm:(fun w -> function
       | Nominate n ->
-          (list value).write w n.votes;
-          (list value).write w n.accepted
+          values.write w n.votes;
+          values.write w n.accepted
       | Prepare p ->
           ballot_xdr.write w p.ballot;
-          (option ballot_xdr).write w p.prepared;
-          (option ballot_xdr).write w p.prepared_prime;
+          opt_ballot.write w p.prepared;
+          opt_ballot.write w p.prepared_prime;
           Writer.hyper w p.n_c;
           Writer.hyper w p.n_h
       | Confirm c ->
@@ -81,13 +81,13 @@ let pledge_xdr =
     ~read_arm:(fun tag r ->
       match tag with
       | 0 ->
-          let votes = (list value).read r in
-          let accepted = (list value).read r in
+          let votes = values.read r in
+          let accepted = values.read r in
           Nominate { votes; accepted }
       | 1 ->
           let ballot = ballot_xdr.read r in
-          let prepared = (option ballot_xdr).read r in
-          let prepared_prime = (option ballot_xdr).read r in
+          let prepared = opt_ballot.read r in
+          let prepared_prime = opt_ballot.read r in
           let n_c = Reader.hyper r in
           let n_h = Reader.hyper r in
           Prepare { ballot; prepared; prepared_prime; n_c; n_h }

@@ -365,23 +365,12 @@ let drop_stale t =
 
 let rec close_ledger t slot (v : Value.t) ts =
   let txs = Tx_set.txs ts in
-  (* Apply_begin/Apply_end carry tx/op counts at the (single) simulated
-     instant of application; CPU time goes to the ledger.apply_ms
-     histogram, keeping the trace deterministic. *)
-  if Stellar_obs.Sink.tracing t.obs then begin
-    (* the network decided this slot: every tx in the winning set is
-       externalized at this node's close instant *)
-    List.iter
-      (fun signed ->
-        Stellar_obs.Sink.emit t.obs
-          (Stellar_obs.Event.Tx_externalized { tx = signed.Tx.tx_hash; slot }))
-      txs;
-    Stellar_obs.Sink.emit t.obs
-      (Stellar_obs.Event.Apply_begin { slot; txs = Tx_set.tx_count ts; ops = Tx_set.op_count ts })
-  end;
   let state, buckets, header, apply_s =
     apply_ledger ?memo:t.memo ~obs:t.obs ~prev:t.tip t.state t.buckets v ts
   in
+  (* Apply_end carries tx/op counts at the (single) simulated instant of
+     application; CPU time goes to the ledger.apply_ms histogram, keeping
+     the trace deterministic. *)
   if Stellar_obs.Sink.tracing t.obs then
     Stellar_obs.Sink.emit t.obs
       (Stellar_obs.Event.Apply_end { slot; txs = Tx_set.tx_count ts; ops = Tx_set.op_count ts });
@@ -434,12 +423,6 @@ and trigger_next_ledger t =
       Tx_queue.candidates t.queue ~state:t.state ~max_ops:t.config.max_ops_per_ledger
     in
     let ts = Tx_set.make ~prev_header_hash:(prev_header_hash t) txs in
-    if Stellar_obs.Sink.tracing t.obs then
-      List.iter
-        (fun signed ->
-          Stellar_obs.Sink.emit t.obs
-            (Stellar_obs.Event.Tx_in_txset { tx = signed.Tx.tx_hash; slot }))
-        txs;
     (* held as a received set is: envelopes may already wait for it, since
        an empty set is the same at every node *)
     receive_tx_set t ts;

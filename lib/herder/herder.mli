@@ -14,9 +14,9 @@ type ledger_stats = {
   tx_set : Tx_set.t;  (** the set the value names, as applied *)
   buckets : Stellar_bucket.Bucket_list.t;  (** the bucket list after the close *)
   nomination_s : float;  (** virtual time: nomination start → first ballot *)
-  balloting_s : float;  (** virtual time: first ballot → externalize *)
+  balloting_s : float;  (** virtual time: first ballot → this node's close *)
   apply_s : float;  (** real CPU time of the close, when first computed *)
-  total_s : float;  (** virtual time: trigger → externalize *)
+  total_s : float;  (** virtual time: trigger → this node's close *)
 }
 (** One closed ledger: its header, value and tx set are the record an
     archive stores and catch-up replays through {!apply_ledger}. *)
@@ -113,11 +113,10 @@ val create :
     archive (§5.4) rather than from ledger 1: the next close links to it.
     The herder keeps only its last closed header, never the whole chain.
     [obs] (default disabled) instruments the whole close path: it is handed
-    to the SCP driver (which emits the slot events, [First_vote] included),
-    ledger apply and bucket merges, and the herder itself emits
-    [Apply_begin]/[Apply_end] events, the per-transaction
-    lifecycle events ([Tx_submit], [Tx_in_txset], [Tx_externalized],
-    [Tx_dropped]; [Tx_applied] comes from ledger apply), plus the
+    to the SCP driver (which emits the slot events), ledger apply and
+    bucket merges, and the herder itself emits [Apply_end] events, the
+    per-transaction lifecycle events [Tx_submit] and [Tx_dropped]
+    ([Tx_applied] comes from ledger apply), plus the
     [ledger.apply_ms] CPU histogram and [herder.queue.size] gauge.
     [memo] (default none) is {!apply_ledger}'s and {!verify_envelope}'s;
     {!catch_up} keeps it. *)

@@ -28,6 +28,7 @@ let upgrade_xdr =
 
 let xdr =
   let open Xdr in
+  let upgrades_xdr = list ~max:16 upgrade_xdr in
   {
     write =
       (fun w v ->
@@ -37,12 +38,12 @@ let xdr =
         let upgrades =
           List.sort (fun a b -> Int.compare (upgrade_tag a) (upgrade_tag b)) v.upgrades
         in
-        (list ~max:16 upgrade_xdr).write w upgrades);
+        upgrades_xdr.write w upgrades);
     read =
       (fun r ->
         let tx_set_hash = Reader.opaque_var r () in
         let close_time = Reader.hyper r in
-        let upgrades = (list ~max:16 upgrade_xdr).read r in
+        let upgrades = upgrades_xdr.read r in
         (* strictly increasing tags, as the writer emits them: any other
            order or a repeated tag would be a second encoding of a value *)
         let rec canonical = function

@@ -144,6 +144,7 @@ let key_xdr =
 
 let account_xdr =
   let open Xdr in
+  let signers_xdr = list signer_xdr and inflation_dest_xdr = option (str ()) in
   {
     write =
       (fun w a ->
@@ -153,9 +154,9 @@ let account_xdr =
         Writer.hyper w a.num_sub_entries;
         flags_xdr.write w a.flags;
         thresholds_xdr.write w a.thresholds;
-        (list signer_xdr).write w a.signers;
+        signers_xdr.write w a.signers;
         Writer.opaque_var w a.home_domain;
-        (option (str ())).write w a.inflation_dest);
+        inflation_dest_xdr.write w a.inflation_dest);
     read =
       (fun r ->
         let id = Reader.opaque_var r () in
@@ -164,9 +165,9 @@ let account_xdr =
         let num_sub_entries = Reader.hyper r in
         let flags = flags_xdr.read r in
         let thresholds = thresholds_xdr.read r in
-        let signers = (list signer_xdr).read r in
+        let signers = signers_xdr.read r in
         let home_domain = Reader.opaque_var r () in
-        let inflation_dest = (option (str ())).read r in
+        let inflation_dest = inflation_dest_xdr.read r in
         { id; balance; seq_num; num_sub_entries; flags; thresholds; signers;
           home_domain; inflation_dest });
   }

@@ -20,6 +20,7 @@ module Xdr = Stellar_xdr.Xdr
 
 let xdr =
   let open Xdr in
+  let skip_list_xdr = list ~max:4 (str ()) in
   {
     write =
       (fun w h ->
@@ -35,7 +36,7 @@ let xdr =
         Writer.hyper w h.protocol_version;
         Writer.hyper w h.fee_pool;
         Writer.hyper w h.id_pool;
-        (list ~max:4 (str ())).write w h.skip_list);
+        skip_list_xdr.write w h.skip_list);
     read =
       (fun r ->
         let ledger_seq = Reader.hyper r in
@@ -50,7 +51,7 @@ let xdr =
         let protocol_version = Reader.hyper r in
         let fee_pool = Reader.hyper r in
         let id_pool = Reader.hyper r in
-        let skip_list = (list ~max:4 (str ())).read r in
+        let skip_list = skip_list_xdr.read r in
         { ledger_seq; prev_hash; scp_value_hash; tx_set_hash; results_hash; snapshot_hash;
           close_time; base_fee; base_reserve; protocol_version; fee_pool; id_pool; skip_list });
   }

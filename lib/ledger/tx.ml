@@ -119,6 +119,8 @@ let body_tag = function
 let body_xdr =
   let open Xdr in
   let acct = str () in
+  let path_xdr = list ~max:5 Asset.xdr and opt_hyper = option hyper and opt_bool = option bool in
+  let opt_str = option (str ()) and opt_signer = option signer_update_xdr in
   union ~tag:body_tag
     ~write_arm:(fun w -> function
       | Create_account { destination; starting_balance } ->
@@ -134,7 +136,7 @@ let body_xdr =
           acct.write w destination;
           Asset.xdr.write w dest_asset;
           Writer.hyper w dest_amount;
-          (list ~max:5 Asset.xdr).write w path
+          path_xdr.write w path
       | Manage_offer { offer_id; selling; buying; amount; price; passive } ->
           Writer.hyper w offer_id;
           Asset.xdr.write w selling;
@@ -143,15 +145,15 @@ let body_xdr =
           Price.xdr.write w price;
           Writer.bool w passive
       | Set_options o ->
-          (option hyper).write w o.master_weight;
-          (option hyper).write w o.low;
-          (option hyper).write w o.medium;
-          (option hyper).write w o.high;
-          (option signer_update_xdr).write w o.signer;
-          (option (str ())).write w o.home_domain;
-          (option bool).write w o.set_auth_required;
-          (option bool).write w o.set_auth_revocable;
-          (option bool).write w o.set_auth_immutable
+          opt_hyper.write w o.master_weight;
+          opt_hyper.write w o.low;
+          opt_hyper.write w o.medium;
+          opt_hyper.write w o.high;
+          opt_signer.write w o.signer;
+          opt_str.write w o.home_domain;
+          opt_bool.write w o.set_auth_required;
+          opt_bool.write w o.set_auth_revocable;
+          opt_bool.write w o.set_auth_immutable
       | Change_trust { asset; limit } ->
           Asset.xdr.write w asset;
           Writer.hyper w limit
@@ -162,7 +164,7 @@ let body_xdr =
       | Account_merge { destination } -> acct.write w destination
       | Manage_data { name; value } ->
           Writer.opaque_var w name;
-          (option (str ())).write w value
+          opt_str.write w value
       | Bump_sequence { bump_to } -> Writer.hyper w bump_to
       | Set_inflation_dest { dest } -> acct.write w dest
       | Inflation -> ())
@@ -183,7 +185,7 @@ let body_xdr =
           let destination = acct.read r in
           let dest_asset = Asset.xdr.read r in
           let dest_amount = Reader.hyper r in
-          let path = (list ~max:5 Asset.xdr).read r in
+          let path = path_xdr.read r in
           Path_payment { send_asset; send_max; destination; dest_asset; dest_amount; path }
       | 3 ->
           let offer_id = Reader.hyper r in
@@ -194,15 +196,15 @@ let body_xdr =
           let passive = Reader.bool r in
           Manage_offer { offer_id; selling; buying; amount; price; passive }
       | 4 ->
-          let master_weight = (option hyper).read r in
-          let low = (option hyper).read r in
-          let medium = (option hyper).read r in
-          let high = (option hyper).read r in
-          let signer = (option signer_update_xdr).read r in
-          let home_domain = (option (str ())).read r in
-          let set_auth_required = (option bool).read r in
-          let set_auth_revocable = (option bool).read r in
-          let set_auth_immutable = (option bool).read r in
+          let master_weight = opt_hyper.read r in
+          let low = opt_hyper.read r in
+          let medium = opt_hyper.read r in
+          let high = opt_hyper.read r in
+          let signer = opt_signer.read r in
+          let home_domain = opt_str.read r in
+          let set_auth_required = opt_bool.read r in
+          let set_auth_revocable = opt_bool.read r in
+          let set_auth_immutable = opt_bool.read r in
           Set_options
             { master_weight; low; medium; high; signer; home_domain; set_auth_required;
               set_auth_revocable; set_auth_immutable }
@@ -218,7 +220,7 @@ let body_xdr =
       | 7 -> Account_merge { destination = acct.read r }
       | 8 ->
           let name = Reader.opaque_var r () in
-          let value = (option (str ())).read r in
+          let value = opt_str.read r in
           Manage_data { name; value }
       | 9 -> Bump_sequence { bump_to = Reader.hyper r }
       | 10 -> Set_inflation_dest { dest = acct.read r }
@@ -233,23 +235,24 @@ let operation_xdr =
 
 let xdr =
   let open Xdr in
+  let opt_time_bounds = option time_bounds_xdr and operations_xdr = list ~max:100 operation_xdr in
   {
     write =
       (fun w tx ->
         Writer.opaque_var w tx.source;
         Writer.hyper w tx.fee;
         Writer.hyper w tx.seq_num;
-        (option time_bounds_xdr).write w tx.time_bounds;
+        opt_time_bounds.write w tx.time_bounds;
         memo_xdr.write w tx.memo;
-        (list ~max:100 operation_xdr).write w tx.operations);
+        operations_xdr.write w tx.operations);
     read =
       (fun r ->
         let source = Reader.opaque_var r () in
         let fee = Reader.hyper r in
         let seq_num = Reader.hyper r in
-        let time_bounds = (option time_bounds_xdr).read r in
+        let time_bounds = opt_time_bounds.read r in
         let memo = memo_xdr.read r in
-        let operations = (list ~max:100 operation_xdr).read r in
+        let operations = operations_xdr.read r in
         { source; fee; seq_num; time_bounds; memo; operations });
   }
 

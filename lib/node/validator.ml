@@ -144,13 +144,7 @@ let handle t ~src ~info (w : Message.wire) =
         (match msg with
         | Message.Envelope env -> Stellar_herder.Herder.receive_envelope t.herder env
         | Message.Tx_set_msg ts -> Stellar_herder.Herder.receive_tx_set t.herder ts
-        | Message.Tx_msg signed ->
-            (* first sight of a transaction at this node: a tx-lifecycle mark
-               for the flood-propagation view (the origin emits its own in
-               broadcast_tx) *)
-            if Obs.Sink.tracing t.obs then
-              Obs.Sink.emit t.obs (Obs.Event.Tx_flooded { tx = signed.Stellar_ledger.Tx.tx_hash });
-            ignore (Stellar_herder.Herder.receive_tx t.herder signed)
+        | Message.Tx_msg signed -> ignore (Stellar_herder.Herder.receive_tx t.herder signed)
         | Message.Get_scp_state _ -> () (* answered above *));
         flood t ~except:src w
     | msg ->
@@ -189,12 +183,7 @@ let rec callbacks_for ~engine ~gen get_t =
       broadcast_tx =
         (fun signed ->
           let v = get_t () in
-          if v.generation = gen then begin
-            if Obs.Sink.tracing v.obs then
-              Obs.Sink.emit v.obs
-                (Obs.Event.Tx_flooded { tx = signed.Stellar_ledger.Tx.tx_hash });
-            flood v ~force:true (Message.wire (Message.Tx_msg signed))
-          end);
+          if v.generation = gen then flood v ~force:true (Message.wire (Message.Tx_msg signed)));
       schedule =
         (fun ~delay f ->
           let timer =
@@ -235,8 +224,6 @@ let rec callbacks_for ~engine ~gen get_t =
 and install t ~from_seq make =
   t.generation <- t.generation + 1;
   Hashtbl.reset t.seen;
-  if Obs.Sink.tracing t.obs then
-    Obs.Sink.emit t.obs (Obs.Event.Catchup_begin { from_seq });
   let engine = Stellar_sim.Network.engine t.network in
   t.herder <- make (callbacks_for ~engine ~gen:t.generation (fun () -> t));
   let to_seq =
@@ -246,7 +233,7 @@ and install t ~from_seq make =
   in
   let replayed = max 0 (to_seq - from_seq) in
   if Obs.Sink.tracing t.obs then
-    Obs.Sink.emit t.obs (Obs.Event.Catchup_done { to_seq; replayed });
+    Obs.Sink.emit t.obs (Obs.Event.Catchup_done { from_seq; to_seq; replayed });
   Stellar_herder.Herder.start t.herder;
   Stellar_herder.Herder.rejoin t.herder
 

@@ -27,7 +27,7 @@ val create :
     a ledger past its last close.  Such a live catch-up swaps in
     {!Stellar_herder.Herder.catch_up}'s herder (queued transactions kept),
     resets the dedup table and asks the peers for help as a restart does,
-    emits [Catchup_begin]/[Catchup_done] and counts
+    emits [Catchup_done] and counts
     [archive.live_catchups].  Without an archive a node left that far
     behind stays behind.
     Straggler help (§6) is pulled: when its herder rejoins
@@ -79,9 +79,9 @@ val crash : t -> unit
 (** Stop the herder, mark the node down, emit [Node_crash].  Idempotent. *)
 
 val restart : t -> unit
-(** Bring a crashed node back: emits [Node_restart], [Catchup_begin] (with
-    the checkpoint seq, 0 when restarting from genesis) and [Catchup_done]
-    (archive tip and replayed-ledger count), then starts the rebuilt herder.
+(** Bring a crashed node back: emits [Node_restart] and [Catchup_done]
+    (the checkpoint seq, 0 when restarting from genesis, the archive tip and
+    the replayed-ledger count), then starts the rebuilt herder.
     No-op if the node is not crashed. *)
 
 val reflood : t -> copies:int -> unit

@@ -4,7 +4,6 @@ type drop_reason = [ `Duplicate | `Stale ]
 type t =
   | Nominate_start of { slot : int }
   | Nomination_round of { slot : int; round : int }
-  | First_vote of { slot : int; counter : int }
   | Ballot_bump of { slot : int; counter : int }
   | Confirm_prepare of { slot : int }
   | Externalize of { slot : int }
@@ -20,26 +19,20 @@ type t =
       proc_s : float;
     }
   | Dedup_drop of { kind : string; src : int; bytes : int }
-  | Apply_begin of { slot : int; txs : int; ops : int }
   | Apply_end of { slot : int; txs : int; ops : int }
   | Bucket_merge of { level : int; entries : int }
   | Tx_submit of { tx : string }
-  | Tx_flooded of { tx : string }
-  | Tx_in_txset of { tx : string; slot : int }
-  | Tx_externalized of { tx : string; slot : int }
   | Tx_applied of { tx : string; slot : int; ok : bool }
   | Tx_dropped of { tx : string; reason : drop_reason }
   | Node_crash
   | Node_restart
   | Partition_begin of { groups : int list }
   | Partition_heal
-  | Catchup_begin of { from_seq : int }
-  | Catchup_done of { to_seq : int; replayed : int }
+  | Catchup_done of { from_seq : int; to_seq : int; replayed : int }
 
 let name = function
   | Nominate_start _ -> "nominate.start"
   | Nomination_round _ -> "nomination.round"
-  | First_vote _ -> "ballot.first"
   | Ballot_bump _ -> "ballot.bump"
   | Confirm_prepare _ -> "phase.confirm"
   | Externalize _ -> "phase.externalize"
@@ -47,20 +40,15 @@ let name = function
   | Flood_send _ -> "flood.send"
   | Flood_recv _ -> "flood.recv"
   | Dedup_drop _ -> "flood.dup"
-  | Apply_begin _ -> "apply.begin"
   | Apply_end _ -> "apply.end"
   | Bucket_merge _ -> "bucket.merge"
   | Tx_submit _ -> "tx.submit"
-  | Tx_flooded _ -> "tx.flooded"
-  | Tx_in_txset _ -> "tx.txset"
-  | Tx_externalized _ -> "tx.externalized"
   | Tx_applied _ -> "tx.applied"
   | Tx_dropped _ -> "tx.dropped"
   | Node_crash -> "fault.crash"
   | Node_restart -> "fault.restart"
   | Partition_begin _ -> "fault.partition"
   | Partition_heal -> "fault.heal"
-  | Catchup_begin _ -> "catchup.begin"
   | Catchup_done _ -> "catchup.done"
 
 (* Lowercase hex, for tx ids at output time only.  This library depends on
@@ -86,7 +74,7 @@ let drop_reason_name = function `Duplicate -> "duplicate" | `Stale -> "stale"
 let fields = function
   | Nominate_start { slot } -> Printf.sprintf {|,"slot":%d|} slot
   | Nomination_round { slot; round } -> Printf.sprintf {|,"slot":%d,"round":%d|} slot round
-  | First_vote { slot; counter } | Ballot_bump { slot; counter } ->
+  | Ballot_bump { slot; counter } ->
       Printf.sprintf {|,"slot":%d,"counter":%d|} slot counter
   | Confirm_prepare { slot } | Externalize { slot } -> Printf.sprintf {|,"slot":%d|} slot
   | Timeout_fired { slot; kind } ->
@@ -100,13 +88,11 @@ let fields = function
         kind bytes src send_id link_s wait_s proc_s
   | Dedup_drop { kind; src; bytes } ->
       Printf.sprintf {|,"kind":"%s","src":%d,"bytes":%d|} kind src bytes
-  | Apply_begin { slot; txs; ops } | Apply_end { slot; txs; ops } ->
+  | Apply_end { slot; txs; ops } ->
       Printf.sprintf {|,"slot":%d,"txs":%d,"ops":%d|} slot txs ops
   | Bucket_merge { level; entries } ->
       Printf.sprintf {|,"level":%d,"entries":%d|} level entries
-  | Tx_submit { tx } | Tx_flooded { tx } -> Printf.sprintf {|,"tx":"%s"|} (hex tx)
-  | Tx_in_txset { tx; slot } | Tx_externalized { tx; slot } ->
-      Printf.sprintf {|,"tx":"%s","slot":%d|} (hex tx) slot
+  | Tx_submit { tx } -> Printf.sprintf {|,"tx":"%s"|} (hex tx)
   | Tx_applied { tx; slot; ok } ->
       Printf.sprintf {|,"tx":"%s","slot":%d,"ok":%b|} (hex tx) slot ok
   | Tx_dropped { tx; reason } ->
@@ -115,6 +101,5 @@ let fields = function
   | Partition_begin { groups } ->
       Printf.sprintf {|,"groups":[%s]|}
         (String.concat "," (List.map string_of_int groups))
-  | Catchup_begin { from_seq } -> Printf.sprintf {|,"from_seq":%d|} from_seq
-  | Catchup_done { to_seq; replayed } ->
-      Printf.sprintf {|,"to_seq":%d,"replayed":%d|} to_seq replayed
+  | Catchup_done { from_seq; to_seq; replayed } ->
+      Printf.sprintf {|,"from_seq":%d,"to_seq":%d,"replayed":%d|} from_seq to_seq replayed

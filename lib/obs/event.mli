@@ -11,13 +11,16 @@
       (link transit, receiver CPU-queue wait, modeled processing cost).
       Together they turn the trace into a cross-node causal DAG that
       {!Report.critical_paths} walks.
-    - Transaction lifecycle events ([Tx_submit] → [Tx_flooded] →
-      [Tx_in_txset] → [Tx_externalized] → [Tx_applied], or [Tx_dropped]),
-      keyed by the transaction hash, from which {!Report.tx_lives} and
-      {!Report.e2e_latency} derive per-payment submit→apply latency (§7.3's
-      end-to-end figure).  [tx] is the raw 32-byte [Tx.signed.tx_hash],
-      shared with the transaction rather than copied; it is hex-encoded
-      only on output ({!fields}, {!Report.tx_lives}). *)
+    - Transaction lifecycle events ([Tx_submit] → [Tx_applied] |
+      [Tx_dropped]), keyed by the transaction hash, from which
+      {!Report.tx_lives} and {!Report.e2e_latency} derive per-payment
+      submit→apply latency (§7.3's end-to-end figure).  [tx] is the raw
+      32-byte [Tx.signed.tx_hash], shared with the transaction rather than
+      copied; it is hex-encoded only on output ({!fields},
+      {!Report.tx_lives}).
+
+    Each event records one fact: none repeats what another records in the
+    same call at the same instant. *)
 
 type timeout_kind = [ `Nomination | `Ballot ]
 
@@ -28,10 +31,9 @@ type drop_reason = [ `Duplicate | `Stale ]
 type t =
   | Nominate_start of { slot : int }  (** herder triggered nomination *)
   | Nomination_round of { slot : int; round : int }
-  | First_vote of { slot : int; counter : int }
-      (** first ballot vote for the slot: the nomination → balloting
-          boundary used by the Fig.-style phase breakdown *)
   | Ballot_bump of { slot : int; counter : int }
+      (** a new ballot counter; the slot's first is the nomination →
+          balloting boundary of the phase breakdown *)
   | Confirm_prepare of { slot : int }  (** ballot protocol entered confirm *)
   | Externalize of { slot : int }
   | Timeout_fired of { slot : int; kind : timeout_kind }
@@ -50,31 +52,26 @@ type t =
   | Dedup_drop of { kind : string; src : int; bytes : int }
       (** duplicate delivery suppressed by the flood dedup table; [bytes]
           is the wasted payload size (it still crossed the wire) *)
-  | Apply_begin of { slot : int; txs : int; ops : int }
   | Apply_end of { slot : int; txs : int; ops : int }
+      (** this node closed [slot]: its tx set of [txs] transactions and
+          [ops] operations is applied *)
   | Bucket_merge of { level : int; entries : int }
       (** a bucket-list level absorbed a batch/spill of [entries] entries *)
   | Tx_submit of { tx : string }  (** client submitted at this node *)
-  | Tx_flooded of { tx : string }
-      (** this node first saw the transaction and flooded it onward *)
-  | Tx_in_txset of { tx : string; slot : int }
-      (** included in this node's nominated tx-set candidate for [slot] *)
-  | Tx_externalized of { tx : string; slot : int }
-      (** the slot whose externalized tx set contains the tx closed here *)
   | Tx_applied of { tx : string; slot : int; ok : bool }
-      (** applied to the ledger ([ok] = success outcome) *)
+      (** applied to the ledger by this node's close of [slot], the slot
+          whose externalized tx set holds it ([ok] = success outcome) *)
   | Tx_dropped of { tx : string; reason : drop_reason }
   | Node_crash  (** validator went down (fault injection); node id from stamp *)
   | Node_restart  (** validator came back up and began catching up *)
   | Partition_begin of { groups : int list }
       (** network split; [groups] is the partition-group id of each node *)
   | Partition_heal  (** all partition groups rejoined *)
-  | Catchup_begin of { from_seq : int }
-      (** restart bootstrap: rebuilding state from the checkpoint at
-          [from_seq] (0 = no archive, restarting from genesis) *)
-  | Catchup_done of { to_seq : int; replayed : int }
-      (** archive replay finished at [to_seq] after re-applying [replayed]
-          ledgers; slots beyond this are recovered live via straggler help *)
+  | Catchup_done of { from_seq : int; to_seq : int; replayed : int }
+      (** state rebuilt from the archive checkpoint at [from_seq] (0 = no
+          archive, restarting from genesis) and replayed to [to_seq],
+          re-applying [replayed] ledgers; slots beyond this are recovered
+          live via straggler help *)
 
 val name : t -> string
 (** Stable dotted event name ("flood.send", "tx.applied", ...). *)

@@ -15,7 +15,7 @@ let apply_cost ~ops = 0.0002 +. (2.0e-5 *. float_of_int ops)
 
 type slot_acc = {
   mutable t_nominate : float option;
-  mutable t_first_vote : float option;
+  mutable t_first_ballot : float option;
   mutable t_externalize : float option;
   mutable apply : int option;  (* ops *)
 }
@@ -27,7 +27,7 @@ let slot_phases ?(node = 0) trace =
     | Some a -> a
     | None ->
         let a =
-          { t_nominate = None; t_first_vote = None; t_externalize = None; apply = None }
+          { t_nominate = None; t_first_ballot = None; t_externalize = None; apply = None }
         in
         Hashtbl.add acc slot a;
         a
@@ -38,13 +38,13 @@ let slot_phases ?(node = 0) trace =
         | Event.Nominate_start { slot } ->
             let a = get slot in
             if a.t_nominate = None then a.t_nominate <- Some s.Trace.time
-        | Event.First_vote { slot; _ } ->
+        | Event.Ballot_bump { slot; _ } ->
             let a = get slot in
-            if a.t_first_vote = None then a.t_first_vote <- Some s.Trace.time
+            if a.t_first_ballot = None then a.t_first_ballot <- Some s.Trace.time
         | Event.Externalize { slot } ->
             let a = get slot in
             if a.t_externalize = None then a.t_externalize <- Some s.Trace.time
-        | Event.Apply_begin { slot; ops; _ } ->
+        | Event.Apply_end { slot; ops; _ } ->
             let a = get slot in
             if a.apply = None then a.apply <- Some ops
         | _ -> ());
@@ -52,7 +52,7 @@ let slot_phases ?(node = 0) trace =
   |> List.filter_map (fun (slot, a) ->
          match (a.t_nominate, a.t_externalize) with
          | Some t0, Some t2 ->
-             let t1 = Option.value ~default:t2 a.t_first_vote in
+             let t1 = Option.value ~default:t2 a.t_first_ballot in
              let ops = Option.value ~default:0 a.apply in
              let apply_s = apply_cost ~ops in
              Some
@@ -314,10 +314,7 @@ let critical_paths ?(node = 0) trace =
 type tx_life = {
   tx : string;
   submitted : float option;
-  first_flood : float option;
-  txset_slot : int option;
   externalized : (int * float) option;
-  applied : float option;
   dropped : bool;
 }
 
@@ -330,16 +327,7 @@ let tx_lives trace =
     | Some (_, l) -> l
     | None ->
         let l =
-          ref
-            {
-              tx = Event.hex tx;
-              submitted = None;
-              first_flood = None;
-              txset_slot = None;
-              externalized = None;
-              applied = None;
-              dropped = false;
-            }
+          ref { tx = Event.hex tx; submitted = None; externalized = None; dropped = false }
         in
         Hashtbl.add acc tx (seq, l);
         l
@@ -350,18 +338,9 @@ let tx_lives trace =
       | Event.Tx_submit { tx } ->
           let l = get tx seq in
           if !l.submitted = None then l := { !l with submitted = Some t }
-      | Event.Tx_flooded { tx } ->
-          let l = get tx seq in
-          if !l.first_flood = None then l := { !l with first_flood = Some t }
-      | Event.Tx_in_txset { tx; slot } ->
-          let l = get tx seq in
-          if !l.txset_slot = None then l := { !l with txset_slot = Some slot }
-      | Event.Tx_externalized { tx; slot } ->
+      | Event.Tx_applied { tx; slot; _ } ->
           let l = get tx seq in
           if !l.externalized = None then l := { !l with externalized = Some (slot, t) }
-      | Event.Tx_applied { tx; _ } ->
-          let l = get tx seq in
-          if !l.applied = None then l := { !l with applied = Some t }
       | Event.Tx_dropped { tx; _ } ->
           let l = get tx seq in
           l := { !l with dropped = true }
@@ -382,17 +361,17 @@ type e2e = {
 }
 
 let e2e_latency trace =
-  (* first Apply_begin per slot gives the op count the apply model needs *)
+  (* first Apply_end per slot gives the op count the apply model needs *)
   let slot_apply : (int, int) Hashtbl.t = Hashtbl.create 64 in
   Trace.iter trace (fun s ->
       match s.Trace.event with
-      | Event.Apply_begin { slot; ops; _ } ->
+      | Event.Apply_end { slot; ops; _ } ->
           if not (Hashtbl.mem slot_apply slot) then Hashtbl.add slot_apply slot ops
       | _ -> ());
   let lives = tx_lives trace in
   let submitted = List.filter (fun l -> l.submitted <> None) lives in
   let ext_lat = ref [] and apply_lat = ref [] in
-  let n_externalized = ref 0 and n_applied = ref 0 and n_dropped = ref 0 in
+  let n_externalized = ref 0 and n_dropped = ref 0 in
   List.iter
     (fun l ->
       if l.dropped then incr n_dropped;
@@ -400,18 +379,14 @@ let e2e_latency trace =
       | Some t_sub, Some (slot, t_ext) ->
           incr n_externalized;
           ext_lat := (t_ext -. t_sub) :: !ext_lat;
-          (match l.applied with
-          | Some t_app ->
-              incr n_applied;
-              let ops = Option.value ~default:0 (Hashtbl.find_opt slot_apply slot) in
-              apply_lat := (t_app -. t_sub +. apply_cost ~ops) :: !apply_lat
-          | None -> ())
+          let ops = Option.value ~default:0 (Hashtbl.find_opt slot_apply slot) in
+          apply_lat := (t_ext -. t_sub +. apply_cost ~ops) :: !apply_lat
       | _ -> ())
     submitted;
   {
     n_submitted = List.length submitted;
     n_externalized = !n_externalized;
-    n_applied = !n_applied;
+    n_applied = !n_externalized;
     n_dropped = !n_dropped;
     submit_to_externalize = quantiles (List.rev !ext_lat);
     submit_to_apply = quantiles (List.rev !apply_lat);
@@ -490,16 +465,11 @@ let recoveries ?(interval = 5.0) trace =
     | Some l -> l := v :: !l
     | None -> Hashtbl.add tbl node (ref [ v ])
   in
-  let pending_from : (int, int) Hashtbl.t = Hashtbl.create 8 in
   Trace.iter trace (fun s ->
       match s.Trace.event with
       | Event.Node_crash -> push crashes s.Trace.node s.Trace.time
       | Event.Node_restart -> push restarts s.Trace.node s.Trace.time
-      | Event.Catchup_begin { from_seq } -> Hashtbl.replace pending_from s.Trace.node from_seq
-      | Event.Catchup_done { to_seq; replayed } ->
-          let from_seq =
-            Option.value ~default:0 (Hashtbl.find_opt pending_from s.Trace.node)
-          in
+      | Event.Catchup_done { from_seq; to_seq; replayed } ->
           push catchups s.Trace.node (s.Trace.time, from_seq, to_seq, replayed)
       | _ -> ());
   let nodes =

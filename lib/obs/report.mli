@@ -7,8 +7,8 @@
 
 type phases = {
   slot : int;
-  nomination_s : float;  (** nominate-start → first ballot vote *)
-  ballot_s : float;  (** first ballot vote → externalize *)
+  nomination_s : float;  (** nominate-start → first ballot bump *)
+  ballot_s : float;  (** first ballot bump → externalize *)
   apply_s : float;
       (** modeled apply cost: a deterministic ~0.2 ms + 20 µs/op, used in
           place of measured CPU time so the breakdown is reproducible; real
@@ -99,10 +99,9 @@ val critical_paths : ?node:int -> Trace.t -> critical_path list
 type tx_life = {
   tx : string;  (** hex tx hash *)
   submitted : float option;  (** first [Tx_submit] *)
-  first_flood : float option;  (** first [Tx_flooded] anywhere *)
-  txset_slot : int option;  (** first slot whose candidate set held it *)
-  externalized : (int * float) option;  (** (slot, time) of consensus *)
-  applied : float option;
+  externalized : (int * float) option;
+      (** (slot, time) of the first [Tx_applied]: the first close of the
+          slot whose externalized tx set holds it *)
   dropped : bool;  (** any [Tx_dropped] (duplicate or stale) *)
 }
 
@@ -112,12 +111,12 @@ val tx_lives : Trace.t -> tx_life list
 type e2e = {
   n_submitted : int;
   n_externalized : int;
-  n_applied : int;
+  n_applied : int;  (** = [n_externalized]: a close applies its whole set *)
   n_dropped : int;
   submit_to_externalize : quantiles;
   submit_to_apply : quantiles;
-      (** adds the slot's modeled apply cost on top of the trace timestamp
-          (sim-time application is instantaneous) *)
+      (** adds the slot's modeled apply cost on top of the externalize
+          time (sim-time application is instantaneous) *)
 }
 
 val e2e_latency : Trace.t -> e2e
@@ -127,7 +126,7 @@ val e2e_latency : Trace.t -> e2e
 (** {2 Fault recovery}
 
     Derived from the fault-injection events ([Node_crash] / [Node_restart] /
-    [Catchup_begin] / [Catchup_done] / [Partition_begin] / [Partition_heal])
+    [Catchup_done] / [Partition_begin] / [Partition_heal])
     plus close ([Apply_end]) timestamps.  A node counts as "back in sync"
     at its first close that lands within [interval/2] of the fastest other
     node's close of the same ledger: old slots closed from straggler help

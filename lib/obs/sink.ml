@@ -16,12 +16,7 @@ let tracing t = Option.is_some t.trace
 let metrics t = t.metrics
 
 let emit t ev =
-  match t.trace with
-  | Some tr ->
-      if not (Trace.try_record tr ~time:(t.now ()) ~node:t.node ev) then
-        (* cold path: only taken once the trace hit its capacity bound *)
-        Registry.incr (Registry.counter t.metrics "obs.trace.dropped")
-  | None -> ()
+  match t.trace with Some tr -> Trace.record tr ~time:(t.now ()) ~node:t.node ev | None -> ()
 
 let counter t name =
   if t.enabled then Registry.counter t.metrics name else Registry.detached_counter ()

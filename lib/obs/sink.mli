@@ -29,9 +29,7 @@ val tracing : t -> bool
 val metrics : t -> Registry.t
 
 val emit : t -> Event.t -> unit
-(** Stamp with node and current time, append to the trace (if any).  When
-    the trace is at capacity the event is discarded and the node's
-    [obs.trace.dropped] counter incremented instead. *)
+(** Stamp with node and current time, append to the trace (if any). *)
 
 val counter : t -> string -> Registry.counter
 val gauge : t -> string -> Registry.gauge

@@ -13,11 +13,9 @@ type chunk = { times : float array; nodes : int array; events : Event.t array }
 type t = {
   mutable chunks : chunk array;  (* the first [n / chunk_size], rounded up, are in use *)
   mutable n : int;
-  capacity : int option;
-  mutable dropped : int;
 }
 
-let create ?capacity () = { chunks = [||]; n = 0; capacity; dropped = 0 }
+let create () = { chunks = [||]; n = 0 }
 
 (* The chunk event [t.n] goes into, made when it is the first of one *)
 let chunk_for_append t =
@@ -41,22 +39,15 @@ let chunk_for_append t =
     c
   end
 
-let try_record t ~time ~node event =
-  match t.capacity with
-  | Some cap when t.n >= cap ->
-      t.dropped <- t.dropped + 1;
-      false
-  | _ ->
-      let c = chunk_for_append t in
-      let j = t.n land chunk_mask in
-      c.times.(j) <- time;
-      c.nodes.(j) <- node;
-      c.events.(j) <- event;
-      t.n <- t.n + 1;
-      true
+let record t ~time ~node event =
+  let c = chunk_for_append t in
+  let j = t.n land chunk_mask in
+  c.times.(j) <- time;
+  c.nodes.(j) <- node;
+  c.events.(j) <- event;
+  t.n <- t.n + 1
 
 let length t = t.n
-let dropped t = t.dropped
 
 let iter t f =
   for i = 0 to t.n - 1 do

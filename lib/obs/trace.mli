@@ -5,11 +5,6 @@
     produce byte-identical {!to_jsonl} output — the property the
     reproducibility tests and [BENCH_*.json] artifacts rely on.
 
-    A trace may be created with a [capacity]: once full, further events are
-    counted in {!dropped} instead of retained, so a long simulator run
-    cannot grow the trace without bound.  {!Sink.emit} surfaces drops as
-    the [obs.trace.dropped] counter in the emitting node's registry.
-
     Storage is columnar: fixed-size chunks of parallel arrays (times, node
     ids, events), with the sequence number implicit in the position.  A
     {!stamped} record is only a view, built on the fly by {!iter}. *)
@@ -21,17 +16,11 @@ val chunk_size : int
 
 type t
 
-val create : ?capacity:int -> unit -> t
-(** Without [capacity] the trace is unbounded (the default). *)
-
-val try_record : t -> time:float -> node:int -> Event.t -> bool
-(** [false] when the event was discarded because the trace is at capacity. *)
+val create : unit -> t
+val record : t -> time:float -> node:int -> Event.t -> unit
+(** Append one event; its [seq] is {!length} before the call. *)
 
 val length : t -> int
-(** Events retained (excludes dropped ones). *)
-
-val dropped : t -> int
-(** Events discarded because the trace was at capacity. *)
 
 val iter : t -> (stamped -> unit) -> unit
 (** In record order (chronological: the engine fires events in time order),

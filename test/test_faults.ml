@@ -104,24 +104,39 @@ let recovery_tests =
         let c4 = List.assoc 4 r.Scenario.chains and c0 = List.assoc 0 r.Scenario.chains in
         let common = min (List.length c4) (List.length c0) in
         check bool "closed ledgers" true (common > 5);
-        (* catchup events were traced *)
+        (* catch-up events were traced, one for each restart or live
+           catch-up of node 4; the restart's names the archive's last
+           checkpoint (every 4th ledger) at or below the newest ledger
+           closed when node 4 came back, and replays from it to that one *)
         let trace = trace_of r in
-        let crash = ref 0 and restart = ref 0 and cu_begin = ref 0 and cu_done = ref 0 in
+        let counter name =
+          Stellar_obs.Registry.counter_value
+            (Stellar_obs.Collector.registry (Option.get r.Scenario.telemetry) 4)
+            name
+        in
+        let crash = ref 0 and restart = ref 0 and catchups = ref [] in
+        let tip = ref 0 and tip_at_restart = ref 0 in
         Stellar_obs.Trace.iter trace (fun s ->
-            if s.Stellar_obs.Trace.node = 4 then
-              match s.Stellar_obs.Trace.event with
-              | Stellar_obs.Event.Node_crash -> incr crash
-              | Stellar_obs.Event.Node_restart -> incr restart
-              | Stellar_obs.Event.Catchup_begin _ -> incr cu_begin
-              | Stellar_obs.Event.Catchup_done { to_seq; replayed } ->
-                  incr cu_done;
-                  check bool "caught up past genesis" true (to_seq > 0);
-                  check bool "replay count sane" true (replayed >= 0)
-              | _ -> ());
+            match s.Stellar_obs.Trace.event with
+            | Stellar_obs.Event.Apply_end { slot; _ } -> tip := max !tip slot
+            | _ when s.Stellar_obs.Trace.node <> 4 -> ()
+            | Stellar_obs.Event.Node_crash -> incr crash
+            | Stellar_obs.Event.Node_restart ->
+                incr restart;
+                tip_at_restart := !tip
+            | Stellar_obs.Event.Catchup_done { from_seq; to_seq; replayed } ->
+                catchups := (from_seq, to_seq, replayed) :: !catchups
+            | _ -> ());
         check int "one crash" 1 !crash;
         check int "one restart" 1 !restart;
-        check int "one catchup begin" 1 !cu_begin;
-        check int "one catchup done" 1 !cu_done;
+        check int "a catch-up per restart or live catch-up"
+          (counter "fault.restarts" + counter "archive.live_catchups")
+          (List.length !catchups);
+        let checkpoint = !tip_at_restart / 4 * 4 in
+        check bool "restarted past a checkpoint" true (checkpoint > 0);
+        check (triple int int int) "restart caught up from the last checkpoint"
+          (checkpoint, !tip_at_restart, !tip_at_restart - checkpoint)
+          (List.hd (List.rev !catchups));
         (* the recovery report pairs it all up with a finite time-to-recover *)
         match Stellar_obs.Report.recoveries ~interval:5.0 trace with
         | [ rc ] ->

@@ -193,7 +193,7 @@ let test_tracing_keeps_report () =
     (off.S.ballot_timeouts_per_ledger = on.S.ballot_timeouts_per_ledger)
 
 (* The herder's stopwatch (fed by Driver.started_ballot) and the trace
-   (Nominate_start / First_vote / Externalize) time the same two phases:
+   (Nominate_start / first Ballot_bump / Externalize) time the same two phases:
    over node 0's post-warmup closed slots, Scenario.report's nomination
    and balloting quantiles equal those of Report.slot_phases. *)
 let test_phase_paths_agree () =
@@ -222,36 +222,55 @@ let test_phase_paths_agree () =
       ("wide-area seed 3", Stellar_sim.Latency.wide_area, 3);
     ]
 
-(* SCP emits First_vote once per (node, slot), right after the Ballot_bump
-   that starts the slot's first ballot, and a Ballot_bump event for every
-   scp.ballot.bump count.  The jittery links make ballot timers fire, so
-   some slots see more than one bump. *)
-let test_first_vote_once () =
+(* Each traced fact is counted by an always-on metric too, and per node
+   the two agree: closes (Apply_end, ledger.closed), nominations
+   (Nominate_start, scp.nominate.start), ballot bumps (Ballot_bump,
+   scp.ballot.bump) and applied transactions (Tx_applied, the sum of the
+   ledger.tx.* outcome counters).  The jittery links make ballot timers
+   fire, so some slots see more than one bump. *)
+let test_trace_agrees_with_registry () =
   let r = run ~latency:jittery ~observe:true 5 in
-  let trace = Obs.Collector.trace (Option.get r.Stellar_node.Scenario.telemetry) in
-  let first_votes = Hashtbl.create 64 and last = Hashtbl.create 8 and bumps = ref 0 in
-  Obs.Trace.iter trace (fun s ->
+  let c = Option.get r.Stellar_node.Scenario.telemetry in
+  let n = Obs.Collector.n_nodes c in
+  let closes = Array.make n 0 and noms = Array.make n 0 and bumps = Array.make n 0 in
+  let applied = Array.make n 0 and bumped_slots = Hashtbl.create 64 in
+  Obs.Trace.iter (Obs.Collector.trace c) (fun s ->
       let node = s.Obs.Trace.node in
-      (match s.Obs.Trace.event with
-      | Obs.Event.First_vote { slot; counter } ->
-          if Hashtbl.mem first_votes (node, slot) then
-            Alcotest.failf "node %d slot %d: second First_vote" node slot;
-          Hashtbl.add first_votes (node, slot) ();
-          Alcotest.(check bool) "follows its Ballot_bump" true
-            (Hashtbl.find_opt last node = Some (Obs.Event.Ballot_bump { slot; counter }))
-      | Obs.Event.Ballot_bump _ -> incr bumps
+      let count a = a.(node) <- a.(node) + 1 in
+      match s.Obs.Trace.event with
+      | Obs.Event.Apply_end _ -> count closes
+      | Obs.Event.Nominate_start _ -> count noms
+      | Obs.Event.Ballot_bump { slot; _ } ->
+          count bumps;
+          Hashtbl.replace bumped_slots (node, slot) ()
+      | Obs.Event.Tx_applied _ -> count applied
       | _ -> ());
-      Hashtbl.replace last node s.Obs.Trace.event);
-  Alcotest.(check bool) "re-bumps traced" true (!bumps > Hashtbl.length first_votes);
-  let agg = Obs.Collector.aggregate (Option.get r.Stellar_node.Scenario.telemetry) in
-  Alcotest.(check int) "Ballot_bump events = scp.ballot.bump"
-    (Obs.Registry.counter_value agg "scp.ballot.bump")
-    !bumps
+  for node = 0 to n - 1 do
+    let reg = Obs.Collector.registry c node in
+    let counter = Obs.Registry.counter_value reg in
+    let outcomes =
+      List.filter (String.starts_with ~prefix:"ledger.tx.") (Obs.Registry.names reg)
+    in
+    let check what expected got =
+      Alcotest.(check int) (Printf.sprintf "node %d: %s" node what) expected got
+    in
+    Alcotest.(check bool) "closed ledgers" true (closes.(node) > 0);
+    check "Apply_end events = ledger.closed" (counter "ledger.closed") closes.(node);
+    check "Nominate_start events = scp.nominate.start" (counter "scp.nominate.start")
+      noms.(node);
+    check "Ballot_bump events = scp.ballot.bump" (counter "scp.ballot.bump") bumps.(node);
+    check "Tx_applied events = ledger.tx.* outcomes"
+      (List.fold_left (fun acc name -> acc + counter name) 0 outcomes)
+      applied.(node)
+  done;
+  Alcotest.(check bool) "applied txs traced" true (Array.fold_left ( + ) 0 applied > 0);
+  Alcotest.(check bool) "re-bumps traced" true
+    (Array.fold_left ( + ) 0 bumps > Hashtbl.length bumped_slots)
 
-(* SHA-256 of the seed-5 run's JSONL, re-recorded when straggler help
-   became a pull (a node asks its peers with Get_scp_state; none is helped
-   unasked), which changed what is flooded. *)
-let jsonl_sha256 = "77b25b979f25e201708046b8311a1f1c735c5c635c185d9fe13a503efae17ddf"
+(* SHA-256 of the seed-5 run's JSONL, re-recorded when the trace dropped
+   the event kinds that repeated another event or fed no report (the
+   remaining events, their order and payloads unchanged). *)
+let jsonl_sha256 = "40f296a44dbf0ca4b2d560269a52564694624db2d6a92c0083f6174cfc79d031"
 
 let test_jsonl_pinned () =
   let r = observed_run 5 in
@@ -434,17 +453,10 @@ let test_tx_lifecycle () =
       match l.submitted with
       | None -> ()
       | Some t_sub ->
-          (match l.first_flood with
-          | Some t_fl -> Alcotest.(check bool) "submit <= flood" true (t_sub <= t_fl)
-          | None -> ());
-          (match l.externalized with
-          | Some (_, t_ext) ->
-              Alcotest.(check bool) "submit <= externalize" true (t_sub <= t_ext);
-              (match l.applied with
-              | Some t_app ->
-                  Alcotest.(check bool) "externalize <= apply" true (t_ext <= t_app)
-              | None -> ())
-          | None -> ()))
+          Option.iter
+            (fun (_, t_ext) ->
+              Alcotest.(check bool) "submit <= externalize" true (t_sub <= t_ext))
+            l.externalized)
     lives
 
 (* The acceptance criterion: per externalized slot, the critical-path
@@ -491,28 +503,6 @@ let test_e2e_deterministic () =
   Alcotest.(check bool) "non-empty" true (String.length j1 > 60);
   Alcotest.(check string) "e2e + critical path byte-identical" j1 j2
 
-(* Bounded trace memory (satellite): events past the capacity are dropped
-   and counted, never silently lost. *)
-let test_trace_capacity () =
-  let clock = ref 0.0 in
-  let trace = Obs.Trace.create ~capacity:3 () in
-  let reg = Obs.Registry.create () in
-  let sink = Obs.Sink.make ~trace ~node:0 ~now:(fun () -> !clock) reg in
-  for slot = 1 to 5 do
-    clock := float_of_int slot;
-    Obs.Sink.emit sink (Obs.Event.Externalize { slot })
-  done;
-  Alcotest.(check int) "capacity respected" 3 (Obs.Trace.length trace);
-  Alcotest.(check int) "drops counted on trace" 2 (Obs.Trace.dropped trace);
-  Alcotest.(check int) "drops exported as metric" 2
-    (Obs.Registry.counter_value reg "obs.trace.dropped");
-  (* the retained prefix is the earliest events, untouched *)
-  match Obs.Trace.events trace with
-  | [ e1; _; e3 ] ->
-      Alcotest.(check (float 1e-9)) "first kept" 1.0 e1.Obs.Trace.time;
-      Alcotest.(check (float 1e-9)) "third kept" 3.0 e3.Obs.Trace.time
-  | l -> Alcotest.failf "expected 3 events, got %d" (List.length l)
-
 (* Dedup drops carry payload bytes (satellite): wasted bandwidth is
    reported in bytes and corroborated by the flood.dup_bytes counter. *)
 let test_dedup_bytes () =
@@ -541,7 +531,7 @@ let test_dedup_bytes () =
    whether (and how late) that node also closes it. *)
 let in_step_trace ~nodes ~faults ~closes =
   let trace = Obs.Trace.create () in
-  let record time node ev = ignore (Obs.Trace.try_record trace ~time ~node ev) in
+  let record time node ev = Obs.Trace.record trace ~time ~node ev in
   List.iter (fun (time, node, ev) -> record time node ev) faults;
   List.iter
     (fun slot ->
@@ -656,7 +646,8 @@ let () =
           Alcotest.test_case "tracing keeps the report" `Quick test_tracing_keeps_report;
           Alcotest.test_case "phase breakdown sane" `Quick test_trace_phases_sane;
           Alcotest.test_case "phase timing paths agree" `Quick test_phase_paths_agree;
-          Alcotest.test_case "first vote once per slot" `Quick test_first_vote_once;
+          Alcotest.test_case "trace agrees with the registry" `Quick
+            test_trace_agrees_with_registry;
           Alcotest.test_case "flood amplification" `Quick test_flood_amplification;
         ] );
       ( "causal",
@@ -666,7 +657,6 @@ let () =
           Alcotest.test_case "critical-path attribution" `Quick
             test_critical_path_attribution;
           Alcotest.test_case "e2e report deterministic" `Quick test_e2e_deterministic;
-          Alcotest.test_case "trace capacity bound" `Quick test_trace_capacity;
           Alcotest.test_case "dedup wasted bytes" `Quick test_dedup_bytes;
         ] );
     ]
