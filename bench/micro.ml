@@ -120,13 +120,18 @@ let make_tests () =
   let ahead st = Char.code st.Scp.Types.node_id.[0] mod 3 = 0 in
   (* one slot on node 0 holding PREPARE <1, v> from nodes 1-26; node 1
      re-sends its PREPARE under two sets in turn, so every delivery is new
-     (a reconfiguration) and runs the ballot protocol's attempt steps *)
+     (a reconfiguration) and runs the ballot protocol's attempt steps.
+     Every delivery checks its signature in full, as the herder's check
+     does on a verify-memo miss. *)
   let slot_envelope =
     let driver =
       Scp.Driver.make
         ~emit_envelope:(fun _ -> ())
         ~sign:(fun _ -> "")
-        ~verify:Stellar_herder.Herder.verify_envelope
+        ~verify:(fun env ->
+          let st = env.Scp.Types.statement in
+          Sim_sig.verify ~public:st.node_id ~msg:(Scp.Types.signing_bytes st)
+            ~signature:env.signature)
         ~validate_value:(fun ~slot:_ _ -> Scp.Driver.Valid)
         ~combine_candidates:(fun ~slot:_ _ -> None)
         ~value_externalized:(fun ~slot:_ _ -> ())

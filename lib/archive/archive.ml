@@ -13,39 +13,26 @@ module Value = Stellar_herder.Value
 type t = {
   checkpoint_frequency : int;
   ledgers : (int, Header.t * Value.t * Tx_set.t) Hashtbl.t;
-  tx_index : (string, int) Hashtbl.t;  (* tx hash -> ledger seq *)
   mutable checkpoints : checkpoint list;  (* newest first *)
   mutable latest : int option;
-  mutable archived_bytes : int;  (* XDR bytes published so far *)
 }
 
 let create ?(checkpoint_frequency = 8) () =
   {
     checkpoint_frequency;
     ledgers = Hashtbl.create 256;
-    tx_index = Hashtbl.create 1024;
     checkpoints = [];
     latest = None;
-    archived_bytes = 0;
   }
 
 let follows t seq = match t.latest with Some prev -> seq = prev + 1 | None -> true
 
-let add_record t ((header, value, tx_set) as r) =
+let add_record t ((header, _, _) as r) =
   let seq = header.Header.ledger_seq in
   Hashtbl.replace t.ledgers seq r;
-  List.iter (fun signed -> Hashtbl.replace t.tx_index signed.Tx.tx_hash seq) (Tx_set.txs tx_set);
-  t.archived_bytes <-
-    t.archived_bytes
-    + Xdr.encoded_length Header.xdr header
-    + Xdr.encoded_length Value.xdr value
-    + Tx_set.size_bytes tx_set;
   t.latest <- Some seq
 
-let add_checkpoint t c =
-  t.checkpoints <- c :: t.checkpoints;
-  t.archived_bytes <-
-    t.archived_bytes + Xdr.encoded_length Stellar_bucket.Bucket_list.xdr c.chk_buckets
+let add_checkpoint t c = t.checkpoints <- c :: t.checkpoints
 
 let record_ledger t ~header ~value ~tx_set ~buckets =
   let seq = header.Header.ledger_seq in
@@ -61,20 +48,21 @@ let latest_seq t = t.latest
 let ledger t seq = Hashtbl.find_opt t.ledgers seq
 let header t seq = Option.map (fun (h, _, _) -> h) (ledger t seq)
 
+(* newest ledger first; the archived seqs run without a gap up to [latest] *)
 let find_tx t hash =
-  match Hashtbl.find_opt t.tx_index hash with
-  | None -> None
-  | Some seq -> (
-      match ledger t seq with
-      | None -> None
-      | Some (_, _, ts) ->
-          Tx_set.txs ts
-          |> List.find_opt (fun s -> String.equal s.Tx.tx_hash hash)
-          |> Option.map (fun s -> (seq, s)))
+  let rec from seq =
+    match ledger t seq with
+    | None -> None
+    | Some (_, _, ts) -> (
+        match List.find_opt (fun s -> String.equal s.Tx.tx_hash hash) (Tx_set.txs ts) with
+        | Some s -> Some (seq, s)
+        | None -> from (seq - 1))
+  in
+  Option.bind t.latest from
 
 let checkpoint_count t = List.length t.checkpoints
 
-let catchup t =
+let catchup ~memo t =
   let ( let* ) = Result.bind in
   match t.checkpoints with
   | [] -> Error "no checkpoint available"
@@ -112,7 +100,8 @@ let catchup t =
          must hash to the archived one, so the value, results, fee and id
          pools, parameters and skip list are checked along with the
          snapshot, whose level structure a catching-up node must reproduce
-         to agree with the network's future headers *)
+         to agree with the network's future headers.  Through the run's
+         memo, every replay after the first is an identity hit *)
       let last = Option.value ~default:seq t.latest in
       let rec replay prev state buckets n =
         if n > last then Ok (state, buckets, prev)
@@ -130,16 +119,21 @@ let catchup t =
             else Ok ()
           in
           let state, buckets, rebuilt, _ =
-            Stellar_herder.Herder.apply_ledger ~prev:(Some prev) state buckets v ts
+            Stellar_herder.Herder.apply_ledger ~memo ~prev:(Some prev) state buckets v ts
           in
           if String.equal (Header.hash rebuilt) (Header.hash h) then
-            replay h state buckets (n + 1)
+            replay rebuilt state buckets (n + 1)
           else Error (Printf.sprintf "replayed header mismatch at ledger %d" n)
       in
       let* caught = replay chk_header state chk_buckets (seq + 1) in
       Ok (seq, caught)
 
-let size_bytes t = t.archived_bytes
+let size_bytes t =
+  let record _ (h, v, ts) n =
+    n + Xdr.encoded_length Header.xdr h + Xdr.encoded_length Value.xdr v + Tx_set.size_bytes ts
+  in
+  let checkpoint n c = n + Xdr.encoded_length Stellar_bucket.Bucket_list.xdr c.chk_buckets in
+  Hashtbl.fold record t.ledgers (List.fold_left checkpoint 0 t.checkpoints)
 
 (* ---- XDR blob serialization (§5.4: archives are flat files on blob
    stores; here, one blob for the whole archive) ---- *)

@@ -34,11 +34,13 @@ val ledger :
 (** The archived record of one ledger: header, value, tx set. *)
 
 val find_tx : t -> string -> (int * Stellar_ledger.Tx.signed) option
-(** Look a transaction up by hash: (ledger seq, tx). *)
+(** Look a transaction up by hash: (ledger seq, tx), from the newest
+    archived ledger that holds it.  A scan of the archived tx sets. *)
 
 val checkpoint_count : t -> int
 
 val catchup :
+  memo:Stellar_herder.Herder.memo ->
   t ->
   ( int * (Stellar_ledger.State.t * Stellar_bucket.Bucket_list.t * Stellar_ledger.Header.t),
     string )
@@ -46,10 +48,10 @@ val catchup :
 (** Bootstrap a new node: rebuild the ledger state from the latest
     checkpoint's buckets, verify it against the header's snapshot hash, then
     replay the archived ledgers up to the tip, each through the call the
-    live node made, {!Stellar_herder.Herder.apply_ledger} on its archived
-    value and tx set, so close time and parameters come only from the
-    value.  The value is checked as input from outside first: it must name
-    the archived tx set and carry only upgrades that pass
+    live node made, {!Stellar_herder.Herder.apply_ledger} with [memo] on
+    its archived value and tx set, so close time and parameters come only
+    from the value.  The value is checked as input from outside first: it
+    must name the archived tx set and carry only upgrades that pass
     {!Stellar_herder.Value.valid_upgrade}.  A ledger is accepted only when
     the rebuilt header hashes to the archived one.  Before replay, the
     checkpoint's header must equal the archived ledger at its seq and link
@@ -58,13 +60,15 @@ val catchup :
     seq of the checkpoint it replayed from, with the state, the bucket list
     at the tip (level structure identical to a node that closed those
     ledgers live — required to agree on future snapshot hashes), and the
-    tip: the archived header of the last ledger, which a node bootstrapping
-    from the result hands its herder to link the next close to. *)
+    tip: the rebuilt header of the last ledger, which a node bootstrapping
+    from the result hands its herder to link the next close to.  When
+    [memo] holds the replayed closes (the run's memo), only the first is
+    computed, and all three are the memo's own objects. *)
 
 val size_bytes : t -> int
 (** Exact archived volume: the XDR-encoded bytes of every published header,
     value, transaction set and checkpoint snapshot (§7.4-style cost
-    accounting). *)
+    accounting), encoded at each call. *)
 
 val to_blob : t -> string
 (** The whole archive as one canonical XDR blob, as it would be laid out on

@@ -105,13 +105,10 @@ let remember m (env : Scp.Types.envelope) =
 (* A check is kept only when it passed, and stands only for the very
    envelope it passed on: a forged statement under a reused signature
    misses and is checked, and a key registered later cannot flip a failure. *)
-let verify_envelope ?memo (env : Scp.Types.envelope) =
-  let checked m =
-    match Hashtbl.find_opt m.verified env.signature with Some e -> e == env | None -> false
-  in
-  match memo with
-  | Some m when checked m ->
-      m.hits <- m.hits + 1;
+let verify_envelope ~memo (env : Scp.Types.envelope) =
+  match Hashtbl.find_opt memo.verified env.signature with
+  | Some e when e == env ->
+      memo.hits <- memo.hits + 1;
       true
   | _ ->
       let st = env.statement in
@@ -119,14 +116,14 @@ let verify_envelope ?memo (env : Scp.Types.envelope) =
         Stellar_crypto.Sim_sig.verify ~public:st.node_id ~msg:(Scp.Types.signing_bytes st)
           ~signature:env.signature
       in
-      if ok then Option.iter (fun m -> remember m env) memo;
+      if ok then remember memo env;
       ok
 
 type t = {
   config : config;
   cb : callbacks;
   obs : Stellar_obs.Sink.t;
-  memo : memo option;  (* the closes and checks this node shares with others *)
+  memo : memo;  (* the closes and checks this node shares with others *)
   scp : Scp.Protocol.t;
   queue : Tx_queue.t;
   tx_sets : (string, held_tx_set) Hashtbl.t;
@@ -227,18 +224,18 @@ let compute ~prev before buckets_before (v : Value.t) ts =
   let apply_s = Sys.time () -. cpu0 in
   { prev; before; buckets_before; state; buckets; header; apply_s; results; merges }
 
-let apply_ledger ?memo ?(obs = Stellar_obs.Sink.null) ~prev state buckets (v : Value.t) ts =
+let apply_ledger ~memo ?(obs = Stellar_obs.Sink.null) ~prev state buckets (v : Value.t) ts =
   let same c =
     c.before == state && c.buckets_before == buckets
     && Option.equal ( == ) c.prev prev
     && String.equal c.header.tx_set_hash (Tx_set.hash ts)
     && String.equal c.header.scp_value_hash (Value.hash v)
   in
-  let shared m = Array.find_map (function Some c when same c -> Some c | _ -> None) m.ring in
+  let shared = Array.find_map (function Some c when same c -> Some c | _ -> None) memo.ring in
   (* A node on a lineage of its own (restarted, caught up) that reaches a
      held close's header takes that close, and hits from its next ledger
      on; one that reaches another header keeps its own close. *)
-  let rejoin own m =
+  let rejoin own =
     let seq = own.header.Header.ledger_seq in
     let hash = lazy (Header.hash own.header) in
     Array.find_map
@@ -248,22 +245,19 @@ let apply_ledger ?memo ?(obs = Stellar_obs.Sink.null) ~prev state buckets (v : V
                && String.equal (Header.hash c.header) (Lazy.force hash) ->
             Some c
         | _ -> None)
-      m.ring
+      memo.ring
   in
   let c =
-    match memo with
-    | None -> compute ~prev state buckets v ts
-    | Some m -> (
-        match shared m with
+    match shared with
+    | Some c -> c
+    | None -> (
+        let own = compute ~prev state buckets v ts in
+        match rejoin own with
         | Some c -> c
-        | None -> (
-            let own = compute ~prev state buckets v ts in
-            match rejoin own m with
-            | Some c -> c
-            | None ->
-                m.ring.(m.next) <- Some own;
-                m.next <- (m.next + 1) mod slots_to_remember;
-                own))
+        | None ->
+            memo.ring.(memo.next) <- Some own;
+            memo.next <- (memo.next + 1) mod slots_to_remember;
+            own)
   in
   (* every node shows its own close, also one another node computed *)
   Apply.observe obs ~slot:(State.ledger_seq c.state) c.results;
@@ -328,7 +322,7 @@ let receive_envelope t env =
     if
       slot > State.ledger_seq t.state + 1
       && t.cb.now () -. t.asked_at >= t.config.ledger_interval
-      && verify_envelope ?memo:t.memo env
+      && verify_envelope ~memo:t.memo env
     then rejoin t;
     let referenced = referenced_tx_sets env.Scp.Types.statement in
     match List.filter (fun h -> not (Hashtbl.mem t.tx_sets h)) referenced with
@@ -366,7 +360,7 @@ let drop_stale t =
 let rec close_ledger t slot (v : Value.t) ts =
   let txs = Tx_set.txs ts in
   let state, buckets, header, apply_s =
-    apply_ledger ?memo:t.memo ~obs:t.obs ~prev:t.tip t.state t.buckets v ts
+    apply_ledger ~memo:t.memo ~obs:t.obs ~prev:t.tip t.state t.buckets v ts
   in
   (* Apply_end carries tx/op counts at the (single) simulated instant of
      application; CPU time goes to the ledger.apply_ms histogram, keeping
@@ -473,7 +467,7 @@ let make config cb ~genesis ~buckets ~tip ~obs ~memo ~queue =
          Scp.Driver.make
            ~emit_envelope:(fun env -> cb.broadcast_envelope env)
            ~sign:(fun msg -> Stellar_crypto.Sim_sig.sign secret msg)
-           ~verify:(verify_envelope ?memo)
+           ~verify:(verify_envelope ~memo)
            ~validate_value:(fun ~slot raw -> validate_value (Lazy.force t) ~slot raw)
            ~combine_candidates:(fun ~slot raws -> combine_candidates (Lazy.force t) ~slot raws)
            ~value_externalized:(fun ~slot raw ->
@@ -520,7 +514,7 @@ let make config cb ~genesis ~buckets ~tip ~obs ~memo ~queue =
   in
   Lazy.force t
 
-let create config cb ~genesis ?buckets ?tip ?(obs = Stellar_obs.Sink.null) ?memo () =
+let create config cb ~genesis ?buckets ?tip ?(obs = Stellar_obs.Sink.null) ~memo () =
   make config cb ~genesis ~buckets ~tip ~obs ~memo ~queue:(Tx_queue.create ())
 
 let catch_up t cb (state, buckets, tip) =

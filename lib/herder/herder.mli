@@ -59,19 +59,19 @@ type memo
 
 val memo : unit -> memo
 
-val verify_envelope : ?memo:memo -> Scp.Types.envelope -> bool
+val verify_envelope : memo:memo -> Scp.Types.envelope -> bool
 (** Whether the envelope carries its node's signature over the statement's
-    {!Scp.Types.signing_bytes}: the herder's SCP driver's [verify].  With
-    [memo], an envelope physically the one a check passed on is answered
+    {!Scp.Types.signing_bytes}: the herder's SCP driver's [verify].  An
+    envelope physically the one a check passed on is answered from [memo]
     without checking again; only passed checks are kept, and only for
     slots from {!slots_to_remember} behind the newest slot kept.  A memo
-    answers for the key table it was filled under. *)
+    answers for the key table it was filled under; a fresh memo checks. *)
 
 val verified : memo -> int * int
 (** The signatures [memo] holds, and the lookups they answered. *)
 
 val apply_ledger :
-  ?memo:memo ->
+  memo:memo ->
   ?obs:Stellar_obs.Sink.t ->
   prev:Stellar_ledger.Header.t option ->
   Stellar_ledger.State.t ->
@@ -86,12 +86,13 @@ val apply_ledger :
     [prev] (the value's hash, the tx set, results and snapshot hashes).
     The value is the only source of the close time and the parameters.
     Returns the new state, bucket list and header, and the CPU seconds the
-    close took when it was computed.  With [memo], a close computed from
-    the same (by identity) [prev], state and bucket list, for a value and
-    tx set of equal hashes, is returned, not recomputed.  Otherwise the
-    close is computed; when [memo] holds a close whose header hashes the
-    same, that close is returned instead (so the next ledger is shared),
-    and when it holds none, the new close is kept.  Either way [obs]
+    close took when it was computed.  A close [memo] holds that was
+    computed from the same (by identity) [prev], state and bucket list,
+    for a value and tx set of equal hashes, is returned, not recomputed.
+    Otherwise the close is computed; when [memo] holds a close whose
+    header hashes the same, that close is returned instead (so the next
+    ledger is shared), and when it holds none, the new close is kept.
+    Either way [obs]
     sees this close's transactions and merges
     ({!Stellar_ledger.Apply.observe}, {!Stellar_bucket.Bucket_list.observe}). *)
 
@@ -104,7 +105,7 @@ val create :
   ?buckets:Stellar_bucket.Bucket_list.t ->
   ?tip:Stellar_ledger.Header.t ->
   ?obs:Stellar_obs.Sink.t ->
-  ?memo:memo ->
+  memo:memo ->
   unit ->
   t
 (** [buckets] lets many simulated validators share one precomputed bucket
@@ -118,8 +119,8 @@ val create :
     per-transaction lifecycle events [Tx_submit] and [Tx_dropped]
     ([Tx_applied] comes from ledger apply), plus the
     [ledger.apply_ms] CPU histogram and [herder.queue.size] gauge.
-    [memo] (default none) is {!apply_ledger}'s and {!verify_envelope}'s;
-    {!catch_up} keeps it. *)
+    [memo] is {!apply_ledger}'s and {!verify_envelope}'s, shared with the
+    network's other herders; {!catch_up} keeps it. *)
 
 val catch_up :
   t ->

@@ -16,7 +16,7 @@ type t = {
   genesis : Stellar_ledger.State.t;
   genesis_buckets : Stellar_bucket.Bucket_list.t option;
   archive : Stellar_archive.Archive.t option;
-  memo : Stellar_herder.Herder.memo option;
+  memo : Stellar_herder.Herder.memo;
   user_on_ledger_closed : Stellar_herder.Herder.ledger_stats -> unit;
   obs : Obs.Sink.t;
   flood_metrics : flood_metrics;
@@ -159,7 +159,7 @@ let handle t ~src ~info (w : Message.wire) =
 let bootstrap t ~past =
   match t.archive with
   | Some a when Stellar_archive.Archive.latest_seq a > Some past ->
-      Result.to_option (Stellar_archive.Archive.catchup a)
+      Result.to_option (Stellar_archive.Archive.catchup ~memo:t.memo a)
   | _ -> None
 
 (* Herder callbacks for generation [gen].  Every one of them re-checks the
@@ -246,8 +246,9 @@ and catch_up_from_archive t =
       install t ~from_seq (fun cb -> Stellar_herder.Herder.catch_up t.herder cb caught)
   | None -> ()
 
-let create ~network ~index ~peers ~config ~genesis ?buckets ?tip ?archive ?memo
-    ?(on_ledger_closed = fun _ -> ()) ?(obs = Obs.Sink.null) () =
+let create ~network ~index ~peers ~config ~genesis ?buckets ?tip ?archive
+    ?(memo = Stellar_herder.Herder.memo ()) ?(on_ledger_closed = fun _ -> ())
+    ?(obs = Obs.Sink.null) () =
   let engine = Stellar_sim.Network.engine network in
   let rec t =
     lazy
@@ -270,7 +271,7 @@ let create ~network ~index ~peers ~config ~genesis ?buckets ?tip ?archive ?memo
              c_dup_bytes = Obs.Sink.counter obs "flood.dup_bytes";
              c_forwarded = Obs.Sink.counter obs "flood.forwarded";
            };
-         herder = Stellar_herder.Herder.create config cb ~genesis ?buckets ?tip ~obs ?memo ();
+         herder = Stellar_herder.Herder.create config cb ~genesis ?buckets ?tip ~obs ~memo ();
          generation = 0;
          crashed = false;
          seen = Hashtbl.create 1024;
@@ -317,7 +318,7 @@ let restart t =
     (* the process died: its queue and dedup table did not survive *)
     install t ~from_seq (fun cb ->
         Stellar_herder.Herder.create t.config cb ~genesis:state ?buckets ?tip ~obs:t.obs
-          ?memo:t.memo ())
+          ~memo:t.memo ())
   end
 
 (* Byzantine-style pressure: re-broadcast our latest envelopes [copies]

@@ -40,7 +40,9 @@ val create :
     answers one peer at most once in half a ledger interval; a sooner
     request from that peer goes unanswered.
     [memo] is the close and verify memo ({!Stellar_herder.Herder.memo})
-    this node's herders share with the network's other validators.
+    this node's herders share with the network's other validators (default
+    a fresh one, shared with none); its archive catch-ups replay through
+    it too.
     [obs] (default disabled) instruments the flood path — [flood.*]
     counters and, when tracing, [Flood_send], [Flood_recv] and [Dedup_drop]
     events — and is passed down to the herder/SCP/ledger stack.  Node-level

@@ -705,7 +705,7 @@ let regression_tests =
           Stellar_herder.Herder.create
             (Stellar_herder.Herder.default_config ~seed:(pair.Topology.validator_seed 1)
                ~qset:(pair.Topology.qset_of 1))
-            cb ~genesis ()
+            cb ~genesis ~memo:(Stellar_herder.Herder.memo ()) ()
         in
         let alone = Scp.Quorum_set.majority [ (Topology.node_ids pair).(1) ] in
         Stellar_herder.Herder.set_quorum_set h alone;

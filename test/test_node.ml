@@ -288,9 +288,10 @@ let fault_tests =
 (* ---------- archive + catchup ---------- *)
 
 (* A single-validator network running 62 s with ten payments, archived
-   with checkpoint frequency 4.  Returns the validator, its accounts, the
-   archive and each closed ledger's live bucket list by sequence number. *)
-let archived_run () =
+   with checkpoint frequency 4, its closes made through [memo] (default a
+   fresh one).  Returns the validator, its accounts, the archive and each
+   closed ledger's live bucket list by sequence number. *)
+let archived_run ?memo () =
   let engine = Stellar_sim.Engine.create () in
   let rng = Stellar_sim.Rng.create ~seed:5 in
   let network = Stellar_sim.Network.create ~engine ~rng ~n:1 ~latency:(Stellar_sim.Latency.Constant 0.001) () in
@@ -307,7 +308,7 @@ let archived_run () =
       ~config:
         (Stellar_herder.Herder.default_config ~seed:(spec.Topology.validator_seed 0)
            ~qset:(Scp.Quorum_set.singleton (Topology.node_ids spec).(0)))
-      ~genesis ~on_ledger_closed ()
+      ~genesis ?memo ~on_ledger_closed ()
   in
   Validator.start validator;
   (* submit some payments *)
@@ -361,7 +362,7 @@ let archive_tests =
                 header.Stellar_ledger.Header.tx_set_hash v.Stellar_herder.Value.tx_set_hash
         done;
         (* catchup *)
-        (match Stellar_archive.Archive.catchup archive with
+        (match Stellar_archive.Archive.catchup ~memo:(Stellar_herder.Herder.memo ()) archive with
         | Error e -> fail e
         | Ok (from_seq, (state, _buckets, tip)) ->
             (* replayed from the latest checkpoint *)
@@ -413,11 +414,16 @@ let archive_tests =
               ~buckets));
     test_case "catch-up rejects a forged header after the checkpoint" `Quick (fun () ->
         (* copy a checkpoint with the two ledgers before and after it,
-           forging the first one after it and relinking the next one to the
-           forgery (its [prev_hash] and skip-list slot 0, the previous
-           header's hash): every chain link and snapshot hash still checks
-           out, so each forgery must be caught at the forged ledger itself *)
-        let _, _, archive, buckets_at = archived_run () in
+           forging one after it and relinking the next one to the forgery
+           (its [prev_hash] and skip-list slot 0, the previous header's
+           hash): every chain link and snapshot hash still checks out, so
+           each forgery must be caught at the forged ledger itself.  Each
+           case runs on a fresh memo and on the memo of the run that made
+           the archive, which holds every honest close: the first ledger
+           after the checkpoint is computed and rejoins the held close, and
+           the second is answered from the memo *)
+        let run_memo = Stellar_herder.Herder.memo () in
+        let _, _, archive, buckets_at = archived_run ~memo:run_memo () in
         let latest = Option.get (Stellar_archive.Archive.latest_seq archive) in
         let chk = 4 * ((latest - 2) / 4) in
         let archived ?(at = chk + 1) forge =
@@ -443,105 +449,129 @@ let archive_tests =
           done;
           copy
         in
-        let copy ?at forge = Stellar_archive.Archive.catchup (archived ?at forge) in
-        (match copy Fun.id with
-        | Ok (_, (_, _, tip)) ->
-            check int "faithful copy catches up to its tip" (chk + 2)
-              tip.Stellar_ledger.Header.ledger_seq
-        | Error e -> fail e);
-        (* a header before the checkpoint altered and the later links left
-           as they are: replay starts at the checkpoint, so only the check
-           of the links up to it can refuse the chain *)
-        (match
-           copy ~at:(chk - 1) (fun (h, v) ->
-               ({ h with Stellar_ledger.Header.fee_pool = h.Stellar_ledger.Header.fee_pool + 1 }, v))
-         with
-        | Ok _ -> fail "header altered before the checkpoint accepted"
-        | Error e -> check string "header altered before the checkpoint" "header chain broken" e);
-        (* the checkpoint record forged and the archived ledgers left as they
-           are: the blob re-read with the checkpoint header's fee pool raised,
-           so its bucket hash and its link back still check out, and only the
-           comparison with the archived ledger at its seq can refuse it *)
-        (let module Xdr = Stellar_xdr.Xdr in
-         let module H = Stellar_ledger.Header in
-         let blob_xdr =
-           Xdr.(
-             pair uint32
-               (pair
-                  (list (pair H.xdr (pair Stellar_herder.Value.xdr Stellar_herder.Tx_set.xdr)))
-                  (list (pair hyper (pair H.xdr Stellar_bucket.Bucket_list.xdr)))))
-         in
-         let freq, (records, checkpoints) =
-           Result.get_ok (Xdr.decode blob_xdr (Stellar_archive.Archive.to_blob (archived Fun.id)))
-         in
-         let checkpoints =
-           List.map (fun (seq, (h, b)) -> (seq, ({ h with H.fee_pool = h.H.fee_pool + 1 }, b))) checkpoints
-         in
-         match Stellar_archive.Archive.of_blob (Xdr.encode blob_xdr (freq, (records, checkpoints))) with
-         | Error e -> fail e
-         | Ok forged -> (
-             match Stellar_archive.Archive.catchup forged with
-             | Ok _ -> fail "forged checkpoint accepted"
-             | Error e -> check string "forged checkpoint" "header chain broken" e));
-        let forged = chk + 1 in
-        let mismatch = Printf.sprintf "replayed header mismatch at ledger %d" forged in
-        (* a header made consistent with a forged value: its own hash and
-           parameters agree, so only the value checks can refuse it *)
-        let consistent (h, v) base_fee =
-          ( {
-              h with
-              Stellar_ledger.Header.scp_value_hash = Stellar_herder.Value.hash v;
-              base_fee;
-            },
-            v )
-        in
         List.iter
-          (fun (what, expected, forge) ->
-            match copy forge with
-            | Ok _ -> fail (what ^ " accepted")
-            | Error e -> check string what expected e)
-          [
-            ( "forged results hash",
-              mismatch,
-              fun (h, v) ->
-                ( {
-                    h with
-                    Stellar_ledger.Header.results_hash = Stellar_crypto.Sha256.digest "forged";
-                  },
-                  v ) );
-            ( "forged fee pool",
-              mismatch,
-              fun (h, v) ->
-                ({ h with Stellar_ledger.Header.fee_pool = h.Stellar_ledger.Header.fee_pool + 1 }, v)
-            );
-            ( "base fee forged in the header only",
-              mismatch,
-              fun (h, v) -> ({ h with Stellar_ledger.Header.base_fee = 200 }, v) );
-            ( "base-fee upgrade added to the value, scp_value_hash kept",
-              mismatch,
-              fun (h, v) ->
-                ( { h with Stellar_ledger.Header.base_fee = 200 },
-                  { v with Stellar_herder.Value.upgrades = [ Stellar_herder.Value.Upgrade_base_fee 200 ] }
-                ) );
-            ( "value naming another tx set",
-              Printf.sprintf "value names another tx set at ledger %d" forged,
-              fun (h, v) ->
-                consistent
-                  (h, { v with Stellar_herder.Value.tx_set_hash = Stellar_crypto.Sha256.digest "other" })
-                  h.Stellar_ledger.Header.base_fee );
-            ( "out-of-range upgrade, header consistent",
-              Printf.sprintf "invalid upgrade at ledger %d" forged,
-              fun (h, v) ->
-                consistent
-                  (h, { v with Stellar_herder.Value.upgrades = [ Stellar_herder.Value.Upgrade_base_fee 20_000 ] })
-                  20_000 );
-          ]);
+          (fun (on, memo) ->
+            let copy ?at forge = Stellar_archive.Archive.catchup ~memo:(memo ()) (archived ?at forge) in
+            (match copy Fun.id with
+            | Ok (_, (_, _, tip)) ->
+                check int ("faithful copy catches up to its tip, " ^ on) (chk + 2)
+                  tip.Stellar_ledger.Header.ledger_seq
+            | Error e -> fail e);
+            (* a header before the checkpoint altered and the later links
+               left as they are: replay starts at the checkpoint, so only
+               the check of the links up to it can refuse the chain *)
+            (match
+               copy ~at:(chk - 1) (fun (h, v) ->
+                   ({ h with Stellar_ledger.Header.fee_pool = h.Stellar_ledger.Header.fee_pool + 1 }, v))
+             with
+            | Ok _ -> fail ("header altered before the checkpoint accepted, " ^ on)
+            | Error e ->
+                check string ("header altered before the checkpoint, " ^ on) "header chain broken" e);
+            (* the checkpoint record forged and the archived ledgers left as
+               they are: the blob re-read with the checkpoint header's fee
+               pool raised, so its bucket hash and its link back still check
+               out, and only the comparison with the archived ledger at its
+               seq can refuse it *)
+            (let module Xdr = Stellar_xdr.Xdr in
+             let module H = Stellar_ledger.Header in
+             let blob_xdr =
+               Xdr.(
+                 pair uint32
+                   (pair
+                      (list (pair H.xdr (pair Stellar_herder.Value.xdr Stellar_herder.Tx_set.xdr)))
+                      (list (pair hyper (pair H.xdr Stellar_bucket.Bucket_list.xdr)))))
+             in
+             let freq, (records, checkpoints) =
+               Result.get_ok (Xdr.decode blob_xdr (Stellar_archive.Archive.to_blob (archived Fun.id)))
+             in
+             let checkpoints =
+               List.map
+                 (fun (seq, (h, b)) -> (seq, ({ h with H.fee_pool = h.H.fee_pool + 1 }, b)))
+                 checkpoints
+             in
+             match
+               Stellar_archive.Archive.of_blob (Xdr.encode blob_xdr (freq, (records, checkpoints)))
+             with
+             | Error e -> fail e
+             | Ok forged -> (
+                 match Stellar_archive.Archive.catchup ~memo:(memo ()) forged with
+                 | Ok _ -> fail ("forged checkpoint accepted, " ^ on)
+                 | Error e -> check string ("forged checkpoint, " ^ on) "header chain broken" e));
+            (* a header made consistent with a forged value: its own hash
+               and parameters agree, so only the value checks can refuse it *)
+            let consistent (h, v) base_fee =
+              ( {
+                  h with
+                  Stellar_ledger.Header.scp_value_hash = Stellar_herder.Value.hash v;
+                  base_fee;
+                },
+                v )
+            in
+            List.iter
+              (fun forged ->
+                let mismatch = Printf.sprintf "replayed header mismatch at ledger %d" forged in
+                List.iter
+                  (fun (what, expected, forge) ->
+                    let what = Printf.sprintf "%s at ledger %d, %s" what forged on in
+                    match copy ~at:forged forge with
+                    | Ok _ -> fail (what ^ " accepted")
+                    | Error e -> check string what expected e)
+                  [
+                    ( "forged results hash",
+                      mismatch,
+                      fun (h, v) ->
+                        ( {
+                            h with
+                            Stellar_ledger.Header.results_hash = Stellar_crypto.Sha256.digest "forged";
+                          },
+                          v ) );
+                    ( "forged fee pool",
+                      mismatch,
+                      fun (h, v) ->
+                        ( { h with Stellar_ledger.Header.fee_pool = h.Stellar_ledger.Header.fee_pool + 1 },
+                          v ) );
+                    ( "base fee forged in the header only",
+                      mismatch,
+                      fun (h, v) -> ({ h with Stellar_ledger.Header.base_fee = 200 }, v) );
+                    ( "base-fee upgrade added to the value, scp_value_hash kept",
+                      mismatch,
+                      fun (h, v) ->
+                        ( { h with Stellar_ledger.Header.base_fee = 200 },
+                          {
+                            v with
+                            Stellar_herder.Value.upgrades = [ Stellar_herder.Value.Upgrade_base_fee 200 ];
+                          } ) );
+                    ( "value naming another tx set",
+                      Printf.sprintf "value names another tx set at ledger %d" forged,
+                      fun (h, v) ->
+                        consistent
+                          ( h,
+                            {
+                              v with
+                              Stellar_herder.Value.tx_set_hash = Stellar_crypto.Sha256.digest "other";
+                            } )
+                          h.Stellar_ledger.Header.base_fee );
+                    ( "out-of-range upgrade, header consistent",
+                      Printf.sprintf "invalid upgrade at ledger %d" forged,
+                      fun (h, v) ->
+                        consistent
+                          ( h,
+                            {
+                              v with
+                              Stellar_herder.Value.upgrades =
+                                [ Stellar_herder.Value.Upgrade_base_fee 20_000 ];
+                            } )
+                          20_000 );
+                  ])
+              [ chk + 1; chk + 2 ])
+          [ ("on a fresh memo", Stellar_herder.Herder.memo); ("on the run's memo", fun () -> run_memo) ]);
     test_case "catch-up replays a parameter upgrade after the checkpoint" `Quick (fun () ->
         (* ledgers closed through the herder's transition, the base fee
            raised by ledger 5's value: replay must apply the archived
            value's upgrade *)
         let genesis, _ = Genesis.make ~n_accounts:4 () in
         let archive = Stellar_archive.Archive.create ~checkpoint_frequency:4 () in
+        let closes = Stellar_herder.Herder.memo () in
         let state = ref genesis in
         let buckets = ref (Stellar_bucket.Bucket_list.of_state genesis) in
         let prev = ref None in
@@ -561,14 +591,15 @@ let archive_tests =
             }
           in
           let s, b, header, _ =
-            Stellar_herder.Herder.apply_ledger ~prev:!prev !state !buckets value ts
+            Stellar_herder.Herder.apply_ledger ~memo:closes ~prev:!prev !state !buckets value ts
           in
           Stellar_archive.Archive.record_ledger archive ~header ~value ~tx_set:ts ~buckets:b;
           state := s;
           buckets := b;
           prev := Some header
         done;
-        match Stellar_archive.Archive.catchup archive with
+        (* a memo of its own: every replayed ledger is computed *)
+        match Stellar_archive.Archive.catchup ~memo:(Stellar_herder.Herder.memo ()) archive with
         | Error e -> fail e
         | Ok (_, (state, _, tip)) ->
             check int "upgraded base fee" 200 (Stellar_ledger.State.base_fee state);
@@ -611,6 +642,7 @@ let archive_tests =
           else []
         in
         let archive = Stellar_archive.Archive.create ~checkpoint_frequency:4 () in
+        let closes = Stellar_herder.Herder.memo () in
         let rec close prev state buckets seq =
           if seq > 8 then state
           else begin
@@ -623,7 +655,7 @@ let archive_tests =
               { Stellar_herder.Value.tx_set_hash = Stellar_herder.Tx_set.hash ts; close_time = 10 * seq; upgrades = [] }
             in
             let state, buckets, header, _ =
-              Stellar_herder.Herder.apply_ledger ~prev state buckets value ts
+              Stellar_herder.Herder.apply_ledger ~memo:closes ~prev state buckets value ts
             in
             Stellar_archive.Archive.record_ledger archive ~header ~value ~tx_set:ts ~buckets;
             check bool
@@ -636,7 +668,7 @@ let archive_tests =
         let live =
           close None genesis (Stellar_bucket.Bucket_list.of_state genesis) (L.State.ledger_seq genesis + 1)
         in
-        match Stellar_archive.Archive.catchup archive with
+        match Stellar_archive.Archive.catchup ~memo:(Stellar_herder.Herder.memo ()) archive with
         | Error e -> fail e
         | Ok (from_seq, (state, _, _)) ->
             check int "from the checkpoint at ledger 8" 8 from_seq;
@@ -695,21 +727,23 @@ let ledger accounts ~prev ~seq =
   ({ Stellar_herder.Value.tx_set_hash = Stellar_herder.Tx_set.hash ts; close_time = 10 * seq; upgrades = [] }, ts)
 
 (* [n] closes from genesis through [memo]; the inputs and result of each. *)
-let chain ?memo accounts genesis buckets n =
+let chain ~memo accounts genesis buckets n =
   let rec go prev state buckets seq k =
     if k = 0 then []
     else
       let v, ts = ledger accounts ~prev ~seq in
       let ((state', buckets', header, _) as r) =
-        Stellar_herder.Herder.apply_ledger ?memo ~prev state buckets v ts
+        Stellar_herder.Herder.apply_ledger ~memo ~prev state buckets v ts
       in
       (prev, state, buckets, seq, r) :: go (Some header) state' buckets' (seq + 1) (k - 1)
   in
   go None genesis buckets (Stellar_ledger.State.ledger_seq genesis + 1) n
 
 (* A hand-built [n]-validator network run of four ledgers' payments, each
-   node given [memo_of i]: every node's metrics (but its CPU histogram) and
-   trace, and its chain of header hashes. *)
+   node given [memo_of i], node 0's closes archived and the last node
+   crashed at 17 s and restarted from the archive at 27 s: every node's
+   metrics (but its CPU histogram) and trace, and its chain of header
+   hashes. *)
 let memo_run ~n memo_of =
   let spec = Topology.all_to_all ~n in
   let engine = Stellar_sim.Engine.create () in
@@ -720,10 +754,12 @@ let memo_run ~n memo_of =
   let genesis, accounts = Genesis.make ~n_accounts:8 () in
   let buckets = Stellar_bucket.Bucket_list.of_state genesis in
   let chains = Array.make n [] in
+  let archive = Stellar_archive.Archive.create ~checkpoint_frequency:4 () in
   let nodes =
     Array.init n (fun i ->
         let sink, seen = observed ~now:(fun () -> Stellar_sim.Engine.now engine) i in
-        let on_ledger_closed { Stellar_herder.Herder.header; _ } =
+        let on_ledger_closed { Stellar_herder.Herder.header; value; tx_set; buckets; _ } =
+          if i = 0 then Stellar_archive.Archive.record_ledger archive ~header ~value ~tx_set ~buckets;
           chains.(i) <- Stellar_ledger.Header.hash header :: chains.(i)
         in
         let v =
@@ -731,11 +767,14 @@ let memo_run ~n memo_of =
             ~config:
               (Stellar_herder.Herder.default_config ~seed:(spec.Topology.validator_seed i)
                  ~qset:(spec.Topology.qset_of i))
-            ~genesis ~buckets ~memo:(memo_of i) ~on_ledger_closed ~obs:sink ()
+            ~genesis ~buckets ~archive ~memo:(memo_of i) ~on_ledger_closed ~obs:sink ()
         in
         (v, seen))
   in
   Array.iter (fun (v, _) -> Validator.start v) nodes;
+  let last = fst nodes.(n - 1) in
+  ignore (Stellar_sim.Engine.schedule engine ~delay:17.0 (fun () -> Validator.crash last));
+  ignore (Stellar_sim.Engine.schedule engine ~delay:27.0 (fun () -> Validator.restart last));
   for seq = 2 to 5 do
     List.iter
       (fun signed ->
@@ -756,7 +795,15 @@ let same_runs one each =
       check (list string) (Printf.sprintf "node %d chain" i) chain chain';
       check bool (Printf.sprintf "node %d metrics" i) true (metrics = metrics');
       check bool (Printf.sprintf "node %d trace" i) true (events = events'))
-    one
+    one;
+  let (_, events), _ = one.(Array.length one - 1) in
+  check bool "the last node replayed archived ledgers at its restart" true
+    (List.exists
+       (fun e ->
+         match e.Obs.Trace.event with
+         | Obs.Event.Catchup_done { from_seq; replayed; _ } -> from_seq > 0 && replayed > 0
+         | _ -> false)
+       events)
 
 let memo_tests =
   let open Alcotest in
@@ -793,7 +840,7 @@ let memo_tests =
               && List.exists (fun (name, n, _, _) -> name = "ledger.tx.failed" && n = 1) metrics);
             check bool "traced its merges" true
               (List.exists (fun e -> match e.Obs.Trace.event with Obs.Event.Bucket_merge _ -> true | _ -> false) events))
-          (chain accounts genesis buckets 6));
+          (chain ~memo:(Stellar_herder.Herder.memo ()) accounts genesis buckets 6));
     test_case "an equal state not physically shared rejoins the shared close" `Quick (fun () ->
         let genesis, accounts = Genesis.make ~n_accounts:8 () in
         let memo = Stellar_herder.Herder.memo () in
@@ -808,7 +855,10 @@ let memo_tests =
         (* the same ledger's inputs built apart: equal, not the same *)
         let genesis', _ = Genesis.make ~n_accounts:8 () in
         let _, state', buckets', _, _ =
-          List.nth (chain accounts genesis' (Stellar_bucket.Bucket_list.of_state genesis') 2) 1
+          List.nth
+            (chain ~memo:(Stellar_herder.Herder.memo ()) accounts genesis'
+               (Stellar_bucket.Bucket_list.of_state genesis') 2)
+            1
         in
         let copy h = { h with Stellar_ledger.Header.ledger_seq = h.Stellar_ledger.Header.ledger_seq } in
         List.iter
@@ -862,6 +912,41 @@ let memo_tests =
         check bool "its own close is kept" true (same_close (redo ~prev drifted buckets seq) own);
         check bool "the lineage still gets the shared close" true
           (same_close (redo ~prev state buckets seq) shared));
+    test_case "catch-up shares the memo's closes" `Quick (fun () ->
+        (* ten ledgers closed through [memo] and archived, a checkpoint at
+           ledger 8: replaying 9 to 11 through the same memo ends on the
+           chain's own last close; through a fresh one, on equal copies *)
+        let genesis, accounts = Genesis.make ~n_accounts:8 () in
+        let memo = Stellar_herder.Herder.memo () in
+        let closes = chain ~memo accounts genesis (Stellar_bucket.Bucket_list.of_state genesis) 10 in
+        let archive = Stellar_archive.Archive.create ~checkpoint_frequency:4 () in
+        List.iter
+          (fun (prev, _, _, seq, (_, buckets, header, _)) ->
+            let value, tx_set = ledger accounts ~prev ~seq in
+            Stellar_archive.Archive.record_ledger archive ~header ~value ~tx_set ~buckets)
+          closes;
+        let _, _, _, _, (state, buckets, header, _) = List.nth closes 9 in
+        let caught memo =
+          match Stellar_archive.Archive.catchup ~memo archive with
+          | Ok (from_seq, r) ->
+              check int "from the checkpoint at ledger 8" 8 from_seq;
+              r
+          | Error e -> fail e
+        in
+        let state', buckets', header' = caught memo in
+        check bool "the chain's state" true (state' == state);
+        check bool "the chain's bucket list" true (buckets' == buckets);
+        check bool "the chain's header" true (header' == header);
+        let state', buckets', header' = caught (Stellar_herder.Herder.memo ()) in
+        check bool "another state" false (state' == state);
+        check bool "another bucket list" false (buckets' == buckets);
+        check bool "another header" false (header' == header);
+        check string "an equal state" (Stellar_ledger.State.snapshot_hash state)
+          (Stellar_ledger.State.snapshot_hash state');
+        check string "an equal bucket list" (Stellar_bucket.Bucket_list.hash buckets)
+          (Stellar_bucket.Bucket_list.hash buckets');
+        check string "an equal header" (Stellar_ledger.Header.hash header)
+          (Stellar_ledger.Header.hash header'));
     test_case "sharing closes is invisible to every node" `Quick (fun () ->
         (* one 4-validator network run twice: one memo for all, then one
            memo each; every node must count, trace and close alike *)
@@ -1041,7 +1126,7 @@ let join_tests =
         check bool "founders made progress" true (founder_seq >= 6);
         (* the newcomer catches up offline from the archive... *)
         let state, catchup_buckets, tip =
-          match Stellar_archive.Archive.catchup archive with
+          match Stellar_archive.Archive.catchup ~memo:(Stellar_herder.Herder.memo ()) archive with
           | Ok (_, r) -> r
           | Error e -> fail e
         in
