@@ -44,7 +44,7 @@ let run () =
   let trace = Obs.Collector.trace telemetry in
   let bd = Obs.Report.breakdown trace in
   let per_slot = Obs.Report.slot_phases trace in
-  let flood = Obs.Report.flood_stats trace in
+  let flood = Obs.Report.flood_stats telemetry in
   let open Obs.Report in
   Common.row "slots measured     : %d (of %d ledgers closed)@." bd.n_slots
     r.Stellar_node.Scenario.ledgers_closed;

@@ -168,7 +168,12 @@ let make_tests () =
       ignore (Scp.Slot.process_envelope slot (prepare i tiered_qset))
     done;
     let envs =
-      [| prepare 1 tiered_qset; prepare 1 { tiered_qset with threshold = tiered_qset.threshold - 1 } |]
+      [|
+        prepare 1 tiered_qset;
+        prepare 1
+          (Scp.Quorum_set.make ~threshold:(tiered_qset.threshold - 1) ~inner:tiered_qset.inner
+             tiered_qset.validators);
+      |]
     in
     let turn = ref 0 in
     fun () ->

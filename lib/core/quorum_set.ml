@@ -1,11 +1,31 @@
 type node_id = string
 
-type t = { threshold : int; validators : node_id list; inner : t list }
+type t = { threshold : int; validators : node_id list; inner : t list; hash : string }
 
 let member_count_shallow t = List.length t.validators + List.length t.inner
 
+module Xdr = Stellar_xdr.Xdr
+
+(* Nesting is bounded (stellar-core allows depth 2; we accept a bit more)
+   so a malicious envelope cannot force unbounded recursion. *)
+let max_depth = 8
+
+let rec write_xdr w depth t =
+  if depth > max_depth then raise (Xdr.Error "Quorum_set: nesting too deep");
+  Xdr.Writer.uint32 w t.threshold;
+  (Xdr.list (Xdr.str ())).Xdr.write w t.validators;
+  Xdr.Writer.uint32 w (List.length t.inner);
+  List.iter (write_xdr w (depth + 1)) t.inner
+
+(* Every statement names its sender's set: a set carries its hash from birth. *)
+let seal threshold validators inner =
+  let t = { threshold; validators; inner; hash = "" } in
+  let w = Xdr.Writer.create () in
+  write_xdr w 0 t;
+  { t with hash = Stellar_crypto.Sha256.digest (Xdr.Writer.contents w) }
+
 let make ~threshold ?(inner = []) validators =
-  let t = { threshold; validators; inner } in
+  let t = seal threshold validators inner in
   if threshold < 1 || threshold > member_count_shallow t then
     invalid_arg "Quorum_set.make: threshold out of range";
   t
@@ -73,19 +93,6 @@ let rec weight t node =
         if w > 0.0 then Float.max acc (direct *. w) else acc)
       0.0 t.inner
 
-module Xdr = Stellar_xdr.Xdr
-
-(* Nesting is bounded (stellar-core allows depth 2; we accept a bit more)
-   so a malicious envelope cannot force unbounded recursion. *)
-let max_depth = 8
-
-let rec write_xdr w depth t =
-  if depth > max_depth then raise (Xdr.Error "Quorum_set: nesting too deep");
-  Xdr.Writer.uint32 w t.threshold;
-  (Xdr.list (Xdr.str ())).Xdr.write w t.validators;
-  Xdr.Writer.uint32 w (List.length t.inner);
-  List.iter (write_xdr w (depth + 1)) t.inner
-
 let rec read_xdr r depth =
   if depth > max_depth then raise (Xdr.Error "Quorum_set: nesting too deep");
   let threshold = Xdr.Reader.uint32 r in
@@ -94,33 +101,12 @@ let rec read_xdr r depth =
   if n_inner * 4 > Xdr.Reader.remaining r then
     raise (Xdr.Error "Quorum_set: inner count exceeds buffer");
   let inner = List.init n_inner (fun _ -> read_xdr r (depth + 1)) in
-  let t = { threshold; validators; inner } in
+  let t = seal threshold validators inner in
   if threshold < 1 || threshold > member_count_shallow t then
     raise (Xdr.Error "Quorum_set: threshold out of range");
   t
 
 let xdr = { Xdr.write = (fun w t -> write_xdr w 0 t); read = (fun r -> read_xdr r 0) }
-
 let encode t = Xdr.encode xdr t
 let decode s = Xdr.decode xdr s
-
-(* Every statement a node signs or verifies carries its sender's quorum
-   set, and a simulation shares one set value among many nodes.  Sets are
-   immutable, so a set's hash never changes: remember the last few hashed
-   sets by physical identity ([==]) in a fixed ring, replaced oldest first. *)
-let memo_slots = 32
-let memo = Array.make memo_slots None
-let memo_next = ref 0
-
-let hash t =
-  let rec find i =
-    if i = memo_slots then None
-    else match memo.(i) with Some (q, h) when q == t -> Some h | _ -> find (i + 1)
-  in
-  match find 0 with
-  | Some h -> h
-  | None ->
-      let h = Stellar_crypto.Sha256.digest (encode t) in
-      memo.(!memo_next) <- Some (t, h);
-      memo_next := (!memo_next + 1) mod memo_slots;
-      h
+let hash t = t.hash

@@ -9,10 +9,12 @@
 type node_id = string
 (** A validator identity: its 32-byte public key. *)
 
-type t = { threshold : int; validators : node_id list; inner : t list }
+type t = private { threshold : int; validators : node_id list; inner : t list; hash : string }
+(** Built only by {!make} and the XDR reader, which set [hash] ({!hash}). *)
 
 val make : threshold:int -> ?inner:t list -> node_id list -> t
-(** @raise Invalid_argument if the threshold is not in [\[1, n]]. *)
+(** @raise Invalid_argument if the threshold is not in [\[1, n]].
+    @raise Stellar_xdr.Xdr.Error if the set nests deeper than XDR allows. *)
 
 val singleton : node_id -> t
 
@@ -52,5 +54,5 @@ val encode : t -> string
 val decode : string -> (t, string) result
 
 val hash : t -> string
-(** SHA-256 of {!encode}.  The last few sets hashed are remembered by
-    physical identity, so re-hashing a shared set costs no encoding. *)
+(** SHA-256 of {!encode}, the [hash] field: a set is hashed once, when it
+    is built or decoded. *)

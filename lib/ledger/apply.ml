@@ -77,9 +77,6 @@ type ctx = { verify : public:string -> msg:string -> signature:string -> bool }
 let sim_ctx =
   { verify = (fun ~public ~msg ~signature -> Stellar_crypto.Sim_sig.verify ~public ~msg ~signature) }
 
-let ed25519_ctx =
-  { verify = (fun ~public ~msg ~signature -> Stellar_crypto.Ed25519.verify ~public ~msg ~signature) }
-
 let max_amount = 1 lsl 53
 let max_operations = 100
 let max_path_length = 5

@@ -46,8 +46,6 @@ type ctx = { verify : public:string -> msg:string -> signature:string -> bool }
 val sim_ctx : ctx
 (** Verification via {!Stellar_crypto.Sim_sig}. *)
 
-val ed25519_ctx : ctx
-
 val apply_tx : ctx -> State.t -> Tx.signed -> State.t * tx_outcome
 (** Validate, charge fee + sequence, then run operations atomically. *)
 

@@ -13,13 +13,10 @@ type params = {
   tx_rate : float;  (** payments per second *)
   duration : float;  (** seconds of virtual time under load *)
   latency : Stellar_sim.Latency.t;
-  processing : int -> float;
-      (** receiver-side per-message CPU cost; default models envelope
-          verification (~100us) plus 1 Gbps deserialization *)
+      (** link latency; a receiver's per-message CPU cost is fixed at
+          envelope verification (~100us) plus 1 Gbps deserialization *)
   seed : int;
   ledger_interval : float;
-  max_ops_per_ledger : int;
-  warmup_ledgers : int;  (** ledgers excluded from the stats *)
   observe : bool;
       (** record a structured trace and hand it back with the per-node
           metric registries ({!report.telemetry}); default off.  The
@@ -36,6 +33,9 @@ type params = {
 }
 
 val default : spec:Topology.spec -> params
+
+val warmup_ledgers : int
+(** 2: node 0's first closes, excluded from the report's statistics. *)
 
 val agree :
   (int, string) Hashtbl.t -> Stellar_ledger.Header.t -> [ `First | `Agrees | `Conflicts ]

@@ -22,11 +22,10 @@ type t = {
   flood_metrics : flood_metrics;
   mutable herder : Stellar_herder.Herder.t;
   mutable generation : int;
-      (* bumped on every crash and restart: callbacks and timers close over
-         the generation they were created in and go inert when it changes,
-         so a stale SCP ballot timer can never fire into a dead herder or
-         re-broadcast from beyond the grave *)
-  mutable crashed : bool;
+      (* bumped on every crash, restart and live catch-up: timers close
+         over the generation they were armed in and go inert when it
+         changes, so a stale SCP ballot timer can never fire into a dead
+         herder or re-broadcast from beyond the grave *)
   seen : (string, int) Hashtbl.t;  (* flood dedup: key -> expiry slot *)
   answered : (int, float) Hashtbl.t;  (* peer -> when its last request was answered *)
 }
@@ -128,31 +127,31 @@ let trace_recv t ~src ~(info : Stellar_sim.Network.delivery) (w : Message.wire) 
            proc_s = info.Stellar_sim.Network.proc_s;
          })
 
+(* The network delivers nothing to a down node, so every message handled
+   here reaches the running herder. *)
 let handle t ~src ~info (w : Message.wire) =
-  if t.crashed then ()
-  else
-    match w.msg with
-    | Message.Get_scp_state from ->
-        (* answered ahead of the dedup, and neither recorded nor flooded:
-           two nodes asking for one seq send the same bytes *)
-        trace_recv t ~src ~info w;
-        help_straggler t ~dst:src ~from
-    | msg when not (Hashtbl.mem t.seen w.id) ->
-        Obs.Registry.incr t.flood_metrics.c_unique;
-        trace_recv t ~src ~info w;
-        (* process locally, then forward to our peers (flood with dedup) *)
-        (match msg with
-        | Message.Envelope env -> Stellar_herder.Herder.receive_envelope t.herder env
-        | Message.Tx_set_msg ts -> Stellar_herder.Herder.receive_tx_set t.herder ts
-        | Message.Tx_msg signed -> ignore (Stellar_herder.Herder.receive_tx t.herder signed)
-        | Message.Get_scp_state _ -> () (* answered above *));
-        flood t ~except:src w
-    | msg ->
-        Obs.Registry.incr t.flood_metrics.c_dup_dropped;
-        Obs.Registry.add t.flood_metrics.c_dup_bytes w.size;
-        if Obs.Sink.tracing t.obs then
-          Obs.Sink.emit t.obs
-            (Obs.Event.Dedup_drop { kind = Message.kind_name msg; src; bytes = w.size })
+  match w.msg with
+  | Message.Get_scp_state from ->
+      (* answered ahead of the dedup, and neither recorded nor flooded:
+         two nodes asking for one seq send the same bytes *)
+      trace_recv t ~src ~info w;
+      help_straggler t ~dst:src ~from
+  | msg when not (Hashtbl.mem t.seen w.id) ->
+      Obs.Registry.incr t.flood_metrics.c_unique;
+      trace_recv t ~src ~info w;
+      (* process locally, then forward to our peers (flood with dedup) *)
+      (match msg with
+      | Message.Envelope env -> Stellar_herder.Herder.receive_envelope t.herder env
+      | Message.Tx_set_msg ts -> Stellar_herder.Herder.receive_tx_set t.herder ts
+      | Message.Tx_msg signed -> ignore (Stellar_herder.Herder.receive_tx t.herder signed)
+      | Message.Get_scp_state _ -> () (* answered above *));
+      flood t ~except:src w
+  | msg ->
+      Obs.Registry.incr t.flood_metrics.c_dup_dropped;
+      Obs.Registry.add t.flood_metrics.c_dup_bytes w.size;
+      if Obs.Sink.tracing t.obs then
+        Obs.Sink.emit t.obs
+          (Obs.Event.Dedup_drop { kind = Message.kind_name msg; src; bytes = w.size })
 
 (* §5.4: the archive's catch-up, when the archive holds a ledger past
    [past]: the checkpoint seq it replayed from and what it rebuilt. *)
@@ -162,28 +161,22 @@ let bootstrap t ~past =
       Result.to_option (Stellar_archive.Archive.catchup ~memo:t.memo a)
   | _ -> None
 
-(* Herder callbacks for generation [gen].  Every one of them re-checks the
-   validator's current generation before acting: after a crash or restart
-   bumps it, timers and broadcasts created under the old herder fall
-   silent instead of acting on dead state. *)
+(* Herder callbacks for generation [gen].  An abandoned herder runs code
+   only from a timer it armed, so the timers re-check the validator's
+   current generation and fall silent once a crash, restart or catch-up
+   bumps it; every other callback runs inside a call into the current
+   herder. *)
 let rec callbacks_for ~engine ~gen get_t =
   Stellar_herder.Herder.
     {
       broadcast_envelope =
         (fun env ->
           let v = get_t () in
-          if v.generation = gen then begin
-            Obs.Sink.incr v.obs "flood.own_envelopes";
-            flood v ~force:true (Message.wire (Message.Envelope env))
-          end);
-      broadcast_tx_set =
-        (fun ts ->
-          let v = get_t () in
-          if v.generation = gen then flood v (Message.wire (Message.Tx_set_msg ts)));
+          Obs.Sink.incr v.obs "flood.own_envelopes";
+          flood v ~force:true (Message.wire (Message.Envelope env)));
+      broadcast_tx_set = (fun ts -> flood (get_t ()) (Message.wire (Message.Tx_set_msg ts)));
       broadcast_tx =
-        (fun signed ->
-          let v = get_t () in
-          if v.generation = gen then flood v ~force:true (Message.wire (Message.Tx_msg signed)));
+        (fun signed -> flood (get_t ()) ~force:true (Message.wire (Message.Tx_msg signed)));
       schedule =
         (fun ~delay f ->
           let timer =
@@ -195,32 +188,28 @@ let rec callbacks_for ~engine ~gen get_t =
       on_ledger_closed =
         (fun stats ->
           let v = get_t () in
-          if v.generation = gen then begin
-            let upto = stats.Stellar_herder.Herder.header.Stellar_ledger.Header.ledger_seq in
-            prune_seen v ~upto;
-            v.user_on_ledger_closed stats
-          end);
+          prune_seen v ~upto:stats.Stellar_herder.Herder.header.Stellar_ledger.Header.ledger_seq;
+          v.user_on_ledger_closed stats);
       fell_behind =
         (fun () ->
           (* once the delivery in progress is done: the herder that calls
-             this is the one the catch-up replaces *)
+             this is the one the catch-up replaces, unless a fault has
+             replaced it first *)
           let v = get_t () in
-          if v.generation = gen then
-            ignore
-              (Stellar_sim.Engine.schedule engine ~delay:0.0 (fun () ->
-                   if v.generation = gen then catch_up_from_archive v)));
+          ignore
+            (Stellar_sim.Engine.schedule engine ~delay:0.0 (fun () ->
+                 if v.generation = gen then catch_up_from_archive v)));
       request_scp_state =
         (fun from ->
           let v = get_t () in
-          if v.generation = gen then
-            List.iter (fun peer -> send_direct v ~dst:peer (Message.Get_scp_state from)) v.peers);
+          List.iter (fun peer -> send_direct v ~dst:peer (Message.Get_scp_state from)) v.peers);
     }
 
 (* Swap in a herder rebuilt on a caught-up ledger ([make] builds it on the
    callbacks of a new generation), start it and ask the peers for the slots
    closed since.  The old herder is abandoned: the generation bump silences
-   its timers and broadcasts, and the dedup table goes too, so the new one
-   hears again what the old one took in. *)
+   its timers, the only way it could still act, and the dedup table goes
+   too, so the new one hears again what the old one took in. *)
 and install t ~from_seq make =
   t.generation <- t.generation + 1;
   Hashtbl.reset t.seen;
@@ -273,7 +262,6 @@ let create ~network ~index ~peers ~config ~genesis ?buckets ?tip ?archive
            };
          herder = Stellar_herder.Herder.create config cb ~genesis ?buckets ?tip ~obs ~memo ();
          generation = 0;
-         crashed = false;
          seen = Hashtbl.create 1024;
          answered = Hashtbl.create 8;
        })
@@ -285,16 +273,17 @@ let create ~network ~index ~peers ~config ~genesis ?buckets ?tip ?archive
 let start t = Stellar_herder.Herder.start t.herder
 let stop t = Stellar_herder.Herder.stop t.herder
 
+let is_down t = Stellar_sim.Network.is_down t.network t.index
+
 let submit_tx t signed =
-  if not t.crashed then
+  if not (is_down t) then
     match Stellar_herder.Herder.submit_tx t.herder signed with `Queued | `Duplicate -> ()
 
 (* ---- fault injection ---- *)
 
 let crash t =
-  if not t.crashed then begin
+  if not (is_down t) then begin
     Stellar_herder.Herder.stop t.herder;
-    t.crashed <- true;
     t.generation <- t.generation + 1;
     Stellar_sim.Network.set_down t.network t.index true;
     Obs.Sink.incr t.obs "fault.crashes";
@@ -302,8 +291,7 @@ let crash t =
   end
 
 let restart t =
-  if t.crashed then begin
-    t.crashed <- false;
+  if is_down t then begin
     Stellar_sim.Network.set_down t.network t.index false;
     Obs.Sink.incr t.obs "fault.restarts";
     Obs.Sink.emit t.obs Obs.Event.Node_restart;
@@ -325,7 +313,7 @@ let restart t =
    times, bypassing our own dedup table.  Correct peers drop every copy
    after the first — the interesting measurement is the wasted bytes. *)
 let reflood t ~copies =
-  if not t.crashed then begin
+  if not (is_down t) then begin
     Obs.Sink.incr t.obs "fault.refloods";
     let wires =
       List.map

@@ -74,17 +74,21 @@ val seen_size : t -> int
     and catch-up succeeds (§5.4), from genesis otherwise — and rejoins
     consensus, closing any remaining gap live from its peers' answers to
     its {!Message.Get_scp_state} (§6).  An internal generation counter
-    keeps timers and broadcasts created before the fault from acting on the
-    new incarnation. *)
+    keeps timers armed before the fault from acting on the new incarnation.
+
+    Down is the network's flag ({!Stellar_sim.Network.is_down}): a down
+    node neither sends nor receives, and its validator takes no
+    submission and refloods nothing. *)
 
 val crash : t -> unit
-(** Stop the herder, mark the node down, emit [Node_crash].  Idempotent. *)
+(** Stop the herder, mark the node down, emit [Node_crash].  No-op if the
+    node is down. *)
 
 val restart : t -> unit
 (** Bring a crashed node back: emits [Node_restart] and [Catchup_done]
     (the checkpoint seq, 0 when restarting from genesis, the archive tip and
     the replayed-ledger count), then starts the rebuilt herder.
-    No-op if the node is not crashed. *)
+    No-op if the node is not down. *)
 
 val reflood : t -> copies:int -> unit
 (** Byzantine-style fault: re-broadcast this node's latest envelopes

@@ -13,58 +13,73 @@ type phases = {
    into the "ledger.apply_ms" histogram via the herder. *)
 let apply_cost ~ops = 0.0002 +. (2.0e-5 *. float_of_int ops)
 
-type slot_acc = {
-  mutable t_nominate : float option;
-  mutable t_first_ballot : float option;
-  mutable t_externalize : float option;
-  mutable apply : int option;  (* ops *)
+(* ---- slot milestones: the one per-slot index every report reads ---- *)
+
+(* When one node first reached each milestone of one slot. *)
+type milestones = {
+  m_node : int;
+  mutable nominated : float option;  (* Nominate_start *)
+  mutable balloted : float option;  (* Ballot_bump *)
+  mutable externalized : (float * int) option;  (* Externalize: time, seq *)
+  mutable applied : (float * int * int) option;  (* Apply_end: time, seq, ops *)
 }
 
-let slot_phases ?(node = 0) trace =
-  let acc : (int, slot_acc) Hashtbl.t = Hashtbl.create 64 in
-  let get slot =
-    match Hashtbl.find_opt acc slot with
-    | Some a -> a
+(* One walk: slot -> the milestones of each node that reached one, only
+   [node]'s when given. *)
+let milestones ?node trace =
+  let by_slot : (int, milestones list) Hashtbl.t = Hashtbl.create 64 in
+  let get m_node slot =
+    let l = Option.value ~default:[] (Hashtbl.find_opt by_slot slot) in
+    match List.find_opt (fun m -> m.m_node = m_node) l with
+    | Some m -> m
     | None ->
-        let a =
-          { t_nominate = None; t_first_ballot = None; t_externalize = None; apply = None }
-        in
-        Hashtbl.add acc slot a;
-        a
+        let m = { m_node; nominated = None; balloted = None; externalized = None; applied = None } in
+        Hashtbl.replace by_slot slot (m :: l);
+        m
   in
+  let wanted n = match node with None -> true | Some node -> n = node in
   Trace.iter trace (fun s ->
-      if s.Trace.node = node then
-        match s.Trace.event with
-        | Event.Nominate_start { slot } ->
-            let a = get slot in
-            if a.t_nominate = None then a.t_nominate <- Some s.Trace.time
-        | Event.Ballot_bump { slot; _ } ->
-            let a = get slot in
-            if a.t_first_ballot = None then a.t_first_ballot <- Some s.Trace.time
-        | Event.Externalize { slot } ->
-            let a = get slot in
-            if a.t_externalize = None then a.t_externalize <- Some s.Trace.time
-        | Event.Apply_end { slot; ops; _ } ->
-            let a = get slot in
-            if a.apply = None then a.apply <- Some ops
-        | _ -> ());
-  Hashtbl.fold (fun slot a l -> (slot, a) :: l) acc []
-  |> List.filter_map (fun (slot, a) ->
-         match (a.t_nominate, a.t_externalize) with
-         | Some t0, Some t2 ->
-             let t1 = Option.value ~default:t2 a.t_first_ballot in
-             let ops = Option.value ~default:0 a.apply in
-             let apply_s = apply_cost ~ops in
-             Some
-               {
-                 slot;
-                 nomination_s = Float.max 0.0 (t1 -. t0);
-                 ballot_s = Float.max 0.0 (t2 -. t1);
-                 apply_s;
-                 total_s = Float.max 0.0 (t2 -. t0) +. apply_s;
-               }
-         | _ -> None)
-  |> List.sort (fun a b -> Int.compare a.slot b.slot)
+      let t = s.Trace.time and n = s.Trace.node in
+      match s.Trace.event with
+      | Event.Nominate_start { slot } when wanted n ->
+          let m = get n slot in
+          if m.nominated = None then m.nominated <- Some t
+      | Event.Ballot_bump { slot; _ } when wanted n ->
+          let m = get n slot in
+          if m.balloted = None then m.balloted <- Some t
+      | Event.Externalize { slot } when wanted n ->
+          let m = get n slot in
+          if m.externalized = None then m.externalized <- Some (t, s.Trace.seq)
+      | Event.Apply_end { slot; ops; _ } when wanted n ->
+          let m = get n slot in
+          if m.applied = None then m.applied <- Some (t, s.Trace.seq, ops)
+      | _ -> ());
+  by_slot
+
+(* [node]'s milestones, by slot. *)
+let node_milestones node trace =
+  Hashtbl.fold
+    (fun slot l acc -> List.fold_left (fun acc m -> (slot, m) :: acc) acc l)
+    (milestones ~node trace) []
+  |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
+
+let slot_phases ?(node = 0) trace =
+  List.filter_map
+    (fun (slot, m) ->
+      match (m.nominated, m.externalized) with
+      | Some t0, Some (t2, _) ->
+          let t1 = Option.value ~default:t2 m.balloted in
+          let apply_s = apply_cost ~ops:(match m.applied with Some (_, _, ops) -> ops | None -> 0) in
+          Some
+            {
+              slot;
+              nomination_s = Float.max 0.0 (t1 -. t0);
+              ballot_s = Float.max 0.0 (t2 -. t1);
+              apply_s;
+              total_s = Float.max 0.0 (t2 -. t0) +. apply_s;
+            }
+      | _ -> None)
+    (node_milestones node trace)
 
 (* Nearest-rank on index [q * (n-1)] of a sorted, non-empty array. *)
 let rank sorted q =
@@ -124,28 +139,16 @@ type flood = {
   amplification : float;
 }
 
-let flood_stats trace =
-  let acc : (int, int * int * int * int) Hashtbl.t = Hashtbl.create 64 in
-  let bump node f =
-    let cur = Option.value ~default:(0, 0, 0, 0) (Hashtbl.find_opt acc node) in
-    Hashtbl.replace acc node (f cur)
-  in
-  Trace.iter trace (fun s ->
-      match s.Trace.event with
-      | Event.Flood_send { fanout; _ } ->
-          bump s.Trace.node (fun (a, b, c, d) -> (a + fanout, b, c, d))
-      | Event.Flood_recv _ -> bump s.Trace.node (fun (a, b, c, d) -> (a, b + 1, c, d))
-      | Event.Dedup_drop { bytes; _ } ->
-          bump s.Trace.node (fun (a, b, c, d) -> (a, b, c + 1, d + bytes))
-      | _ -> ());
-  Hashtbl.fold
-    (fun node (sent_copies, received, dup_dropped, dup_bytes) l ->
+let flood_stats c =
+  List.init (Collector.n_nodes c) (fun node ->
+      let count = Registry.counter_value (Collector.registry c node) in
+      let sent_copies = count "flood.forwarded" and received = count "flood.unique" in
+      let dup_dropped = count "flood.dup_dropped" and dup_bytes = count "flood.dup_bytes" in
       let amplification =
         float_of_int (received + dup_dropped) /. float_of_int (max 1 received)
       in
-      (node, { sent_copies; received; dup_dropped; dup_bytes; amplification }) :: l)
-    acc []
-  |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
+      (node, { sent_copies; received; dup_dropped; dup_bytes; amplification }))
+  |> List.filter (fun (_, f) -> f.sent_copies + f.received + f.dup_dropped > 0)
 
 (* ---- causal DAG: critical path to externalization ---- *)
 
@@ -289,25 +292,13 @@ let walk_critical_path (sends, recv_arrays) ~node ~slot ~t0 ~ext_time ~ext_seq =
 
 let critical_paths ?(node = 0) trace =
   let ix = causal_index trace in
-  let starts : (int, float) Hashtbl.t = Hashtbl.create 64 in
-  let exts : (int, float * int) Hashtbl.t = Hashtbl.create 64 in
-  Trace.iter trace (fun s ->
-      if s.Trace.node = node then
-        match s.Trace.event with
-        | Event.Nominate_start { slot } ->
-            if not (Hashtbl.mem starts slot) then Hashtbl.add starts slot s.Trace.time
-        | Event.Externalize { slot } ->
-            if not (Hashtbl.mem exts slot) then
-              Hashtbl.add exts slot (s.Trace.time, s.Trace.seq)
-        | _ -> ());
-  Hashtbl.fold
-    (fun slot (ext_time, ext_seq) acc ->
-      match Hashtbl.find_opt starts slot with
-      | Some t0 when ext_time >= t0 ->
-          walk_critical_path ix ~node ~slot ~t0 ~ext_time ~ext_seq :: acc
-      | _ -> acc)
-    exts []
-  |> List.sort (fun a b -> Int.compare a.cp_slot b.cp_slot)
+  List.filter_map
+    (fun (slot, m) ->
+      match (m.nominated, m.externalized) with
+      | Some t0, Some (ext_time, ext_seq) when ext_time >= t0 ->
+          Some (walk_critical_path ix ~node ~slot ~t0 ~ext_time ~ext_seq)
+      | _ -> None)
+    (node_milestones node trace)
 
 (* ---- transaction lifecycle (per tx hash) ---- *)
 
@@ -361,13 +352,16 @@ type e2e = {
 }
 
 let e2e_latency trace =
-  (* first Apply_end per slot gives the op count the apply model needs *)
-  let slot_apply : (int, int) Hashtbl.t = Hashtbl.create 64 in
-  Trace.iter trace (fun s ->
-      match s.Trace.event with
-      | Event.Apply_end { slot; ops; _ } ->
-          if not (Hashtbl.mem slot_apply slot) then Hashtbl.add slot_apply slot ops
-      | _ -> ());
+  (* a slot's first close, by any node, gives the apply model its op count *)
+  let ms = milestones trace in
+  let first_close_ops slot =
+    match
+      List.filter_map (fun m -> m.applied) (Option.value ~default:[] (Hashtbl.find_opt ms slot))
+      |> List.sort (fun (_, a, _) (_, b, _) -> Int.compare a b)
+    with
+    | (_, _, ops) :: _ -> ops
+    | [] -> 0
+  in
   let lives = tx_lives trace in
   let submitted = List.filter (fun l -> l.submitted <> None) lives in
   let ext_lat = ref [] and apply_lat = ref [] in
@@ -379,7 +373,7 @@ let e2e_latency trace =
       | Some t_sub, Some (slot, t_ext) ->
           incr n_externalized;
           ext_lat := (t_ext -. t_sub) :: !ext_lat;
-          let ops = Option.value ~default:0 (Hashtbl.find_opt slot_apply slot) in
+          let ops = first_close_ops slot in
           apply_lat := (t_ext -. t_sub +. apply_cost ~ops) :: !apply_lat
       | _ -> ())
     submitted;
@@ -412,38 +406,23 @@ type heal_report = {
   heal_recover_s : float option;
 }
 
-(* Close times per slot, as (node, time) in trace order (first close per
-   (slot, node) only).  Catch-up replays through no traced close, so a
-   replayed ledger is not one. *)
-let closes trace =
-  let by_slot : (int, (int * float) list ref) Hashtbl.t = Hashtbl.create 64 in
-  Trace.iter trace (fun s ->
-      match s.Trace.event with
-      | Event.Apply_end { slot; _ } ->
-          let l =
-            match Hashtbl.find_opt by_slot slot with
-            | Some l -> l
-            | None ->
-                let l = ref [] in
-                Hashtbl.add by_slot slot l;
-                l
-          in
-          if not (List.mem_assoc s.Trace.node !l) then l := (s.Trace.node, s.Trace.time) :: !l
-      | _ -> ());
-  by_slot
-
 (* A node is "back in sync" at the first slot it closes no later than
    [interval/2] after the fastest *other* node: old slots closed from
    straggler help close long after the network did and fail this test, while the first
-   live slot closes with the crowd (normal spread is milliseconds). *)
+   live slot closes with the crowd (normal spread is milliseconds).  A close
+   is a node's first [Apply_end] of the slot; catch-up replays through no
+   traced close, so a replayed ledger is not one. *)
 let first_in_sync by_slot ~interval ~node ~after =
   let candidates =
     Hashtbl.fold
       (fun _slot l acc ->
-        match List.assoc_opt node !l with
+        let closes =
+          List.filter_map (fun m -> Option.map (fun (t, _, _) -> (m.m_node, t)) m.applied) l
+        in
+        match List.assoc_opt node closes with
         | Some t_n when t_n >= after -> (
             match
-              List.filter_map (fun (m, t) -> if m <> node then Some t else None) !l
+              List.filter_map (fun (m, t) -> if m <> node then Some t else None) closes
             with
             | [] -> acc
             | others ->
@@ -455,7 +434,7 @@ let first_in_sync by_slot ~interval ~node ~after =
   match candidates with [] -> None | t :: rest -> Some (List.fold_left Float.min t rest)
 
 let recoveries ?(interval = 5.0) trace =
-  let by_slot = closes trace in
+  let by_slot = milestones trace in
   (* per-node fault timelines, in trace order *)
   let crashes : (int, float list ref) Hashtbl.t = Hashtbl.create 8 in
   let restarts : (int, float list ref) Hashtbl.t = Hashtbl.create 8 in
@@ -518,7 +497,7 @@ let recoveries ?(interval = 5.0) trace =
     nodes
 
 let heals ?(interval = 5.0) trace =
-  let by_slot = closes trace in
+  let by_slot = milestones trace in
   (* pair each Partition_begin with the next Partition_heal *)
   let out = ref [] in
   let open_split = ref None in

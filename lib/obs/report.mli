@@ -1,6 +1,6 @@
 (** Turn a {!Trace.t} into the paper's evaluation artifacts: the per-slot
     ledger-close phase breakdown (nomination vs. balloting vs. apply, §7.3)
-    and per-node flood amplification (§7.2).
+    and more; per-node flood amplification (§7.2) reads the registries.
 
     Everything here is derived from simulated-time stamps and event payloads
     only, so reports are deterministic for a fixed simulation seed. *)
@@ -52,8 +52,11 @@ type flood = {
   amplification : float;  (** (received + dup_dropped) / received *)
 }
 
-val flood_stats : Trace.t -> (int * flood) list
-(** Per node id, sorted. *)
+val flood_stats : Collector.t -> (int * flood) list
+(** Per node id, sorted, read from the node registries' [flood.forwarded],
+    [flood.unique], [flood.dup_dropped] and [flood.dup_bytes]; nodes that
+    flooded nothing are left out, and so are straggler help and its
+    requests, which go point to point. *)
 
 (** {2 Causal critical path}
 

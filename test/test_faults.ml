@@ -898,10 +898,108 @@ let regression_tests =
           (Stellar_herder.Herder.tx_set h (Stellar_herder.Tx_set.hash named) = None));
   ]
 
+(* ---------- a down node is the network's down flag ---------- *)
+
+(* Four validators on [latency], node 3 traced into [trace]; node 3's
+   registry comes back with them. *)
+let four_validators ~latency ~trace =
+  let spec = Topology.all_to_all ~n:4 in
+  let engine = Stellar_sim.Engine.create () in
+  let rng = Stellar_sim.Rng.create ~seed:5 in
+  let network = Stellar_sim.Network.create ~engine ~rng ~n:4 ~latency () in
+  let genesis, accounts = Genesis.make ~n_accounts:10 () in
+  let obs =
+    Stellar_obs.Sink.make ~trace ~node:3
+      ~now:(fun () -> Stellar_sim.Engine.now engine)
+      (Stellar_obs.Registry.create ())
+  in
+  let mk i =
+    Validator.create ~network ~index:i ~peers:(spec.Topology.peers_of i)
+      ~config:
+        (Stellar_herder.Herder.default_config ~seed:(spec.Topology.validator_seed i)
+           ~qset:(spec.Topology.qset_of i))
+      ~genesis
+      ?obs:(if i = 3 then Some obs else None)
+      ()
+  in
+  let vs = Array.init 4 mk in
+  Array.iter Validator.start vs;
+  (engine, vs, accounts, Stellar_obs.Sink.metrics obs)
+
+let liveness_tests =
+  let open Alcotest in
+  [
+    test_case "an abandoned incarnation never acts" `Quick (fun () ->
+        (* slow links keep SCP's timers armed for most of each slot, and
+           node 3 crashes mid-slot, twice, for 4 s each time.  Its abandoned
+           herder must not act on a timer: while the node is down nothing
+           on its registry moves, and after the restart that herder never
+           votes (its latest envelopes stay as they were) nor closes. *)
+        let latency =
+          Stellar_sim.Latency.Jittered { base = 0.3; jitter = 0.8; spike_prob = 0.0; spike = 0.0 }
+        in
+        let engine, vs, _, registry =
+          four_validators ~latency ~trace:(Stellar_obs.Trace.create ())
+        in
+        let counters () =
+          List.map
+            (fun n -> (n, Stellar_obs.Registry.counter_value registry n))
+            (Stellar_obs.Registry.names registry)
+        in
+        let abandoned =
+          List.map
+            (fun at ->
+              Stellar_sim.Engine.run ~until:at engine;
+              let h = Validator.herder vs.(3) in
+              Validator.crash vs.(3);
+              let seq = Stellar_herder.Herder.ledger_seq h
+              and envs = Stellar_herder.Herder.recent_envelopes h
+              and before = counters () in
+              Stellar_sim.Engine.run ~until:(at +. 4.0) engine;
+              check (list (pair string int)) "nothing counted while down" before (counters ());
+              Validator.restart vs.(3);
+              (h, seq, envs))
+            [ 11.0; 31.0 ]
+        in
+        Stellar_sim.Engine.run ~until:70.0 engine;
+        check bool "node 3 closes again" true
+          (Stellar_herder.Herder.ledger_seq (Validator.herder vs.(3)) > 10);
+        List.iter
+          (fun (h, seq, envs) ->
+            check int "no close" seq (Stellar_herder.Herder.ledger_seq h);
+            check bool "no vote" true (Stellar_herder.Herder.recent_envelopes h = envs))
+          abandoned);
+    test_case "a down validator takes no submission" `Quick (fun () ->
+        let trace = Stellar_obs.Trace.create () in
+        let engine, vs, accounts, _ =
+          four_validators ~latency:Stellar_sim.Latency.datacenter ~trace
+        in
+        let submits () =
+          let n = ref 0 in
+          Stellar_obs.Trace.iter trace (fun s ->
+              match s.Stellar_obs.Trace.event with
+              | Stellar_obs.Event.Tx_submit _ -> incr n
+              | _ -> ());
+          !n
+        in
+        let seqs = Array.make (Array.length accounts) 0 in
+        Stellar_sim.Engine.run ~until:7.0 engine;
+        Validator.crash vs.(3);
+        let down = payment ~accounts ~seqs 0 in
+        Validator.submit_tx vs.(3) down;
+        check int "no Tx_submit while down" 0 (submits ());
+        check bool "not queued" true
+          (Stellar_herder.Herder.receive_tx (Validator.herder vs.(3)) down = `New);
+        Validator.restart vs.(3);
+        Validator.submit_tx vs.(3) (payment ~accounts ~seqs 1);
+        check int "a Tx_submit once up" 1 (submits ()));
+  ]
+
 let () =
   Alcotest.run "faults"
     [
       ("validate", validate_tests);
       ("recovery", recovery_tests);
       ("regressions", regression_tests);
+      ("liveness", liveness_tests);
     ]

@@ -201,8 +201,7 @@ let test_phase_paths_agree () =
   List.iter
     (fun (name, latency, seed) ->
       let r = run ~latency ~observe:true seed in
-      let warmup = (S.default ~spec:(Stellar_node.Topology.all_to_all ~n:4)).S.warmup_ledgers in
-      let first = r.S.final_ledger_seq - r.S.ledgers_closed + 1 + warmup in
+      let first = r.S.final_ledger_seq - r.S.ledgers_closed + 1 + S.warmup_ledgers in
       let ph =
         Obs.Report.slot_phases (Obs.Collector.trace (Option.get r.S.telemetry))
         |> List.filter (fun p ->
@@ -318,7 +317,8 @@ let tiered_registry_dump =
     ("validator.seen.size", 0);
   ]
 
-let test_registry_dump () =
+(* 11 validators in four organizations and 2 watchers, wide-area links *)
+let small_tiered () =
   let spec, _ =
     Stellar_node.Topology.tiered
       ~orgs:Quorum_analysis.Synthesis.[ (Critical, 3); (Critical, 3); (Critical, 3); (High, 2) ]
@@ -336,7 +336,10 @@ let test_registry_dump () =
         observe = true;
       }
   in
-  let agg = Obs.Collector.aggregate (Option.get r.S.telemetry) in
+  Option.get r.S.telemetry
+
+let test_registry_dump () =
+  let agg = Obs.Collector.aggregate (small_tiered ()) in
   Alcotest.(check (list (pair string int)))
     "names and counter values" tiered_registry_dump
     (List.map (fun n -> (n, Obs.Registry.counter_value agg n)) (Obs.Registry.names agg))
@@ -353,9 +356,76 @@ let test_trace_deterministic () =
     let tr = Obs.Collector.trace c in
     Obs.Report.breakdown_json (Obs.Report.breakdown tr)
     ^ Obs.Report.phases_json (Obs.Report.slot_phases tr)
-    ^ Obs.Report.flood_json (Obs.Report.flood_stats tr)
+    ^ Obs.Report.flood_json (Obs.Report.flood_stats c)
   in
   Alcotest.(check string) "derived report identical" (report t1) (report t2)
+
+(* Crash and restart node 4, split nodes 3 and 4 off, and crash node 1 for
+   good: every branch of the recovery and heal reports. *)
+let fault_run =
+  lazy
+    (let module S = Stellar_node.Scenario in
+     let r =
+       S.run
+         {
+           (S.default ~spec:(Stellar_node.Topology.all_to_all ~n:5)) with
+           S.n_accounts = 50;
+           tx_rate = 4.0;
+           duration = 60.0;
+           seed = 21;
+           observe = true;
+           faults =
+             Stellar_node.Fault.
+               [
+                 Crash { node = 4; at = 8.0 };
+                 Restart { node = 4; at = 22.0 };
+                 Partition { at = 30.0; groups = [ (0, 0); (1, 0); (2, 0); (3, 1); (4, 1) ] };
+                 Heal { at = 42.0 };
+                 Crash { node = 1; at = 55.0 };
+               ];
+         }
+     in
+     Obs.Collector.trace (Option.get r.S.telemetry))
+
+(* SHA-256 of each report's JSON: every node's phases and critical paths
+   and the flood stats and e2e latency of the seed-5 run, and the fault
+   run's recoveries and heals.  Recorded while each report still kept its
+   own per-slot tables and flood stats were counted from the trace. *)
+let report_digests =
+  [
+    ("breakdown", "4dfd36b92f66947b0b744dde7eb0b20f055bb48edf5a1008396655cdc5d739b4");
+    ("phases", "b7924cfb0d17d6102f2efdc5693bd93b1d622495fe3ef1470a9344c52706785a");
+    ("flood", "d30065e7e39837bf1a7e4b2f3acc9fdad936a4ff7b1e35e241665fba9595c3b0");
+    ("critical paths", "af0c49d4b9d8b94c3d45dc684a0f5588c75e2e013f3175162e74dd750f5a057b");
+    ("e2e", "760a8dcbbad99ce317ae93b830c5d8c3acb700c40f189bdeb0ef71fd1cf18828");
+    ("recoveries", "fc1dbbd67c623f271e948e73f3f2ff9cc495ced829608253aa258d7717d69a6d");
+    ("heals", "906011438eec6a15935d106548dd7ee548c4245b5387297f7c4c007e6b128005");
+  ]
+
+let test_reports_pinned () =
+  let module R = Obs.Report in
+  let c = Option.get (observed_run 5).Stellar_node.Scenario.telemetry in
+  let tr = Obs.Collector.trace c in
+  let every_node f = String.concat "\n" (List.init 4 f) in
+  let faults = Lazy.force fault_run in
+  let recoveries = R.recoveries ~interval:5.0 faults and heals = R.heals ~interval:5.0 faults in
+  Alcotest.(check bool) "a restart and a crash for good" true
+    (List.exists (fun r -> r.R.recover_s <> None) recoveries
+    && List.exists (fun r -> Float.is_nan r.R.t_restart) recoveries);
+  Alcotest.(check bool) "a heal" true (heals <> []);
+  Alcotest.(check (list (pair string string)))
+    "report digests" report_digests
+    (List.map
+       (fun (name, json) -> (name, Stellar_crypto.Sha256.hex json))
+       [
+         ("breakdown", every_node (fun node -> R.breakdown_json (R.breakdown ~node tr)));
+         ("phases", every_node (fun node -> R.phases_json (R.slot_phases ~node tr)));
+         ("flood", R.flood_json (R.flood_stats c));
+         ("critical paths", every_node (fun node -> R.critical_paths_json (R.critical_paths ~node tr)));
+         ("e2e", R.e2e_json (R.e2e_latency tr));
+         ("recoveries", R.recoveries_json recoveries);
+         ("heals", R.heals_json heals);
+       ])
 
 let test_trace_phases_sane () =
   let r = observed_run 5 in
@@ -385,7 +455,7 @@ let test_trace_phases_sane () =
 let test_flood_amplification () =
   let r = observed_run 5 in
   let c = Option.get r.Stellar_node.Scenario.telemetry in
-  let fl = Obs.Report.flood_stats (Obs.Collector.trace c) in
+  let fl = Obs.Report.flood_stats c in
   Alcotest.(check int) "every node floods" 4 (List.length fl);
   List.iter
     (fun (_, f) ->
@@ -395,6 +465,52 @@ let test_flood_amplification () =
         (f.received + f.dup_dropped)
         (int_of_float (f.amplification *. float_of_int f.received +. 0.5)))
     fl
+
+(* The flood stats as they were counted from the trace: a Flood_send's
+   fanout, each Flood_recv and each Dedup_drop with its bytes, per node. *)
+let trace_flood_stats trace =
+  let acc : (int, int * int * int * int) Hashtbl.t = Hashtbl.create 64 in
+  let bump node f =
+    let cur = Option.value ~default:(0, 0, 0, 0) (Hashtbl.find_opt acc node) in
+    Hashtbl.replace acc node (f cur)
+  in
+  Obs.Trace.iter trace (fun s ->
+      match s.Obs.Trace.event with
+      | Obs.Event.Flood_send { fanout; _ } ->
+          bump s.Obs.Trace.node (fun (a, b, c, d) -> (a + fanout, b, c, d))
+      | Obs.Event.Flood_recv _ -> bump s.Obs.Trace.node (fun (a, b, c, d) -> (a, b + 1, c, d))
+      | Obs.Event.Dedup_drop { bytes; _ } ->
+          bump s.Obs.Trace.node (fun (a, b, c, d) -> (a, b, c + 1, d + bytes))
+      | _ -> ());
+  Hashtbl.fold
+    (fun node (sent_copies, received, dup_dropped, dup_bytes) l ->
+      let amplification =
+        float_of_int (received + dup_dropped) /. float_of_int (max 1 received)
+      in
+      (node, Obs.Report.{ sent_copies; received; dup_dropped; dup_bytes; amplification }) :: l)
+    acc []
+  |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
+
+(* Without straggler help every send is a flood, so the registries'
+   flood stats equal the trace's, node by node. *)
+let test_flood_stats_match_trace () =
+  List.iter
+    (fun (name, c) ->
+      let from_trace = trace_flood_stats (Obs.Collector.trace c) in
+      let from_registry = Obs.Report.flood_stats c in
+      Alcotest.(check (list int)) (name ^ ": nodes")
+        (List.map fst from_trace) (List.map fst from_registry);
+      List.iter2
+        (fun (node, t) (_, r) ->
+          Alcotest.(check string)
+            (Printf.sprintf "%s: node %d" name node)
+            (Obs.Report.flood_json [ (node, t) ])
+            (Obs.Report.flood_json [ (node, r) ]))
+        from_trace from_registry)
+    [
+      ("4 validators", Option.get (observed_run 5).Stellar_node.Scenario.telemetry);
+      ("small tiered", small_tiered ());
+    ]
 
 (* ---- causal tracing: flood DAG, tx lifecycle, critical path ---- *)
 
@@ -503,26 +619,31 @@ let test_e2e_deterministic () =
   Alcotest.(check bool) "non-empty" true (String.length j1 > 60);
   Alcotest.(check string) "e2e + critical path byte-identical" j1 j2
 
-(* Dedup drops carry payload bytes (satellite): wasted bandwidth is
-   reported in bytes and corroborated by the flood.dup_bytes counter. *)
+(* Dedup drops carry payload bytes: wasted bandwidth is reported in bytes,
+   and per node the Dedup_drop events agree with the flood.dup_dropped and
+   flood.dup_bytes counters. *)
 let test_dedup_bytes () =
   let r, trace = Lazy.force causal_trace in
-  let fl = Obs.Report.flood_stats trace in
-  let total_dup_bytes =
-    List.fold_left (fun a (_, f) -> a + f.Obs.Report.dup_bytes) 0 fl
-  in
-  Alcotest.(check bool) "duplicates observed" true (total_dup_bytes > 0);
-  List.iter
-    (fun (_, f) ->
-      let open Obs.Report in
-      Alcotest.(check bool) "bytes iff drops" true ((f.dup_bytes > 0) = (f.dup_dropped > 0)))
-    fl;
-  let agg =
-    Obs.Collector.aggregate (Option.get r.Stellar_node.Scenario.telemetry)
-  in
-  Alcotest.(check int) "trace agrees with flood.dup_bytes counter"
-    (Obs.Registry.counter_value agg "flood.dup_bytes")
-    total_dup_bytes
+  let c = Option.get r.Stellar_node.Scenario.telemetry in
+  let n = Obs.Collector.n_nodes c in
+  let drops = Array.make n 0 and bytes = Array.make n 0 in
+  Obs.Trace.iter trace (fun s ->
+      match s.Obs.Trace.event with
+      | Obs.Event.Dedup_drop { bytes = b; _ } ->
+          let node = s.Obs.Trace.node in
+          drops.(node) <- drops.(node) + 1;
+          bytes.(node) <- bytes.(node) + b
+      | _ -> ());
+  Alcotest.(check bool) "duplicates observed" true (Array.fold_left ( + ) 0 bytes > 0);
+  for node = 0 to n - 1 do
+    let counter = Obs.Registry.counter_value (Obs.Collector.registry c node) in
+    Alcotest.(check int)
+      (Printf.sprintf "node %d: Dedup_drop events = flood.dup_dropped" node)
+      (counter "flood.dup_dropped") drops.(node);
+    Alcotest.(check int)
+      (Printf.sprintf "node %d: Dedup_drop bytes = flood.dup_bytes" node)
+      (counter "flood.dup_bytes") bytes.(node)
+  done
 
 (* ---- recovery is read from closes ---- *)
 
@@ -642,6 +763,7 @@ let () =
         [
           Alcotest.test_case "trace byte-identical" `Quick test_trace_deterministic;
           Alcotest.test_case "JSONL digest pinned" `Quick test_jsonl_pinned;
+          Alcotest.test_case "report digests pinned" `Quick test_reports_pinned;
           Alcotest.test_case "tiered registry dump" `Quick test_registry_dump;
           Alcotest.test_case "tracing keeps the report" `Quick test_tracing_keeps_report;
           Alcotest.test_case "phase breakdown sane" `Quick test_trace_phases_sane;
@@ -649,6 +771,8 @@ let () =
           Alcotest.test_case "trace agrees with the registry" `Quick
             test_trace_agrees_with_registry;
           Alcotest.test_case "flood amplification" `Quick test_flood_amplification;
+          Alcotest.test_case "registry flood stats match the trace" `Quick
+            test_flood_stats_match_trace;
         ] );
       ( "causal",
         [

@@ -66,7 +66,7 @@ let qset_tests =
         check (float 1e-9) "outer" 1.0 (Quorum_set.weight q a));
     test_case "sanity checks" `Quick (fun () ->
         check bool "dup validators insane" false
-          (Quorum_set.is_sane { threshold = 1; validators = [ a; a ]; inner = [] });
+          (Quorum_set.is_sane (Quorum_set.make ~threshold:1 [ a; a ]));
         check bool "ok" true (Quorum_set.is_sane (Quorum_set.majority [ a; b; c ])));
     test_case "encode deterministic & distinct" `Quick (fun () ->
         let q1 = Quorum_set.make ~threshold:2 [ a; b; c ] in
@@ -391,7 +391,7 @@ let signing_tests =
     test_case "an insane quorum set is invalid on every delivery" `Quick (fun () ->
         let self, peer, slot, signed = setup () in
         let s = slot () in
-        let insane () = { Quorum_set.threshold = 1; validators = [ peer; peer ]; inner = [] } in
+        let insane () = Quorum_set.make ~threshold:1 [ peer; peer ] in
         let env = signed (insane ()) in
         for i = 1 to 3 do
           check bool (Printf.sprintf "delivery %d" i) true (Slot.process_envelope s env = `Invalid)
@@ -411,7 +411,7 @@ let signing_tests =
         let strangers = List.init 40 (Printf.sprintf "stranger-%d") in
         let forged = with_qset env (Quorum_set.make ~threshold:20 (peer :: strangers)) in
         check bool "new set, old signature" true (Slot.process_envelope s forged = `Invalid);
-        let insane = { Quorum_set.threshold = 1; validators = strangers @ strangers; inner = [] } in
+        let insane = Quorum_set.make ~threshold:1 (strangers @ strangers) in
         check bool "insane set, old signature" true
           (Slot.process_envelope s (with_qset env insane) = `Invalid);
         check int "no stranger numbered" known (Slot.known_nodes s);
@@ -662,6 +662,19 @@ let qset_prop_tests =
     QCheck_alcotest.to_alcotest
       (Test.make ~name:"is_v_blocking matches its list-filter definition" ~count:1000 arb
          (fun (q, mask) -> Quorum_set.is_v_blocking q (in_set mask) = ref_blocking q (in_set mask)));
+    (* the hash a set carries is the digest of its encoding, whether it
+       was built or decoded, and so is every inner set's *)
+    QCheck_alcotest.to_alcotest
+      (Test.make ~name:"a set carries the SHA-256 of its encoding" ~count:500
+         (make ~print:show_qset (qset_gen pool 0))
+         (fun q ->
+           let rec carries (q : Quorum_set.t) =
+             Quorum_set.hash q = Stellar_crypto.Sha256.digest (Quorum_set.encode q)
+             && List.for_all carries q.inner
+           in
+           match Quorum_set.decode (Quorum_set.encode q) with
+           | Ok d -> carries q && carries d && d = q
+           | Error _ -> false));
   ]
 
 let () =
